@@ -35,14 +35,15 @@ import numpy as np
 
 from . import faa_di_bruno
 from .kernels import (
+    DEFAULT_KERNEL_CONFIG,
+    _envelope_ratio,
     circle_H,
-    envelope_residual,
     h_limit_even,
     m_k_estimate,
     region_classify,
     riesz_kernel,
 )
-from .quadrature import build_rule
+from .quadrature import AccuracyError, build_rule
 from .transforms import (
     SpectralCoefficients,
     TruncationSchedule,
@@ -75,7 +76,7 @@ class RunConfig:
     lam: float = 1.0
     k: int = 1
     n_max: int = 16
-    quad_order: int = 64
+    quad_order: int = 128
     eps_start: float = 0.05
     eps_ratio: float = 0.5
     eps_count: int = 9
@@ -86,14 +87,28 @@ class RunConfig:
     output: str = ""
 
     def validate(self) -> "RunConfig":
+        guard = DEFAULT_KERNEL_CONFIG.min_separation
+        ratio_ok = 0.0 < self.eps_ratio < 1.0
+        # the smallest scheduled radius; 0 when the schedule itself is invalid
+        smallest = (
+            self.eps_start * self.eps_ratio ** (self.eps_count - 1)
+            if ratio_ok and self.eps_count >= 1
+            else 0.0
+        )
         checks = [
             (self.lam > 0.0, "lambda", "must be positive"),
-            (self.k >= 1, "k", "must be a positive integer"),
+            (1 <= self.k <= faa_di_bruno.MAX_ORDER, "k", f"must lie in [1, {faa_di_bruno.MAX_ORDER}]"),
             (self.n_max >= 1, "n-max", "must be at least 1"),
             (self.quad_order >= 2, "quad-order", "must be at least 2"),
             (0.0 < self.eps_start < math.pi, "eps-start", "must lie in (0, pi)"),
-            (0.0 < self.eps_ratio < 1.0, "eps-ratio", "must lie in (0, 1)"),
+            (ratio_ok, "eps-ratio", "must lie in (0, 1)"),
             (self.eps_count >= 3, "eps-count", "needs at least 3 radii for extrapolation"),
+            (
+                smallest > guard,
+                "eps-count",
+                f"smallest radius eps-start * eps-ratio**(eps-count - 1) = {smallest:g} "
+                f"must exceed the kernel guard {guard:g}",
+            ),
             (self.rho >= 1.0, "rho", "must be at least 1"),
             (len(self.thetas) > 0, "theta", "need at least one evaluation point"),
             (all(0.0 < t < math.pi for t in self.thetas), "theta", "must lie in (0, pi)"),
@@ -232,23 +247,25 @@ def cmd_faa_check(config: RunConfig) -> int:
     return _EXIT_OK
 
 
+def _kernel_row(config: RunConfig, theta: float, phis: np.ndarray) -> list[list]:
+    """[theta, phi, region, kernel value, envelope ratio] for each phi, from
+    one kernel evaluation over the whole row."""
+    values = riesz_kernel(config.lam, config.k, theta, phis)
+    rows = []
+    for phi, value in zip(phis.tolist(), values.tolist()):
+        region = region_classify(theta, phi)
+        ratio = _envelope_ratio(config.lam, config.k, theta, phi, value, region)
+        rows.append([theta, phi, region, value, ratio])
+    return rows
+
+
 def cmd_kernel(config: RunConfig) -> int:
     grid = np.linspace(0.15, math.pi - 0.15, 20)
 
-    def row(pair):
-        theta, phi = pair
-        region = region_classify(theta, phi)
-        value = riesz_kernel(config.lam, config.k, theta, phi)
-        ratio = envelope_residual(config.lam, config.k, theta, phi)
-        return [theta, phi, region, value, ratio]
+    def row(theta):
+        return _kernel_row(config, theta, grid[np.abs(theta - grid) > 1e-3])
 
-    pairs = [
-        (float(theta), float(phi))
-        for theta in grid
-        for phi in grid
-        if abs(theta - phi) > 1e-3
-    ]
-    rows = _map_items(row, pairs)
+    rows = [r for chunk in _map_items(row, grid.tolist()) for r in chunk]
     _write_csv(config.output or None, ["theta", "phi", "region", "value", "envelope_ratio"], rows)
     finite = all(math.isfinite(r[3]) and math.isfinite(r[4]) for r in rows)
     return _EXIT_OK if finite else _EXIT_TOLERANCE
@@ -385,12 +402,9 @@ def _global_summary(config: RunConfig, max_abs_error: float) -> dict:
             "w_h_decay": abs(1e-2 * circle_H(k, 1e-2)) / abs(1e-3 * circle_H(k, 1e-3))
         }
     envelope = {"A1": 0.0, "A2": 0.0, "A3": 0.0}
-    for theta in np.linspace(0.3, math.pi - 0.3, 6):
-        for phi in np.linspace(0.3, math.pi - 0.3, 6):
-            if abs(theta - phi) < 5e-2:
-                continue
-            region = region_classify(float(theta), float(phi))
-            ratio = envelope_residual(config.lam, k, float(theta), float(phi))
+    grid = np.linspace(0.3, math.pi - 0.3, 6)
+    for theta in grid.tolist():
+        for _, _, region, _, ratio in _kernel_row(config, theta, grid[np.abs(theta - grid) >= 5e-2]):
             envelope[region] = max(envelope[region], ratio)
     return {
         "max_abs_error": max_abs_error,
@@ -502,7 +516,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    return _COMMANDS[args.command](config)
+    try:
+        return _COMMANDS[args.command](config)
+    except AccuracyError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return _EXIT_TOLERANCE
 
 
 if __name__ == "__main__":

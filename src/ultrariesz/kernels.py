@@ -6,9 +6,10 @@ the Poisson kernel: each admissible index (s, i, j) contributes a 2-D
 integral over (r, t) in (0,1) x (0,pi).  The t integral is done innermost
 with a fixed tanh-sinh rule (it carries the (sin t)**(2*lambda-1) endpoint
 singularity), the r integral with tanh-sinh after splitting at
-r = 1 - |theta - phi| to resolve the near-diagonal concentration.  All grids
-are deterministic functions of the configuration, so kernel values are
-reproducible bit for bit.
+r = 1 - min(|theta - phi|, 1/2) to resolve the near-diagonal concentration.
+The sum over s is taken in Horner form in q = r / D, and one call
+evaluates a whole array of phi.  All grids are deterministic functions of
+the configuration, so kernel values are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -161,17 +162,60 @@ def _term_layout(ell: int, lam: float, corrected: bool):
     return {s: tuple(terms) for s, terms in layout.items()}
 
 
+#: every phi with |theta - phi| >= _FAR_SPLIT shares the r-rule split at 1 - _FAR_SPLIT
+_FAR_SPLIT = 0.5
+
+
+def _r_rule(lam: float, k: int, split: float, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """r-nodes on (0, 1) split at ``split``, and the node factor
+    r**(lam-1) log(1/r)**(k-1) (1 - r**2) times the weight."""
+    r_lo, w_lo = tanh_sinh_segment(0.0, split, level)
+    r_hi, w_hi = tanh_sinh_segment(split, 1.0, level)
+    r = np.concatenate([r_lo, r_hi])
+    r_weights = np.concatenate([w_lo, w_hi])
+    log_inv_r = -np.log(r)
+    return r, r ** (lam - 1.0) * log_inv_r ** (k - 1) * (1.0 - r * r) * r_weights
+
+
+def _validate_phis(theta: float, phi, min_separation: float) -> np.ndarray:
+    """phi as a 1-D float array, every entry off the diagonal guard."""
+    phis = np.atleast_1d(np.asarray(phi, dtype=float))
+    if phis.ndim != 1:
+        raise ValueError(f"phi must be a scalar or a 1-D array, got shape {phis.shape}")
+    outside = ~((phis > 0.0) & (phis < math.pi))
+    if np.any(outside):
+        raise ValueError(f"phi must lie in (0, pi), got {phis[outside][0]}")
+    sep = np.abs(theta - phis)
+    if np.any(sep == 0.0):
+        raise ValueError("kernel is singular on the diagonal theta = phi")
+    if np.any(sep < min_separation):
+        raise AccuracyError(
+            f"|theta - phi| = {sep.min():.3e} is below the separation guard "
+            f"{min_separation:.1e}",
+            estimate=math.nan,
+            error_bound=math.inf,
+        )
+    return phis
+
+
 def kernel_partial(
     lam: float,
     k: int,
     ell: int,
     theta: float,
-    phi: float,
+    phi: float | np.ndarray,
     *,
     config: KernelConfig | None = None,
-) -> float:
+) -> float | np.ndarray:
     """The order-(k, ell) kernel: ell theta-derivatives of the Poisson kernel
-    under the order-k subordination integral.  ell = k gives the Riesz kernel."""
+    under the order-k subordination integral.  ell = k gives the Riesz kernel.
+
+    ``phi`` may be a scalar (returns a float) or a 1-D array (returns an
+    array of the same length); every entry must clear the diagonal guard.
+    The t-rule, the r-rule for |theta - phi| >= 1/2 and the expansion
+    coefficients are built once per call, and the (r, t) work buffers are
+    reused across the entries of ``phi``.
+    """
     lam = validate_lambda(lam)
     config = config or DEFAULT_KERNEL_CONFIG
     if k < 1:
@@ -179,67 +223,77 @@ def kernel_partial(
     if not 0 <= ell <= k:
         raise ValueError(f"derivative order must lie in [0, {k}], got {ell}")
     theta = _validate_angle("theta", theta)
-    phi = _validate_angle("phi", phi)
-    w = theta - phi
-    if w == 0.0:
-        raise ValueError("kernel is singular on the diagonal theta = phi")
-    if abs(w) < config.min_separation:
-        raise AccuracyError(
-            f"|theta - phi| = {abs(w):.3e} is below the separation guard "
-            f"{config.min_separation:.1e}",
-            estimate=math.nan,
-            error_bound=math.inf,
-        )
-
-    sigma = math.sin(theta) * math.sin(phi)
-    cos_coeff = math.cos(theta) * math.sin(phi)
-    one_minus_cos_w = 2.0 * math.sin(0.5 * w) ** 2
-    sin_w = math.sin(w)
+    phis = _validate_phis(theta, phi, config.min_separation)
 
     t_nodes, t_weights = tanh_sinh_segment(0.0, math.pi, config.t_level)
     one_minus_cos_t = 2.0 * np.sin(0.5 * t_nodes) ** 2
     t_fac = np.sin(t_nodes) ** (2.0 * lam - 1.0) * t_weights
-    a_t = (1.0 - one_minus_cos_w) - sigma * one_minus_cos_t
-    b_t = -sin_w - cos_coeff * one_minus_cos_t
-
-    split = 1.0 - min(abs(w), 0.5)
-    r_lo, w_lo = tanh_sinh_segment(0.0, split, config.r_level)
-    r_hi, w_hi = tanh_sinh_segment(split, 1.0, config.r_level)
-    r = np.concatenate([r_lo, r_hi])
-    r_weights = np.concatenate([w_lo, w_hi])
-    log_inv_r = -np.log(r)
-    r_fac = r ** (lam - 1.0) * log_inv_r ** (k - 1) * (1.0 - r * r) * r_weights
-    delta_r = (1.0 - r) ** 2 + 2.0 * r * one_minus_cos_w
-
-    d = delta_r[:, None] + (2.0 * sigma) * r[:, None] * one_minus_cos_t[None, :]
     layout = _term_layout(ell, lam, True)
-    if ell == 0:
-        acc = d ** -(lam + 1.0)
-    else:
-        power = d ** -(lam + 1.0)
-        acc = np.zeros_like(d)
-        for s in range(1, ell + 1):
-            power = power / d
-            terms = layout.get(s)
-            if not terms:
-                continue
-            poly = np.zeros_like(t_nodes)
-            for coeff, i, j in terms:
-                poly += coeff * a_t**i * b_t**j
-            acc += (r**s)[:, None] * poly[None, :] * power
-    value = float(r_fac @ acc @ t_fac)
-    return lam / (math.pi * math.gamma(k)) * value
+    prefactor = lam / (math.pi * math.gamma(k))
+    sin_theta, cos_theta = math.sin(theta), math.cos(theta)
+
+    rules = {}
+    for p in phis:
+        split = 1.0 - min(abs(theta - p), _FAR_SPLIT)
+        if split not in rules:
+            rules[split] = _r_rule(lam, k, split, config.r_level)
+    rows = max((r.size for r, _ in rules.values()), default=0)
+    # one set of (r, t) buffers per call: calls may run concurrently
+    d_buf = np.empty((rows, t_nodes.size))
+    pow_buf = np.empty_like(d_buf)
+    q_buf = np.empty_like(d_buf)
+
+    values = np.empty(phis.size)
+    for index, p in enumerate(phis):
+        w = theta - p
+        sigma = sin_theta * math.sin(p)
+        one_minus_cos_w = 2.0 * math.sin(0.5 * w) ** 2
+        r, r_fac = rules[1.0 - min(abs(w), _FAR_SPLIT)]
+        n = r.size
+        delta_r = (1.0 - r) ** 2 + 2.0 * r * one_minus_cos_w
+        d = d_buf[:n]
+        d[...] = one_minus_cos_t
+        d *= ((2.0 * sigma) * r)[:, None]
+        d += delta_r[:, None]
+        # d**-(lam+1) as exp(-(lam+1) log d): ~30% cheaper than np.power here
+        power = np.log(d, out=pow_buf[:n])
+        power *= -(lam + 1.0)
+        np.exp(power, out=power)
+        if ell > 0:
+            # sum_s r**s P_s(t) d**-(lam+1+s) = d**-(lam+1) * sum_s P_s q**s
+            # with q = r/d, summed by Horner's rule from s = ell down to 1
+            a_t = (1.0 - one_minus_cos_w) - sigma * one_minus_cos_t
+            b_t = -math.sin(w) - (cos_theta * math.sin(p)) * one_minus_cos_t
+            q = np.divide(r[:, None], d, out=q_buf[:n])
+            # d is spent: power and q hold all that is needed of it
+            horner = np.multiply(q, _layout_poly(layout, ell, a_t, b_t)[None, :], out=d)
+            for s in range(ell - 1, 0, -1):
+                if s in layout:
+                    horner += _layout_poly(layout, s, a_t, b_t)[None, :]
+                horner *= q
+            power *= horner
+        values[index] = prefactor * float(r_fac @ power @ t_fac)
+    return float(values[0]) if np.ndim(phi) == 0 else values
+
+
+def _layout_poly(layout, s: int, a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
+    """P_s(t) = sum over the order-s terms of coefficient * a**i * b**j."""
+    poly = np.zeros_like(a_t)
+    for coeff, i, j in layout.get(s, ()):
+        poly += coeff * a_t**i * b_t**j
+    return poly
 
 
 def riesz_kernel(
     lam: float,
     k: int,
     theta: float,
-    phi: float,
+    phi: float | np.ndarray,
     *,
     config: KernelConfig | None = None,
-) -> float:
-    """R_lambda^k(theta, phi), the order-k Riesz transform kernel.
+) -> float | np.ndarray:
+    """R_lambda^k(theta, phi), the order-k Riesz transform kernel; ``phi``
+    may be a scalar or a 1-D array, as in kernel_partial.
 
     Refuses |theta - phi| < 1e-5: the truncated integrals never need values
     closer to the diagonal than the smallest truncation radius.
@@ -368,6 +422,14 @@ def envelope_residual(
     lam = validate_lambda(lam)
     region = region_classify(theta, phi)
     value = riesz_kernel(lam, k, theta, phi, config=config)
+    return _envelope_ratio(lam, k, theta, phi, value, region)
+
+
+def _envelope_ratio(
+    lam: float, k: int, theta: float, phi: float, value: float, region: RegionLabel
+) -> float:
+    """envelope_residual's arithmetic on an already computed kernel value
+    at (theta, phi), which lies in ``region``."""
     sigma = math.sin(theta) * math.sin(phi)
     if region == "A2":
         m_k = 0.0 if k % 2 == 0 else m_k_estimate(lam, k)

@@ -289,9 +289,7 @@ class TruncationOperator:
             # vanishing (sin phi)**(2 lam) factor; drop them
             keep = (nodes > 0.0) & (nodes < math.pi)
             nodes, weights = nodes[keep], weights[keep]
-            kernel_vals = np.array(
-                [riesz_kernel(self.lam, self.k, theta, phi, config=config) for phi in nodes]
-            )
+            kernel_vals = riesz_kernel(self.lam, self.k, theta, nodes, config=config)
             segments.append((nodes, weights * np.sin(nodes) ** (2.0 * self.lam) * kernel_vals, index))
         self._segments = segments
 

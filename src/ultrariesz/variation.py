@@ -150,9 +150,12 @@ class ConvergenceReport:
 
 
 def _grid_norm(thetas: np.ndarray, values: np.ndarray, p: float, lam: float) -> float:
-    weight = np.sin(thetas) ** (2.0 * lam)
     if thetas.size < 2:
         return float(np.abs(values[0])) if thetas.size else 0.0
+    # the trapezoid rule needs increasing nodes; the points may come in any order
+    order = np.argsort(thetas, kind="stable")
+    thetas, values = thetas[order], values[order]
+    weight = np.sin(thetas) ** (2.0 * lam)
     return float(np.trapezoid(np.abs(values) ** p * weight, thetas)) ** (1.0 / p)
 
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ultrariesz.cli import RunConfig, load_config_file, main
+from ultrariesz.cli import ConfigError, RunConfig, load_config_file, main
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +40,14 @@ class TestConfig:
         with pytest.raises(Exception, match="bad.cfg:2"):
             load_config_file(str(path))
 
+    def test_order_above_table_limit_rejected(self):
+        with pytest.raises(ConfigError, match="field 'k'"):
+            RunConfig(k=13).validate()
+
+    def test_schedule_inside_kernel_guard_rejected(self):
+        with pytest.raises(ConfigError, match="kernel guard"):
+            RunConfig(eps_start=1e-4, eps_ratio=0.1, eps_count=5).validate()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("lambduh = 1.0\n")
@@ -60,6 +68,46 @@ class TestSubcommands:
         code, _, err = run_cli(capsys, "coeffs", "--ell", "99")
         assert code == 2
         assert "ell" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("riesz-pv", "--k", "13"),
+            ("riesz-pv", "--eps-start", "1e-4", "--eps-ratio", "0.1", "--eps-count", "5"),
+        ],
+    )
+    def test_config_errors_exit_2_without_traceback(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_accuracy_error_exits_1_with_one_line(self, capsys):
+        # no extrapolation residual meets 10 x 1e-16
+        code, out, err = run_cli(
+            capsys, "riesz-pv", "--k", "1", "--theta", "1.2", "--tolerance", "1e-16"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("FAIL:") and err.count("\n") == 1
+
+    def test_kernel_report_independent_of_thread_count(self, capsys, monkeypatch, tmp_path):
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ULTRA_RIESZ_THREADS", threads)
+            path = tmp_path / f"kernel-{threads}.csv"
+            code, _, err = run_cli(capsys, "kernel", "--lambda", "0.8", "--k", "3", "--output", str(path))
+            assert code == 0, err
+            reports.append(path.read_bytes())
+        assert len(reports[0].splitlines()) == 1 + 380
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("lam", ["0.3", "2.5"])
+    def test_poisson_default_order_meets_its_gate(self, capsys, lam):
+        code, out, err = run_cli(capsys, "poisson", "--lambda", lam)
+        assert code == 0, err
+        errors = [float(line.split(",")[-1]) for line in out.strip().splitlines()[1:]]
+        assert len(errors) == 18 and max(errors) <= 1e-6
 
     def test_flag_overrides_file(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
@@ -157,3 +205,18 @@ class TestVariationReport:
         csv_lines = (tmp_path / "report.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "theta,epsilon,truncated_value"
         assert len(csv_lines) == 1 + 6
+
+    def test_theta_order_does_not_change_norms(self, capsys, tmp_path):
+        norms = []
+        for index, thetas in enumerate((("0.9", "1.2"), ("1.2", "0.9"))):
+            base = tmp_path / f"report{index}"
+            argv = ["variation", "--lambda", "1.0", "--k", "1", "--eps-count", "6"]
+            for theta in thetas:
+                argv += ["--theta", theta]
+            code, _, err = run_cli(capsys, *argv, "--quad-order", "48", "--output", str(base))
+            assert code == 0, err
+            payload = json.loads(base.with_suffix(".json").read_text())
+            values = [v for per_p in payload["norms"].values() for v in per_p.values()]
+            assert all(isinstance(v, float) and math.isfinite(v) and v >= 0.0 for v in values)
+            norms.append(payload["norms"])
+        assert norms[0] == norms[1]

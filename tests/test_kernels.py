@@ -143,6 +143,41 @@ class TestRieszKernel:
         with pytest.raises(ValueError):
             kernel_partial(1.0, 2, 3, 1.0, 0.5)
 
+    def test_array_phi_equals_scalar_loop(self):
+        theta = 1.1
+        phis = np.array([0.05, 0.4, 1.0, theta - 2e-5, theta + 3e-3, 1.7, 2.9])
+        for k in range(1, 5):
+            for ell in sorted({0, k - 1, k}):
+                values = kernel_partial(0.8, k, ell, theta, phis)
+                loop = [kernel_partial(0.8, k, ell, theta, float(phi)) for phi in phis]
+                assert all(type(v) is float for v in loop)
+                assert values.shape == phis.shape
+                assert np.array_equal(values, np.array(loop)), (k, ell)
+
+    def test_reference_values(self):
+        # recorded from the term-by-term s-sum engine before it took Horner
+        # form; (lam, k, theta, phi, value), near the diagonal and up to k = 12
+        reference = [
+            (1.0, 1, 1.2, 1.2 + 2e-5, 18319.4128632513),
+            (0.3, 2, 0.8, 0.799, 1.0457213261668845),
+            (2.4, 3, math.pi - 0.5, math.pi - 0.49, -1346.0258286187084),
+            (0.7, 4, 1.4, 0.9, -0.5920574954272354),
+            (1.5, 8, 1.0, 1.05, -1.7889534909347988),
+            (0.5, 12, 2.0, 2.3, -0.6206190848966013),
+        ]
+        for lam, k, theta, phi, expected in reference:
+            assert riesz_kernel(lam, k, theta, phi) == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+    def test_array_guards_check_every_entry(self):
+        with pytest.raises(ValueError, match="diagonal"):
+            riesz_kernel(1.0, 1, 1.0, np.array([0.5, 1.0]))
+        with pytest.raises(AccuracyError):
+            riesz_kernel(1.0, 1, 1.0, np.array([0.5, 1.0 + 5e-6]))
+        with pytest.raises(ValueError, match="phi"):
+            riesz_kernel(1.0, 1, 1.0, np.array([0.5, math.pi]))
+        with pytest.raises(ValueError, match="1-D"):
+            riesz_kernel(1.0, 1, 1.0, np.full((2, 2), 0.5))
+
 
 class TestCircleKernels:
     def test_h1_closed_form(self):
