@@ -35,7 +35,6 @@ import numpy as np
 
 from . import faa_di_bruno
 from .kernels import (
-    DEFAULT_KERNEL_CONFIG,
     _envelope_ratio,
     circle_H,
     h_limit_even,
@@ -43,7 +42,7 @@ from .kernels import (
     region_classify,
     riesz_kernel,
 )
-from .quadrature import AccuracyError, build_rule
+from .quadrature import AccuracyError, ConstructionError, build_rule
 from .transforms import (
     SpectralCoefficients,
     TruncationSchedule,
@@ -69,6 +68,15 @@ class ConfigError(Exception):
     pass
 
 
+#: the standard band-limited test functions, as coefficient vectors
+_FAMILY = {
+    "e0": [1.0],
+    "e1": [0.0, 1.0],
+    "e2+0.5e4": [0.0, 0.0, 1.0, 0.0, 0.5],
+}
+_FAMILY_DEGREE = max(len(coeffs) for coeffs in _FAMILY.values()) - 1
+
+
 @dataclass
 class RunConfig:
     """Validated run parameters; every CLI flag has a config-file twin."""
@@ -87,27 +95,16 @@ class RunConfig:
     output: str = ""
 
     def validate(self) -> "RunConfig":
-        guard = DEFAULT_KERNEL_CONFIG.min_separation
-        ratio_ok = 0.0 < self.eps_ratio < 1.0
-        # the smallest scheduled radius; 0 when the schedule itself is invalid
-        smallest = (
-            self.eps_start * self.eps_ratio ** (self.eps_count - 1)
-            if ratio_ok and self.eps_count >= 1
-            else 0.0
-        )
+        # the spectral route analyzes up to degree max(n-max, family degree)
+        degree = max(self.n_max, _FAMILY_DEGREE)
         checks = [
-            (self.lam > 0.0, "lambda", "must be positive"),
+            (math.isfinite(self.lam) and self.lam > 0.0, "lambda", "must be positive and finite"),
             (1 <= self.k <= faa_di_bruno.MAX_ORDER, "k", f"must lie in [1, {faa_di_bruno.MAX_ORDER}]"),
             (self.n_max >= 1, "n-max", "must be at least 1"),
-            (self.quad_order >= 2, "quad-order", "must be at least 2"),
-            (0.0 < self.eps_start < math.pi, "eps-start", "must lie in (0, pi)"),
-            (ratio_ok, "eps-ratio", "must lie in (0, 1)"),
-            (self.eps_count >= 3, "eps-count", "needs at least 3 radii for extrapolation"),
             (
-                smallest > guard,
-                "eps-count",
-                f"smallest radius eps-start * eps-ratio**(eps-count - 1) = {smallest:g} "
-                f"must exceed the kernel guard {guard:g}",
+                self.quad_order > degree,
+                "quad-order",
+                f"must exceed max(n-max, {_FAMILY_DEGREE}) = {degree}",
             ),
             (self.rho >= 1.0, "rho", "must be at least 1"),
             (len(self.thetas) > 0, "theta", "need at least one evaluation point"),
@@ -118,6 +115,16 @@ class RunConfig:
         for ok, name, message in checks:
             if not ok:
                 raise ConfigError(f"field '{name}': {message}")
+        try:
+            self.schedule()
+        except ValueError as exc:
+            raise ConfigError(f"fields 'eps-start', 'eps-ratio', 'eps-count': {exc}") from exc
+        try:
+            # an extreme lambda overflows the recurrence; the failure is reported below
+            with np.errstate(over="ignore", invalid="ignore"):
+                build_rule(self.lam, self.quad_order)
+        except (ConstructionError, OverflowError) as exc:
+            raise ConfigError(f"fields 'lambda', 'quad-order': no Gaussian rule: {exc}") from exc
         return self
 
     def schedule(self) -> TruncationSchedule:
@@ -164,12 +171,8 @@ def load_config_file(path: str) -> dict:
 
 
 def _default_family(lam: float) -> dict[str, SpectralCoefficients]:
-    """The standard band-limited test functions."""
-    return {
-        "e0": SpectralCoefficients(lam, [1.0]),
-        "e1": SpectralCoefficients(lam, [0.0, 1.0]),
-        "e2+0.5e4": SpectralCoefficients(lam, [0.0, 0.0, 1.0, 0.0, 0.5]),
-    }
+    """The standard band-limited test functions at this lambda."""
+    return {name: SpectralCoefficients(lam, coeffs) for name, coeffs in _FAMILY.items()}
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:

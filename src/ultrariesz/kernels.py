@@ -22,7 +22,7 @@ from typing import Literal
 import numpy as np
 
 from .faa_di_bruno import coefficients, pochhammer_factor
-from .quadrature import AccuracyError, singular_integrate, tanh_sinh_segment
+from .quadrature import AccuracyError, least_squares_fit, singular_integrate, tanh_sinh_segment
 from .special import validate_lambda
 
 __all__ = [
@@ -44,6 +44,10 @@ __all__ = [
 
 RegionLabel = Literal["A1", "A2", "A3"]
 
+#: the Riesz kernel refuses |theta - phi| below this, whatever the config;
+#: truncation radii must stay above it
+RIESZ_MIN_SEPARATION = 1e-5
+
 
 @dataclass(frozen=True)
 class KernelConfig:
@@ -58,7 +62,7 @@ class KernelConfig:
 
     t_level: int = 5
     r_level: int = 5
-    min_separation: float = 1e-5
+    min_separation: float = RIESZ_MIN_SEPARATION
 
     def doubled(self) -> "KernelConfig":
         return KernelConfig(
@@ -150,15 +154,15 @@ def poisson_kernel(lam: float, r: float, theta: float, phi: float, *, tol: float
 
 
 @lru_cache(maxsize=None)
-def _term_layout(ell: int, lam: float, corrected: bool):
-    """Per-s lists of (coefficient, i, j) with the Pochhammer factor folded in."""
+def _term_layout(ell: int, lam: float):
+    """Per-s lists of (coefficient, i, j) with the Pochhammer factor folded in
+    (the factor is exactly 1 at lam = 0, the circle case)."""
     if ell == 0:
         return {0: ((1.0, 0, 0),)}
     table = coefficients(ell)
     layout: dict[int, list[tuple[float, int, int]]] = {}
     for (s, i, j), coeff in sorted(table.entries.items()):
-        factor = pochhammer_factor(lam, s) if corrected else 1.0
-        layout.setdefault(s, []).append((float(coeff) * factor, i, j))
+        layout.setdefault(s, []).append((float(coeff) * pochhammer_factor(lam, s), i, j))
     return {s: tuple(terms) for s, terms in layout.items()}
 
 
@@ -228,7 +232,7 @@ def kernel_partial(
     t_nodes, t_weights = tanh_sinh_segment(0.0, math.pi, config.t_level)
     one_minus_cos_t = 2.0 * np.sin(0.5 * t_nodes) ** 2
     t_fac = np.sin(t_nodes) ** (2.0 * lam - 1.0) * t_weights
-    layout = _term_layout(ell, lam, True)
+    layout = _term_layout(ell, lam)
     prefactor = lam / (math.pi * math.gamma(k))
     sin_theta, cos_theta = math.sin(theta), math.cos(theta)
 
@@ -295,12 +299,13 @@ def riesz_kernel(
     """R_lambda^k(theta, phi), the order-k Riesz transform kernel; ``phi``
     may be a scalar or a 1-D array, as in kernel_partial.
 
-    Refuses |theta - phi| < 1e-5: the truncated integrals never need values
-    closer to the diagonal than the smallest truncation radius.
+    Refuses |theta - phi| < RIESZ_MIN_SEPARATION: the truncated integrals
+    never need values closer to the diagonal than the smallest truncation
+    radius.
     """
     config = config or DEFAULT_KERNEL_CONFIG
-    if config.min_separation < 1e-5:
-        config = KernelConfig(config.t_level, config.r_level, 1e-5)
+    if config.min_separation < RIESZ_MIN_SEPARATION:
+        config = KernelConfig(config.t_level, config.r_level, RIESZ_MIN_SEPARATION)
     return kernel_partial(lam, k, k, theta, phi, config=config)
 
 
@@ -315,7 +320,7 @@ def _circle_integrand_factory(k: int, w: float):
         return (1.0 - r) ** 2 + 2.0 * r * one_minus_cos_w
 
     def integrand_order(ell: int):
-        layout = _term_layout(ell, 0.0, False)
+        layout = _term_layout(ell, 0.0)
 
         def f(r):
             r = np.asarray(r, dtype=float)
@@ -393,9 +398,7 @@ def m_k_estimate(lam: float, k: int, *, tol: float = 1e-3) -> float:
     ws = np.array([1e-2, 1e-3, 1e-4])
     phi = 1.0
     y = np.array([math.sin(w) * circle_R(k, phi + w, phi) for w in ws])
-    design = np.column_stack([np.ones_like(ws), np.sqrt(ws)])
-    coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
-    residual = float(np.max(np.abs(design @ coeffs - y)))
+    coeffs, residual = least_squares_fit(np.column_stack([np.ones_like(ws), np.sqrt(ws)]), y)
     if residual > tol:
         raise AccuracyError(
             f"sqrt-fit residual {residual:.2e} exceeds tolerance {tol:g} for M_{k}",

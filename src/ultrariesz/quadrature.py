@@ -34,6 +34,7 @@ __all__ = [
     "singular_integrate",
     "tanh_sinh_segment",
     "gauss_legendre_segment",
+    "least_squares_fit",
     "lp_norm",
 ]
 
@@ -308,6 +309,13 @@ def gauss_legendre_segment(lo: float, hi: float, n: int) -> tuple[np.ndarray, np
     x, w = _gl_base(n)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
+
+
+def least_squares_fit(design: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares coefficients c of design @ c ~ values, and the largest
+    absolute residual of the fit."""
+    coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
+    return coeffs, float(np.max(np.abs(design @ coeffs - values)))
 
 
 def lp_norm(

@@ -18,11 +18,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import DEFAULT_KERNEL_CONFIG, KernelConfig, kernel_constants, poisson_kernel, riesz_kernel
+from .kernels import RIESZ_MIN_SEPARATION, KernelConfig, kernel_constants, poisson_kernel, riesz_kernel
 from .quadrature import (
     AccuracyError,
     QuadratureRule,
     gauss_legendre_segment,
+    least_squares_fit,
     tanh_sinh_segment,
 )
 from .special import gegenbauer_theta_jets, norm_sq, validate_lambda
@@ -40,7 +41,6 @@ __all__ = [
     "poisson_via_kernel",
     "fractional_power",
     "riesz_spectral",
-    "riesz_truncated",
     "riesz_pv",
     "riesz_maximal",
 ]
@@ -65,52 +65,45 @@ class SpectralCoefficients:
         return self.coeffs.size - 1
 
 
-#: extrapolation basis functions per mode.  The truncation error of the
-#: principal value expands in integer powers of the radius with logarithms
-#: (measured: an epsilon*log term is present and no half power is); the
-#: sqrt model is kept selectable for comparison but systematically biased.
-_EXTRAPOLATION_BASES = {
-    "sqrt-fit": (lambda e: np.ones_like(e), np.sqrt),
-    "log-fit": (
-        lambda e: np.ones_like(e),
-        lambda e: e,
-        lambda e: e * np.log(e),
-        lambda e: e * e,
-    ),
-}
-
 #: the fit uses only the smallest radii, where higher-order terms are dead
 _FIT_WINDOW = 7
+
+#: tanh-sinh level of the phi panels that reach 0 or pi
+_PHI_LEVEL = 5
+
+#: Gauss-Legendre points per band between consecutive radii
+_BAND_POINTS = 24
 
 
 @dataclass(frozen=True)
 class TruncationSchedule:
-    """Strictly decreasing truncation radii plus the extrapolation mode."""
+    """At least three strictly decreasing truncation radii in (0, pi), the
+    smallest above the Riesz kernel's diagonal guard."""
 
     epsilons: np.ndarray
-    extrapolation: str = "log-fit"
 
     def __post_init__(self):
         eps = np.asarray(self.epsilons, dtype=float)
         object.__setattr__(self, "epsilons", eps)
+        # conditions are written so that a NaN radius fails them
         if eps.ndim != 1 or eps.size == 0:
             raise ValueError("schedule must be a nonempty 1-D sequence")
-        if eps[0] >= math.pi or np.any(eps <= 0.0):
+        if not np.all((eps > 0.0) & (eps < math.pi)):
             raise ValueError("truncation radii must lie in (0, pi)")
-        if np.any(np.diff(eps) >= 0.0):
+        if not np.all(np.diff(eps) < 0.0):
             raise ValueError("truncation radii must be strictly decreasing")
-        if self.extrapolation not in ("none", *_EXTRAPOLATION_BASES):
-            raise ValueError(f"unknown extrapolation mode {self.extrapolation!r}")
-        if self.extrapolation != "none" and eps.size < 3:
-            raise ValueError(f"{self.extrapolation} extrapolation needs at least 3 radii")
+        if eps.size < 3:
+            raise ValueError("the radius fit needs at least 3 radii")
+        if not eps[-1] > RIESZ_MIN_SEPARATION:
+            raise ValueError(
+                f"smallest radius {eps[-1]:g} is inside the kernel guard {RIESZ_MIN_SEPARATION:g}"
+            )
 
     @classmethod
-    def geometric(
-        cls, start: float = 0.05, ratio: float = 0.5, count: int = 9, extrapolation: str = "log-fit"
-    ) -> "TruncationSchedule":
+    def geometric(cls, start: float = 0.05, ratio: float = 0.5, count: int = 9) -> "TruncationSchedule":
         if not 0.0 < ratio < 1.0:
             raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
-        return cls(start * ratio ** np.arange(count), extrapolation)
+        return cls(start * ratio ** np.arange(count))
 
 
 def default_schedule() -> TruncationSchedule:
@@ -238,7 +231,7 @@ class TruncationOperator:
     tanh-sinh panels; each schedule step then adds the two thin bands between
     consecutive radii with Gauss-Legendre panels (the kernel is analytic
     there).  Kernel values are computed once and reused for every function
-    the operator is applied to.
+    the operator is applied to.  ``epsilons`` must form a TruncationSchedule.
     """
 
     def __init__(
@@ -248,22 +241,12 @@ class TruncationOperator:
         theta: float,
         epsilons: Sequence[float],
         *,
-        phi_level: int = 5,
-        band_points: int = 24,
         config: KernelConfig | None = None,
     ):
         self.lam = validate_lambda(lam)
         self.k = int(k)
         self.theta = float(theta)
-        self.epsilons = np.asarray(epsilons, dtype=float)
-        if np.any(np.diff(self.epsilons) >= 0.0) or np.any(self.epsilons <= 0.0):
-            raise ValueError("truncation radii must be positive and strictly decreasing")
-        config = config or DEFAULT_KERNEL_CONFIG
-        if self.epsilons[-1] <= config.min_separation:
-            raise ValueError(
-                f"smallest radius {self.epsilons[-1]:g} is inside the kernel guard "
-                f"{config.min_separation:g}"
-            )
+        self.epsilons = TruncationSchedule(epsilons).epsilons
         theta = self.theta
         e0 = float(self.epsilons[0])
         pieces: list[tuple[float, float, int, bool]] = []
@@ -282,9 +265,9 @@ class TruncationOperator:
         segments = []
         for lo, hi, index, endpoint in pieces:
             if endpoint:
-                nodes, weights = tanh_sinh_segment(lo, hi, phi_level)
+                nodes, weights = tanh_sinh_segment(lo, hi, _PHI_LEVEL)
             else:
-                nodes, weights = gauss_legendre_segment(lo, hi, band_points)
+                nodes, weights = gauss_legendre_segment(lo, hi, _BAND_POINTS)
             # nodes that round onto 0 or pi carry negligible weight and a
             # vanishing (sin phi)**(2 lam) factor; drop them
             keep = (nodes > 0.0) & (nodes < math.pi)
@@ -302,24 +285,6 @@ class TruncationOperator:
         return out
 
 
-def riesz_truncated(
-    f: Callable,
-    lam: float,
-    k: int,
-    theta: float,
-    epsilon: float,
-    *,
-    phi_level: int = 5,
-    config: KernelConfig | None = None,
-) -> float:
-    """Integral of the order-k kernel against f dm_lambda over
-    (0, pi) minus the band |theta - phi| <= epsilon."""
-    if epsilon <= 1e-4:
-        raise ValueError(f"truncation radius must exceed 1e-4, got {epsilon}")
-    op = TruncationOperator(lam, k, theta, [epsilon], phi_level=phi_level, config=config)
-    return float(op.truncated_values(f)[0])
-
-
 @dataclass(frozen=True)
 class PVResult:
     """Outcome of the principal-value evaluation at one point."""
@@ -332,18 +297,16 @@ class PVResult:
     truncated: np.ndarray
 
 
-def _extrapolate(schedule: TruncationSchedule, values: np.ndarray) -> tuple[float, float]:
-    if schedule.extrapolation == "none":
-        return float(values[-1]), 0.0
-    window = min(_FIT_WINDOW, schedule.epsilons.size)
-    eps = schedule.epsilons[-window:]
-    vals = values[-window:]
-    basis = _EXTRAPOLATION_BASES[schedule.extrapolation]
-    if window <= len(basis):
-        basis = basis[: max(2, window - 1)]
-    design = np.column_stack([fn(eps) for fn in basis])
-    coeffs, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    residual = float(np.max(np.abs(design @ coeffs - vals)))
+def _extrapolate(epsilons: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """Value at radius zero and worst residual of the least-squares fit of
+    1, eps, eps*log(eps), eps**2 over the smallest radii.  The truncation
+    error expands in integer powers of the radius with logarithms (measured:
+    an eps*log term is present and no half power is).  With fewer than five
+    radii the highest terms are dropped so the fit stays overdetermined."""
+    window = min(_FIT_WINDOW, epsilons.size)
+    eps = epsilons[-window:]
+    basis = (np.ones_like(eps), eps, eps * np.log(eps), eps * eps)[: window - 1]
+    coeffs, residual = least_squares_fit(np.column_stack(basis), values[-window:])
     return float(coeffs[0]), residual
 
 
@@ -355,26 +318,23 @@ def riesz_pv(
     schedule: TruncationSchedule | None = None,
     *,
     tolerance: float = 1e-3,
-    phi_level: int = 5,
     config: KernelConfig | None = None,
     operator: TruncationOperator | None = None,
 ) -> PVResult:
     """Principal-value Riesz transform: truncations along the schedule,
-    extrapolation to radius zero, plus the jump term gamma_k f(theta).
+    their fit extrapolated to radius zero, plus the jump term gamma_k f(theta).
 
     A pre-built TruncationOperator for the same (lambda, k, theta, schedule)
     may be passed to amortize kernel evaluations over several functions.
     """
     schedule = schedule or default_schedule()
     if operator is None:
-        operator = TruncationOperator(
-            lam, k, theta, schedule.epsilons, phi_level=phi_level, config=config
-        )
+        operator = TruncationOperator(lam, k, theta, schedule.epsilons, config=config)
     values = operator.truncated_values(f)
-    limit, residual = _extrapolate(schedule, values)
+    limit, residual = _extrapolate(schedule.epsilons, values)
     if residual > 10.0 * tolerance:
         raise AccuracyError(
-            f"PV extrapolation residual {residual:.2e} exceeds 10 x tolerance {tolerance:g}",
+            f"PV fit residual {residual:.2e} exceeds 10 x tolerance {tolerance:g}",
             estimate=limit,
             error_bound=residual,
         )
@@ -396,14 +356,11 @@ def riesz_maximal(
     theta: float,
     schedule: TruncationSchedule | None = None,
     *,
-    phi_level: int = 5,
     config: KernelConfig | None = None,
     operator: TruncationOperator | None = None,
 ) -> float:
     """Maximal truncated transform over the schedule: sup |truncation|."""
     schedule = schedule or default_schedule()
     if operator is None:
-        operator = TruncationOperator(
-            lam, k, theta, schedule.epsilons, phi_level=phi_level, config=config
-        )
+        operator = TruncationOperator(lam, k, theta, schedule.epsilons, config=config)
     return float(np.max(np.abs(operator.truncated_values(f))))

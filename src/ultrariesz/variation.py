@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,7 +47,6 @@ class TruncationTrace:
     epsilons: np.ndarray
     values: np.ndarray
     theta: float
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         eps = np.asarray(self.epsilons, dtype=float)
@@ -170,7 +169,6 @@ def convergence_report(
     rule: QuadratureRule,
     *,
     n_max: int = 16,
-    phi_level: int = 5,
     config: KernelConfig | None = None,
 ) -> ConvergenceReport:
     """Trace, oscillation, variation, maximal and PV-vs-spectral error per
@@ -187,16 +185,9 @@ def convergence_report(
     thetas = np.asarray(thetas, dtype=float)
     records = []
     for theta in thetas:
-        operator = TruncationOperator(
-            lam, k, float(theta), schedule.epsilons, phi_level=phi_level, config=config
-        )
+        operator = TruncationOperator(lam, k, float(theta), schedule.epsilons, config=config)
         pv = riesz_pv(func, lam, k, float(theta), schedule, operator=operator, config=config)
-        trace = TruncationTrace(
-            epsilons=schedule.epsilons,
-            values=pv.truncated,
-            theta=float(theta),
-            meta={"lambda": lam, "k": k},
-        )
+        trace = TruncationTrace(epsilons=schedule.epsilons, values=pv.truncated, theta=float(theta))
         spectral = riesz_spectral(func, lam, k, float(theta), n_max, rule)
         records.append(
             ThetaRecord(

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from ultrariesz import build_rule, validate_lambda
 from ultrariesz.cli import ConfigError, RunConfig, load_config_file, main
 
 
@@ -74,6 +80,12 @@ class TestSubcommands:
         [
             ("riesz-pv", "--k", "13"),
             ("riesz-pv", "--eps-start", "1e-4", "--eps-ratio", "0.1", "--eps-count", "5"),
+            ("kernel", "--lambda", "inf"),
+            ("compare", "--lambda", "nan"),
+            ("riesz-spectral", "--n-max", "200"),
+            ("riesz-spectral", "--quad-order", "4", "--n-max", "1"),
+            ("variation", "--quad-order", "4", "--n-max", "1"),
+            ("poisson", "--lambda", "1e300"),
         ],
     )
     def test_config_errors_exit_2_without_traceback(self, capsys, argv):
@@ -220,3 +232,64 @@ class TestVariationReport:
             assert all(isinstance(v, float) and math.isfinite(v) and v >= 0.0 for v in values)
             norms.append(payload["norms"])
         assert norms[0] == norms[1]
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+#: per RunConfig field, values that pass validation together, and the wild
+#: values the exit-code contract must survive: any float (NaN and the
+#: infinities included), integers from negative to far above the rule
+#: orders.  --eps-count stays small because it sizes an array.
+_FLAG_VALUES = {
+    "lam": (st.floats(1e-3, 1e3), _ANY_FLOAT),
+    "k": (st.integers(1, 12), st.integers(-1, 14)),
+    "n_max": (st.integers(1, 40), st.integers(-1, 10**9)),
+    "quad_order": (st.integers(41, 64), st.integers(-1, 64)),
+    "eps_start": (st.floats(1e-2, 1.0), _ANY_FLOAT),
+    "eps_ratio": (st.floats(0.3, 0.8), _ANY_FLOAT),
+    "eps_count": (st.integers(3, 6), st.integers(-1, 40)),
+    "thetas": (st.floats(1e-2, 3.13).map(lambda t: [t]), _ANY_FLOAT.map(lambda t: [t])),
+}
+
+
+@st.composite
+def _run_flags(draw):
+    """A usable config with up to three fields replaced by wild values."""
+    values = {name: draw(usable) for name, (usable, _) in _FLAG_VALUES.items()}
+    for name in draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=3, unique=True)):
+        values[name] = draw(_FLAG_VALUES[name][1])
+    return values
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None)
+    @given(_run_flags())
+    def test_validated_config_builds_what_commands_need(self, values):
+        try:
+            config = RunConfig(**values).validate()
+        except ConfigError:
+            return
+        validate_lambda(config.lam)
+        config.schedule()
+        build_rule(config.lam, config.quad_order)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_run_flags())
+    def test_riesz_spectral_exits_0_1_or_2(self, values):
+        flags = {
+            "lambda": values["lam"],
+            "k": values["k"],
+            "n-max": values["n_max"],
+            "quad-order": values["quad_order"],
+            "eps-start": values["eps_start"],
+            "eps-ratio": values["eps_ratio"],
+            "eps-count": values["eps_count"],
+            "theta": values["thetas"][0],
+        }
+        # --flag=value keeps argparse from reading "-inf" as an option
+        argv = ["riesz-spectral"] + [f"--{name}={value!r}" for name, value in flags.items()]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(argv)
+        assert code in (0, 1, 2)

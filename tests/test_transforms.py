@@ -21,7 +21,6 @@ from ultrariesz import (
     riesz_maximal,
     riesz_pv,
     riesz_spectral,
-    riesz_truncated,
     singular_integrate,
     synthesize,
 )
@@ -198,15 +197,14 @@ class TestRieszSpectral:
 class TestTruncated:
     def test_odd_kernel_cancels_at_symmetric_point(self):
         # constant f, k=1, theta = pi/2: spectral value is 0 and gamma_1 = 0
-        value = riesz_truncated(
-            lambda th: np.ones_like(np.asarray(th)), 1.0, 1, math.pi / 2, 1e-2
-        )
+        operator = TruncationOperator(1.0, 1, math.pi / 2, [4e-2, 2e-2, 1e-2])
+        value = operator.truncated_values(lambda th: np.ones_like(np.asarray(th)))[-1]
         assert abs(value) < 1e-3
 
     def test_two_sided_cancellation_is_stable(self):
         f = lambda th: np.ones_like(np.asarray(th))
-        a = riesz_truncated(f, 1.0, 1, math.pi / 2, 1e-2)
-        b = riesz_truncated(f, 1.0, 1, math.pi / 2, 5e-3)
+        operator = TruncationOperator(1.0, 1, math.pi / 2, [1e-2, 5e-3, 2.5e-3])
+        a, b, _ = operator.truncated_values(f)
         assert abs(a - b) < 5e-3
 
     def test_constant_even_k_identity_at_small_epsilon(self):
@@ -214,14 +212,18 @@ class TestTruncated:
         rule = build_rule(lam, 32)
         coeffs = SpectralCoefficients(lam, [1.0])
         f = band_limited(coeffs)
-        value = riesz_truncated(f, lam, k, theta, 1e-3)
+        value = TruncationOperator(lam, k, theta, [4e-3, 2e-3, 1e-3]).truncated_values(f)[-1]
         spectral = riesz_spectral(f, lam, k, theta, 6, rule)
         gamma = kernel_constants(k).gamma_k
         assert value + gamma * f(theta) == pytest.approx(spectral, abs=2e-3)
 
     def test_epsilon_guard(self):
-        with pytest.raises(ValueError):
-            riesz_truncated(lambda th: th, 1.0, 1, 1.0, 5e-5)
+        for smallest in (1e-5, 5e-6):
+            radii = [1e-3, 1e-4, smallest]
+            with pytest.raises(ValueError, match="kernel guard"):
+                TruncationSchedule(np.array(radii))
+            with pytest.raises(ValueError, match="kernel guard"):
+                TruncationOperator(1.0, 1, 1.0, radii)
 
 
 class TestPVIdentity:
@@ -290,7 +292,7 @@ class TestMaximal:
 
     def test_dominates_each_truncation(self):
         lam, k, theta = 1.0, 1, 1.2
-        schedule = TruncationSchedule.geometric(0.05, 0.5, 4, extrapolation="none")
+        schedule = TruncationSchedule.geometric(0.05, 0.5, 4)
         operator = TruncationOperator(lam, k, theta, schedule.epsilons)
         coeffs = SpectralCoefficients(lam, [0.0, 1.0, 0.5])
         f = band_limited(coeffs)
@@ -300,8 +302,8 @@ class TestMaximal:
 
     def test_monotone_under_refinement(self):
         lam, k, theta = 1.0, 1, 1.2
-        coarse = TruncationSchedule.geometric(0.05, 0.5, 3, extrapolation="none")
-        fine = TruncationSchedule.geometric(0.05, 0.5, 5, extrapolation="none")
+        coarse = TruncationSchedule.geometric(0.05, 0.5, 3)
+        fine = TruncationSchedule.geometric(0.05, 0.5, 5)
         coeffs = SpectralCoefficients(lam, [0.0, 1.0, 0.5])
         f = band_limited(coeffs)
         assert riesz_maximal(f, lam, k, theta, fine) >= riesz_maximal(f, lam, k, theta, coarse) - 1e-12
@@ -312,12 +314,10 @@ class TestSchedule:
         with pytest.raises(ValueError):
             TruncationSchedule(np.array([0.1, 0.2]))
         with pytest.raises(ValueError):
-            TruncationSchedule(np.array([0.2, 0.1]), extrapolation="hermite")
-        with pytest.raises(ValueError):
-            TruncationSchedule(np.array([0.2, 0.1]), extrapolation="log-fit")
+            TruncationSchedule(np.array([0.2, 0.1]))
 
     def test_geometric_constructor(self):
-        schedule = TruncationSchedule.geometric(0.2, 0.5, 4, extrapolation="none")
+        schedule = TruncationSchedule.geometric(0.2, 0.5, 4)
         np.testing.assert_allclose(schedule.epsilons, [0.2, 0.1, 0.05, 0.025])
 
 

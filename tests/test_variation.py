@@ -148,7 +148,7 @@ class TestConvergenceReport:
         lam, k = 1.0, 1
         rule = build_rule(lam, 32)
         coeffs = SpectralCoefficients(lam, [0.0, 0.0, 0.0])
-        schedule = TruncationSchedule.geometric(0.05, 0.5, 4, extrapolation="none")
+        schedule = TruncationSchedule.geometric(0.05, 0.5, 4)
         report = convergence_report(
             coeffs, lam, k, [0.8, 1.9], schedule, DyadicBands.dyadic(0.1, 8), 3.0, rule
         )
