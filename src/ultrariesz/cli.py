@@ -42,7 +42,7 @@ from .kernels import (
     region_classify,
     riesz_kernel,
 )
-from .quadrature import AccuracyError, ConstructionError, build_rule
+from .quadrature import AccuracyError, ConstructionError, QuadratureRule, build_rule
 from .transforms import (
     SpectralCoefficients,
     TruncationSchedule,
@@ -76,6 +76,10 @@ _FAMILY = {
 }
 _FAMILY_DEGREE = max(len(coeffs) for coeffs in _FAMILY.values()) - 1
 
+#: the rule comes from a dense order x order eigenproblem: O(order**2)
+#: memory and O(order**3) time
+_MAX_QUAD_ORDER = 2048
+
 
 @dataclass
 class RunConfig:
@@ -95,17 +99,10 @@ class RunConfig:
     output: str = ""
 
     def validate(self) -> "RunConfig":
-        # the spectral route analyzes up to degree max(n-max, family degree)
-        degree = max(self.n_max, _FAMILY_DEGREE)
         checks = [
             (math.isfinite(self.lam) and self.lam > 0.0, "lambda", "must be positive and finite"),
             (1 <= self.k <= faa_di_bruno.MAX_ORDER, "k", f"must lie in [1, {faa_di_bruno.MAX_ORDER}]"),
             (self.n_max >= 1, "n-max", "must be at least 1"),
-            (
-                self.quad_order > degree,
-                "quad-order",
-                f"must exceed max(n-max, {_FAMILY_DEGREE}) = {degree}",
-            ),
             (self.rho >= 1.0, "rho", "must be at least 1"),
             (len(self.thetas) > 0, "theta", "need at least one evaluation point"),
             (all(0.0 < t < math.pi for t in self.thetas), "theta", "must lie in (0, pi)"),
@@ -119,16 +116,22 @@ class RunConfig:
             self.schedule()
         except ValueError as exc:
             raise ConfigError(f"fields 'eps-start', 'eps-ratio', 'eps-count': {exc}") from exc
-        try:
-            # an extreme lambda overflows the recurrence; the failure is reported below
-            with np.errstate(over="ignore", invalid="ignore"):
-                build_rule(self.lam, self.quad_order)
-        except (ConstructionError, OverflowError) as exc:
-            raise ConfigError(f"fields 'lambda', 'quad-order': no Gaussian rule: {exc}") from exc
         return self
 
     def schedule(self) -> TruncationSchedule:
         return TruncationSchedule.geometric(self.eps_start, self.eps_ratio, self.eps_count)
+
+    def rule(self) -> QuadratureRule:
+        """The Gaussian rule of the commands that integrate against dm_lambda."""
+        # the spectral route analyzes up to degree max(n-max, family degree)
+        degree = max(self.n_max, _FAMILY_DEGREE)
+        if not degree < self.quad_order <= _MAX_QUAD_ORDER:
+            raise ConfigError(
+                f"field 'quad-order': must lie in (max(n-max, {_FAMILY_DEGREE}) = {degree}, {_MAX_QUAD_ORDER}]"
+            )
+        # an extreme lambda overflows the recurrence into a ConstructionError
+        with np.errstate(over="ignore", invalid="ignore"):
+            return build_rule(self.lam, self.quad_order)
 
 
 _CONFIG_KEYS = {
@@ -275,7 +278,7 @@ def cmd_kernel(config: RunConfig) -> int:
 
 
 def cmd_poisson(config: RunConfig) -> int:
-    rule = build_rule(config.lam, config.quad_order)
+    rule = config.rule()
     family = _default_family(config.lam)
     rows = []
     worst = 0.0
@@ -324,7 +327,7 @@ def cmd_h_limit(config: RunConfig) -> int:
 
 
 def _pv_records(config: RunConfig, *, spectral_side: bool, pv_side: bool) -> tuple[list[dict], float]:
-    rule = build_rule(config.lam, config.quad_order)
+    rule = config.rule() if spectral_side else None
     schedule = config.schedule()
     family = _default_family(config.lam)
     records = []
@@ -418,7 +421,7 @@ def _global_summary(config: RunConfig, max_abs_error: float) -> dict:
 
 
 def cmd_variation(config: RunConfig) -> int:
-    rule = build_rule(config.lam, config.quad_order)
+    rule = config.rule()
     schedule = config.schedule()
     bands = DyadicBands.dyadic()
     coeffs = _default_family(config.lam)["e2+0.5e4"]
@@ -515,12 +518,14 @@ def main(argv: list[str] | None = None) -> int:
             flag_value = getattr(args, f.name, None)
             if flag_value is not None:
                 values[f.name] = flag_value
-        config = RunConfig(**values).validate()
+        return _COMMANDS[args.command](RunConfig(**values).validate())
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](config)
+    except (ConstructionError, OverflowError) as exc:
+        # an extreme lambda or order carries the arithmetic past the float range
+        print(f"config error: parameters out of floating-point range: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG
     except AccuracyError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return _EXIT_TOLERANCE

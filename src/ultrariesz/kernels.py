@@ -22,7 +22,7 @@ from typing import Literal
 import numpy as np
 
 from .faa_di_bruno import coefficients, pochhammer_factor
-from .quadrature import AccuracyError, least_squares_fit, singular_integrate, tanh_sinh_segment
+from .quadrature import AccuracyError, _least_squares_fit, singular_integrate, tanh_sinh_segment
 from .special import validate_lambda
 
 __all__ = [
@@ -398,7 +398,7 @@ def m_k_estimate(lam: float, k: int, *, tol: float = 1e-3) -> float:
     ws = np.array([1e-2, 1e-3, 1e-4])
     phi = 1.0
     y = np.array([math.sin(w) * circle_R(k, phi + w, phi) for w in ws])
-    coeffs, residual = least_squares_fit(np.column_stack([np.ones_like(ws), np.sqrt(ws)]), y)
+    coeffs, residual = _least_squares_fit(np.column_stack([np.ones_like(ws), np.sqrt(ws)]), y)
     if residual > tol:
         raise AccuracyError(
             f"sqrt-fit residual {residual:.2e} exceeds tolerance {tol:g} for M_{k}",

@@ -34,7 +34,6 @@ __all__ = [
     "singular_integrate",
     "tanh_sinh_segment",
     "gauss_legendre_segment",
-    "least_squares_fit",
     "lp_norm",
 ]
 
@@ -311,7 +310,7 @@ def gauss_legendre_segment(lo: float, hi: float, n: int) -> tuple[np.ndarray, np
     return lo + half * (x + 1.0), half * w
 
 
-def least_squares_fit(design: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
+def _least_squares_fit(design: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
     """Least-squares coefficients c of design @ c ~ values, and the largest
     absolute residual of the fit."""
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)

@@ -22,8 +22,8 @@ from .kernels import RIESZ_MIN_SEPARATION, KernelConfig, kernel_constants, poiss
 from .quadrature import (
     AccuracyError,
     QuadratureRule,
+    _least_squares_fit,
     gauss_legendre_segment,
-    least_squares_fit,
     tanh_sinh_segment,
 )
 from .special import gegenbauer_theta_jets, norm_sq, validate_lambda
@@ -74,10 +74,14 @@ _PHI_LEVEL = 5
 #: Gauss-Legendre points per band between consecutive radii
 _BAND_POINTS = 24
 
+#: the fit reads only the smallest radii and every band costs kernel calls,
+#: so a longer schedule only adds work
+_MAX_RADII = 1000
+
 
 @dataclass(frozen=True)
 class TruncationSchedule:
-    """At least three strictly decreasing truncation radii in (0, pi), the
+    """Three to 1000 strictly decreasing truncation radii in (0, pi), the
     smallest above the Riesz kernel's diagonal guard."""
 
     epsilons: np.ndarray
@@ -94,6 +98,8 @@ class TruncationSchedule:
             raise ValueError("truncation radii must be strictly decreasing")
         if eps.size < 3:
             raise ValueError("the radius fit needs at least 3 radii")
+        if eps.size > _MAX_RADII:
+            raise ValueError(f"a schedule holds at most {_MAX_RADII} radii, got {eps.size}")
         if not eps[-1] > RIESZ_MIN_SEPARATION:
             raise ValueError(
                 f"smallest radius {eps[-1]:g} is inside the kernel guard {RIESZ_MIN_SEPARATION:g}"
@@ -103,6 +109,9 @@ class TruncationSchedule:
     def geometric(cls, start: float = 0.05, ratio: float = 0.5, count: int = 9) -> "TruncationSchedule":
         if not 0.0 < ratio < 1.0:
             raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
+        # checked before the radii are allocated
+        if count > _MAX_RADII:
+            raise ValueError(f"a schedule holds at most {_MAX_RADII} radii, got {count}")
         return cls(start * ratio ** np.arange(count))
 
 
@@ -306,7 +315,7 @@ def _extrapolate(epsilons: np.ndarray, values: np.ndarray) -> tuple[float, float
     window = min(_FIT_WINDOW, epsilons.size)
     eps = epsilons[-window:]
     basis = (np.ones_like(eps), eps, eps * np.log(eps), eps * eps)[: window - 1]
-    coeffs, residual = least_squares_fit(np.column_stack(basis), values[-window:])
+    coeffs, residual = _least_squares_fit(np.column_stack(basis), values[-window:])
     return float(coeffs[0]), residual
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ultrariesz import build_rule, validate_lambda
 from ultrariesz.cli import ConfigError, RunConfig, load_config_file, main
+from ultrariesz.quadrature import ConstructionError
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +87,11 @@ class TestSubcommands:
             ("riesz-spectral", "--quad-order", "4", "--n-max", "1"),
             ("variation", "--quad-order", "4", "--n-max", "1"),
             ("poisson", "--lambda", "1e300"),
+            ("riesz-spectral", "--quad-order", "100000"),
+            ("riesz-spectral", "--eps-count", "10000000000000000000"),
+            ("riesz-spectral", "--eps-ratio", "0.9999999999", "--eps-count", "1000000000"),
+            ("riesz-spectral", "--lambda", "2e13", "--n-max", "25"),
+            ("faa-check", "--lambda", "1e5"),
         ],
     )
     def test_config_errors_exit_2_without_traceback(self, capsys, argv):
@@ -93,6 +99,13 @@ class TestSubcommands:
         assert code == 2
         assert out == ""
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["coeffs", "h-limit"])
+    def test_commands_without_a_rule_ignore_its_flags(self, capsys, command):
+        code, _, err = run_cli(capsys, command, "--quad-order", "100000", "--n-max", "1000000")
+        assert code == 0, err
+        code, _, err = run_cli(capsys, command, "--quad-order", "4")
+        assert code == 0, err
 
     def test_accuracy_error_exits_1_with_one_line(self, capsys):
         # no extrapolation residual meets 10 x 1e-16
@@ -238,16 +251,16 @@ _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
 #: per RunConfig field, values that pass validation together, and the wild
 #: values the exit-code contract must survive: any float (NaN and the
-#: infinities included), integers from negative to far above the rule
-#: orders.  --eps-count stays small because it sizes an array.
+#: infinities included), integers from negative to far above any usable
+#: rule order or radius count.
 _FLAG_VALUES = {
     "lam": (st.floats(1e-3, 1e3), _ANY_FLOAT),
     "k": (st.integers(1, 12), st.integers(-1, 14)),
     "n_max": (st.integers(1, 40), st.integers(-1, 10**9)),
-    "quad_order": (st.integers(41, 64), st.integers(-1, 64)),
+    "quad_order": (st.integers(41, 64), st.integers(-1, 10**9)),
     "eps_start": (st.floats(1e-2, 1.0), _ANY_FLOAT),
     "eps_ratio": (st.floats(0.3, 0.8), _ANY_FLOAT),
-    "eps_count": (st.integers(3, 6), st.integers(-1, 40)),
+    "eps_count": (st.integers(3, 6), st.integers(-1, 10**20)),
     "thetas": (st.floats(1e-2, 3.13).map(lambda t: [t]), _ANY_FLOAT.map(lambda t: [t])),
 }
 
@@ -271,7 +284,12 @@ class TestExitCodeContract:
             return
         validate_lambda(config.lam)
         config.schedule()
-        build_rule(config.lam, config.quad_order)
+        try:
+            rule = config.rule()
+        except (ConfigError, ConstructionError, OverflowError):
+            # main reports each of these with exit 2
+            return
+        assert rule is build_rule(config.lam, config.quad_order)
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_run_flags())

@@ -316,6 +316,14 @@ class TestSchedule:
         with pytest.raises(ValueError):
             TruncationSchedule(np.array([0.2, 0.1]))
 
+    def test_at_most_1000_radii(self):
+        TruncationSchedule(np.linspace(0.5, 0.1, 1000))
+        with pytest.raises(ValueError, match="at most 1000"):
+            TruncationSchedule(np.linspace(0.5, 0.1, 1001))
+        # rejected before the radii are allocated
+        with pytest.raises(ValueError, match="at most 1000"):
+            TruncationSchedule.geometric(0.05, 1.0 - 1e-12, 10**12)
+
     def test_geometric_constructor(self):
         schedule = TruncationSchedule.geometric(0.2, 0.5, 4)
         np.testing.assert_allclose(schedule.epsilons, [0.2, 0.1, 0.05, 0.025])
