@@ -233,15 +233,19 @@ def cmd_faa_check(config: RunConfig) -> int:
     points = faa_di_bruno.sample_points(50)
     rows = []
     worst = 0.0
-    for index, point in enumerate(points):
-        oracle = faa_di_bruno.jet_oracle(config.ell, config.lam, point)
-        corrected = faa_di_bruno.expansion_eval(config.ell, config.lam, point, "pochhammer-corrected")
-        printed = faa_di_bruno.expansion_eval(config.ell, config.lam, point, "as-printed")
-        rel = abs(corrected - oracle) / max(abs(oracle), 1e-300)
-        worst = max(worst, rel)
-        rows.append(
-            [index, point.theta, point.phi, point.r, point.t, oracle, corrected, printed, rel]
-        )
+    # an extreme lambda overflows the jet powers; main reports it with exit 2
+    with np.errstate(over="raise", invalid="raise"):
+        for index, point in enumerate(points):
+            oracle = faa_di_bruno.jet_oracle(config.ell, config.lam, point)
+            corrected = faa_di_bruno.expansion_eval(
+                config.ell, config.lam, point, "pochhammer-corrected"
+            )
+            printed = faa_di_bruno.expansion_eval(config.ell, config.lam, point, "as-printed")
+            rel = abs(corrected - oracle) / max(abs(oracle), 1e-300)
+            worst = max(worst, rel)
+            rows.append(
+                [index, point.theta, point.phi, point.r, point.t, oracle, corrected, printed, rel]
+            )
     _write_csv(
         config.output or None,
         ["index", "theta", "phi", "r", "t", "jet_oracle", "corrected", "as_printed", "rel_residual"],
@@ -522,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    except (ConstructionError, OverflowError) as exc:
+    except (ConstructionError, OverflowError, FloatingPointError) as exc:
         # an extreme lambda or order carries the arithmetic past the float range
         print(f"config error: parameters out of floating-point range: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -26,15 +26,12 @@ __all__ = [
     "EvaluationError",
     "AccuracyError",
     "QuadratureRule",
-    "GridFunction",
-    "PowerWeight",
     "total_mass",
     "build_rule",
     "integrate",
     "singular_integrate",
     "tanh_sinh_segment",
     "gauss_legendre_segment",
-    "lp_norm",
 ]
 
 
@@ -92,34 +89,6 @@ class QuadratureRule:
             raise ConstructionError("weights do not sum to the measure's total mass")
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """A function sampled on a strictly increasing theta grid in (0, pi)."""
-
-    thetas: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        thetas = np.asarray(self.thetas, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "values", values)
-        if thetas.shape != values.shape or thetas.ndim != 1:
-            raise ValueError("thetas and values must be 1-D and equally long")
-        if np.any(np.diff(thetas) <= 0.0):
-            raise ValueError("thetas must be strictly increasing")
-        if thetas[0] <= 0.0 or thetas[-1] >= math.pi:
-            raise ValueError("thetas must lie inside (0, pi)")
-
-
-@dataclass(frozen=True)
-class PowerWeight:
-    """The weight w(theta) = (sin theta)**exponent; integrability is the
-    caller's concern."""
-
-    exponent: float = 0.0
-
-
 @lru_cache(maxsize=None)
 def _cached_rule(lam: float, order: int) -> QuadratureRule:
     # Monic recurrence for the weight (1-x^2)^(lam-1/2):
@@ -150,14 +119,15 @@ def build_rule(lam: float, order: int) -> QuadratureRule:
 
 
 def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array, falling back to a scalar loop."""
+    """Evaluate f on an array in one call, falling back to a loop of scalar
+    calls whose results may be scalars or length-1 arrays."""
     try:
         y = np.asarray(f(x), dtype=float)
         if y.shape == x.shape:
             return y
     except (TypeError, ValueError):
         pass
-    return np.array([float(f(v)) for v in x])
+    return np.array([float(np.atleast_1d(f(v))[0]) for v in x])
 
 
 def integrate(rule: QuadratureRule, f: Callable) -> float:
@@ -315,35 +285,3 @@ def _least_squares_fit(design: np.ndarray, values: np.ndarray) -> tuple[np.ndarr
     absolute residual of the fit."""
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
     return coeffs, float(np.max(np.abs(design @ coeffs - values)))
-
-
-def lp_norm(
-    f,
-    p: float,
-    weight: PowerWeight | float,
-    rule: QuadratureRule,
-) -> float:
-    """(integral of |f|**p (sin theta)**a dm_lambda)**(1/p).
-
-    ``f`` may be a callable or a GridFunction.  For callables with a = 0 the
-    Gaussian rule is used directly; a nonzero power weight makes the
-    integrand non-polynomial at the endpoints, so it is routed through
-    tanh-sinh.  Sampled data integrates by the trapezoid rule on its grid.
-    """
-    if p < 1.0:
-        raise ValueError(f"p must be at least 1, got {p}")
-    a = weight.exponent if isinstance(weight, PowerWeight) else float(weight)
-    lam = rule.lam
-    if isinstance(f, GridFunction):
-        g = np.abs(f.values) ** p * np.sin(f.thetas) ** (a + 2.0 * lam)
-        return float(np.trapezoid(g, f.thetas)) ** (1.0 / p)
-    if a == 0.0:
-        value = integrate(rule, lambda th: np.abs(_evaluate(f, np.asarray(th, dtype=float))) ** p)
-        return value ** (1.0 / p)
-    value = singular_integrate(
-        lambda th: np.abs(_evaluate(f, np.asarray(th, dtype=float))) ** p
-        * np.sin(th) ** (a + 2.0 * lam),
-        0.0,
-        math.pi,
-    )
-    return value ** (1.0 / p)

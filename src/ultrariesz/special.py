@@ -1,5 +1,5 @@
 """Ultraspherical (Gegenbauer) polynomials, their theta-derivatives, and
-Gamma/Beta helpers.
+the Beta function.
 
 Polynomials are generated by ``(1 - 2*t*w + w**2)**(-lam) = sum_k w**k P_k(t)``
 and evaluated by the standard three-term recurrence, which is stable for the
@@ -22,7 +22,6 @@ __all__ = [
     "gegenbauer_theta_jet",
     "gegenbauer_theta_jets",
     "norm_sq",
-    "log_gamma",
     "beta",
 ]
 
@@ -38,37 +37,40 @@ def validate_lambda(lam: float) -> float:
     return lam
 
 
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"log_gamma requires a positive argument, got {x}")
-    return math.lgamma(x)
-
-
 def beta(x: float, y: float) -> float:
     """Euler Beta function B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y) for x, y > 0."""
-    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
+    x, y = float(x), float(y)
+    if not all(math.isfinite(v) and v > 0.0 for v in (x, y)):
+        raise ValueError(f"beta requires positive arguments, got ({x}, {y})")
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+
+
+def _recurrence(n_max: int, lam: float, x, one):
+    """Yield P_0(x), ..., P_{n_max}(x) by the three-term recurrence
+    ``m*P_m = 2*(m+lam-1)*x*P_{m-1} - (m+2*lam-2)*P_{m-2}``.
+
+    ``x`` is a float array or a Jet and ``one`` the matching P_0.
+    """
+    yield one
+    if n_max < 1:
+        return
+    p_prev, p = one, 2.0 * lam * x
+    yield p
+    for m in range(2, n_max + 1):
+        p, p_prev = (2.0 * (m + lam - 1.0) * x * p - (m + 2.0 * lam - 2.0) * p_prev) / m, p
+        yield p
 
 
 def gegenbauer_eval(n: int, lam: float, x):
-    """Evaluate the degree-n ultraspherical polynomial at x (scalar or array).
-
-    Uses the three-term recurrence
-    ``m*P_m = 2*(m+lam-1)*x*P_{m-1} - (m+2*lam-2)*P_{m-2}``.
-    """
+    """Evaluate the degree-n ultraspherical polynomial at x (scalar or array)."""
     lam = validate_lambda(lam)
     if n < 0:
         raise ValueError(f"polynomial degree must be nonnegative, got {n}")
     x_arr = np.asarray(x, dtype=float)
     if np.any(np.abs(x_arr) > 1.0 + _X_DOMAIN_SLACK):
         raise ValueError("argument outside [-1, 1]")
-    p_prev = np.ones_like(x_arr)
-    if n == 0:
-        return p_prev if x_arr.ndim else float(p_prev)
-    p = 2.0 * lam * x_arr
-    for m in range(2, n + 1):
-        p, p_prev = (2.0 * (m + lam - 1.0) * x_arr * p - (m + 2.0 * lam - 2.0) * p_prev) / m, p
+    for p in _recurrence(n, lam, x_arr, np.ones_like(x_arr)):
+        pass
     return p if x_arr.ndim else float(p)
 
 
@@ -78,14 +80,7 @@ def gegenbauer_theta_jets(n_max: int, lam: float, theta: float, order: int) -> l
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
     c = Jet.variable(theta, order).cos()
-    jets = [Jet.constant(1.0, order)]
-    if n_max >= 1:
-        jets.append(2.0 * lam * c)
-    for m in range(2, n_max + 1):
-        jets.append(
-            (2.0 * (m + lam - 1.0) * c * jets[m - 1] - (m + 2.0 * lam - 2.0) * jets[m - 2]) / m
-        )
-    return jets
+    return list(_recurrence(n_max, lam, c, Jet.constant(1.0, order)))
 
 
 def gegenbauer_theta_jet(n: int, lam: float, theta: float, order: int) -> Jet:

@@ -22,11 +22,12 @@ from .kernels import RIESZ_MIN_SEPARATION, KernelConfig, kernel_constants, poiss
 from .quadrature import (
     AccuracyError,
     QuadratureRule,
+    _evaluate,
     _least_squares_fit,
     gauss_legendre_segment,
     tanh_sinh_segment,
 )
-from .special import gegenbauer_theta_jets, norm_sq, validate_lambda
+from .special import _recurrence, gegenbauer_theta_jets, norm_sq, validate_lambda
 
 __all__ = [
     "SpectralCoefficients",
@@ -125,21 +126,16 @@ def analyze(f: Callable, lam: float, n_max: int, rule: QuadratureRule) -> Spectr
     lam = validate_lambda(lam)
     if rule.order < n_max + 1:
         raise ValueError(f"rule order {rule.order} too low for degree {n_max}")
-    basis = _normalized_basis(lam, n_max, rule)
-    fvals = np.array([float(np.atleast_1d(f(th))[0]) for th in rule.nodes])
+    x = np.cos(rule.nodes)
+    basis = np.array(list(_recurrence(n_max, lam, x, np.ones_like(x)))) / _norms(lam, n_max)[:, None]
+    fvals = _evaluate(f, rule.nodes)
     return SpectralCoefficients(lam=lam, coeffs=basis @ (rule.weights * fvals))
 
 
-def _normalized_basis(lam: float, n_max: int, rule: QuadratureRule) -> np.ndarray:
-    x = np.cos(rule.nodes)
-    rows = np.empty((n_max + 1, x.size))
-    rows[0] = 1.0
-    if n_max >= 1:
-        rows[1] = 2.0 * lam * x
-    for m in range(2, n_max + 1):
-        rows[m] = (2.0 * (m + lam - 1.0) * x * rows[m - 1] - (m + 2.0 * lam - 2.0) * rows[m - 2]) / m
-    norms = np.array([math.sqrt(norm_sq(n, lam)) for n in range(n_max + 1)])
-    return rows / norms[:, None]
+def _norms(lam: float, n_max: int) -> np.ndarray:
+    """L2(dm_lambda) norms of P_0, ..., P_{n_max}: the divisors that make
+    the eigenfunctions normalized."""
+    return np.array([math.sqrt(norm_sq(n, lam)) for n in range(n_max + 1)])
 
 
 def synthesize(c: SpectralCoefficients, theta: float, derivative_order: int = 0) -> float:
@@ -149,28 +145,27 @@ def synthesize(c: SpectralCoefficients, theta: float, derivative_order: int = 0)
         raise ValueError(f"derivative order must be nonnegative, got {derivative_order}")
     jets = gegenbauer_theta_jets(c.degree, c.lam, theta, derivative_order)
     total = 0.0
-    for n, coeff in enumerate(c.coeffs):
+    for coeff, jet, norm in zip(c.coeffs, jets, _norms(c.lam, c.degree)):
         if coeff == 0.0:
             continue
-        total += coeff * jets[n].coeffs[derivative_order] / math.sqrt(norm_sq(n, c.lam))
+        total += coeff * jet.coeffs[derivative_order] / norm
     return total
 
 
 def band_limited(c: SpectralCoefficients) -> Callable:
     """The function synthesized from a finite coefficient vector, vectorized
     over theta; the standard test family of the package."""
-    from .special import gegenbauer_eval
-
-    norms = np.array([math.sqrt(norm_sq(n, c.lam)) for n in range(c.degree + 1)])
+    norms = _norms(c.lam, c.degree)
 
     def f(theta):
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         x = np.cos(th)
         out = np.zeros_like(th)
-        for n, coeff in enumerate(c.coeffs):
+        polys = _recurrence(c.degree, c.lam, x, np.ones_like(x))
+        for coeff, p, norm in zip(c.coeffs, polys, norms):
             if coeff == 0.0:
                 continue
-            out += coeff * gegenbauer_eval(n, c.lam, x) / norms[n]
+            out += coeff * p / norm
         return out if np.ndim(theta) else float(out[0])
 
     return f
@@ -201,7 +196,7 @@ def poisson_via_kernel(
     kernel_vals = np.array(
         [poisson_kernel(lam, r, theta, phi, tol=tol) for phi in rule.nodes]
     )
-    fvals = np.array([float(np.atleast_1d(f(phi))[0]) for phi in rule.nodes])
+    fvals = _evaluate(f, rule.nodes)
     return r**lam * float(np.dot(rule.weights, kernel_vals * fvals))
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import KernelConfig
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, _evaluate
 from .transforms import (
     SpectralCoefficients,
     TruncationOperator,
@@ -201,7 +201,7 @@ def convergence_report(
                 abs_error=abs(pv.value - spectral),
             )
         )
-    f_values = np.array([float(np.atleast_1d(func(t))[0]) for t in thetas])
+    f_values = _evaluate(func, thetas)
     norms: dict[str, dict[str, float]] = {}
     for p in (1.0, 2.0, 4.0):
         key = f"p{p:g}"

@@ -311,3 +311,18 @@ class TestExitCodeContract:
                 warnings.simplefilter("ignore")
                 code = main(argv)
         assert code in (0, 1, 2)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.sampled_from(["coeffs", "faa-check", "h-limit"]),
+        st.one_of(st.floats(1e-3, 1e6), _ANY_FLOAT),
+        st.integers(-1, 14),
+        st.integers(-1, 14),
+    )
+    def test_table_commands_exit_0_1_or_2_without_warnings(self, command, lam, k, ell):
+        argv = [command, f"--lambda={lam!r}", f"--k={k}", f"--ell={ell}"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+        assert code in (0, 1, 2)

@@ -6,14 +6,11 @@ import pytest
 from ultrariesz import (
     AccuracyError,
     EvaluationError,
-    GridFunction,
-    PowerWeight,
     QuadratureRule,
     beta,
     build_rule,
     gegenbauer_eval,
     integrate,
-    lp_norm,
     norm_sq,
     singular_integrate,
     total_mass,
@@ -136,40 +133,3 @@ class TestSegments:
     def test_gauss_legendre_segment(self):
         nodes, weights = gauss_legendre_segment(0.0, 1.0, 12)
         assert float(np.dot(weights, nodes**7)) == pytest.approx(1 / 8, rel=1e-13)
-
-
-class TestLpNorm:
-    def test_constant_l2(self):
-        rule = build_rule(0.5, 16)
-        assert lp_norm(lambda th: np.ones_like(th), 2.0, PowerWeight(0.0), rule) == pytest.approx(
-            math.sqrt(2), rel=1e-12
-        )
-
-    def test_weighted_l1(self):
-        rule = build_rule(0.5, 16)
-        value = lp_norm(lambda th: np.ones_like(th), 1.0, PowerWeight(1.0), rule)
-        assert value == pytest.approx(math.pi / 2, rel=1e-10)
-
-    def test_sin_l2(self):
-        rule = build_rule(0.5, 16)
-        value = lp_norm(lambda th: np.sin(th), 2.0, PowerWeight(0.0), rule)
-        assert value == pytest.approx(math.sqrt(4 / 3), rel=1e-8)
-
-    def test_grid_function_input(self):
-        thetas = np.linspace(0.01, math.pi - 0.01, 4001)
-        grid = GridFunction(thetas=thetas, values=np.ones_like(thetas))
-        rule = build_rule(0.5, 16)
-        assert lp_norm(grid, 2.0, PowerWeight(0.0), rule) == pytest.approx(math.sqrt(2), rel=1e-4)
-
-    def test_p_validation(self):
-        rule = build_rule(0.5, 8)
-        with pytest.raises(ValueError):
-            lp_norm(lambda th: th, 0.5, PowerWeight(0.0), rule)
-
-
-class TestGridFunction:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GridFunction(thetas=np.array([0.2, 0.1]), values=np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            GridFunction(thetas=np.array([0.1, 0.2]), values=np.array([1.0]))

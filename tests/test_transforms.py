@@ -355,3 +355,92 @@ class TestLinearity:
         c2 = analyze(f2, lam, 6, rule).coeffs
         cc = analyze(combo, lam, 6, rule).coeffs
         np.testing.assert_allclose(cc, 2.5 * c1 - 0.75 * c2, rtol=1e-12, atol=1e-14)
+
+
+class CountingCallable:
+    """A vectorized test function that records the argument of every call."""
+
+    def __init__(self, f):
+        self.f = f
+        self.args = []
+
+    def __call__(self, theta):
+        self.args.append(theta)
+        return self.f(theta)
+
+
+class TestSampling:
+    """f is sampled once on the node array, and values match per-node
+    loops."""
+
+    def test_analyze_calls_a_vectorized_f_once(self):
+        rule = build_rule(1.3, 32)
+        f = CountingCallable(np.cos)
+        analyze(f, 1.3, 8, rule)
+        assert len(f.args) == 1 and f.args[0] is rule.nodes
+
+    def test_poisson_via_kernel_calls_a_vectorized_f_once(self):
+        rule = build_rule(0.8, 32)
+        f = CountingCallable(np.cos)
+        poisson_via_kernel(f, 0.8, 0.5, 1.1, rule)
+        assert len(f.args) == 1 and f.args[0] is rule.nodes
+
+    def test_scalar_only_callable(self):
+        rule = build_rule(1.0, 32)
+        scalar = analyze(lambda th: math.cos(th), 1.0, 6, rule)
+        vectorized = analyze(np.cos, 1.0, 6, rule)
+        np.testing.assert_allclose(scalar.coeffs, vectorized.coeffs, rtol=0.0, atol=1e-15)
+        kernel = poisson_via_kernel(lambda th: math.cos(th), 1.0, 0.5, 1.1, rule)
+        assert kernel == pytest.approx(poisson_via_kernel(np.cos, 1.0, 0.5, 1.1, rule), rel=1e-14)
+
+    @pytest.mark.parametrize("lam", [0.3, 2.45])
+    def test_band_limited_array_equals_scalar_loop(self, lam):
+        rule = build_rule(lam, 128)
+        f = band_limited(SpectralCoefficients(lam, [0.5, 0.0, -1.0, 0.25, 0.0, 0.0, 2.0, 0.0, 0.1]))
+        loop = np.array([f(theta) for theta in rule.nodes])
+        assert np.array_equal(f(rule.nodes), loop)
+
+
+def _reference_function(lam):
+    return band_limited(
+        SpectralCoefficients(lam, [(-1) ** n / (n + 1) if n % 4 else 0.0 for n in range(25)])
+    )
+
+
+class TestReferenceValues:
+    """Values recorded to 17 digits from the per-degree recurrences and
+    per-node sampling these routines once used: theta 1.1, degree 24,
+    rule order 128."""
+
+    @pytest.mark.parametrize(
+        "lam, k, expected",
+        [
+            (0.3, 1, 0.08979965875174882),
+            (0.3, 6, -0.012174428661488967),
+            (2.45, 1, 0.10316012322416195),
+            (2.45, 6, -0.019346670866688117),
+        ],
+    )
+    def test_riesz_spectral_band_limited(self, lam, k, expected):
+        value = riesz_spectral(_reference_function(lam), lam, k, 1.1, 24, build_rule(lam, 128))
+        assert value == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "lam, k, expected",
+        [
+            (0.3, 1, 0.01195765417542473),
+            (0.3, 6, -0.30592616251235527),
+            (2.45, 1, -0.008309072418456591),
+            (2.45, 6, -0.009028625526069544),
+        ],
+    )
+    def test_riesz_spectral_analytic(self, lam, k, expected):
+        def f(theta):
+            return np.exp(np.cos(theta)) * np.sin(theta) ** 2
+
+        value = riesz_spectral(f, lam, k, 1.1, 24, build_rule(lam, 128))
+        assert value == pytest.approx(expected, rel=1e-14)
+
+    def test_poisson_via_kernel(self):
+        value = poisson_via_kernel(_reference_function(0.3), 0.3, 0.4, 1.3, build_rule(0.3, 128))
+        assert value == pytest.approx(-0.13745480995192624, rel=1e-14)

@@ -160,3 +160,23 @@ class TestConvergenceReport:
             assert record.spectral == pytest.approx(0.0, abs=1e-14)
         assert report.norms["p2"]["oscillation"] == 0.0
         assert report.max_abs_error() < 1e-14
+
+    def test_f_norms_sample_f_once(self):
+        from ultrariesz import TruncationSchedule, build_rule, convergence_report
+
+        lam, k = 1.0, 1
+        thetas = np.array([0.8, 1.9])
+        calls = []
+
+        def f(theta):
+            calls.append(theta)
+            return np.cos(theta)
+
+        schedule = TruncationSchedule.geometric(0.05, 0.5, 4)
+        report = convergence_report(
+            f, lam, k, thetas, schedule, DyadicBands.dyadic(0.1, 8), 3.0, build_rule(lam, 32)
+        )
+        at_thetas = [arg for arg in calls if np.ndim(arg) and np.array_equal(arg, thetas)]
+        assert len(at_thetas) == 1
+        expected = float(np.trapezoid(np.cos(thetas) ** 2 * np.sin(thetas) ** 2, thetas)) ** 0.5
+        assert report.norms["p2"]["f"] == pytest.approx(expected, rel=1e-14)
