@@ -39,7 +39,7 @@ for theta, phi in ((0.3, 2.5), (1.2, 1.25), (1.5, 0.4)):
 
 print("\ndiagonal constants of the circle kernel, sin(w) R^k(w) extrapolated to 0:")
 for k in (1, 2, 3, 4):
-    m = m_k_estimate(1.0, k)
+    m = m_k_estimate(k)
     note = " (= -1/pi)" if k == 1 else ""
     print(f"  M_{k} = {m:+.6f}{note}")
 

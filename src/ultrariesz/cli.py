@@ -45,6 +45,7 @@ from .kernels import (
 from .quadrature import AccuracyError, ConstructionError, QuadratureRule, build_rule
 from .transforms import (
     SpectralCoefficients,
+    TruncationOperator,
     TruncationSchedule,
     band_limited,
     poisson_spectral,
@@ -233,19 +234,13 @@ def cmd_faa_check(config: RunConfig) -> int:
     points = faa_di_bruno.sample_points(50)
     rows = []
     worst = 0.0
-    # an extreme lambda overflows the jet powers; main reports it with exit 2
-    with np.errstate(over="raise", invalid="raise"):
-        for index, point in enumerate(points):
-            oracle = faa_di_bruno.jet_oracle(config.ell, config.lam, point)
-            corrected = faa_di_bruno.expansion_eval(
-                config.ell, config.lam, point, "pochhammer-corrected"
-            )
-            printed = faa_di_bruno.expansion_eval(config.ell, config.lam, point, "as-printed")
-            rel = abs(corrected - oracle) / max(abs(oracle), 1e-300)
-            worst = max(worst, rel)
-            rows.append(
-                [index, point.theta, point.phi, point.r, point.t, oracle, corrected, printed, rel]
-            )
+    for index, point in enumerate(points):
+        oracle = faa_di_bruno.jet_oracle(config.ell, config.lam, point)
+        corrected = faa_di_bruno.expansion_eval(config.ell, config.lam, point, "pochhammer-corrected")
+        printed = faa_di_bruno.expansion_eval(config.ell, config.lam, point, "as-printed")
+        rel = abs(corrected - oracle) / max(abs(oracle), 1e-300)
+        worst = max(worst, rel)
+        rows.append([index, point.theta, point.phi, point.r, point.t, oracle, corrected, printed, rel])
     _write_csv(
         config.output or None,
         ["index", "theta", "phi", "r", "t", "jet_oracle", "corrected", "as_printed", "rel_residual"],
@@ -334,12 +329,14 @@ def _pv_records(config: RunConfig, *, spectral_side: bool, pv_side: bool) -> tup
     rule = config.rule() if spectral_side else None
     schedule = config.schedule()
     family = _default_family(config.lam)
+    # one operator per theta, built at its first use and applied to every function
+    operators: list[TruncationOperator] = []
     records = []
     worst = 0.0
     for name, coeffs in sorted(family.items()):
         f = band_limited(coeffs)
         n_max = max(config.n_max, coeffs.degree)
-        for theta in config.thetas:
+        for index, theta in enumerate(config.thetas):
             record: dict = {
                 "f": name,
                 "lambda": config.lam,
@@ -355,7 +352,11 @@ def _pv_records(config: RunConfig, *, spectral_side: bool, pv_side: bool) -> tup
             if spectral_side:
                 record["spectral"] = riesz_spectral(f, config.lam, config.k, theta, n_max, rule)
             if pv_side:
-                result = riesz_pv(f, config.lam, config.k, theta, schedule, tolerance=config.tolerance)
+                if len(operators) == index:
+                    operators.append(TruncationOperator(config.lam, config.k, theta, schedule.epsilons))
+                result = riesz_pv(
+                    f, config.lam, config.k, theta, tolerance=config.tolerance, operator=operators[index]
+                )
                 record["epsilons"] = list(result.epsilons)
                 record["truncated"] = list(result.truncated)
                 record["extrapolated"] = result.extrapolated
@@ -418,7 +419,7 @@ def _global_summary(config: RunConfig, max_abs_error: float) -> dict:
             envelope[region] = max(envelope[region], ratio)
     return {
         "max_abs_error": max_abs_error,
-        "m_k": m_k_estimate(config.lam, k),
+        "m_k": m_k_estimate(k),
         "circle_limit": h_entry,
         "envelope_constants": envelope,
     }

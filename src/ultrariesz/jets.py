@@ -77,14 +77,16 @@ def _taylor_pow(u: np.ndarray, alpha: float) -> np.ndarray:
         raise ValueError(f"power composition requires a positive value, got {u[0]}")
     n = len(u)
     v = np.zeros(n)
-    v[0] = u[0] ** alpha
-    for m in range(1, n):
-        acc = 0.0
-        for k in range(1, m + 1):
-            acc += alpha * k * u[k] * v[m - k]
-        for k in range(1, m):
-            acc -= k * v[k] * u[m - k]
-        v[m] = acc / (m * u[0])
+    # an extreme exponent overflows u[0] ** alpha; raise rather than return nan
+    with np.errstate(over="raise", invalid="raise"):
+        v[0] = u[0] ** alpha
+        for m in range(1, n):
+            acc = 0.0
+            for k in range(1, m + 1):
+                acc += alpha * k * u[k] * v[m - k]
+            for k in range(1, m):
+                acc -= k * v[k] * u[m - k]
+            v[m] = acc / (m * u[0])
     return v
 
 

@@ -385,13 +385,13 @@ def circle_R(k: int, theta: float, phi: float, *, tol: float = 1e-10) -> float:
 
 
 @lru_cache(maxsize=None)
-def m_k_estimate(lam: float, k: int, *, tol: float = 1e-3) -> float:
+def m_k_estimate(k: int) -> float:
     """Estimate the diagonal constant M_k of the circle kernel.
 
     Evaluates sin(w) * R^k at w in {1e-2, 1e-3, 1e-4} and extrapolates with
     the model a + b*sqrt(w) (the kernel's error term is O(w**-1/2)).  The
-    constant does not depend on the ultraspherical parameter, which is
-    accepted for interface symmetry with the other kernel operations.
+    constant does not depend on the ultraspherical parameter; a fit residual
+    above 1e-3 raises AccuracyError.
     """
     if k < 1:
         raise ValueError(f"order must be a positive integer, got {k}")
@@ -399,9 +399,9 @@ def m_k_estimate(lam: float, k: int, *, tol: float = 1e-3) -> float:
     phi = 1.0
     y = np.array([math.sin(w) * circle_R(k, phi + w, phi) for w in ws])
     coeffs, residual = _least_squares_fit(np.column_stack([np.ones_like(ws), np.sqrt(ws)]), y)
-    if residual > tol:
+    if residual > 1e-3:
         raise AccuracyError(
-            f"sqrt-fit residual {residual:.2e} exceeds tolerance {tol:g} for M_{k}",
+            f"sqrt-fit residual {residual:.2e} exceeds tolerance 1e-3 for M_{k}",
             estimate=float(coeffs[0]),
             error_bound=residual,
         )
@@ -435,7 +435,7 @@ def _envelope_ratio(
     at (theta, phi), which lies in ``region``."""
     sigma = math.sin(theta) * math.sin(phi)
     if region == "A2":
-        m_k = 0.0 if k % 2 == 0 else m_k_estimate(lam, k)
+        m_k = 0.0 if k % 2 == 0 else m_k_estimate(k)
         lead = m_k / (sigma**lam * math.sin(theta - phi))
         envelope = math.sin(phi) ** -(2.0 * lam + 1.0) * (
             1.0 + math.sqrt(math.sin(phi) / abs(theta - phi))

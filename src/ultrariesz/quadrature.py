@@ -146,12 +146,14 @@ def integrate(rule: QuadratureRule, f: Callable) -> float:
 #: truncation of the double-exponential variable: endpoint distances reach
 #: ~exp(-pi*sinh(4.8)), small enough that any integrable algebraic
 #: singularity has negligible mass beyond the last node
-_T_MAX_SINGULAR = 4.8
-_T_MAX_SMOOTH = 3.5
+_T_MAX = 4.8
+
+#: finest level of the adaptive tanh-sinh refinement
+_MAX_LEVEL = 12
 
 
 @lru_cache(maxsize=None)
-def _ts_table(level: int, t_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _ts_table(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Index, side, endpoint distance and weight of the rule at step 2**-level.
 
     ``side`` is -1/+1 for nodes left/right of the midpoint, ``dist`` the
@@ -159,7 +161,7 @@ def _ts_table(level: int, t_max: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     ``weight`` includes the step size.
     """
     h = 2.0 ** (-level)
-    k = np.arange(-math.floor(t_max / h), math.floor(t_max / h) + 1)
+    k = np.arange(-math.floor(_T_MAX / h), math.floor(_T_MAX / h) + 1)
     t = k * h
     u = 0.5 * math.pi * np.sinh(t)
     # 1 - tanh|u| = 2 / (exp(2|u|) + 1), exact for large |u|
@@ -171,14 +173,14 @@ def _ts_table(level: int, t_max: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     return k[keep], side[keep], dist[keep], weight[keep]
 
 
-def _ts_nodes(level: int, t_max: float = _T_MAX_SINGULAR) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    _, side, dist, weight = _ts_table(level, t_max)
+def _ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    _, side, dist, weight = _ts_table(level)
     return side, dist, weight
 
 
-def _ts_new_points(level: int, t_max: float = _T_MAX_SINGULAR) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ts_new_points(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes present at ``level`` but not at ``level - 1`` (odd multiples)."""
-    k, side, dist, weight = _ts_table(level, t_max)
+    k, side, dist, weight = _ts_table(level)
     if level == 0:
         return side, dist, weight
     odd = (np.abs(k) % 2) == 1
@@ -196,10 +198,8 @@ def singular_integrate(
     lo: float,
     hi: float,
     *,
-    singular_ends: tuple[bool, bool] = (True, True),
     tol: float = 1e-10,
     rtol: float = 1e-12,
-    max_level: int = 12,
 ) -> float:
     """Integrate f over (lo, hi) by adaptive tanh-sinh quadrature.
 
@@ -211,7 +211,6 @@ def singular_integrate(
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError(f"invalid integration interval ({lo}, {hi})")
     half = 0.5 * (hi - lo)
-    t_max = _T_MAX_SINGULAR if any(singular_ends) else _T_MAX_SMOOTH
 
     def eval_batch(side, dist, weight):
         x = _map_nodes(lo, hi, side, dist)
@@ -233,12 +232,12 @@ def singular_integrate(
     previous = None
     diff = math.inf
     total = 0.0
-    for level in range(0, max_level + 1):
+    for level in range(0, _MAX_LEVEL + 1):
         if level == 0:
-            side, dist, weight = _ts_nodes(0, t_max)
+            side, dist, weight = _ts_nodes(0)
             total = eval_batch(side, dist, weight)
         else:
-            side, dist, weight = _ts_new_points(level, t_max)
+            side, dist, weight = _ts_new_points(level)
             total = 0.5 * total + eval_batch(side, dist, weight)
         estimate = half * total
         if previous is not None:

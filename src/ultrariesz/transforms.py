@@ -43,7 +43,6 @@ __all__ = [
     "fractional_power",
     "riesz_spectral",
     "riesz_pv",
-    "riesz_maximal",
 ]
 
 
@@ -114,10 +113,6 @@ class TruncationSchedule:
         if count > _MAX_RADII:
             raise ValueError(f"a schedule holds at most {_MAX_RADII} radii, got {count}")
         return cls(start * ratio ** np.arange(count))
-
-
-def default_schedule() -> TruncationSchedule:
-    return TruncationSchedule.geometric()
 
 
 def analyze(f: Callable, lam: float, n_max: int, rule: QuadratureRule) -> SpectralCoefficients:
@@ -234,8 +229,9 @@ class TruncationOperator:
     The complement of the largest excluded band is integrated once with
     tanh-sinh panels; each schedule step then adds the two thin bands between
     consecutive radii with Gauss-Legendre panels (the kernel is analytic
-    there).  Kernel values are computed once and reused for every function
-    the operator is applied to.  ``epsilons`` must form a TruncationSchedule.
+    there).  Kernel values are computed once, at the resolution ``config``,
+    and reused for every function the operator is applied to.  ``epsilons``
+    must form a TruncationSchedule.
     """
 
     def __init__(
@@ -322,20 +318,28 @@ def riesz_pv(
     schedule: TruncationSchedule | None = None,
     *,
     tolerance: float = 1e-3,
-    config: KernelConfig | None = None,
     operator: TruncationOperator | None = None,
 ) -> PVResult:
     """Principal-value Riesz transform: truncations along the schedule,
     their fit extrapolated to radius zero, plus the jump term gamma_k f(theta).
 
-    A pre-built TruncationOperator for the same (lambda, k, theta, schedule)
-    may be passed to amortize kernel evaluations over several functions.
+    A pre-built TruncationOperator amortizes kernel evaluations over several
+    functions and carries a custom KernelConfig; it must have been built for
+    the same (lambda, k, theta) and, when ``schedule`` is given, its radii.
+    Without either, the schedule is TruncationSchedule.geometric().
     """
-    schedule = schedule or default_schedule()
     if operator is None:
-        operator = TruncationOperator(lam, k, theta, schedule.epsilons, config=config)
+        schedule = schedule or TruncationSchedule.geometric()
+        operator = TruncationOperator(lam, k, theta, schedule.epsilons)
+    elif (lam, k, theta) != (operator.lam, operator.k, operator.theta) or (
+        schedule is not None and not np.array_equal(schedule.epsilons, operator.epsilons)
+    ):
+        raise ValueError(
+            f"operator was built for (lambda, k, theta) = ({operator.lam}, {operator.k}, "
+            f"{operator.theta}) and its {operator.epsilons.size} radii; the call does not match"
+        )
     values = operator.truncated_values(f)
-    limit, residual = _extrapolate(schedule.epsilons, values)
+    limit, residual = _extrapolate(operator.epsilons, values)
     if residual > 10.0 * tolerance:
         raise AccuracyError(
             f"PV fit residual {residual:.2e} exceeds 10 x tolerance {tolerance:g}",
@@ -348,23 +352,6 @@ def riesz_pv(
         extrapolated=limit,
         gamma_term=gamma_term,
         residual=residual,
-        epsilons=schedule.epsilons.copy(),
+        epsilons=operator.epsilons.copy(),
         truncated=values,
     )
-
-
-def riesz_maximal(
-    f: Callable,
-    lam: float,
-    k: int,
-    theta: float,
-    schedule: TruncationSchedule | None = None,
-    *,
-    config: KernelConfig | None = None,
-    operator: TruncationOperator | None = None,
-) -> float:
-    """Maximal truncated transform over the schedule: sup |truncation|."""
-    schedule = schedule or default_schedule()
-    if operator is None:
-        operator = TruncationOperator(lam, k, theta, schedule.epsilons, config=config)
-    return float(np.max(np.abs(operator.truncated_values(f))))

@@ -18,7 +18,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import KernelConfig
 from .quadrature import QuadratureRule, _evaluate
 from .transforms import (
     SpectralCoefficients,
@@ -169,7 +168,6 @@ def convergence_report(
     rule: QuadratureRule,
     *,
     n_max: int = 16,
-    config: KernelConfig | None = None,
 ) -> ConvergenceReport:
     """Trace, oscillation, variation, maximal and PV-vs-spectral error per
     theta, plus L^p grid norms (p = 1, 2, 4) of the operator outputs.
@@ -185,8 +183,8 @@ def convergence_report(
     thetas = np.asarray(thetas, dtype=float)
     records = []
     for theta in thetas:
-        operator = TruncationOperator(lam, k, float(theta), schedule.epsilons, config=config)
-        pv = riesz_pv(func, lam, k, float(theta), schedule, operator=operator, config=config)
+        operator = TruncationOperator(lam, k, float(theta), schedule.epsilons)
+        pv = riesz_pv(func, lam, k, float(theta), operator=operator)
         trace = TruncationTrace(epsilons=schedule.epsilons, values=pv.truncated, theta=float(theta))
         spectral = riesz_spectral(func, lam, k, float(theta), n_max, rule)
         records.append(

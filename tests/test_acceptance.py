@@ -136,9 +136,9 @@ def test_criterion_3_faa_di_bruno_oracle():
 
 def test_criterion_4_diagonal_constants():
     """Circle-kernel diagonal constants from the extrapolated slope."""
-    m1 = m_k_estimate(1.0, 1)
-    m2 = m_k_estimate(1.0, 2)
-    m4 = m_k_estimate(1.0, 4)
+    m1 = m_k_estimate(1)
+    m2 = m_k_estimate(2)
+    m4 = m_k_estimate(4)
     ok = (
         abs(m1 - (-1.0 / math.pi)) <= 1e-3
         and abs(m2) <= 1e-3

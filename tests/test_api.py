@@ -1,5 +1,8 @@
 import importlib
+import importlib.util
+import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +23,23 @@ def test_package_name_comes_from_exactly_one_submodule(name):
     owners = [module for module in SUBMODULES.values() if name in getattr(module, "__all__", ())]
     assert len(owners) == 1, [module.__name__ for module in owners]
     assert getattr(ultrariesz, name) is getattr(owners[0], name)
+
+
+def _benchmark_traced_names():
+    """TRACED of the benchmark driver, read without running it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TRACED
+
+
+def test_benchmark_traces_names_that_exist():
+    # the benchmark wraps these by name; a removed or renamed one breaks its run
+    for module_name, names in _benchmark_traced_names().items():
+        for name in names:
+            assert callable(getattr(SUBMODULES[module_name], name, None)), f"{module_name}.{name}"
+    operator = SUBMODULES["transforms"].TruncationOperator
+    assert {"__init__", "truncated_values"} <= set(vars(operator))
+    parameters = inspect.signature(SUBMODULES["kernels"].riesz_kernel).parameters
+    assert {"theta", "phi", "config"} <= set(parameters)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ultrariesz import build_rule, validate_lambda
+from ultrariesz import TruncationOperator, build_rule, validate_lambda
 from ultrariesz.cli import ConfigError, RunConfig, load_config_file, main
 from ultrariesz.quadrature import ConstructionError
 
@@ -197,6 +197,22 @@ class TestSubcommands:
         assert payload["max_relative_error"] <= payload["tolerance"]
         for record in payload["records"]:
             assert record["abs_error"] is not None
+
+    @pytest.mark.parametrize("command", ["compare", "riesz-pv"])
+    def test_one_operator_per_theta(self, capsys, monkeypatch, command):
+        builds = []
+        init = TruncationOperator.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TruncationOperator, "__init__", counted)
+        code, _, _ = run_cli(
+            capsys, command, "--lambda", "1.0", "--k", "1", "--theta", "0.9", "--theta", "2.0", "--quad-order", "48"
+        )
+        assert code == 0
+        assert len(builds) == 2
 
 
 class TestVariationReport:

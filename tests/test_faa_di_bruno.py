@@ -95,6 +95,11 @@ class TestJetOracle:
         fd2 = (f(1.3 + h) - 2 * f(1.3) + f(1.3 - h)) / h**2
         assert jet_oracle(2, lam, KernelPoint(theta=1.3, **base)) == pytest.approx(fd2, rel=1e-6)
 
+    def test_extreme_exponent_raises(self):
+        # d_r ** -(lam + 1) leaves the float range; a silent nan would be worse
+        with pytest.raises(FloatingPointError):
+            jet_oracle(2, 1e5, sample_points(3)[0])
+
 
 class TestExpansion:
     def test_as_printed_exact_at_lambda_zero(self):

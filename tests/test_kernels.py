@@ -222,11 +222,11 @@ class TestCircleKernels:
 
 class TestMkEstimate:
     def test_k1(self):
-        assert m_k_estimate(1.0, 1) == pytest.approx(-1.0 / math.pi, abs=1e-3)
+        assert m_k_estimate(1) == pytest.approx(-1.0 / math.pi, abs=1e-3)
 
     def test_even_vanishes(self):
-        assert m_k_estimate(1.0, 2) == pytest.approx(0.0, abs=1e-3)
-        assert m_k_estimate(1.0, 4) == pytest.approx(0.0, abs=1e-3)
+        assert m_k_estimate(2) == pytest.approx(0.0, abs=1e-3)
+        assert m_k_estimate(4) == pytest.approx(0.0, abs=1e-3)
 
 
 class TestRegions:

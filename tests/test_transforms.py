@@ -18,7 +18,6 @@ from ultrariesz import (
     poisson_coefficients,
     poisson_spectral,
     poisson_via_kernel,
-    riesz_maximal,
     riesz_pv,
     riesz_spectral,
     singular_integrate,
@@ -286,27 +285,32 @@ class TestPVIdentity:
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
-class TestMaximal:
-    def test_zero_function(self):
-        assert riesz_maximal(lambda th: np.zeros_like(np.asarray(th)), 1.0, 1, 1.2) == 0.0
+@pytest.fixture(scope="module")
+def twelve_radius_operator():
+    schedule = TruncationSchedule.geometric(0.05, 0.5, 12)
+    return schedule, TruncationOperator(1.0, 3, 1.2, schedule.epsilons)
 
-    def test_dominates_each_truncation(self):
-        lam, k, theta = 1.0, 1, 1.2
-        schedule = TruncationSchedule.geometric(0.05, 0.5, 4)
-        operator = TruncationOperator(lam, k, theta, schedule.epsilons)
-        coeffs = SpectralCoefficients(lam, [0.0, 1.0, 0.5])
-        f = band_limited(coeffs)
-        maximal = riesz_maximal(f, lam, k, theta, schedule, operator=operator)
-        values = operator.truncated_values(f)
-        assert maximal >= np.max(np.abs(values)) - 1e-15
 
-    def test_monotone_under_refinement(self):
-        lam, k, theta = 1.0, 1, 1.2
-        coarse = TruncationSchedule.geometric(0.05, 0.5, 3)
-        fine = TruncationSchedule.geometric(0.05, 0.5, 5)
-        coeffs = SpectralCoefficients(lam, [0.0, 1.0, 0.5])
-        f = band_limited(coeffs)
-        assert riesz_maximal(f, lam, k, theta, fine) >= riesz_maximal(f, lam, k, theta, coarse) - 1e-12
+class TestOperatorBinding:
+    f = staticmethod(band_limited(SpectralCoefficients(1.0, [0.0, 0.0, 1.0, 0.0, 0.5])))
+
+    def test_fits_the_operator_radii(self, twelve_radius_operator):
+        schedule, operator = twelve_radius_operator
+        result = riesz_pv(self.f, 1.0, 3, 1.2, operator=operator)
+        assert np.array_equal(result.epsilons, schedule.epsilons)
+        assert result.truncated.size == 12
+        assert result.value == riesz_pv(self.f, 1.0, 3, 1.2, schedule, operator=operator).value
+
+    @pytest.mark.parametrize(
+        "lam, k, theta, count",
+        [(1.0, 2, 1.2, 12), (1.0, 3, 1.3, 12), (1.5, 3, 1.2, 12), (1.0, 3, 1.2, 9)],
+        ids=["k", "theta", "lambda", "radii"],
+    )
+    def test_mismatched_operator_raises(self, twelve_radius_operator, lam, k, theta, count):
+        _, operator = twelve_radius_operator
+        schedule = TruncationSchedule.geometric(0.05, 0.5, count)
+        with pytest.raises(ValueError, match="operator was built"):
+            riesz_pv(self.f, lam, k, theta, schedule, operator=operator)
 
 
 class TestSchedule:

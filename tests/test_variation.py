@@ -180,3 +180,22 @@ class TestConvergenceReport:
         assert len(at_thetas) == 1
         expected = float(np.trapezoid(np.cos(thetas) ** 2 * np.sin(thetas) ** 2, thetas)) ** 0.5
         assert report.norms["p2"]["f"] == pytest.approx(expected, rel=1e-14)
+
+    def test_maximal_dominates_every_truncation(self):
+        from ultrariesz import (
+            SpectralCoefficients,
+            TruncationOperator,
+            TruncationSchedule,
+            band_limited,
+            build_rule,
+            convergence_report,
+        )
+
+        lam, k, theta = 1.0, 1, 1.2
+        coeffs = SpectralCoefficients(lam, [0.0, 1.0, 0.5])
+        schedule = TruncationSchedule.geometric(0.05, 0.5, 4)
+        report = convergence_report(
+            coeffs, lam, k, [theta], schedule, DyadicBands.dyadic(0.1, 8), 3.0, build_rule(lam, 32)
+        )
+        values = TruncationOperator(lam, k, theta, schedule.epsilons).truncated_values(band_limited(coeffs))
+        assert report.records[0].maximal >= np.max(np.abs(values)) - 1e-15
