@@ -42,7 +42,7 @@ from .kernels import (
     region_classify,
     riesz_kernel,
 )
-from .quadrature import AccuracyError, ConstructionError, QuadratureRule, build_rule
+from .quadrature import AccuracyError, ConstructionError, EvaluationError, QuadratureRule, build_rule
 from .transforms import (
     SpectralCoefficients,
     TruncationOperator,
@@ -527,7 +527,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
-    except (ConstructionError, OverflowError, FloatingPointError) as exc:
+    except (ConstructionError, EvaluationError, OverflowError, FloatingPointError) as exc:
         # an extreme lambda or order carries the arithmetic past the float range
         print(f"config error: parameters out of floating-point range: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -22,7 +22,13 @@ from typing import Literal
 import numpy as np
 
 from .faa_di_bruno import coefficients, pochhammer_factor
-from .quadrature import AccuracyError, _least_squares_fit, singular_integrate, tanh_sinh_segment
+from .quadrature import (
+    AccuracyError,
+    _least_squares_fit,
+    _tanh_sinh_rows,
+    singular_integrate,
+    tanh_sinh_segment,
+)
 from .special import validate_lambda
 
 __all__ = [
@@ -128,32 +134,39 @@ def region_classify(theta: float, phi: float) -> RegionLabel:
     return "A2"
 
 
-def poisson_kernel(lam: float, r: float, theta: float, phi: float, *, tol: float = 1e-10) -> float:
+def poisson_kernel(lam: float, r: float, theta: float, phi: float | np.ndarray) -> float | np.ndarray:
     """P_lambda(r, theta, phi), the ultraspherical Poisson kernel.
 
     Evaluates (lam/pi) (1 - r^2) times the t-integral of
     (sin t)**(2 lam - 1) / D_r**(lam + 1) by adaptive tanh-sinh quadrature
-    (the integrand has endpoint singularities whenever lam < 1/2).
+    (the integrand has endpoint singularities whenever lam < 1/2).  ``phi``
+    may be a scalar (returns a float) or a 1-D array (returns an array of
+    the same length): all entries are integrated together, with the
+    t-factors computed once per level and each entry refined until its own
+    integral converges.
     """
     lam = validate_lambda(lam)
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
     theta = _validate_angle("theta", theta)
-    phi = _validate_angle("phi", phi)
-    sigma = math.sin(theta) * math.sin(phi)
-    delta_r = (1.0 - r) ** 2 + 4.0 * r * math.sin(0.5 * (theta - phi)) ** 2
+    phis = _phi_array(phi)
+    delta_r = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * (theta - phis)) ** 2
+    cross = 2.0 * r * (math.sin(theta) * np.sin(phis))
     exponent = 2.0 * lam - 1.0
 
-    def integrand(t):
+    def integrand(t, rows):
         one_minus_cos = 2.0 * np.sin(0.5 * t) ** 2
-        d = delta_r + 2.0 * r * sigma * one_minus_cos
+        d = delta_r[rows, None] + cross[rows, None] * one_minus_cos
         return np.sin(t) ** exponent * d ** -(lam + 1.0)
 
-    value = singular_integrate(integrand, 0.0, math.pi, tol=tol)
-    return lam / math.pi * (1.0 - r * r) * value
+    integrals = _tanh_sinh_rows(integrand, 0.0, math.pi, phis.size, 1e-10, 1e-12)
+    values = lam / math.pi * (1.0 - r * r) * integrals
+    return float(values[0]) if np.ndim(phi) == 0 else values
 
 
-@lru_cache(maxsize=None)
+# keyed by (ell, lambda): 64 entries hold orders 1..12 at five lambdas, and
+# the bound keeps a caller drawing a fresh lambda per call from growing it
+@lru_cache(maxsize=64)
 def _term_layout(ell: int, lam: float):
     """Per-s lists of (coefficient, i, j) with the Pochhammer factor folded in
     (the factor is exactly 1 at lam = 0, the circle case)."""
@@ -181,14 +194,20 @@ def _r_rule(lam: float, k: int, split: float, level: int) -> tuple[np.ndarray, n
     return r, r ** (lam - 1.0) * log_inv_r ** (k - 1) * (1.0 - r * r) * r_weights
 
 
-def _validate_phis(theta: float, phi, min_separation: float) -> np.ndarray:
-    """phi as a 1-D float array, every entry off the diagonal guard."""
+def _phi_array(phi) -> np.ndarray:
+    """phi as a 1-D float array, every entry inside (0, pi)."""
     phis = np.atleast_1d(np.asarray(phi, dtype=float))
     if phis.ndim != 1:
         raise ValueError(f"phi must be a scalar or a 1-D array, got shape {phis.shape}")
     outside = ~((phis > 0.0) & (phis < math.pi))
     if np.any(outside):
         raise ValueError(f"phi must lie in (0, pi), got {phis[outside][0]}")
+    return phis
+
+
+def _validate_phis(theta: float, phi, min_separation: float) -> np.ndarray:
+    """phi as a 1-D float array, every entry off the diagonal guard."""
+    phis = _phi_array(phi)
     sep = np.abs(theta - phis)
     if np.any(sep == 0.0):
         raise ValueError("kernel is singular on the diagonal theta = phi")

@@ -21,6 +21,7 @@ import numpy as np
 from .kernels import RIESZ_MIN_SEPARATION, KernelConfig, kernel_constants, poisson_kernel, riesz_kernel
 from .quadrature import (
     AccuracyError,
+    EvaluationError,
     QuadratureRule,
     _evaluate,
     _least_squares_fit,
@@ -179,18 +180,14 @@ def poisson_spectral(c: SpectralCoefficients, t: float, theta: float) -> float:
     return synthesize(poisson_coefficients(c, t), theta)
 
 
-def poisson_via_kernel(
-    f: Callable, lam: float, t: float, theta: float, rule: QuadratureRule, *, tol: float = 1e-10
-) -> float:
+def poisson_via_kernel(f: Callable, lam: float, t: float, theta: float, rule: QuadratureRule) -> float:
     """Poisson semigroup at time t through the kernel integral
     r**lam * P_lambda(r, theta, .) against dm_lambda, with r = exp(-t)."""
     lam = validate_lambda(lam)
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
     r = math.exp(-t)
-    kernel_vals = np.array(
-        [poisson_kernel(lam, r, theta, phi, tol=tol) for phi in rule.nodes]
-    )
+    kernel_vals = poisson_kernel(lam, r, theta, rule.nodes)
     fvals = _evaluate(f, rule.nodes)
     return r**lam * float(np.dot(rule.weights, kernel_vals * fvals))
 
@@ -340,6 +337,11 @@ def riesz_pv(
         )
     values = operator.truncated_values(f)
     limit, residual = _extrapolate(operator.epsilons, values)
+    # a NaN residual would pass the comparison below
+    if not (np.all(np.isfinite(values)) and math.isfinite(limit) and math.isfinite(residual)):
+        raise EvaluationError(
+            f"truncated integrals or their fit are not finite (limit {limit}, residual {residual})"
+        )
     if residual > 10.0 * tolerance:
         raise AccuracyError(
             f"PV fit residual {residual:.2e} exceeds 10 x tolerance {tolerance:g}",

@@ -219,7 +219,7 @@ def test_criterion_6_poisson_consistency():
     for lam in (0.5, 1.0):
         rule = build_rule(lam, 128)
         for r in (0.1, 0.5, 0.9):
-            kernel_vals = np.array([poisson_kernel(lam, r, 1.0, phi) for phi in rule.nodes])
+            kernel_vals = poisson_kernel(lam, r, 1.0, rule.nodes)
             worst_mass = max(worst_mass, abs(float(np.dot(rule.weights, kernel_vals)) - 1.0))
     c = SpectralCoefficients(1.0, [0.5, -0.2, 0.8, 0.0, 0.1])
     one_step = poisson_coefficients(c, 0.7).coeffs

@@ -1,7 +1,10 @@
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,14 @@ def test_benchmark_traces_names_that_exist():
     assert {"__init__", "truncated_values"} <= set(vars(operator))
     parameters = inspect.signature(SUBMODULES["kernels"].riesz_kernel).parameters
     assert {"theta", "phi", "config"} <= set(parameters)
+
+
+def test_import_loads_no_scipy():
+    # scipy.special alone adds ~0.3 s and ~24 MiB to every process importing the package
+    code = "import sys, ultrariesz; print('scipy' in sys.modules)"
+    src = str(Path(ultrariesz.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert done.stdout.strip() == "False"

@@ -29,6 +29,10 @@ class TestConfig:
         with pytest.raises(Exception, match="lambda"):
             RunConfig(lam=-1.0).validate()
 
+    def test_rule_is_reused(self):
+        config = RunConfig(lam=0.7).validate()
+        assert config.rule() is config.rule()
+
     def test_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -87,6 +91,8 @@ class TestSubcommands:
             ("riesz-spectral", "--quad-order", "4", "--n-max", "1"),
             ("variation", "--quad-order", "4", "--n-max", "1"),
             ("poisson", "--lambda", "1e300"),
+            ("riesz-pv", "--lambda", "1e300"),
+            ("compare", "--lambda", "1e300"),
             ("riesz-spectral", "--quad-order", "100000"),
             ("riesz-spectral", "--eps-count", "10000000000000000000"),
             ("riesz-spectral", "--eps-ratio", "0.9999999999", "--eps-count", "1000000000"),

@@ -20,7 +20,7 @@ from ultrariesz import (
     singular_integrate,
 )
 from ultrariesz.jets import Jet
-from ultrariesz.kernels import DEFAULT_KERNEL_CONFIG, KernelConfig
+from ultrariesz.kernels import DEFAULT_KERNEL_CONFIG, KernelConfig, _term_layout
 
 
 class TestConstants:
@@ -60,10 +60,7 @@ class TestPoissonKernel:
         for lam in (0.5, 1.0):
             rule = build_rule(lam, 128)
             for r in (0.1, 0.5, 0.9):
-                kernel_vals = np.array(
-                    [poisson_kernel(lam, r, 1.0, phi) for phi in rule.nodes]
-                )
-                mass = float(np.dot(rule.weights, kernel_vals))
+                mass = float(np.dot(rule.weights, poisson_kernel(lam, r, 1.0, rule.nodes)))
                 assert mass == pytest.approx(1.0, abs=1e-8)
 
     def test_symmetry(self):
@@ -80,6 +77,52 @@ class TestPoissonKernel:
             for theta in np.linspace(0.2, math.pi - 0.2, 10):
                 for r in (0.2, 0.6, 0.9):
                     assert poisson_kernel(lam, r, float(theta), 1.1) > 0.0
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 2.45])
+    def test_array_phi_matches_the_scalar_loop(self, lam):
+        # the batch shares its t-factors across rows and sums them in one
+        # matrix product, so only the summation order may differ
+        nodes = build_rule(lam, 128).nodes
+        for t in (0.1, 1.0):
+            r = math.exp(-t)
+            for theta in (0.6, 1.6, 2.6):
+                batch = poisson_kernel(lam, r, theta, nodes)
+                loop = np.array([poisson_kernel(lam, r, theta, float(phi)) for phi in nodes])
+                np.testing.assert_allclose(batch, loop, rtol=1e-14, atol=0.0)
+
+    def test_scalar_phi_returns_a_float(self):
+        value = poisson_kernel(1.0, 0.5, 1.2, 0.7)
+        assert type(value) is float
+        assert poisson_kernel(1.0, 0.5, 1.2, np.array([0.7, 2.0]))[0] == value
+
+    @pytest.mark.parametrize("bad", [0.0, math.pi, -0.5, 4.0])
+    def test_array_phi_outside_the_interval_raises(self, bad):
+        with pytest.raises(ValueError, match="phi"):
+            poisson_kernel(1.0, 0.5, 1.2, np.array([0.7, bad, 2.0]))
+
+    @pytest.mark.parametrize(
+        "lam, t, theta, phi, expected",
+        [
+            # (lam/pi) (1 - r^2) 2**(2 lam - 1) B(lam, lam) Delta**(-lam - 1)
+            # * 2F1(lam + 1, lam; 2 lam; -4 r sin(theta) sin(phi) / Delta),
+            # r = exp(-t), evaluated at 30 significant digits
+            (0.3, 0.1, 0.6, 1.1, 0.1736832028595545274732561),
+            (0.3, 1.0, 2.6, 0.2, 0.1815572749834970417695126),
+            (1.0, 1.0, 1.6, 0.4, 0.4395658982659899720828805),
+            (1.0, 0.1, 1.6, 1.6, 3.515001463664358349390859),
+            (2.45, 0.1, 2.6, 2.0, 0.2471598982537479028427581),
+            (2.45, 1.0, 0.6, 2.9, 0.1229897145270212851585107),
+        ],
+    )
+    def test_hypergeometric_closed_form(self, lam, t, theta, phi, expected):
+        assert poisson_kernel(lam, math.exp(-t), theta, phi) == pytest.approx(expected, rel=1e-9)
+
+
+def test_layout_cache_stays_bounded():
+    for lam in np.linspace(0.31, 2.4, 100):
+        _term_layout(1, float(lam))
+    info = _term_layout.cache_info()
+    assert info.maxsize >= 64 and info.currsize <= info.maxsize
 
 
 class TestRieszKernel:

@@ -15,7 +15,13 @@ from ultrariesz import (
     singular_integrate,
     total_mass,
 )
-from ultrariesz.quadrature import ConstructionError, gauss_legendre_segment, tanh_sinh_segment
+from ultrariesz.quadrature import (
+    ConstructionError,
+    _cached_rule,
+    _tanh_sinh_rows,
+    gauss_legendre_segment,
+    tanh_sinh_segment,
+)
 
 
 class TestBuildRule:
@@ -119,6 +125,65 @@ class TestSingularIntegrate:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             singular_integrate(lambda r: r, 1.0, 0.0)
+
+
+#: integrands that converge at different levels (3, 3, 5 and 7): smooth, an
+#: endpoint singularity, a near-endpoint peak and an interior peak
+ROWS = (
+    lambda x: np.cos(x),
+    lambda x: x**-0.5,
+    lambda x: 1.0 / (1e-3 + x),
+    lambda x: 1.0 / (1e-2 + (x - 0.5) ** 2),
+)
+
+
+def _row_family(functions):
+    def f(x, rows):
+        return np.array([functions[i](x) for i in rows])
+
+    return f
+
+
+class TestRowEngine:
+    """_tanh_sinh_rows: the level loop behind singular_integrate, over m rows."""
+
+    def test_rows_converge_at_their_own_level(self):
+        levels = []
+
+        def counted(x, rows):
+            levels.append(rows.copy())
+            return _row_family(ROWS)(x, rows)
+
+        batch = _tanh_sinh_rows(counted, 0.0, 1.0, len(ROWS), 1e-10, 1e-12)
+        # rows drop out as they converge: level 3 is the first that may stop
+        # a row, level 7 the last one needed
+        assert [rows.tolist() for rows in levels] == [[0, 1, 2, 3]] * 4 + [[2, 3]] * 2 + [[3]] * 2
+        for value, function in zip(batch, ROWS):
+            assert value == pytest.approx(singular_integrate(function, 0.0, 1.0), rel=1e-14, abs=0.0)
+        assert batch[1] == pytest.approx(2.0, rel=1e-12)
+        assert batch[2] == pytest.approx(math.log(1001.0), rel=1e-12)
+
+    def test_a_row_that_never_converges_raises_with_its_estimate(self):
+        functions = (ROWS[0], lambda x: 1.0 / x, ROWS[1])
+        with pytest.raises(AccuracyError, match="row 1 of 3") as info:
+            _tanh_sinh_rows(_row_family(functions), 0.0, 1.0, 3, 1e-10, 1e-12)
+        with pytest.raises(AccuracyError) as alone:
+            singular_integrate(functions[1], 0.0, 1.0)
+        assert info.value.estimate == pytest.approx(alone.value.estimate, rel=1e-14)
+        assert info.value.error_bound == pytest.approx(alone.value.error_bound, rel=1e-12)
+
+    def test_a_non_finite_row_raises(self):
+        functions = (ROWS[0], lambda x: np.full_like(x, np.nan))
+        with pytest.raises(EvaluationError):
+            _tanh_sinh_rows(_row_family(functions), 0.0, 1.0, 2, 1e-10, 1e-12)
+
+
+class TestRuleCache:
+    def test_rule_cache_stays_bounded(self):
+        for lam in np.linspace(0.31, 2.4, 100):
+            build_rule(float(lam), 4)
+        info = _cached_rule.cache_info()
+        assert info.maxsize == 32 and info.currsize <= info.maxsize
 
 
 class TestSegments:

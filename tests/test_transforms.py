@@ -16,6 +16,7 @@ from ultrariesz import (
     kernel_constants,
     norm_sq,
     poisson_coefficients,
+    poisson_kernel,
     poisson_spectral,
     poisson_via_kernel,
     riesz_pv,
@@ -23,6 +24,7 @@ from ultrariesz import (
     singular_integrate,
     synthesize,
 )
+from ultrariesz import transforms
 
 
 def normalized_eigenfunction(n, lam):
@@ -388,6 +390,18 @@ class TestSampling:
         f = CountingCallable(np.cos)
         poisson_via_kernel(f, 0.8, 0.5, 1.1, rule)
         assert len(f.args) == 1 and f.args[0] is rule.nodes
+
+    def test_poisson_via_kernel_calls_the_kernel_once(self, monkeypatch):
+        rule = build_rule(0.8, 32)
+        calls = []
+
+        def counting(lam, r, theta, phi):
+            calls.append(phi)
+            return poisson_kernel(lam, r, theta, phi)
+
+        monkeypatch.setattr(transforms, "poisson_kernel", counting)
+        poisson_via_kernel(np.cos, 0.8, 0.5, 1.1, rule)
+        assert len(calls) == 1 and calls[0] is rule.nodes
 
     def test_scalar_only_callable(self):
         rule = build_rule(1.0, 32)
