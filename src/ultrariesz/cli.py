@@ -25,9 +25,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -47,9 +45,9 @@ from .transforms import (
     SpectralCoefficients,
     TruncationOperator,
     TruncationSchedule,
+    _poisson_via_kernel_each,
     band_limited,
     poisson_spectral,
-    poisson_via_kernel,
     riesz_pv,
     riesz_spectral,
 )
@@ -199,22 +197,6 @@ def _write_json(path: str | None, payload) -> None:
         sys.stdout.write(text)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("ULTRA_RIESZ_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_items(fn, items):
-    workers = _thread_count()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -266,11 +248,7 @@ def _kernel_row(config: RunConfig, theta: float, phis: np.ndarray) -> list[list]
 
 def cmd_kernel(config: RunConfig) -> int:
     grid = np.linspace(0.15, math.pi - 0.15, 20)
-
-    def row(theta):
-        return _kernel_row(config, theta, grid[np.abs(theta - grid) > 1e-3])
-
-    rows = [r for chunk in _map_items(row, grid.tolist()) for r in chunk]
+    rows = [r for theta in grid.tolist() for r in _kernel_row(config, theta, grid[np.abs(theta - grid) > 1e-3])]
     _write_csv(config.output or None, ["theta", "phi", "region", "value", "envelope_ratio"], rows)
     finite = all(math.isfinite(r[3]) and math.isfinite(r[4]) for r in rows)
     return _EXIT_OK if finite else _EXIT_TOLERANCE
@@ -278,15 +256,19 @@ def cmd_kernel(config: RunConfig) -> int:
 
 def cmd_poisson(config: RunConfig) -> int:
     rule = config.rule()
-    family = _default_family(config.lam)
+    family = sorted(_default_family(config.lam).items())
+    functions = [band_limited(coeffs) for _, coeffs in family]
+    # one kernel row per (t, theta), integrated at its first use against every function
+    kernel_sides: dict[tuple[float, float], list[float]] = {}
     rows = []
     worst = 0.0
-    for name, coeffs in sorted(family.items()):
-        f = band_limited(coeffs)
+    for index, (name, coeffs) in enumerate(family):
         for t in (0.1, 1.0):
             for theta in config.thetas:
                 spectral = poisson_spectral(coeffs, t, theta)
-                kernel = poisson_via_kernel(f, config.lam, t, theta, rule)
+                if (t, theta) not in kernel_sides:
+                    kernel_sides[t, theta] = _poisson_via_kernel_each(functions, config.lam, t, theta, rule)
+                kernel = kernel_sides[t, theta][index]
                 err = abs(spectral - kernel)
                 worst = max(worst, err)
                 rows.append([name, t, theta, spectral, kernel, err])

@@ -8,13 +8,18 @@ with a fixed tanh-sinh rule (it carries the (sin t)**(2*lambda-1) endpoint
 singularity), the r integral with tanh-sinh after splitting at
 r = 1 - min(|theta - phi|, 1/2) to resolve the near-diagonal concentration.
 The sum over s is taken in Horner form in q = r / D, and one call
-evaluates a whole array of phi.  All grids are deterministic functions of
-the configuration, so kernel values are reproducible bit for bit.
+evaluates a whole array of phi, split into contiguous chunks that run on up
+to ULTRA_RIESZ_THREADS threads (default: the cores available).  Every phi is
+computed alone from grids that are deterministic functions of the
+configuration, so kernel values are reproducible bit for bit, whatever the
+thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
@@ -24,6 +29,7 @@ import numpy as np
 from .faa_di_bruno import coefficients, pochhammer_factor
 from .quadrature import (
     AccuracyError,
+    EvaluationError,
     _least_squares_fit,
     _tanh_sinh_rows,
     singular_integrate,
@@ -221,6 +227,18 @@ def _validate_phis(theta: float, phi, min_separation: float) -> np.ndarray:
     return phis
 
 
+def _thread_count(size: int) -> int:
+    """Threads for a batch of ``size`` phi: ULTRA_RIESZ_THREADS, read on each
+    call (unset: the cores available; not an integer or below 1: 1), at
+    most the cores available and at most ``size``."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    try:
+        wanted = int(os.environ.get("ULTRA_RIESZ_THREADS", cores))
+    except ValueError:
+        wanted = 1
+    return max(1, min(wanted, cores, size))
+
+
 def kernel_partial(
     lam: float,
     k: int,
@@ -236,8 +254,10 @@ def kernel_partial(
     ``phi`` may be a scalar (returns a float) or a 1-D array (returns an
     array of the same length); every entry must clear the diagonal guard.
     The t-rule, the r-rule for |theta - phi| >= 1/2 and the expansion
-    coefficients are built once per call, and the (r, t) work buffers are
-    reused across the entries of ``phi``.
+    coefficients are built once per call.  The entries of ``phi`` are split
+    into contiguous chunks, one per thread (see _thread_count), each with its
+    own (r, t) work buffers; a value that is not finite raises
+    EvaluationError.
     """
     lam = validate_lambda(lam)
     config = config or DEFAULT_KERNEL_CONFIG
@@ -248,6 +268,8 @@ def kernel_partial(
     theta = _validate_angle("theta", theta)
     phis = _validate_phis(theta, phi, config.min_separation)
 
+    # every rule is built here, on the calling thread, so that no public
+    # function of the package runs on a worker: the workers do numpy only
     t_nodes, t_weights = tanh_sinh_segment(0.0, math.pi, config.t_level)
     one_minus_cos_t = 2.0 * np.sin(0.5 * t_nodes) ** 2
     t_fac = np.sin(t_nodes) ** (2.0 * lam - 1.0) * t_weights
@@ -261,42 +283,82 @@ def kernel_partial(
         if split not in rules:
             rules[split] = _r_rule(lam, k, split, config.r_level)
     rows = max((r.size for r, _ in rules.values()), default=0)
-    # one set of (r, t) buffers per call: calls may run concurrently
-    d_buf = np.empty((rows, t_nodes.size))
-    pow_buf = np.empty_like(d_buf)
-    q_buf = np.empty_like(d_buf)
-
     values = np.empty(phis.size)
-    for index, p in enumerate(phis):
-        w = theta - p
-        sigma = sin_theta * math.sin(p)
-        one_minus_cos_w = 2.0 * math.sin(0.5 * w) ** 2
-        r, r_fac = rules[1.0 - min(abs(w), _FAR_SPLIT)]
-        n = r.size
-        delta_r = (1.0 - r) ** 2 + 2.0 * r * one_minus_cos_w
-        d = d_buf[:n]
-        d[...] = one_minus_cos_t
-        d *= ((2.0 * sigma) * r)[:, None]
-        d += delta_r[:, None]
-        # d**-(lam+1) as exp(-(lam+1) log d): ~30% cheaper than np.power here
-        power = np.log(d, out=pow_buf[:n])
-        power *= -(lam + 1.0)
-        np.exp(power, out=power)
-        if ell > 0:
-            # sum_s r**s P_s(t) d**-(lam+1+s) = d**-(lam+1) * sum_s P_s q**s
-            # with q = r/d, summed by Horner's rule from s = ell down to 1
-            a_t = (1.0 - one_minus_cos_w) - sigma * one_minus_cos_t
-            b_t = -math.sin(w) - (cos_theta * math.sin(p)) * one_minus_cos_t
-            q = np.divide(r[:, None], d, out=q_buf[:n])
-            # d is spent: power and q hold all that is needed of it
-            horner = np.multiply(q, _layout_poly(layout, ell, a_t, b_t)[None, :], out=d)
-            for s in range(ell - 1, 0, -1):
-                if s in layout:
-                    horner += _layout_poly(layout, s, a_t, b_t)[None, :]
-                horner *= q
-            power *= horner
-        values[index] = prefactor * float(r_fac @ power @ t_fac)
+
+    def evaluate(lo: int, hi: int, d_buf: np.ndarray, pow_buf: np.ndarray, q_buf: np.ndarray) -> None:
+        """values[lo:hi], computed in this chunk's own (r, t) buffers."""
+        # an extreme lambda overflows here; the finiteness check below
+        # reports it once.  errstate is per thread, so it is set in each.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for index in range(lo, hi):
+                p = phis[index]
+                w = theta - p
+                sigma = sin_theta * math.sin(p)
+                one_minus_cos_w = 2.0 * math.sin(0.5 * w) ** 2
+                r, r_fac = rules[1.0 - min(abs(w), _FAR_SPLIT)]
+                n = r.size
+                delta_r = (1.0 - r) ** 2 + 2.0 * r * one_minus_cos_w
+                d = np.multiply(((2.0 * sigma) * r)[:, None], one_minus_cos_t, out=d_buf[:n])
+                d += delta_r[:, None]
+                # d**-(lam+1) as exp(-(lam+1) log d): ~30% cheaper than np.power here
+                power = np.log(d, out=pow_buf[:n])
+                power *= -(lam + 1.0)
+                np.exp(power, out=power)
+                if ell > 0:
+                    # sum_s r**s P_s(t) d**-(lam+1+s) = d**-(lam+1) * sum_s P_s q**s
+                    # with q = r/d, summed by Horner's rule from s = ell down to 1
+                    a_t = (1.0 - one_minus_cos_w) - sigma * one_minus_cos_t
+                    b_t = -math.sin(w) - (cos_theta * math.sin(p)) * one_minus_cos_t
+                    q = np.divide(r[:, None], d, out=q_buf[:n])
+                    # d is spent: power and q hold all that is needed of it
+                    horner = np.multiply(q, _layout_poly(layout, ell, a_t, b_t)[None, :], out=d)
+                    for s in range(ell - 1, 0, -1):
+                        if s in layout:
+                            horner += _layout_poly(layout, s, a_t, b_t)[None, :]
+                        horner *= q
+                    power *= horner
+                values[index] = prefactor * float(r_fac @ power @ t_fac)
+
+    threads = _thread_count(phis.size)
+    bounds = [phis.size * i // threads for i in range(threads + 1)]
+    # one set of buffers per chunk, allocated on the calling thread: the
+    # workers allocate only row- and column-sized temporaries
+    shape = (rows, t_nodes.size)
+    _run_chunks(
+        evaluate,
+        [(bounds[i], bounds[i + 1], np.empty(shape), np.empty(shape), np.empty(shape)) for i in range(threads)],
+    )
+    if not np.all(np.isfinite(values)):
+        bad = int(np.argmin(np.isfinite(values)))
+        raise EvaluationError(
+            f"kernel value {values[bad]} at phi = {float(phis[bad])} is not finite "
+            f"(lambda {lam}, k {k}, theta {theta})"
+        )
     return float(values[0]) if np.ndim(phi) == 0 else values
+
+
+def _run_chunks(evaluate, chunks: list[tuple]) -> None:
+    """evaluate(*chunk) for every chunk at once: the calling thread takes the
+    first, one worker thread each of the rest.  Waits for every worker, then
+    raises the first exception any of them raised."""
+    errors: list[Exception] = []
+
+    def work(*chunk) -> None:
+        try:
+            evaluate(*chunk)
+        except Exception as exc:  # handed to the calling thread below
+            errors.append(exc)
+
+    workers = [threading.Thread(target=work, args=chunk) for chunk in chunks[1:]]
+    for worker in workers:
+        worker.start()
+    try:
+        evaluate(*chunks[0])
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
 
 
 def _layout_poly(layout, s: int, a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:

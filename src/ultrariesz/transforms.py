@@ -183,13 +183,19 @@ def poisson_spectral(c: SpectralCoefficients, t: float, theta: float) -> float:
 def poisson_via_kernel(f: Callable, lam: float, t: float, theta: float, rule: QuadratureRule) -> float:
     """Poisson semigroup at time t through the kernel integral
     r**lam * P_lambda(r, theta, .) against dm_lambda, with r = exp(-t)."""
+    return _poisson_via_kernel_each((f,), lam, t, theta, rule)[0]
+
+
+def _poisson_via_kernel_each(
+    fs: Sequence[Callable], lam: float, t: float, theta: float, rule: QuadratureRule
+) -> list[float]:
+    """poisson_via_kernel for every f in ``fs``, from one kernel row."""
     lam = validate_lambda(lam)
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
     r = math.exp(-t)
     kernel_vals = poisson_kernel(lam, r, theta, rule.nodes)
-    fvals = _evaluate(f, rule.nodes)
-    return r**lam * float(np.dot(rule.weights, kernel_vals * fvals))
+    return [r**lam * float(np.dot(rule.weights, kernel_vals * _evaluate(f, rule.nodes))) for f in fs]
 
 
 def fractional_power(c: SpectralCoefficients, alpha: float) -> SpectralCoefficients:
@@ -259,7 +265,7 @@ class TruncationOperator:
             lo, hi = theta + lo_r, theta + hi_r
             if lo < math.pi:
                 pieces.append((lo, min(hi, math.pi), i, hi >= math.pi))
-        segments = []
+        panels = []
         for lo, hi, index, endpoint in pieces:
             if endpoint:
                 nodes, weights = tanh_sinh_segment(lo, hi, _PHI_LEVEL)
@@ -268,10 +274,17 @@ class TruncationOperator:
             # nodes that round onto 0 or pi carry negligible weight and a
             # vanishing (sin phi)**(2 lam) factor; drop them
             keep = (nodes > 0.0) & (nodes < math.pi)
-            nodes, weights = nodes[keep], weights[keep]
-            kernel_vals = riesz_kernel(self.lam, self.k, theta, nodes, config=config)
-            segments.append((nodes, weights * np.sin(nodes) ** (2.0 * self.lam) * kernel_vals, index))
-        self._segments = segments
+            panels.append((nodes[keep], weights[keep], index))
+        # one kernel call over every panel's nodes: one batch for its threads
+        all_nodes = np.concatenate([nodes for nodes, _, _ in panels])
+        kernel_vals = np.split(
+            riesz_kernel(self.lam, self.k, theta, all_nodes, config=config),
+            np.cumsum([nodes.size for nodes, _, _ in panels])[:-1],
+        )
+        self._segments = [
+            (nodes, weights * np.sin(nodes) ** (2.0 * self.lam) * values, index)
+            for (nodes, weights, index), values in zip(panels, kernel_vals)
+        ]
 
     def truncated_values(self, f: Callable) -> np.ndarray:
         """The truncated integral at every schedule radius, largest first."""

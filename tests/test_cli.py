@@ -2,13 +2,26 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ultrariesz import TruncationOperator, build_rule, validate_lambda
+import ultrariesz
+from ultrariesz import (
+    SpectralCoefficients,
+    TruncationOperator,
+    band_limited,
+    build_rule,
+    poisson_via_kernel,
+    transforms,
+    validate_lambda,
+)
 from ultrariesz.cli import ConfigError, RunConfig, load_config_file, main
 from ultrariesz.quadrature import ConstructionError
 
@@ -106,6 +119,26 @@ class TestSubcommands:
         assert out == ""
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("riesz-pv", "--lambda", "1e300"),
+            ("compare", "--lambda", "1e300"),
+            ("kernel", "--lambda", "200"),
+        ],
+    )
+    def test_float_range_errors_print_one_line_under_warnings_as_errors(self, argv):
+        # a fresh interpreter: numpy warnings from the kernel build would
+        # print outside pytest, and -W error turns any of them into a traceback
+        src = str(Path(ultrariesz.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "ultrariesz.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("config error:") and done.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["coeffs", "h-limit"])
     def test_commands_without_a_rule_ignore_its_flags(self, capsys, command):
         code, _, err = run_cli(capsys, command, "--quad-order", "100000", "--n-max", "1000000")
@@ -139,6 +172,30 @@ class TestSubcommands:
         assert code == 0, err
         errors = [float(line.split(",")[-1]) for line in out.strip().splitlines()[1:]]
         assert len(errors) == 18 and max(errors) <= 1e-6
+
+    def test_poisson_integrates_each_kernel_row_once(self, capsys, monkeypatch):
+        calls = []
+        poisson_kernel = transforms.poisson_kernel
+
+        def counting(lam, r, theta, phi):
+            calls.append((r, theta))
+            return poisson_kernel(lam, r, theta, phi)
+
+        monkeypatch.setattr(transforms, "poisson_kernel", counting)
+        code, out, err = run_cli(capsys, "poisson", "--lambda", "0.8")
+        assert code == 0, err
+        # 2 times x 3 theta, each row applied to the 3 family functions
+        assert len(calls) == len(set(calls)) == 6
+        monkeypatch.undo()
+        rule = build_rule(0.8, RunConfig().quad_order)
+        family = {"e0": [1.0], "e1": [0.0, 1.0], "e2+0.5e4": [0.0, 0.0, 1.0, 0.0, 0.5]}
+        lines = out.strip().splitlines()[1:]
+        assert len(lines) == 18
+        for line in lines:
+            name, t, theta, _, kernel, _ = line.split(",")
+            f = band_limited(SpectralCoefficients(0.8, family[name]))
+            # the report's 17 digits round-trip, and the arithmetic is poisson_via_kernel's
+            assert float(kernel) == poisson_via_kernel(f, 0.8, float(t), float(theta), rule)
 
     def test_flag_overrides_file(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"

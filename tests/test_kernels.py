@@ -1,10 +1,17 @@
 import math
+import os
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from ultrariesz import (
     AccuracyError,
+    EvaluationError,
+    TruncationOperator,
+    TruncationSchedule,
     beta,
     build_rule,
     circle_H,
@@ -19,8 +26,9 @@ from ultrariesz import (
     riesz_kernel,
     singular_integrate,
 )
+from ultrariesz import kernels, transforms
 from ultrariesz.jets import Jet
-from ultrariesz.kernels import DEFAULT_KERNEL_CONFIG, KernelConfig, _term_layout
+from ultrariesz.kernels import DEFAULT_KERNEL_CONFIG, KernelConfig, _term_layout, _thread_count
 
 
 class TestConstants:
@@ -220,6 +228,116 @@ class TestRieszKernel:
             riesz_kernel(1.0, 1, 1.0, np.array([0.5, math.pi]))
         with pytest.raises(ValueError, match="1-D"):
             riesz_kernel(1.0, 1, 1.0, np.full((2, 2), 0.5))
+
+
+#: a coarse resolution: thread-count independence does not depend on it
+_COARSE = KernelConfig(t_level=3, r_level=3)
+
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@pytest.fixture(scope="module")
+def operator_batch():
+    """The phi nodes of one TruncationOperator build, as its single kernel call receives them."""
+    calls = []
+
+    def recording(lam, k, theta, phi, *, config=None):
+        calls.append((theta, phi))
+        return np.zeros(np.size(phi))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transforms, "riesz_kernel", recording)
+        TruncationOperator(1.0, 2, 1.2, TruncationSchedule.geometric().epsilons)
+    assert len(calls) == 1
+    return calls[0]
+
+
+class TestParallelKernel:
+    @pytest.mark.parametrize(
+        "raw, size, expected",
+        [
+            ("100000", 10**6, _CORES),
+            ("100000", 1, 1),
+            ("0", 10**6, 1),
+            ("-3", 10**6, 1),
+            ("abc", 10**6, 1),
+            ("1.5", 10**6, 1),
+            (None, 10**6, _CORES),
+            (None, 1, 1),
+            (None, 0, 1),
+        ],
+    )
+    def test_thread_count_is_read_per_call_and_clamped(self, monkeypatch, raw, size, expected):
+        if raw is None:
+            monkeypatch.delenv("ULTRA_RIESZ_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ULTRA_RIESZ_THREADS", raw)
+        assert _thread_count(size) == expected
+
+    @pytest.mark.parametrize("lam", [0.3, 2.45])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_operator_batch_independent_of_thread_count(self, monkeypatch, operator_batch, lam, k):
+        theta, phis = operator_batch
+        results = []
+        for threads in ("1", "2", None):
+            if threads is None:
+                monkeypatch.delenv("ULTRA_RIESZ_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("ULTRA_RIESZ_THREADS", threads)
+            results.append(riesz_kernel(lam, k, theta, phis, config=_COARSE))
+        assert results[0].shape == phis.shape
+        assert np.array_equal(results[0], results[1]) and np.array_equal(results[0], results[2])
+
+    def test_concurrent_callers_get_the_serial_values(self, monkeypatch, operator_batch):
+        theta, phis = operator_batch
+        phis = phis[::4]
+        monkeypatch.setenv("ULTRA_RIESZ_THREADS", "1")
+        serial = riesz_kernel(0.8, 3, theta, phis, config=_COARSE)
+        monkeypatch.setenv("ULTRA_RIESZ_THREADS", "2")
+        results: dict[int, np.ndarray] = {}
+
+        def call(slot):
+            results[slot] = riesz_kernel(0.8, 3, theta, phis, config=_COARSE)
+
+        # four callers of two threads each: more threads than cores, switching often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(slot,)) for slot in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert sorted(results) == [0, 1, 2, 3]
+        for values in results.values():
+            assert np.array_equal(values, serial)
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        if _CORES < 2:
+            pytest.skip("one core: the batch runs on the calling thread alone")
+        layout_poly = kernels._layout_poly
+
+        def failing_off_the_calling_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return layout_poly(*args)
+
+        monkeypatch.setenv("ULTRA_RIESZ_THREADS", "2")
+        monkeypatch.setattr(kernels, "_layout_poly", failing_off_the_calling_thread)
+        before = threading.active_count()
+        phis = np.array([0.4, 0.6, 1.8, 2.0])
+        with pytest.raises(RuntimeError, match="worker failed"):
+            riesz_kernel(1.0, 2, 1.2, phis, config=_COARSE)
+        assert threading.active_count() == before
+
+    def test_non_finite_values_raise_once_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="not finite"):
+                riesz_kernel(1e300, 1, 1.2, np.array([0.5, 1.0, 2.0, 2.5]), config=_COARSE)
 
 
 class TestCircleKernels:

@@ -218,6 +218,26 @@ class TestTruncated:
         gamma = kernel_constants(k).gamma_k
         assert value + gamma * f(theta) == pytest.approx(spectral, abs=2e-3)
 
+    def test_one_kernel_call_per_build(self, monkeypatch):
+        calls = []
+        riesz_kernel = transforms.riesz_kernel
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return riesz_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(transforms, "riesz_kernel", counting)
+        operator = TruncationOperator(1.0, 2, 1.0, TruncationSchedule.geometric().epsilons)
+        assert len(calls) == 1
+        f = band_limited(SpectralCoefficients(1.0, [0.0, 0.3, 1.0, 0.0, 0.5]))
+        # recorded from the build that made one kernel call per panel
+        expected = [
+            0.5573262175454625, 0.5573494358698261, 0.5565472772160065,
+            0.5559511285790726, 0.5556054224959432, 0.555420808679584,
+            0.5553255802887075, 0.5552772380808223, 0.5552528852697491,
+        ]
+        assert np.array_equal(operator.truncated_values(f), expected)
+
     def test_epsilon_guard(self):
         for smallest in (1e-5, 5e-6):
             radii = [1e-3, 1e-4, smallest]
