@@ -8,8 +8,8 @@ with a fixed tanh-sinh rule (it carries the (sin t)**(2*lambda-1) endpoint
 singularity), the r integral with tanh-sinh after splitting at
 r = 1 - min(|theta - phi|, 1/2) to resolve the near-diagonal concentration.
 The sum over s is taken in Horner form in q = r / D, and one call
-evaluates a whole array of phi, split into contiguous chunks that run on up
-to ULTRA_RIESZ_THREADS threads (default: the cores available).  Every phi is
+evaluates a whole array of phi, shared out one phi at a time among up to
+ULTRA_RIESZ_THREADS threads (default: the cores available).  Every phi is
 computed alone from grids that are deterministic functions of the
 configuration, so kernel values are reproducible bit for bit, whatever the
 thread count.
@@ -254,9 +254,9 @@ def kernel_partial(
     ``phi`` may be a scalar (returns a float) or a 1-D array (returns an
     array of the same length); every entry must clear the diagonal guard.
     The t-rule, the r-rule for |theta - phi| >= 1/2 and the expansion
-    coefficients are built once per call.  The entries of ``phi`` are split
-    into contiguous chunks, one per thread (see _thread_count), each with its
-    own (r, t) work buffers; a value that is not finite raises
+    coefficients are built once per call.  The entries of ``phi`` are shared
+    out one at a time among the threads (see _thread_count and _run_shared),
+    each with its own (r, t) work buffers; a value that is not finite raises
     EvaluationError.
     """
     lam = validate_lambda(lam)
@@ -285,12 +285,13 @@ def kernel_partial(
     rows = max((r.size for r, _ in rules.values()), default=0)
     values = np.empty(phis.size)
 
-    def evaluate(lo: int, hi: int, d_buf: np.ndarray, pow_buf: np.ndarray, q_buf: np.ndarray) -> None:
-        """values[lo:hi], computed in this chunk's own (r, t) buffers."""
+    def evaluate(claim, d_buf: np.ndarray, pow_buf: np.ndarray, q_buf: np.ndarray) -> None:
+        """values[index] for every index claim() hands out, computed in this
+        thread's own (r, t) buffers."""
         # an extreme lambda overflows here; the finiteness check below
         # reports it once.  errstate is per thread, so it is set in each.
         with np.errstate(over="ignore", invalid="ignore"):
-            for index in range(lo, hi):
+            for index in iter(claim, None):
                 p = phis[index]
                 w = theta - p
                 sigma = sin_theta * math.sin(p)
@@ -319,15 +320,11 @@ def kernel_partial(
                     power *= horner
                 values[index] = prefactor * float(r_fac @ power @ t_fac)
 
-    threads = _thread_count(phis.size)
-    bounds = [phis.size * i // threads for i in range(threads + 1)]
-    # one set of buffers per chunk, allocated on the calling thread: the
+    # one set of buffers per thread, allocated on the calling thread: the
     # workers allocate only row- and column-sized temporaries
     shape = (rows, t_nodes.size)
-    _run_chunks(
-        evaluate,
-        [(bounds[i], bounds[i + 1], np.empty(shape), np.empty(shape), np.empty(shape)) for i in range(threads)],
-    )
+    buffers = [(np.empty(shape), np.empty(shape), np.empty(shape)) for _ in range(_thread_count(phis.size))]
+    _run_shared(evaluate, phis.size, buffers)
     if not np.all(np.isfinite(values)):
         bad = int(np.argmin(np.isfinite(values)))
         raise EvaluationError(
@@ -337,23 +334,32 @@ def kernel_partial(
     return float(values[0]) if np.ndim(phi) == 0 else values
 
 
-def _run_chunks(evaluate, chunks: list[tuple]) -> None:
-    """evaluate(*chunk) for every chunk at once: the calling thread takes the
-    first, one worker thread each of the rest.  Waits for every worker, then
-    raises the first exception any of them raised."""
+def _run_shared(evaluate, size: int, buffers: list[tuple]) -> None:
+    """evaluate(claim, *buffers[i]) on len(buffers) threads at once: the
+    calling thread and one worker each for the rest.  claim() hands out
+    0, 1, ..., size - 1, each index once, then None; a thread claims its
+    next index when it finishes the last, so a thread slowed by other load
+    on its core takes fewer and none waits on a fixed share.  Waits for
+    every worker, then raises the first exception any of them raised."""
+    indices = iter(range(size))
+    lock = threading.Lock()
     errors: list[Exception] = []
 
-    def work(*chunk) -> None:
+    def claim() -> int | None:
+        with lock:
+            return next(indices, None)
+
+    def work(*own) -> None:
         try:
-            evaluate(*chunk)
+            evaluate(claim, *own)
         except Exception as exc:  # handed to the calling thread below
             errors.append(exc)
 
-    workers = [threading.Thread(target=work, args=chunk) for chunk in chunks[1:]]
+    workers = [threading.Thread(target=work, args=own) for own in buffers[1:]]
     for worker in workers:
         worker.start()
     try:
-        evaluate(*chunks[0])
+        evaluate(claim, *buffers[0])
     finally:
         for worker in workers:
             worker.join()

@@ -319,10 +319,15 @@ class TestParallelKernel:
         if _CORES < 2:
             pytest.skip("one core: the batch runs on the calling thread alone")
         layout_poly = kernels._layout_poly
+        failed = threading.Event()
 
         def failing_off_the_calling_thread(*args):
             if threading.current_thread() is not threading.main_thread():
+                failed.set()
                 raise RuntimeError("worker failed")
+            # hold the calling thread on its first phi until the worker has
+            # claimed one, so that the worker cannot find the batch drained
+            failed.wait(timeout=60)
             return layout_poly(*args)
 
         monkeypatch.setenv("ULTRA_RIESZ_THREADS", "2")
@@ -332,6 +337,43 @@ class TestParallelKernel:
         with pytest.raises(RuntimeError, match="worker failed"):
             riesz_kernel(1.0, 2, 1.2, phis, config=_COARSE)
         assert threading.active_count() == before
+
+    def test_a_stalled_thread_leaves_its_share_to_the_others(self):
+        claimed: dict[str, list[int]] = {"caller": [], "worker": []}
+        caller_busy, drained = threading.Event(), threading.Event()
+
+        def evaluate(claim, name):
+            if name == "worker":
+                caller_busy.wait(timeout=60)
+            for index in iter(claim, None):
+                claimed[name].append(index)
+                if name == "caller":
+                    # the calling thread stalls on its first index
+                    caller_busy.set()
+                    drained.wait(timeout=60)
+            if name == "worker":
+                drained.set()
+
+        kernels._run_shared(evaluate, 50, [("caller",), ("worker",)])
+        assert len(claimed["caller"]) == 1
+        assert sorted(claimed["caller"] + claimed["worker"]) == list(range(50))
+
+    def test_every_index_is_claimed_exactly_once_under_contention(self):
+        # eight threads on at most a few cores, switching often: a claim
+        # lost or handed out twice would break the tally
+        claimed: list[list[int]] = [[] for _ in range(8)]
+
+        def evaluate(claim, mine):
+            for index in iter(claim, None):
+                mine.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            kernels._run_shared(evaluate, 20000, [(mine,) for mine in claimed])
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(index for mine in claimed for index in mine) == list(range(20000))
 
     def test_non_finite_values_raise_once_without_warnings(self):
         with warnings.catch_warnings():
