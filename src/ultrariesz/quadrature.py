@@ -280,7 +280,14 @@ def tanh_sinh_segment(lo: float, hi: float, level: int) -> tuple[np.ndarray, np.
     """
     if hi <= lo:
         raise ValueError(f"invalid segment ({lo}, {hi})")
-    side, dist, weight = _ts_nodes(level)
+    return _segment(lo, hi, *_ts_nodes(level))
+
+
+def _segment(
+    lo: float, hi: float, side: np.ndarray, dist: np.ndarray, weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """tanh_sinh_segment's arithmetic on a table from _ts_nodes: callers that
+    map one level onto many segments fetch the table once."""
     x = _map_nodes(lo, hi, side, dist)
     keep = (x > lo) & (x < hi)
     return x[keep], 0.5 * (hi - lo) * weight[keep]

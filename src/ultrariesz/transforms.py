@@ -70,10 +70,13 @@ class SpectralCoefficients:
 _FIT_WINDOW = 7
 
 #: tanh-sinh level of the phi panels that reach 0 or pi
-_PHI_LEVEL = 5
+_PHI_LEVEL = 4
 
-#: Gauss-Legendre points per band between consecutive radii
-_BAND_POINTS = 24
+#: Gauss-Legendre points of a band between consecutive radii: the fewest n
+#: whose Bernstein-ellipse bound rho**(-2n) is at most _BAND_ERROR, and at
+#: most _MAX_BAND_POINTS
+_BAND_ERROR = 1e-18
+_MAX_BAND_POINTS = 24
 
 #: the fit reads only the smallest radii and every band costs kernel calls,
 #: so a longer schedule only adds work
@@ -113,7 +116,10 @@ class TruncationSchedule:
         # checked before the radii are allocated
         if count > _MAX_RADII:
             raise ValueError(f"a schedule holds at most {_MAX_RADII} radii, got {count}")
-        return cls(start * ratio ** np.arange(count))
+        # an infinite start times an underflowed power is NaN, which the
+        # radius checks refuse; the product itself need not warn
+        with np.errstate(invalid="ignore"):
+            return cls(start * ratio ** np.arange(count))
 
 
 def analyze(f: Callable, lam: float, n_max: int, rule: QuadratureRule) -> SpectralCoefficients:
@@ -131,7 +137,11 @@ def analyze(f: Callable, lam: float, n_max: int, rule: QuadratureRule) -> Spectr
 def _norms(lam: float, n_max: int) -> np.ndarray:
     """L2(dm_lambda) norms of P_0, ..., P_{n_max}: the divisors that make
     the eigenfunctions normalized."""
-    return np.array([math.sqrt(norm_sq(n, lam)) for n in range(n_max + 1)])
+    norms = np.array([math.sqrt(norm_sq(n, lam)) for n in range(n_max + 1)])
+    # norm_sq(n, lam) ~ lam**2 for n >= 1 underflows to 0 for lam below ~1e-154
+    if not np.all(norms > 0.0):
+        raise OverflowError(f"eigenfunction norms underflow to 0 at lambda {lam}")
+    return norms
 
 
 def synthesize(c: SpectralCoefficients, theta: float, derivative_order: int = 0) -> float:
@@ -225,16 +235,36 @@ def riesz_spectral(
     return synthesize(fractional_power(c, 0.5 * k), theta, derivative_order=k)
 
 
+def _band_points(lo: float, hi: float, theta: float) -> int:
+    """Gauss-Legendre points for the operator's band (lo, hi) at theta.
+
+    The kernel times (sin phi)**(2 lam) is analytic off theta, 0 and pi, so
+    the rule's error falls like rho**(-2n), where rho sums the semi-axes of
+    the largest Bernstein ellipse of (lo, hi) that excludes the nearest of
+    the three (Trefethen, SIAM Rev. 2008)."""
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    a = max(1.0, min(abs(point - center) for point in (theta, 0.0, math.pi)) / half)
+    per_point = 2.0 * math.log(a + math.sqrt(a * a - 1.0))
+    needed = -math.log(_BAND_ERROR)
+    if per_point * _MAX_BAND_POINTS <= needed:
+        return _MAX_BAND_POINTS
+    return math.ceil(needed / per_point)
+
+
 class TruncationOperator:
     """Truncated Riesz integrals at fixed (lambda, k, theta) for a decreasing
     radius schedule.
 
     The complement of the largest excluded band is integrated once with
-    tanh-sinh panels; each schedule step then adds the two thin bands between
-    consecutive radii with Gauss-Legendre panels (the kernel is analytic
-    there).  Kernel values are computed once, at the resolution ``config``,
-    and reused for every function the operator is applied to.  ``epsilons``
-    must form a TruncationSchedule.
+    level-4 tanh-sinh panels; each schedule step then adds the two thin bands
+    between consecutive radii with Gauss-Legendre panels (the kernel is
+    analytic there).  Each band gets the fewest points whose Bernstein-ellipse
+    bound, set by its distance to the nearest of theta, 0 and pi, is below
+    1e-18, and at most 24 (see _band_points): 12 at ratio 1/2 away from 0
+    and pi, so the default operator holds ~420 phi.  Kernel values are computed once,
+    in one kernel call at the resolution ``config``, and reused for every
+    function the operator is applied to.  ``epsilons`` must form a
+    TruncationSchedule.
     """
 
     def __init__(
@@ -270,7 +300,7 @@ class TruncationOperator:
             if endpoint:
                 nodes, weights = tanh_sinh_segment(lo, hi, _PHI_LEVEL)
             else:
-                nodes, weights = gauss_legendre_segment(lo, hi, _BAND_POINTS)
+                nodes, weights = gauss_legendre_segment(lo, hi, _band_points(lo, hi, theta))
             # nodes that round onto 0 or pi carry negligible weight and a
             # vanishing (sin phi)**(2 lam) factor; drop them
             keep = (nodes > 0.0) & (nodes < math.pi)

@@ -6,7 +6,9 @@ and takes a few minutes; everything else runs in seconds.
 """
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,12 +62,24 @@ FAMILY = {
 }
 
 
+#: criterion 1's PV values as recorded: a change that means to keep the
+#: numbers keeps every one within 1e-12 (1 + |value|) of these
+RECORDED = Path(__file__).parent / "data" / "criterion1.json"
+
+
 def test_criterion_1_pv_spectral_identity():
     """The defining identity between the two Riesz routes, full sweep."""
     schedule = TruncationSchedule.geometric()
+    recorded = {
+        (lam, k, theta, name): value
+        for lam, k, theta, name, value in json.loads(RECORDED.read_text())["values"]
+    }
     worst = 0.0
     worst_case = None
     jump_failures = []
+    drift = 0.0
+    drift_case = None
+    seen = set()
     for lam in LAMBDAS:
         rule = build_rule(lam, 64)
         for k in ORDERS:
@@ -80,6 +94,11 @@ def test_criterion_1_pv_spectral_identity():
                     rel = abs(result.value - spectral) / (1.0 + abs(spectral))
                     if rel > worst:
                         worst, worst_case = rel, (lam, k, theta, name)
+                    key = (lam, k, theta, name)
+                    seen.add(key)
+                    moved = abs(result.value - recorded[key]) / (1.0 + abs(recorded[key]))
+                    if moved >= drift:
+                        drift, drift_case = moved, key
                     if k % 2 == 0:
                         # dropping gamma_k must break the identity by |f(theta)|
                         miss = abs(result.extrapolated - spectral)
@@ -87,9 +106,11 @@ def test_criterion_1_pv_spectral_identity():
                             jump_failures.append((lam, k, theta, name))
     report(
         1,
-        worst <= 1e-3 and not jump_failures,
+        worst <= 1e-3 and not jump_failures and drift <= 1e-12 and seen == set(recorded),
         f"max |pv - spectral| / (1 + |spectral|) = {worst:.3e} at {worst_case} "
-        f"(tolerance 1e-3); jump-constant sanity failures: {len(jump_failures)}",
+        f"(tolerance 1e-3); jump-constant sanity failures: {len(jump_failures)}; "
+        f"max |pv - recorded| / (1 + |recorded|) = {drift:.1e} at {drift_case} "
+        f"over {len(seen)} of {len(recorded)} recorded values (tolerance 1e-12)",
     )
 
 

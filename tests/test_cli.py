@@ -9,7 +9,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ultrariesz
@@ -125,6 +125,10 @@ class TestSubcommands:
             ("riesz-pv", "--lambda", "1e300"),
             ("compare", "--lambda", "1e300"),
             ("kernel", "--lambda", "200"),
+            # the eigenfunction norms underflow to 0
+            ("riesz-pv", "--lambda", "5.6e-188", "--eps-count", "3"),
+            # an infinite start times an underflowed ratio power is NaN
+            ("riesz-pv", "--eps-start=inf", "--eps-ratio=1e-200", "--eps-count", "4"),
         ],
     )
     def test_float_range_errors_print_one_line_under_warnings_as_errors(self, argv):
@@ -353,6 +357,25 @@ def _run_flags(draw):
     return values
 
 
+#: lambdas at and past the edges of the float range, where the kernel's
+#: grid overflows or the config is refused
+_EXTREME_LAMBDAS = st.sampled_from([1e300, 1e3, 200.0, 185.0, 5e-324, 0.0, -1.0, math.inf, -math.inf, math.nan])
+
+
+def _assert_contract(argv):
+    """main(argv) exits 0, 1 or 2 under warnings as errors; exit 2 prints
+    one config error line and nothing else."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("config error:") and err.getvalue().count("\n") == 1
+
+
 class TestExitCodeContract:
     @settings(max_examples=150, deadline=None)
     @given(_run_flags())
@@ -405,3 +428,29 @@ class TestExitCodeContract:
                 warnings.simplefilter("error")
                 code = main(argv)
         assert code in (0, 1, 2)
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(st.floats(1e-3, 1e3), _EXTREME_LAMBDAS, _ANY_FLOAT), st.integers(-1, 14))
+    @example(1e300, 1)
+    @example(200.0, 3)
+    @example(math.nan, 2)
+    def test_kernel_exits_0_1_or_2_without_warnings(self, lam, k):
+        _assert_contract(["kernel", f"--lambda={lam!r}", f"--k={k}"])
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.one_of(st.floats(1e-3, 1e3), _EXTREME_LAMBDAS, _ANY_FLOAT),
+        st.integers(-1, 5),
+        st.one_of(st.floats(1e-2, 3.13), _ANY_FLOAT),
+        st.integers(3, 4),
+    )
+    @example(1e300, 1, 0.7, 3)
+    @example(185.0, 2, 3.1, 3)
+    @example(math.inf, 1, 1.2, 3)
+    @example(1.0, 13, 1.2, 3)
+    def test_riesz_pv_exits_0_1_or_2_without_warnings(self, lam, k, theta, count):
+        # the operator's smallest schedule keeps each example cheap
+        _assert_contract(
+            ["riesz-pv", f"--lambda={lam!r}", f"--k={k}", f"--theta={theta!r}", f"--eps-count={count}"]
+        )
+

@@ -219,6 +219,75 @@ class TestRieszKernel:
         for lam, k, theta, phi, expected in reference:
             assert riesz_kernel(lam, k, theta, phi) == pytest.approx(expected, rel=1e-11, abs=0.0)
 
+    def test_operator_node_values(self):
+        # recorded with whole (r, t) grids, before each phi's grid was
+        # trimmed to the cells that carry mass.  Besides 2e-5 off the
+        # diagonal on either side, the phi are nodes of the theta = 1.2
+        # operator of the default schedule as it was built then (24 points
+        # per band): three band nodes, three far nodes, and two each near 0
+        # and near pi
+        theta = 1.2
+        phis = np.array([
+            1.19998, 1.2000199999999999, 1.200201340375781,
+            1.1900277535391448, 1.23988898584342, 1.1393365253394676,
+            0.4908096590329119, 2.2884123778056136, 0.0008888299585738009,
+            1.1572160658991341e-08, 3.1407085198314006, 3.1415926430684378,
+        ])
+        recorded = {
+            (0.3, 1): [
+                -16602.501830462297, 16601.440617550874, 1648.7036739357702,
+                -33.58945007882067, 8.097323283469098, -5.707523865598425,
+                -0.7046784415765862, 0.28679859023457166, -0.5909922816392994,
+                -0.5909919710429982, 0.22026900010843256, 0.2202689439215337,
+            ],
+            (0.3, 2): [
+                0.6168893142062128, 0.3735600208742858, 0.3735476528169173,
+                0.6164469844726833, 0.37161651928784517, 0.6142798138054159,
+                0.5956995473005189, 0.33961963685539004, 0.5916577332653816,
+                0.5916577201190668, 0.33263463878756044, 0.33263463147452454,
+            ],
+            (0.3, 3): [
+                16603.162361402417, -16600.779925007682, -1648.221404511418,
+                33.75363256430613, -7.978811503762476, 5.683536773302964,
+                0.2821990619067571, -0.1080039554881594, 0.11834298125463145,
+                0.11834251581300645, -0.019938239969912872, -0.01993816222345657,
+            ],
+            (0.3, 4): [
+                -1.0522925803522312, -0.5656480518325766, -0.565590475239805,
+                -1.0405540309569032, -0.5462551002567175, -0.9824868680547134,
+                -0.48806891293344556, -0.2309721653903535, -0.3813625630500093,
+                -0.3813622164919528, -0.16359450181996668, -0.16359443158306158,
+            ],
+            (2.45, 1): [
+                -22474.175803585418, 22464.7733800452, 2228.275403719112,
+                -47.08656601381439, 9.764494496114251, -8.615236299584971,
+                -0.9567187480207814, 0.0951588233578648, -0.7484091650160286,
+                -0.7484085931472784, 0.05452873413257176, 0.05452870330236807,
+            ],
+            (2.45, 2): [
+                3.797033638571693, 1.1075691447450386, 1.1076338288833931,
+                3.7461099029009013, 0.9890522000006219, 3.5018449065452044,
+                1.9739434796424635, 0.16260791847450734, 1.7442495639452373,
+                1.7442488629806447, 0.11105330335159794, 0.11105325919277226,
+            ],
+            (2.45, 3): [
+                22480.939130734816, -22458.01638628718, -2223.482415131205,
+                48.280811069841825, -8.835186507568883, 7.67546414796446,
+                -2.236086202638253, 0.14967332001463257, -2.400309228343029,
+                -2.40030956247695, 0.13486906295197237, 0.1348690416113663,
+            ],
+            (2.45, 4): [
+                -7.293185572292321, -1.9146030151669207, -1.902317452672705,
+                -6.99150246439664, -1.6008979330179083, -5.640446486295127,
+                1.5024622373667442, 0.08448070619827731, 2.3047926100150855,
+                2.304794908341411, 0.125093748664147, 0.12509377270325242,
+            ],
+        }
+        for (lam, k), expected in recorded.items():
+            values = riesz_kernel(lam, k, theta, phis)
+            scale = max(abs(v) for v in expected)
+            np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12 * scale, err_msg=f"{lam}, {k}")
+
     def test_array_guards_check_every_entry(self):
         with pytest.raises(ValueError, match="diagonal"):
             riesz_kernel(1.0, 1, 1.0, np.array([0.5, 1.0]))

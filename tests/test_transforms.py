@@ -230,13 +230,69 @@ class TestTruncated:
         operator = TruncationOperator(1.0, 2, 1.0, TruncationSchedule.geometric().epsilons)
         assert len(calls) == 1
         f = band_limited(SpectralCoefficients(1.0, [0.0, 0.3, 1.0, 0.0, 0.5]))
-        # recorded from the build that made one kernel call per panel
+        # recorded from the build with geometry-sized phi panels and trimmed
+        # (r, t) grids
         expected = [
+            0.5573262175454624, 0.557349435869826, 0.5565472772160064,
+            0.5559511285790725, 0.5556054224959432, 0.555420808679584,
+            0.5553255802887074, 0.5552772380808225, 0.5552528852697496,
+        ]
+        values = operator.truncated_values(f)
+        assert np.array_equal(values, expected)
+        # recorded from the build that made one kernel call per panel, with
+        # 24 points per band, level-5 end panels and whole (r, t) grids
+        untrimmed = [
             0.5573262175454625, 0.5573494358698261, 0.5565472772160065,
             0.5559511285790726, 0.5556054224959432, 0.555420808679584,
             0.5553255802887075, 0.5552772380808223, 0.5552528852697491,
         ]
-        assert np.array_equal(operator.truncated_values(f), expected)
+        np.testing.assert_allclose(values, untrimmed, rtol=0.0, atol=1e-13)
+
+    def test_default_bands_get_12_points(self, monkeypatch):
+        counts = []
+        segment = transforms.gauss_legendre_segment
+
+        def recording(lo, hi, n):
+            counts.append(n)
+            return segment(lo, hi, n)
+
+        monkeypatch.setattr(transforms, "riesz_kernel", lambda lam, k, theta, phi, *, config=None: np.zeros(np.size(phi)))
+        monkeypatch.setattr(transforms, "gauss_legendre_segment", recording)
+        for theta in (0.7, math.pi / 2, 2.2):
+            TruncationOperator(1.0, 2, theta, TruncationSchedule.geometric().epsilons)
+        # at ratio 1/2 every band sees theta at rho = 3 + sqrt(8), and
+        # rho**-24 ~ 4.6e-19 is the first power below 1e-18
+        assert counts == [12] * 48
+        assert transforms._band_points(1.0, 1.1, 1.2) == 12
+
+    def test_band_points_never_exceed_24(self):
+        rng = np.random.default_rng(8)
+        counts = []
+        for _ in range(2000):
+            theta = float(rng.uniform(1e-3, math.pi - 1e-3))
+            hi = theta - float(rng.uniform(1e-5, theta)) * float(rng.uniform(0.0, 1.0))
+            lo = hi * float(rng.uniform(0.0, 1.0))
+            if 0.0 < lo < hi < theta:
+                counts.append(transforms._band_points(lo, hi, theta))
+                counts.append(transforms._band_points(math.pi - hi, math.pi - lo, math.pi - theta))
+        # a band reaching up to a singular point gets the cap, a thin band
+        # far from all three gets a single point
+        counts.append(transforms._band_points(5e-324, 1.0, 1.0 + 1e-5))
+        counts.append(transforms._band_points(1.0, 1.0 + 1e-12, 2.0))
+        assert min(counts) == 1 and max(counts) == 24
+        assert counts[-2:] == [24, 1]
+
+    @pytest.mark.parametrize("theta", [0.06, 1.2, math.pi / 2, math.pi - 0.06])
+    def test_default_operator_holds_at_most_430_phi(self, monkeypatch, theta):
+        sizes = []
+
+        def recording(lam, k, theta, phi, *, config=None):
+            sizes.append(np.size(phi))
+            return np.zeros(np.size(phi))
+
+        monkeypatch.setattr(transforms, "riesz_kernel", recording)
+        TruncationOperator(1.0, 2, theta, TruncationSchedule.geometric().epsilons)
+        assert len(sizes) == 1 and sizes[0] <= 430
 
     def test_epsilon_guard(self):
         for smallest in (1e-5, 5e-6):
