@@ -3,28 +3,19 @@ kernels they localize to, and the constants of the principal-value identity.
 
 The Riesz kernel of order k is assembled from the derivative expansion of
 the Poisson kernel: each admissible index (s, i, j) contributes a 2-D
-integral over (r, t) in (0,1) x (0,pi).  The t integral is done innermost
-with a fixed tanh-sinh rule (it carries the (sin t)**(2*lambda-1) endpoint
-singularity), the r integral with tanh-sinh after splitting at
-r = 1 - min(|theta - phi|, 1/2) to resolve the near-diagonal concentration.
-Each phi's (r, t) grid is trimmed before it is summed: a cancellation-free
-bound of every cell on the sub-grid of every 4th r and t node marks the
-cells that carry at least 1e-20 of the bound's total, and only the rows and
-columns within one coarse step of a marked cell are evaluated (37-77% of
-the cells, median 62%, over the operators of the acceptance sweep).  The sum over s is taken in
-Horner form in q = r / D, and one call evaluates a whole array of phi,
-shared out one phi at a time among up to ULTRA_RIESZ_THREADS threads
-(default: the cores available).  Every phi, its trim included, is computed
-alone from grids that are deterministic functions of the configuration and
-of that phi, so kernel values are reproducible bit for bit, whatever the
-thread count.
+integral over (r, t) in (0,1) x (0,pi), discretized with a fixed tanh-sinh
+rule in t (it carries the (sin t)**(2*lambda-1) endpoint singularity) and
+one in r split at r = 1 - min(|theta - phi|, 1/2) to resolve the
+near-diagonal concentration.  The t-sum depends on phi only through one
+variable z, so it is tabulated once per (lambda, order, t-level, guard) as
+Chebyshev-point values on panels in log(1 + 2 z), and each phi sums over
+its r-nodes alone (see kernel_partial).  One call evaluates a whole array
+of phi, each computed alone, so kernel values are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
@@ -170,7 +161,10 @@ def poisson_kernel(lam: float, r: float, theta: float, phi: float | np.ndarray) 
     def integrand(t, rows):
         one_minus_cos = 2.0 * np.sin(0.5 * t) ** 2
         d = delta_r[rows, None] + cross[rows, None] * one_minus_cos
-        return np.sin(t) ** exponent * d ** -(lam + 1.0)
+        # an extreme lambda overflows here; the rule's finiteness check
+        # reports it once, as EvaluationError
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.sin(t) ** exponent * d ** -(lam + 1.0)
 
     integrals = _tanh_sinh_rows(integrand, 0.0, math.pi, phis.size, 1e-10, 1e-12)
     values = lam / math.pi * (1.0 - r * r) * integrals
@@ -195,12 +189,15 @@ def _term_layout(ell: int, lam: float):
 #: every phi with |theta - phi| >= _FAR_SPLIT shares the r-rule split at 1 - _FAR_SPLIT
 _FAR_SPLIT = 0.5
 
-#: the trim's coarse grid takes every _TRIM_STEP-th r and t node of a phi's grid
-_TRIM_STEP = 4
+#: the t-table is piecewise polynomial in v = log(1 + 2 z), on panels of
+#: this width; see _panel_nodes for the nodes per panel
+_PANEL_WIDTH = 0.5
 
-#: the trim keeps the rows and columns within one coarse step of a coarse
-#: cell whose magnitude is at least _TRIM_MASS times the coarse total
-_TRIM_MASS = 1e-20
+#: target of a panel's interpolation error, relative to the panel's values
+_PANEL_ERROR = 1e-17
+
+#: z-nodes of the (z, t) grid summed at once while a table is built
+_TABLE_CHUNK = 64
 
 
 def _r_rule(lam: float, k: int, split: float, table: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -213,14 +210,6 @@ def _r_rule(lam: float, k: int, split: float, table: tuple) -> tuple[np.ndarray,
     r_weights = np.concatenate([w_lo, w_hi])
     log_inv_r = -np.log(r)
     return r, r ** (lam - 1.0) * log_inv_r ** (k - 1) * (1.0 - r * r) * r_weights
-
-
-def _near(flagged: np.ndarray, size: int) -> np.ndarray:
-    """Mask of the fine indices 0..size-1 within one coarse step of a
-    flagged coarse index; coarse index c is fine index c * _TRIM_STEP."""
-    marks = np.zeros(size)
-    marks[::_TRIM_STEP] = flagged
-    return np.convolve(marks, np.ones(2 * _TRIM_STEP + 1), "same") > 0.0
 
 
 def _phi_array(phi) -> np.ndarray:
@@ -250,16 +239,99 @@ def _validate_phis(theta: float, phi, min_separation: float) -> np.ndarray:
     return phis
 
 
-def _thread_count(size: int) -> int:
-    """Threads for a batch of ``size`` phi: ULTRA_RIESZ_THREADS, read on each
-    call (unset: the cores available; not an integer or below 1: 1), at
-    most the cores available and at most ``size``."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    try:
-        wanted = int(os.environ.get("ULTRA_RIESZ_THREADS", cores))
-    except ValueError:
-        wanted = 1
-    return max(1, min(wanted, cores, size))
+def _pairs(ell: int) -> list[tuple[int, int]]:
+    """(s, m) of every table column: each s of the order-ell layout, then
+    m = 0..s (the layout's s are 0 alone for ell = 0, else 1..ell)."""
+    return [(0, 0)] if ell == 0 else [(s, m) for s in range(1, ell + 1) for m in range(s + 1)]
+
+
+def _panel_nodes(ell: int) -> int:
+    """Interpolation nodes per panel for the order-ell table.
+
+    A column is exp(-m v) times a function analytic on the strip
+    |Im v| < pi, m <= ell.  On a panel of half-width h/2 the second factor's
+    Chebyshev coefficients fall like rho**-n, rho = (pi + sqrt(pi**2 +
+    h**2/4)) / (h/2) ~ 25 at h = 1/2 (Trefethen, Approximation Theory and
+    Approximation Practice, SIAM 2013, ch. 8), and the first's like
+    I_n(m h/2) ~ (m h/4)**n / n!; n is the first count at which both are
+    below _PANEL_ERROR: 13 for ell <= 2, 16 for ell = 4, 22 for ell = 12."""
+    half = 0.5 * _PANEL_WIDTH
+    rho = (math.pi + math.hypot(math.pi, half)) / half
+    n = 1
+    while rho**-n > _PANEL_ERROR or (0.5 * ell * half) ** n / math.factorial(n) > _PANEL_ERROR:
+        n += 1
+    return n
+
+
+# keyed by (lambda, ell, t_level, min_separation); an order-4 table at the
+# default guard is ~90 KiB and an order-12 one ~0.8 MiB, and the bound keeps
+# a caller drawing a fresh lambda per call from growing the cache
+@lru_cache(maxsize=32)
+def _t_table(lam: float, ell: int, t_level: int, min_separation: float) -> np.ndarray:
+    """Values, shape (pairs, _panel_nodes(ell), panels), of
+    (1 + 2 z)**lam Phi_{m,s}(z) at the first-kind Chebyshev points of each
+    v-panel, where
+
+        Phi_{m,s}(z) = sum_t w_t (sin t)**(2 lam - 1) u_t**m (1 + z u_t)**-(lam + 1 + s),
+
+    u = 1 - cos t, summed over the level-``t_level`` tanh-sinh rule on
+    (0, pi), for the (s, m) of _pairs(ell).  The panels reach
+    v = log(1 + 1/sin(g/2)**2), g = min_separation: past every
+    2 z = 4 sigma r / Delta_r that a phi off the guard can meet, since
+    Delta_r / r >= 4 sin(w/2)**2 and sigma <= 1."""
+    t_nodes, t_weights = tanh_sinh_segment(0.0, math.pi, t_level)
+    u = 2.0 * np.sin(0.5 * t_nodes) ** 2
+    t_fac = np.sin(t_nodes) ** (2.0 * lam - 1.0) * t_weights
+    pairs = _pairs(ell)
+    u_pow = t_fac[:, None] * u[:, None] ** np.arange(pairs[-1][0] + 1)
+    half_gap = math.sin(0.5 * min(min_separation, math.pi))
+    v_max = math.log1p(half_gap**2) - 2.0 * math.log(half_gap)
+    panels = max(1, math.ceil(v_max / _PANEL_WIDTH))
+    n = _panel_nodes(ell)
+    points = np.cos(math.pi * (np.arange(n) + 0.5) / n)
+    v = ((np.arange(panels)[:, None] + 0.5 * (points + 1.0)) * _PANEL_WIDTH).ravel()
+    z = 0.5 * np.expm1(v)
+    values = np.empty((v.size, len(pairs)))
+    # an extreme lambda overflows here; kernel_partial's finiteness check
+    # reports it once
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        for lo in range(0, v.size, _TABLE_CHUNK):
+            rows = slice(lo, lo + _TABLE_CHUNK)
+            # (1 + 2z)**lam (1 + z u)**-(lam+1+s) as ratio**lam inverse**(1+s):
+            # powers of O(1)-conditioned bases, not exp of a large logarithm
+            inverse = 1.0 / (1.0 + z[rows, None] * u)
+            term = np.power((1.0 + 2.0 * z[rows, None]) * inverse, lam)
+            for s in range(pairs[-1][0] + 1):
+                term *= inverse
+                if (s, 0) in pairs:
+                    col = pairs.index((s, 0))
+                    values[rows, col : col + s + 1] = term @ u_pow[:, : s + 1]
+    table = np.ascontiguousarray(values.T.reshape(len(pairs), panels, n).transpose(0, 2, 1))
+    table.setflags(write=False)
+    return table
+
+
+def _expansion(layout, ell: int, a0, a1, b0, b1) -> np.ndarray:
+    """Coefficients of u**m in P_s(u) = sum over the order-s terms of
+    coefficient * a**i * b**j, with a = a0 + a1 u and b = b0 + b1 u, in the
+    column order of _pairs(ell), for every entry of the 1-D arrays a0 .. b1.
+    Elementwise arithmetic only, so each row is what it would be alone."""
+    top = max(layout)
+    a_pow, b_pow = [np.ones((a0.size, 1))], [np.ones((b0.size, 1))]
+    for powers, c0, c1 in ((a_pow, a0, a1), (b_pow, b0, b1)):
+        for _ in range(top):
+            prev = powers[-1]
+            nxt = np.zeros((prev.shape[0], prev.shape[1] + 1))
+            nxt[:, :-1] += prev * c0[:, None]
+            nxt[:, 1:] += prev * c1[:, None]
+            powers.append(nxt)
+    out = np.zeros((a0.size, len(_pairs(ell))))
+    for s, terms in layout.items():
+        col = _pairs(ell).index((s, 0))
+        for coeff, i, j in terms:
+            for m in range(i + 1):
+                out[:, col + m : col + m + j + 1] += (coeff * a_pow[i][:, m : m + 1]) * b_pow[j]
+    return out
 
 
 def kernel_partial(
@@ -275,20 +347,24 @@ def kernel_partial(
     under the order-k subordination integral.  ell = k gives the Riesz kernel.
 
     ``phi`` may be a scalar (returns a float) or a 1-D array (returns an
-    array of the same length); every entry must clear the diagonal guard.
-    The t-rule, the r-rule for |theta - phi| >= 1/2 and the expansion
-    coefficients are built once per call; a phi nearer theta maps the cached
-    tanh-sinh table onto its own split.  The entries of ``phi`` are shared
-    out one at a time among the threads (see _thread_count and _run_shared),
-    each with its own (r, t) work buffers; a value that is not finite raises
-    EvaluationError.
+    array of the same length); every entry must clear the diagonal guard,
+    and a value that is not finite raises EvaluationError.
 
-    Each phi's grid is trimmed before it is summed.  A cancellation-free
-    magnitude |r_fac| d**-(lam+1) sum_s |P_s| q**s |t_fac| on every
-    _TRIM_STEP-th r and t node finds the coarse cells carrying at least
-    _TRIM_MASS of the coarse total, and only the rows and columns within
-    one coarse step of them are summed.  A coarse total that is not finite
-    keeps the whole grid, so an overflow still reaches the finiteness check.
+    The 2-D (r, t) sum is taken in two stages.  On the grid,
+    D = Delta_r (1 + z u) with z = 2 sigma r / Delta_r and u = 1 - cos t, and
+    P_s(t) is a polynomial in u of degree at most s, so every t-sum is a
+    combination of the one-variable sums Phi_{m,s}(z) that _t_table
+    tabulates once per (lambda, ell, t_level, min_separation).  Each phi then
+    expands its P_s in powers of u (coefficients p_{s,m}) and sums over the
+    r-nodes alone:
+
+        prefactor * sum_r r_fac sum_{s,m} p_{s,m} r**s Delta_r**-(lam+1+s) Phi_{m,s}(z_r),
+
+    with Phi read off the table by barycentric interpolation in
+    v = log(1 + 2 z).  The r-rule for |theta - phi| >= 1/2 is built once per
+    call; a phi nearer theta maps the cached tanh-sinh table onto its own
+    split.  Each phi is computed alone, so a batch gives its entries bit for
+    bit as scalar calls would.
     """
     lam = validate_lambda(lam)
     config = config or DEFAULT_KERNEL_CONFIG
@@ -296,58 +372,65 @@ def kernel_partial(
         raise ValueError(f"order must be a positive integer, got {k}")
     if not 0 <= ell <= k:
         raise ValueError(f"derivative order must lie in [0, {k}], got {ell}")
+    if not config.min_separation > 0.0:
+        raise ValueError(f"min_separation must be positive, got {config.min_separation}")
     theta = _validate_angle("theta", theta)
     phis = _validate_phis(theta, phi, config.min_separation)
 
-    # every rule is built or fetched here, on the calling thread, so that no
-    # public function of the package runs on a worker: the workers do numpy
-    # and the private node mapping only
-    t_nodes, t_weights = tanh_sinh_segment(0.0, math.pi, config.t_level)
-    one_minus_cos_t = 2.0 * np.sin(0.5 * t_nodes) ** 2
-    t_fac = np.sin(t_nodes) ** (2.0 * lam - 1.0) * t_weights
     layout = _term_layout(ell, lam)
+    table = _t_table(lam, ell, config.t_level, config.min_separation)
+    columns, n, panels = table.shape
+    # (s, m) columns -> the s-rows of each phi's folded table
+    orders = sorted(layout)
+    rows_of = np.array([orders.index(s) for s, _ in _pairs(ell)])
+    flat = table.reshape(columns, n * panels)
+    # second-kind barycentric weights of the first-kind Chebyshev points
+    angles = math.pi * (np.arange(n) + 0.5) / n
+    points = np.cos(angles)[:, None]
+    bary = ((-1.0) ** np.arange(n) * np.sin(angles))[:, None]
     prefactor = lam / (math.pi * math.gamma(k))
     sin_theta, cos_theta = math.sin(theta), math.cos(theta)
+    # math.* per phi, not numpy over the batch, so a phi's trig does not
+    # depend on the batch around it
+    sin_p = np.array([math.sin(p) for p in phis])
+    sigma = sin_theta * sin_p
+    one_minus_cos_w = np.array([2.0 * math.sin(0.5 * (theta - p)) ** 2 for p in phis])
+    sin_w = np.array([math.sin(theta - p) for p in phis])
     r_table = _ts_nodes(config.r_level)
     far_split = 1.0 - _FAR_SPLIT
-    far_rule = _r_rule(lam, k, far_split, r_table)
     values = np.empty(phis.size)
-
-    def evaluate(claim, d_buf: np.ndarray, pow_buf: np.ndarray, q_buf: np.ndarray) -> None:
-        """values[index] for every index claim() hands out, computed in this
-        thread's own (r, t) buffers."""
-        # an extreme lambda overflows here; the finiteness check below
-        # reports it once.  errstate is per thread, so it is set in each.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for index in iter(claim, None):
-                p = phis[index]
-                w = theta - p
-                sigma = sin_theta * math.sin(p)
-                one_minus_cos_w = 2.0 * math.sin(0.5 * w) ** 2
-                split = 1.0 - min(abs(w), _FAR_SPLIT)
-                r, r_fac = far_rule if split == far_split else _r_rule(lam, k, split, r_table)
-                delta_r = (1.0 - r) ** 2 + 2.0 * r * one_minus_cos_w
-                a_t = (1.0 - one_minus_cos_w) - sigma * one_minus_cos_t
-                b_t = -math.sin(w) - (cos_theta * math.sin(p)) * one_minus_cos_t
-                # P_s(t) of the terms s >= 1; the ell = 0 kernel has none
-                polys = {s: _layout_poly(layout, s, a_t, b_t) for s in layout if s > 0}
-                rows, cols = _trim(lam, sigma, r, r_fac, delta_r, one_minus_cos_t, t_fac, polys)
-                r, r_fac = r[rows], r_fac[rows]
-                omc_t = one_minus_cos_t[cols]
-                shape = (r.size, omc_t.size)
-                size = r.size * omc_t.size
-                power = _cells(
-                    lam, sigma, r, delta_r[rows], omc_t, {s: poly[cols] for s, poly in polys.items()},
-                    *(buf[:size].reshape(shape) for buf in (d_buf, pow_buf, q_buf)),
-                )
-                values[index] = prefactor * float(r_fac @ power @ t_fac[cols])
-
-    # one set of flat buffers per thread, allocated on the calling thread:
-    # the workers allocate only row- and column-sized temporaries and the
-    # coarse grid of the trim
-    size = 2 * r_table[0].size * t_nodes.size
-    buffers = [(np.empty(size), np.empty(size), np.empty(size)) for _ in range(_thread_count(phis.size))]
-    _run_shared(evaluate, phis.size, buffers)
+    fold = np.zeros((len(orders), columns))
+    # an extreme lambda overflows here, in the layout's coefficients too; the
+    # finiteness check below reports it once
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        coeffs = _expansion(layout, ell, 1.0 - one_minus_cos_w, -sigma, -sin_w, -cos_theta * sin_p)
+        far_rule = _r_rule(lam, k, far_split, r_table)
+        for index, p in enumerate(phis):
+            split = 1.0 - min(abs(theta - p), _FAR_SPLIT)
+            r, r_fac = far_rule if split == far_split else _r_rule(lam, k, split, r_table)
+            delta_r = (1.0 - r) ** 2 + 2.0 * r * one_minus_cos_w[index]
+            q = r / delta_r
+            v = np.log1p((4.0 * sigma[index]) * q)
+            position = v * (1.0 / _PANEL_WIDTH)
+            panel = np.minimum(position.astype(np.intp), panels - 1)
+            # barycentric weights at each r-node's local coordinate
+            diff = (2.0 * (position - panel) - 1.0) - points
+            # a node hit exactly: its weight dominates and normalizes to 1
+            diff[diff == 0.0] = 1e-300
+            lagrange = bary / diff
+            lagrange /= lagrange.sum(axis=0)
+            # the phi's table: sum_m p_{s,m} (1 + 2z)**lam Phi_{m,s}, one row per s
+            fold[rows_of, np.arange(columns)] = coeffs[index]
+            gathered = np.take((fold @ flat).reshape(len(orders), n, panels), panel, axis=2)
+            gathered *= lagrange
+            # r_fac r**s Delta_r**-(lam+1+s) (1 + 2z)**-lam, one row per s;
+            # Delta_r (1 + 2z) = Delta_r + 4 sigma r stays O(1) near the diagonal
+            base = r_fac / delta_r * np.power(delta_r + (4.0 * sigma[index]) * r, -lam)
+            weight = np.empty((len(orders), r.size))
+            weight[0] = base * q if orders[0] else base
+            for row in range(1, len(orders)):
+                np.multiply(weight[row - 1], q, out=weight[row])
+            values[index] = prefactor * float((gathered.sum(axis=1) * weight).sum())
     if not np.all(np.isfinite(values)):
         bad = int(np.argmin(np.isfinite(values)))
         raise EvaluationError(
@@ -355,92 +438,6 @@ def kernel_partial(
             f"(lambda {lam}, k {k}, theta {theta})"
         )
     return float(values[0]) if np.ndim(phi) == 0 else values
-
-
-def _cells(lam, sigma, r, delta_r, one_minus_cos_t, polys, d, power, q) -> np.ndarray:
-    """d**-(lam+1) sum_s polys[s] q**s over the (r, t) grid, written into
-    ``power``; ``d`` and ``q`` are work space of the grid's shape.
-
-    d = delta_r + 2 sigma r (1 - cos t), and sum_s r**s P_s(t) d**-(lam+1+s)
-    = d**-(lam+1) sum_s P_s q**s with q = r/d, summed by Horner's rule from
-    the highest s in ``polys`` down to 1 (no s: d**-(lam+1) alone)."""
-    np.multiply(((2.0 * sigma) * r)[:, None], one_minus_cos_t, out=d)
-    d += delta_r[:, None]
-    # d**-(lam+1) as exp(-(lam+1) log d): ~30% cheaper than np.power here
-    np.log(d, out=power)
-    power *= -(lam + 1.0)
-    np.exp(power, out=power)
-    if polys:
-        top = max(polys)
-        np.divide(r[:, None], d, out=q)
-        # d is spent: power and q hold all that is needed of it
-        horner = np.multiply(q, polys[top][None, :], out=d)
-        for s in range(top - 1, 0, -1):
-            if s in polys:
-                horner += polys[s][None, :]
-            horner *= q
-        power *= horner
-    return power
-
-
-def _trim(lam, sigma, r, r_fac, delta_r, one_minus_cos_t, t_fac, polys):
-    """Row and column selectors of the part of one phi's (r, t) grid that
-    carries mass (see kernel_partial); slices that keep everything when the
-    coarse total is not finite.  The coarse magnitude is _cells with |P_s|
-    in place of P_s, so no term cancels another."""
-    step = _TRIM_STEP
-    r_c, omc_c = r[::step], one_minus_cos_t[::step]
-    shape = (r_c.size, omc_c.size)
-    bound = {s: np.abs(poly[::step]) for s, poly in polys.items()}
-    mass = _cells(lam, sigma, r_c, delta_r[::step], omc_c, bound, np.empty(shape), np.empty(shape), np.empty(shape))
-    mass *= np.abs(r_fac[::step])[:, None]
-    mass *= np.abs(t_fac[::step])
-    total = float(mass.sum())
-    if not math.isfinite(total):
-        return slice(None), slice(None)
-    carrying = mass >= _TRIM_MASS * total
-    return _near(carrying.any(axis=1), r.size), _near(carrying.any(axis=0), one_minus_cos_t.size)
-
-
-def _run_shared(evaluate, size: int, buffers: list[tuple]) -> None:
-    """evaluate(claim, *buffers[i]) on len(buffers) threads at once: the
-    calling thread and one worker each for the rest.  claim() hands out
-    0, 1, ..., size - 1, each index once, then None; a thread claims its
-    next index when it finishes the last, so a thread slowed by other load
-    on its core takes fewer and none waits on a fixed share.  Waits for
-    every worker, then raises the first exception any of them raised."""
-    indices = iter(range(size))
-    lock = threading.Lock()
-    errors: list[Exception] = []
-
-    def claim() -> int | None:
-        with lock:
-            return next(indices, None)
-
-    def work(*own) -> None:
-        try:
-            evaluate(claim, *own)
-        except Exception as exc:  # handed to the calling thread below
-            errors.append(exc)
-
-    workers = [threading.Thread(target=work, args=own) for own in buffers[1:]]
-    for worker in workers:
-        worker.start()
-    try:
-        evaluate(claim, *buffers[0])
-    finally:
-        for worker in workers:
-            worker.join()
-    if errors:
-        raise errors[0]
-
-
-def _layout_poly(layout, s: int, a_t: np.ndarray, b_t: np.ndarray) -> np.ndarray:
-    """P_s(t) = sum over the order-s terms of coefficient * a**i * b**j."""
-    poly = np.zeros_like(a_t)
-    for coeff, i, j in layout.get(s, ()):
-        poly += coeff * a_t**i * b_t**j
-    return poly
 
 
 def riesz_kernel(

@@ -261,10 +261,11 @@ class TruncationOperator:
     analytic there).  Each band gets the fewest points whose Bernstein-ellipse
     bound, set by its distance to the nearest of theta, 0 and pi, is below
     1e-18, and at most 24 (see _band_points): 12 at ratio 1/2 away from 0
-    and pi, so the default operator holds ~420 phi.  Kernel values are computed once,
-    in one kernel call at the resolution ``config``, and reused for every
-    function the operator is applied to.  ``epsilons`` must form a
-    TruncationSchedule.
+    and pi, so the default operator holds ~420 phi.  Kernel values are
+    computed once, in one kernel call at the resolution ``config`` (each phi
+    a sum over its r-nodes of the t-table cached per lambda and k; see
+    kernels.kernel_partial), and reused for every function the operator is
+    applied to.  ``epsilons`` must form a TruncationSchedule.
     """
 
     def __init__(
@@ -305,7 +306,8 @@ class TruncationOperator:
             # vanishing (sin phi)**(2 lam) factor; drop them
             keep = (nodes > 0.0) & (nodes < math.pi)
             panels.append((nodes[keep], weights[keep], index))
-        # one kernel call over every panel's nodes: one batch for its threads
+        # one kernel call over every panel's nodes: the call fetches the t-table
+        # of (lambda, k) once and builds the far r-rule once for all of them
         all_nodes = np.concatenate([nodes for nodes, _, _ in panels])
         kernel_vals = np.split(
             riesz_kernel(self.lam, self.k, theta, all_nodes, config=config),

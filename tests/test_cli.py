@@ -432,6 +432,7 @@ class TestExitCodeContract:
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.one_of(st.floats(1e-3, 1e3), _EXTREME_LAMBDAS, _ANY_FLOAT), st.integers(-1, 14))
     @example(1e300, 1)
+    @example(1e300, 3)
     @example(200.0, 3)
     @example(math.nan, 2)
     def test_kernel_exits_0_1_or_2_without_warnings(self, lam, k):
@@ -453,4 +454,23 @@ class TestExitCodeContract:
         _assert_contract(
             ["riesz-pv", f"--lambda={lam!r}", f"--k={k}", f"--theta={theta!r}", f"--eps-count={count}"]
         )
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.sampled_from(["poisson", "compare", "variation"]),
+        st.one_of(st.floats(1e-3, 1e3), _EXTREME_LAMBDAS, _ANY_FLOAT),
+        st.integers(-1, 5),
+        st.lists(st.one_of(st.floats(1e-2, 3.13), _ANY_FLOAT), min_size=1, max_size=2),
+        st.integers(3, 4),
+    )
+    @example("poisson", 200.0, 1, [1.2], 3)
+    @example("poisson", 1e300, 2, [0.7, 2.2], 3)
+    @example("compare", 185.0, 2, [1.2], 3)
+    @example("compare", math.nan, 1, [1.2], 4)
+    @example("variation", 1e3, 3, [0.7, 1.2], 3)
+    @example("variation", 5e-324, 1, [1.2], 4)
+    def test_report_commands_exit_0_1_or_2_without_warnings(self, command, lam, k, thetas, count):
+        # 3-4 radii and 1-2 theta keep each example cheap
+        argv = [command, f"--lambda={lam!r}", f"--k={k}", f"--eps-count={count}"]
+        _assert_contract(argv + [f"--theta={theta!r}" for theta in thetas])
 

@@ -1,5 +1,4 @@
 import math
-import os
 import sys
 import threading
 import warnings
@@ -28,7 +27,8 @@ from ultrariesz import (
 )
 from ultrariesz import kernels, transforms
 from ultrariesz.jets import Jet
-from ultrariesz.kernels import DEFAULT_KERNEL_CONFIG, KernelConfig, _term_layout, _thread_count
+from ultrariesz.kernels import DEFAULT_KERNEL_CONFIG, KernelConfig, _term_layout
+from ultrariesz.quadrature import tanh_sinh_segment
 
 
 class TestConstants:
@@ -193,6 +193,9 @@ class TestRieszKernel:
     def test_partial_order_validation(self):
         with pytest.raises(ValueError):
             kernel_partial(1.0, 2, 3, 1.0, 0.5)
+        # the t-table reaches z ~ 1 / min_separation**2
+        with pytest.raises(ValueError, match="min_separation"):
+            kernel_partial(1.0, 2, 1, 1.0, 0.5, config=KernelConfig(min_separation=0.0))
 
     def test_array_phi_equals_scalar_loop(self):
         theta = 1.1
@@ -283,6 +286,21 @@ class TestRieszKernel:
                 2.304794908341411, 0.125093748664147, 0.12509377270325242,
             ],
         }
+        # at the three phi within 2.1e-4 of theta the even-k kernel cancels
+        # terms far larger than itself, and float64 fixes those values to
+        # ~1e-11 relative whatever the summation order.  Re-recorded there
+        # once the t-sum was tabulated and each phi summed over r alone; the
+        # records above moved by at most 2e-11 relative
+        rerecorded = {
+            (0.3, 2): [0.6168893142061268, 0.3735600208680773, 0.37354765281664004],
+            (0.3, 4): [-1.0522925803387857, -0.5656480518424793, -0.5655904752385661],
+            (2.45, 2): [3.7970336385789634, 1.1075691447512448, 1.1076338288834817],
+            (2.45, 4): [-7.293185572308871, -1.9146030151546265, -1.9023174526710056],
+        }
+        for (lam, k), near in rerecorded.items():
+            old = np.array(recorded[(lam, k)][:3])
+            assert np.max(np.abs(np.array(near) - old) / np.abs(old)) <= 2e-11, (lam, k)
+            recorded[(lam, k)] = near + recorded[(lam, k)][3:]
         for (lam, k), expected in recorded.items():
             values = riesz_kernel(lam, k, theta, phis)
             scale = max(abs(v) for v in expected)
@@ -299,10 +317,55 @@ class TestRieszKernel:
             riesz_kernel(1.0, 1, 1.0, np.full((2, 2), 0.5))
 
 
+def _plain_double_sum(lam, k, ell, theta, phi, config):
+    """kernel_partial as the plain double sum over its (r, t) tanh-sinh grid:
+    every cell's d**-(lam+1+s) with P_s(t) evaluated at the node, nothing
+    tabulated or interpolated."""
+    t, t_weights = tanh_sinh_segment(0.0, math.pi, config.t_level)
+    one_minus_cos_t = 2.0 * np.sin(0.5 * t) ** 2
+    t_fac = np.sin(t) ** (2.0 * lam - 1.0) * t_weights
+    split = 1.0 - min(abs(theta - phi), 0.5)
+    nodes = [tanh_sinh_segment(lo, hi, config.r_level) for lo, hi in ((0.0, split), (split, 1.0))]
+    r = np.concatenate([n for n, _ in nodes])
+    r_fac = r ** (lam - 1.0) * (-np.log(r)) ** (k - 1) * (1.0 - r * r) * np.concatenate([w for _, w in nodes])
+    w = theta - phi
+    sigma = math.sin(theta) * math.sin(phi)
+    one_minus_cos_w = 2.0 * math.sin(0.5 * w) ** 2
+    d = ((1.0 - r) ** 2 + 2.0 * r * one_minus_cos_w)[:, None] + 2.0 * sigma * r[:, None] * one_minus_cos_t
+    a = (1.0 - one_minus_cos_w) - sigma * one_minus_cos_t
+    b = -math.sin(w) - math.cos(theta) * math.sin(phi) * one_minus_cos_t
+    cells = np.zeros_like(d)
+    for s, terms in _term_layout(ell, lam).items():
+        poly = sum(coeff * a**i * b**j for coeff, i, j in terms)
+        cells += poly * r[:, None] ** s * d ** -(lam + 1.0 + s)
+    return lam / (math.pi * math.gamma(k)) * float(r_fac @ cells @ t_fac)
+
+
+class TestTabulatedKernel:
+    @pytest.mark.parametrize("config", [KernelConfig(3, 3), DEFAULT_KERNEL_CONFIG], ids=["level3", "default"])
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 2.45])
+    def test_matches_the_plain_double_sum(self, config, lam):
+        # the t-table and the r-sum against the same grid summed cell by
+        # cell; the tolerance is relative to the row's largest value, which
+        # the near-diagonal phi set
+        theta = 1.2
+        phis = np.array([theta - 1e-3, theta + 1e-3, theta + 0.03, 0.4, 2.6, 1e-6, math.pi - 1e-6])
+        for k, tolerance in ((1, 1e-11), (2, 1e-11), (3, 1e-11), (4, 1e-11), (8, 1e-9), (12, 1e-9)):
+            for ell in sorted({0, k - 1, k}):
+                values = kernel_partial(lam, k, ell, theta, phis, config=config)
+                plain = np.array([_plain_double_sum(lam, k, ell, theta, float(phi), config) for phi in phis])
+                scale = np.max(np.abs(plain))
+                np.testing.assert_allclose(values, plain, rtol=0.0, atol=tolerance * scale, err_msg=f"k {k}, ell {ell}")
+
+    def test_table_cache_stays_bounded(self):
+        for lam in np.linspace(0.31, 2.4, 40):
+            kernel_partial(float(lam), 1, 1, 1.2, 0.7, config=KernelConfig(3, 3))
+        info = kernels._t_table.cache_info()
+        assert info.currsize <= info.maxsize
+
+
 #: a coarse resolution: thread-count independence does not depend on it
 _COARSE = KernelConfig(t_level=3, r_level=3)
-
-_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @pytest.fixture(scope="module")
@@ -322,27 +385,6 @@ def operator_batch():
 
 
 class TestParallelKernel:
-    @pytest.mark.parametrize(
-        "raw, size, expected",
-        [
-            ("100000", 10**6, _CORES),
-            ("100000", 1, 1),
-            ("0", 10**6, 1),
-            ("-3", 10**6, 1),
-            ("abc", 10**6, 1),
-            ("1.5", 10**6, 1),
-            (None, 10**6, _CORES),
-            (None, 1, 1),
-            (None, 0, 1),
-        ],
-    )
-    def test_thread_count_is_read_per_call_and_clamped(self, monkeypatch, raw, size, expected):
-        if raw is None:
-            monkeypatch.delenv("ULTRA_RIESZ_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("ULTRA_RIESZ_THREADS", raw)
-        assert _thread_count(size) == expected
-
     @pytest.mark.parametrize("lam", [0.3, 2.45])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_operator_batch_independent_of_thread_count(self, monkeypatch, operator_batch, lam, k):
@@ -368,7 +410,7 @@ class TestParallelKernel:
         def call(slot):
             results[slot] = riesz_kernel(0.8, 3, theta, phis, config=_COARSE)
 
-        # four callers of two threads each: more threads than cores, switching often
+        # four callers sharing the t-table cache: more threads than cores, switching often
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -383,66 +425,6 @@ class TestParallelKernel:
         assert sorted(results) == [0, 1, 2, 3]
         for values in results.values():
             assert np.array_equal(values, serial)
-
-    def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        if _CORES < 2:
-            pytest.skip("one core: the batch runs on the calling thread alone")
-        layout_poly = kernels._layout_poly
-        failed = threading.Event()
-
-        def failing_off_the_calling_thread(*args):
-            if threading.current_thread() is not threading.main_thread():
-                failed.set()
-                raise RuntimeError("worker failed")
-            # hold the calling thread on its first phi until the worker has
-            # claimed one, so that the worker cannot find the batch drained
-            failed.wait(timeout=60)
-            return layout_poly(*args)
-
-        monkeypatch.setenv("ULTRA_RIESZ_THREADS", "2")
-        monkeypatch.setattr(kernels, "_layout_poly", failing_off_the_calling_thread)
-        before = threading.active_count()
-        phis = np.array([0.4, 0.6, 1.8, 2.0])
-        with pytest.raises(RuntimeError, match="worker failed"):
-            riesz_kernel(1.0, 2, 1.2, phis, config=_COARSE)
-        assert threading.active_count() == before
-
-    def test_a_stalled_thread_leaves_its_share_to_the_others(self):
-        claimed: dict[str, list[int]] = {"caller": [], "worker": []}
-        caller_busy, drained = threading.Event(), threading.Event()
-
-        def evaluate(claim, name):
-            if name == "worker":
-                caller_busy.wait(timeout=60)
-            for index in iter(claim, None):
-                claimed[name].append(index)
-                if name == "caller":
-                    # the calling thread stalls on its first index
-                    caller_busy.set()
-                    drained.wait(timeout=60)
-            if name == "worker":
-                drained.set()
-
-        kernels._run_shared(evaluate, 50, [("caller",), ("worker",)])
-        assert len(claimed["caller"]) == 1
-        assert sorted(claimed["caller"] + claimed["worker"]) == list(range(50))
-
-    def test_every_index_is_claimed_exactly_once_under_contention(self):
-        # eight threads on at most a few cores, switching often: a claim
-        # lost or handed out twice would break the tally
-        claimed: list[list[int]] = [[] for _ in range(8)]
-
-        def evaluate(claim, mine):
-            for index in iter(claim, None):
-                mine.append(index)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            kernels._run_shared(evaluate, 20000, [(mine,) for mine in claimed])
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(index for mine in claimed for index in mine) == list(range(20000))
 
     def test_non_finite_values_raise_once_without_warnings(self):
         with warnings.catch_warnings():
@@ -544,7 +526,6 @@ class TestDifferentiationUnderIntegral:
         # its theta-derivative must reproduce the principal value plus the
         # jump term, which is what justifies moving d/dtheta inside
         from ultrariesz import SpectralCoefficients, band_limited, riesz_pv
-        from ultrariesz.quadrature import tanh_sinh_segment
 
         lam, k, theta = 0.5, 2, 1.2
         coeffs = SpectralCoefficients(lam, [0.0, 1.0, 0.4])
