@@ -426,6 +426,110 @@ class TestParallelKernel:
         for values in results.values():
             assert np.array_equal(values, serial)
 
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        # a t-table build that fails on a worker thread raises in that
+        # thread's call and leaves no cache entry behind
+        lam, phis = 0.8125, np.array([0.4, 0.6, 1.8, 2.0])
+        segment = kernels.tanh_sinh_segment
+
+        def failing(*args):
+            raise RuntimeError("table build failed")
+
+        monkeypatch.setattr(kernels, "tanh_sinh_segment", failing)
+        caught: list[BaseException] = []
+
+        def call():
+            try:
+                riesz_kernel(lam, 2, 1.2, phis, config=_COARSE)
+            except RuntimeError as exc:
+                caught.append(exc)
+
+        before = threading.active_count()
+        worker = threading.Thread(target=call)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and threading.active_count() == before
+        assert [str(exc) for exc in caught] == ["table build failed"]
+        monkeypatch.setattr(kernels, "tanh_sinh_segment", segment)
+        values = riesz_kernel(lam, 2, 1.2, phis, config=_COARSE)
+        scalar = [riesz_kernel(lam, 2, 1.2, float(p), config=_COARSE) for p in phis]
+        assert np.array_equal(values, scalar)
+
+    def test_a_stalled_thread_leaves_its_share_to_the_others(self, monkeypatch):
+        # the t-table cache holds no lock over a build: a caller stalled in
+        # the build of a key does not hold up another caller of that key
+        lam, phis = 0.8375, np.array([0.4, 1.0, 1.25, 2.6])
+        segment = kernels.tanh_sinh_segment
+        stalled, release = threading.Event(), threading.Event()
+
+        def stalling(*args):
+            if threading.current_thread().name == "stalled":
+                stalled.set()
+                release.wait(timeout=60)
+            return segment(*args)
+
+        monkeypatch.setattr(kernels, "tanh_sinh_segment", stalling)
+        results: dict[str, np.ndarray] = {}
+
+        def call(name):
+            results[name] = riesz_kernel(lam, 3, 1.2, phis, config=_COARSE)
+
+        first = threading.Thread(target=call, args=("stalled",), name="stalled")
+        first.start()
+        try:
+            assert stalled.wait(timeout=60)
+            call("other")
+            assert first.is_alive() and "stalled" not in results
+        finally:
+            release.set()
+            first.join(timeout=60)
+        assert not first.is_alive()
+        assert np.array_equal(results["stalled"], results["other"])
+
+    def test_every_index_is_claimed_exactly_once_under_contention(self, monkeypatch):
+        # eight callers on at most a few cores, switching often, each with its
+        # own order of the same phis: every phi near theta gets its own r-rule
+        # once per call, and every phi its own value at its own position
+        theta, lam, k = 1.2, 1.3, 2
+        phis = np.array([0.4, 0.9, 1.0, 1.15, 1.25, 1.5, 1.69, 2.6])
+        serial = {float(p): riesz_kernel(lam, k, theta, float(p), config=_COARSE) for p in phis}
+        far = 1.0 - kernels._FAR_SPLIT
+        near = [1.0 - abs(theta - p) for p in phis if abs(theta - p) < kernels._FAR_SPLIT]
+        r_rule = kernels._r_rule
+        splits: dict[str, list[float]] = {}
+
+        def recording(lam, k, split, table):
+            splits.setdefault(threading.current_thread().name, []).append(split)
+            return r_rule(lam, k, split, table)
+
+        monkeypatch.setattr(kernels, "_r_rule", recording)
+        orders = [np.random.default_rng(seed).permutation(phis) for seed in range(8)]
+        results: dict[int, np.ndarray] = {}
+
+        def call(slot):
+            results[slot] = riesz_kernel(lam, k, theta, orders[slot], config=_COARSE)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [
+                threading.Thread(target=call, args=(slot,), name=f"caller-{slot}")
+                for slot in range(8)
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert sorted(results) == list(range(8))
+        for slot, values in results.items():
+            assert np.array_equal(values, [serial[float(p)] for p in orders[slot]])
+        assert sorted(splits) == sorted(f"caller-{slot}" for slot in range(8))
+        for claimed in splits.values():
+            assert sorted(claimed) == sorted([far] + near)
+
     def test_non_finite_values_raise_once_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
