@@ -137,7 +137,7 @@ def integrate(rule: QuadratureRule, f: Callable) -> float:
     y = _evaluate(f, rule.nodes)
     if not np.all(np.isfinite(y)):
         bad = rule.nodes[~np.isfinite(y)][0]
-        raise EvaluationError(f"integrand is not finite at node {bad!r}")
+        raise EvaluationError(f"integrand is not finite at node {float(bad)}")
     return float(np.dot(rule.weights, y))
 
 
@@ -231,7 +231,7 @@ def _tanh_sinh_rows(
             # an endpoint-rounded node with negligible weight may be dropped
             fatal = bad & (weight >= 1e-250)
             if np.any(fatal):
-                raise EvaluationError(f"integrand is not finite at x={x[np.nonzero(fatal)[1][0]]!r}")
+                raise EvaluationError(f"integrand is not finite at x={float(x[np.nonzero(fatal)[1][0]])}")
             y = np.where(bad, 0.0, y)
         total[active] = 0.5 * total[active] + y @ weight
         # no row stops before level 3, so the level-0 difference is never read

@@ -4,8 +4,11 @@ the Beta function.
 Polynomials are generated by ``(1 - 2*t*w + w**2)**(-lam) = sum_k w**k P_k(t)``
 and evaluated by the standard three-term recurrence, which is stable for the
 degrees used here (n up to a few hundred).  Derivatives in the angular
-variable come from running the same recurrence in jet arithmetic composed
-with the jet of cos(theta); no symbolic differentiation is done anywhere.
+variable come from running the same recurrence on derivative vectors: the
+derivatives of cos(theta) are known in closed form (cos, -sin, -cos, sin,
+...), and multiplying a derivative vector by them is the Leibniz rule, one
+fixed lower-triangular matrix per (theta, order).  No symbolic
+differentiation is done anywhere.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 
 import numpy as np
 
-from .jets import Jet
+from .jets import Jet, _binomials
 
 __all__ = [
     "validate_lambda",
@@ -45,19 +48,21 @@ def beta(x: float, y: float) -> float:
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
-def _recurrence(n_max: int, lam: float, x, one):
+def _recurrence(n_max: int, lam: float, x, one, times=np.multiply):
     """Yield P_0(x), ..., P_{n_max}(x) by the three-term recurrence
     ``m*P_m = 2*(m+lam-1)*x*P_{m-1} - (m+2*lam-2)*P_{m-2}``.
 
-    ``x`` is a float array or a Jet and ``one`` the matching P_0.
+    ``x`` is a float array and ``one`` the matching P_0, multiplied
+    elementwise; or ``x`` is the Leibniz matrix of cos(theta),
+    ``one`` the derivative vector (1, 0, ..., 0) and ``times`` matmul.
     """
     yield one
     if n_max < 1:
         return
-    p_prev, p = one, 2.0 * lam * x
+    p_prev, p = one, times(2.0 * lam * x, one)
     yield p
     for m in range(2, n_max + 1):
-        p, p_prev = (2.0 * (m + lam - 1.0) * x * p - (m + 2.0 * lam - 2.0) * p_prev) / m, p
+        p, p_prev = (times(2.0 * (m + lam - 1.0) * x, p) - (m + 2.0 * lam - 2.0) * p_prev) / m, p
         yield p
 
 
@@ -74,13 +79,31 @@ def gegenbauer_eval(n: int, lam: float, x):
     return p if x_arr.ndim else float(p)
 
 
+def _cos_leibniz(theta: float, order: int) -> np.ndarray:
+    """Matrix M with (M @ d)[m] = m-th theta-derivative of cos(theta) * g
+    for d the derivatives of g: M[m, i] = C(m, i) * cos^(m-i)(theta)."""
+    cos, sin = math.cos(theta), math.sin(theta)
+    k = np.arange(order + 1)
+    # zero binomials above the diagonal drop the wrapped-around indices
+    return _binomials(order) * np.array([cos, -sin, -cos, sin])[np.subtract.outer(k, k) % 4]
+
+
 def gegenbauer_theta_jets(n_max: int, lam: float, theta: float, order: int) -> list[Jet]:
-    """Jets of theta -> P_n(cos(theta)) for all n = 0..n_max in one pass."""
+    """Jets of theta -> P_n(cos(theta)) for all n = 0..n_max in one pass.
+
+    The recurrence runs on the (n_max + 1, order + 1) array of derivative
+    vectors, one matrix-vector product per degree; the rows are wrapped as
+    Jets at the end.
+    """
     lam = validate_lambda(lam)
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
-    c = Jet.variable(theta, order).cos()
-    return list(_recurrence(n_max, lam, c, Jet.constant(1.0, order)))
+    if order < 0:
+        raise ValueError(f"derivative order must be nonnegative, got {order}")
+    one = np.zeros(order + 1)
+    one[0] = 1.0
+    rows = np.array(list(_recurrence(n_max, lam, _cos_leibniz(theta, order), one, np.matmul)))
+    return [Jet(row) for row in rows]
 
 
 def gegenbauer_theta_jet(n: int, lam: float, theta: float, order: int) -> Jet:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -134,6 +135,8 @@ def analyze(f: Callable, lam: float, n_max: int, rule: QuadratureRule) -> Spectr
     return SpectralCoefficients(lam=lam, coeffs=basis @ (rule.weights * fvals))
 
 
+# bounded like the rule cache; read-only because every caller shares it
+@lru_cache(maxsize=32)
 def _norms(lam: float, n_max: int) -> np.ndarray:
     """L2(dm_lambda) norms of P_0, ..., P_{n_max}: the divisors that make
     the eigenfunctions normalized."""
@@ -141,6 +144,7 @@ def _norms(lam: float, n_max: int) -> np.ndarray:
     # norm_sq(n, lam) ~ lam**2 for n >= 1 underflows to 0 for lam below ~1e-154
     if not np.all(norms > 0.0):
         raise OverflowError(f"eigenfunction norms underflow to 0 at lambda {lam}")
+    norms.flags.writeable = False
     return norms
 
 

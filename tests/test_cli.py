@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -118,6 +119,12 @@ class TestSubcommands:
         assert code == 2
         assert out == ""
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_non_finite_integrand_is_named_by_a_plain_float(self, capsys):
+        code, out, err = run_cli(capsys, "poisson", "--lambda", "200")
+        assert code == 2
+        assert re.search(r"integrand is not finite at x=-?\d+(\.\d+)?(e[-+]\d+)?\n$", err), err
+        assert "np.float64(" not in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -178,6 +178,24 @@ class TestRowEngine:
             _tanh_sinh_rows(_row_family(functions), 0.0, 1.0, 2, 1e-10, 1e-12)
 
 
+#: a number as Python prints a float, not a numpy scalar's repr
+_PLAIN_FLOAT = r"-?\d+(\.\d+)?(e[-+]\d+)?"
+
+
+class TestNonFiniteMessages:
+    def test_integrate_names_a_plain_float(self):
+        rule = build_rule(0.5, 8)
+        with pytest.raises(EvaluationError, match=rf"at node {_PLAIN_FLOAT}$") as info:
+            integrate(rule, lambda th: np.full_like(th, np.nan))
+        assert "np.float64(" not in str(info.value)
+
+    def test_row_engine_names_a_plain_float(self):
+        functions = (ROWS[0], lambda x: np.full_like(x, np.nan))
+        with pytest.raises(EvaluationError, match=rf"at x={_PLAIN_FLOAT}$") as info:
+            _tanh_sinh_rows(_row_family(functions), 0.0, 1.0, 2, 1e-10, 1e-12)
+        assert "np.float64(" not in str(info.value)
+
+
 class TestRuleCache:
     def test_rule_cache_stays_bounded(self):
         for lam in np.linspace(0.31, 2.4, 100):

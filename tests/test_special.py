@@ -12,6 +12,23 @@ from ultrariesz import (
     integrate,
     norm_sq,
 )
+from ultrariesz.jets import Jet
+from ultrariesz.special import _cos_leibniz
+
+
+def _jet_object_recurrence(n_max, lam, theta, order):
+    """The three-term recurrence run on Jet objects: the reference the array
+    recurrence must reproduce."""
+    x = Jet.variable(theta, order).cos()
+    p = Jet.constant(1.0, order)
+    out = [p]
+    if n_max >= 1:
+        p_prev, p = p, 2.0 * lam * x
+        out.append(p)
+    for m in range(2, n_max + 1):
+        p, p_prev = (2.0 * (m + lam - 1.0) * x * p - (m + 2.0 * lam - 2.0) * p_prev) / m, p
+        out.append(p)
+    return out
 
 
 class TestGegenbauerEval:
@@ -104,6 +121,28 @@ class TestThetaJets:
     def test_batch_matches_single(self):
         jets = gegenbauer_theta_jets(6, 0.7, 1.3, 2)
         assert jets[4].coeffs == pytest.approx(gegenbauer_theta_jet(4, 0.7, 1.3, 2).coeffs)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 30, 60])
+    @pytest.mark.parametrize("order", [0, 1, 6, 12])
+    def test_matches_jet_object_recurrence(self, n_max, order):
+        for theta in (1e-3, 1.1, math.pi - 1e-3):
+            for lam in (0.05, 0.3, 2.45, 10.0):
+                jets = gegenbauer_theta_jets(n_max, lam, theta, order)
+                reference = _jet_object_recurrence(n_max, lam, theta, order)
+                assert len(jets) == len(reference) == n_max + 1
+                for jet, ref in zip(jets, reference):
+                    scale = float(np.max(np.abs(ref.coeffs)))
+                    assert np.max(np.abs(jet.coeffs - ref.coeffs)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("order", [0, 1, 6, 12])
+    def test_cos_rows_match_jet_cos(self, order):
+        for theta in (1e-3, 1.1, math.pi - 1e-3):
+            cos_jet = _cos_leibniz(theta, order)[:, 0]
+            assert np.max(np.abs(cos_jet - Jet.variable(theta, order).cos().coeffs)) <= 1e-15
+
+    def test_negative_order_raises(self):
+        with pytest.raises(ValueError):
+            gegenbauer_theta_jets(3, 1.0, 1.0, -1)
 
 
 class TestNorms:

@@ -501,6 +501,20 @@ def _reference_function(lam):
     )
 
 
+class TestNormCache:
+    def test_norm_cache_stays_bounded(self):
+        for lam in np.linspace(0.31, 2.4, 100):
+            transforms._norms(float(lam), 8)
+        info = transforms._norms.cache_info()
+        assert info.maxsize == 32 and info.currsize <= info.maxsize
+
+    def test_cached_norms_are_read_only(self):
+        norms = transforms._norms(1.3, 6)
+        with pytest.raises(ValueError):
+            norms[0] = 0.0
+        assert transforms._norms(1.3, 6)[0] == math.sqrt(norm_sq(0, 1.3))
+
+
 class TestReferenceValues:
     """Values recorded to 17 digits from the per-degree recurrences and
     per-node sampling these routines once used: theta 1.1, degree 24,
