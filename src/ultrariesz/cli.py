@@ -310,13 +310,15 @@ def cmd_h_limit(config: RunConfig) -> int:
 def _pv_records(config: RunConfig, *, spectral_side: bool, pv_side: bool) -> tuple[list[dict], float]:
     rule = config.rule() if spectral_side else None
     schedule = config.schedule()
-    family = _default_family(config.lam)
+    family = sorted(_default_family(config.lam).items())
+    # every function before any kernel: a lambda past the float range of
+    # the eigenfunction norms is a config error, whatever the kernels make of it
+    functions = [band_limited(coeffs) for _, coeffs in family]
     # one operator per theta, built at its first use and applied to every function
     operators: list[TruncationOperator] = []
     records = []
     worst = 0.0
-    for name, coeffs in sorted(family.items()):
-        f = band_limited(coeffs)
+    for (name, coeffs), f in zip(family, functions):
         n_max = max(config.n_max, coeffs.degree)
         for index, theta in enumerate(config.thetas):
             record: dict = {

@@ -9,8 +9,9 @@ one in r split at r = 1 - min(|theta - phi|, 1/2) to resolve the
 near-diagonal concentration.  The t-sum depends on phi only through one
 variable z, so it is tabulated once per (lambda, order, t-level, guard) as
 Chebyshev-point values on panels in log(1 + 2 z), and each phi sums over
-its r-nodes alone (see kernel_partial).  One call evaluates a whole array
-of phi, each computed alone, so kernel values are reproducible bit for bit.
+its r-nodes alone (see kernel_partial); the Poisson kernel reads the
+order-0 table at its one r.  Each Riesz value is computed alone, so a batch
+of phi gives it bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .quadrature import (
     EvaluationError,
     _least_squares_fit,
     _segment,
-    _tanh_sinh_rows,
     _ts_nodes,
     singular_integrate,
     tanh_sinh_segment,
@@ -57,6 +57,11 @@ RegionLabel = Literal["A1", "A2", "A3"]
 #: the Riesz kernel refuses |theta - phi| below this, whatever the config;
 #: truncation radii must stay above it
 RIESZ_MIN_SEPARATION = 1e-5
+
+#: the t-integral engine's float policy: an extreme lambda carries the table
+#: and the kernels' sums past the float range silently, and each kernel's
+#: _check_finite reports that once, as EvaluationError
+_quiet_float_range = np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 
 
 @dataclass(frozen=True)
@@ -138,36 +143,30 @@ def region_classify(theta: float, phi: float) -> RegionLabel:
     return "A2"
 
 
+@_quiet_float_range
 def poisson_kernel(lam: float, r: float, theta: float, phi: float | np.ndarray) -> float | np.ndarray:
-    """P_lambda(r, theta, phi), the ultraspherical Poisson kernel.
+    """P_lambda(r, theta, phi), the ultraspherical Poisson kernel:
+    (lam/pi) (1 - r**2) times the t-integral of (sin t)**(2 lam - 1) times
+    (Delta_r + cross (1 - cos t))**-(lam + 1), cross = 2 r sin(theta) sin(phi),
+    evaluated as (lam/pi) (1 - r**2) Delta_r**-1 (Delta_r + 2 cross)**-lam T(v)
+    with T the order-0 _t_table read at v = log(1 + 2 cross / Delta_r).  The
+    table reaches guard 1 - r, past every v of the call as Delta_r >= (1 - r)**2.
 
-    Evaluates (lam/pi) (1 - r^2) times the t-integral of
-    (sin t)**(2 lam - 1) / D_r**(lam + 1) by adaptive tanh-sinh quadrature
-    (the integrand has endpoint singularities whenever lam < 1/2).  ``phi``
-    may be a scalar (returns a float) or a 1-D array (returns an array of
-    the same length): all entries are integrated together, with the
-    t-factors computed once per level and each entry refined until its own
-    integral converges.
+    ``phi`` may be a scalar (returns a float) or a 1-D array (returns an
+    array); lam below _LAMBDA_FLOOR raises AccuracyError, and a value that is
+    not finite raises EvaluationError.
     """
     lam = validate_lambda(lam)
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
     theta = _validate_angle("theta", theta)
     phis = _phi_array(phi)
+    table = _t_table(lam, 0, DEFAULT_KERNEL_CONFIG.t_level, 1.0 - r)
     delta_r = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * (theta - phis)) ** 2
     cross = 2.0 * r * (math.sin(theta) * np.sin(phis))
-    exponent = 2.0 * lam - 1.0
-
-    def integrand(t, rows):
-        one_minus_cos = 2.0 * np.sin(0.5 * t) ** 2
-        d = delta_r[rows, None] + cross[rows, None] * one_minus_cos
-        # an extreme lambda overflows here; the rule's finiteness check
-        # reports it once, as EvaluationError
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.sin(t) ** exponent * d ** -(lam + 1.0)
-
-    integrals = _tanh_sinh_rows(integrand, 0.0, math.pi, phis.size, 1e-10, 1e-12)
-    values = lam / math.pi * (1.0 - r * r) * integrals
+    t_sum = _read(table, np.log1p(2.0 * cross / delta_r))[0]
+    values = lam / math.pi * (1.0 - r * r) / delta_r * np.power(delta_r + 2.0 * cross, -lam) * t_sum
+    _check_finite(values, phis, f"lambda {lam}, r {r}, theta {theta}")
     return float(values[0]) if np.ndim(phi) == 0 else values
 
 
@@ -198,6 +197,11 @@ _PANEL_ERROR = 1e-17
 
 #: z-nodes of the (z, t) grid summed at once while a table is built
 _TABLE_CHUNK = 64
+
+#: the smallest lambda the t-table serves: the t-rule drops the nodes within
+#: ~1e-16 of pi, with ~(1e-16)**(2 lam) / (2 lam) of the t-mass, so the Poisson
+#: kernel is off by 6.6e-9 (KernelConfig's ~1e-8) at 0.25 but 1.2e-7 at 0.21
+_LAMBDA_FLOOR = 0.25
 
 
 def _r_rule(lam: float, k: int, split: float, table: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -263,10 +267,11 @@ def _panel_nodes(ell: int) -> int:
     return n
 
 
-# keyed by (lambda, ell, t_level, min_separation); an order-4 table at the
-# default guard is ~90 KiB and an order-12 one ~0.8 MiB, and the bound keeps
-# a caller drawing a fresh lambda per call from growing the cache
+# keyed by (lambda, ell, t_level, min_separation), the Poisson kernel's at ell 0
+# and guard 1 - r; an order-4 table at the default guard is ~90 KiB, an order-12
+# one ~0.8 MiB, and the bound keeps fresh lambdas or r from growing the cache
 @lru_cache(maxsize=32)
+@_quiet_float_range
 def _t_table(lam: float, ell: int, t_level: int, min_separation: float) -> np.ndarray:
     """Values, shape (pairs, _panel_nodes(ell), panels), of
     (1 + 2 z)**lam Phi_{m,s}(z) at the first-kind Chebyshev points of each
@@ -278,7 +283,11 @@ def _t_table(lam: float, ell: int, t_level: int, min_separation: float) -> np.nd
     (0, pi), for the (s, m) of _pairs(ell).  The panels reach
     v = log(1 + 1/sin(g/2)**2), g = min_separation: past every
     2 z = 4 sigma r / Delta_r that a phi off the guard can meet, since
-    Delta_r / r >= 4 sin(w/2)**2 and sigma <= 1."""
+    Delta_r / r >= 4 sin(w/2)**2 and sigma <= 1; a nearer guard only
+    appends panels.  Raises AccuracyError for lam below _LAMBDA_FLOOR."""
+    if lam < _LAMBDA_FLOOR:
+        message = f"lambda {lam} is below {_LAMBDA_FLOOR}, where the t-rule loses the mass at pi"
+        raise AccuracyError(message, estimate=math.nan, error_bound=math.inf)
     t_nodes, t_weights = tanh_sinh_segment(0.0, math.pi, t_level)
     u = 2.0 * np.sin(0.5 * t_nodes) ** 2
     t_fac = np.sin(t_nodes) ** (2.0 * lam - 1.0) * t_weights
@@ -288,27 +297,63 @@ def _t_table(lam: float, ell: int, t_level: int, min_separation: float) -> np.nd
     v_max = math.log1p(half_gap**2) - 2.0 * math.log(half_gap)
     panels = max(1, math.ceil(v_max / _PANEL_WIDTH))
     n = _panel_nodes(ell)
-    points = np.cos(math.pi * (np.arange(n) + 0.5) / n)
+    points = _chebyshev(n)[0][:, 0]
     v = ((np.arange(panels)[:, None] + 0.5 * (points + 1.0)) * _PANEL_WIDTH).ravel()
     z = 0.5 * np.expm1(v)
     values = np.empty((v.size, len(pairs)))
-    # an extreme lambda overflows here; kernel_partial's finiteness check
-    # reports it once
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        for lo in range(0, v.size, _TABLE_CHUNK):
-            rows = slice(lo, lo + _TABLE_CHUNK)
-            # (1 + 2z)**lam (1 + z u)**-(lam+1+s) as ratio**lam inverse**(1+s):
-            # powers of O(1)-conditioned bases, not exp of a large logarithm
-            inverse = 1.0 / (1.0 + z[rows, None] * u)
-            term = np.power((1.0 + 2.0 * z[rows, None]) * inverse, lam)
-            for s in range(pairs[-1][0] + 1):
-                term *= inverse
-                if (s, 0) in pairs:
-                    col = pairs.index((s, 0))
-                    values[rows, col : col + s + 1] = term @ u_pow[:, : s + 1]
+    for lo in range(0, v.size, _TABLE_CHUNK):
+        rows = slice(lo, lo + _TABLE_CHUNK)
+        # (1 + 2z)**lam (1 + z u)**-(lam+1+s) as ratio**lam inverse**(1+s):
+        # powers of O(1)-conditioned bases, not exp of a large logarithm
+        inverse = 1.0 / (1.0 + z[rows, None] * u)
+        term = np.power((1.0 + 2.0 * z[rows, None]) * inverse, lam)
+        for s in range(pairs[-1][0] + 1):
+            term *= inverse
+            if (s, 0) in pairs:
+                col = pairs.index((s, 0))
+                values[rows, col : col + s + 1] = term @ u_pow[:, : s + 1]
     table = np.ascontiguousarray(values.T.reshape(len(pairs), panels, n).transpose(0, 2, 1))
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=None)
+def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first-kind Chebyshev points of a table panel and their second-kind
+    barycentric weights, as read-only (n, 1) columns that every caller shares."""
+    angles = math.pi * (np.arange(n) + 0.5) / n
+    points, bary = np.cos(angles)[:, None], ((-1.0) ** np.arange(n) * np.sin(angles))[:, None]
+    points.flags.writeable = bary.flags.writeable = False
+    return points, bary
+
+
+def _read(table: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Every row of ``table``, laid out as _t_table's, read at each v of a
+    1-D array by barycentric interpolation on its panel: shape
+    (rows, v.size).  numpy sums a lone v's n terms pairwise and a batch's in
+    order, so a batch entry may differ from a lone read by rounding."""
+    _, n, panels = table.shape
+    points, bary = _chebyshev(n)
+    position = v * (1.0 / _PANEL_WIDTH)
+    panel = np.minimum(position.astype(np.intp), panels - 1)
+    # barycentric weights at each v's local coordinate
+    diff = (2.0 * (position - panel) - 1.0) - points
+    # a node hit exactly: its weight dominates and normalizes to 1
+    diff[diff == 0.0] = 1e-300
+    lagrange = bary / diff
+    lagrange /= lagrange.sum(axis=0)
+    gathered = np.take(table, panel, axis=2)
+    gathered *= lagrange
+    return gathered.sum(axis=1)
+
+
+def _check_finite(values: np.ndarray, phis: np.ndarray, context: str) -> None:
+    """Raise EvaluationError naming the first kernel value that is not finite."""
+    if not np.all(np.isfinite(values)):
+        bad = int(np.argmin(np.isfinite(values)))
+        raise EvaluationError(
+            f"kernel value {values[bad]} at phi = {float(phis[bad])} is not finite ({context})"
+        )
 
 
 def _expansion(layout, ell: int, a0, a1, b0, b1) -> np.ndarray:
@@ -334,6 +379,7 @@ def _expansion(layout, ell: int, a0, a1, b0, b1) -> np.ndarray:
     return out
 
 
+@_quiet_float_range
 def kernel_partial(
     lam: float,
     k: int,
@@ -348,7 +394,8 @@ def kernel_partial(
 
     ``phi`` may be a scalar (returns a float) or a 1-D array (returns an
     array of the same length); every entry must clear the diagonal guard,
-    and a value that is not finite raises EvaluationError.
+    lam below _LAMBDA_FLOOR raises AccuracyError, and a value that is not
+    finite raises EvaluationError.
 
     The 2-D (r, t) sum is taken in two stages.  On the grid,
     D = Delta_r (1 + z u) with z = 2 sigma r / Delta_r and u = 1 - cos t, and
@@ -384,10 +431,6 @@ def kernel_partial(
     orders = sorted(layout)
     rows_of = np.array([orders.index(s) for s, _ in _pairs(ell)])
     flat = table.reshape(columns, n * panels)
-    # second-kind barycentric weights of the first-kind Chebyshev points
-    angles = math.pi * (np.arange(n) + 0.5) / n
-    points = np.cos(angles)[:, None]
-    bary = ((-1.0) ** np.arange(n) * np.sin(angles))[:, None]
     prefactor = lam / (math.pi * math.gamma(k))
     sin_theta, cos_theta = math.sin(theta), math.cos(theta)
     # math.* per phi, not numpy over the batch, so a phi's trig does not
@@ -400,43 +443,26 @@ def kernel_partial(
     far_split = 1.0 - _FAR_SPLIT
     values = np.empty(phis.size)
     fold = np.zeros((len(orders), columns))
-    # an extreme lambda overflows here, in the layout's coefficients too; the
-    # finiteness check below reports it once
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        coeffs = _expansion(layout, ell, 1.0 - one_minus_cos_w, -sigma, -sin_w, -cos_theta * sin_p)
-        far_rule = _r_rule(lam, k, far_split, r_table)
-        for index, p in enumerate(phis):
-            split = 1.0 - min(abs(theta - p), _FAR_SPLIT)
-            r, r_fac = far_rule if split == far_split else _r_rule(lam, k, split, r_table)
-            delta_r = (1.0 - r) ** 2 + 2.0 * r * one_minus_cos_w[index]
-            q = r / delta_r
-            v = np.log1p((4.0 * sigma[index]) * q)
-            position = v * (1.0 / _PANEL_WIDTH)
-            panel = np.minimum(position.astype(np.intp), panels - 1)
-            # barycentric weights at each r-node's local coordinate
-            diff = (2.0 * (position - panel) - 1.0) - points
-            # a node hit exactly: its weight dominates and normalizes to 1
-            diff[diff == 0.0] = 1e-300
-            lagrange = bary / diff
-            lagrange /= lagrange.sum(axis=0)
-            # the phi's table: sum_m p_{s,m} (1 + 2z)**lam Phi_{m,s}, one row per s
-            fold[rows_of, np.arange(columns)] = coeffs[index]
-            gathered = np.take((fold @ flat).reshape(len(orders), n, panels), panel, axis=2)
-            gathered *= lagrange
-            # r_fac r**s Delta_r**-(lam+1+s) (1 + 2z)**-lam, one row per s;
-            # Delta_r (1 + 2z) = Delta_r + 4 sigma r stays O(1) near the diagonal
-            base = r_fac / delta_r * np.power(delta_r + (4.0 * sigma[index]) * r, -lam)
-            weight = np.empty((len(orders), r.size))
-            weight[0] = base * q if orders[0] else base
-            for row in range(1, len(orders)):
-                np.multiply(weight[row - 1], q, out=weight[row])
-            values[index] = prefactor * float((gathered.sum(axis=1) * weight).sum())
-    if not np.all(np.isfinite(values)):
-        bad = int(np.argmin(np.isfinite(values)))
-        raise EvaluationError(
-            f"kernel value {values[bad]} at phi = {float(phis[bad])} is not finite "
-            f"(lambda {lam}, k {k}, theta {theta})"
-        )
+    coeffs = _expansion(layout, ell, 1.0 - one_minus_cos_w, -sigma, -sin_w, -cos_theta * sin_p)
+    far_rule = _r_rule(lam, k, far_split, r_table)
+    for index, p in enumerate(phis):
+        split = 1.0 - min(abs(theta - p), _FAR_SPLIT)
+        r, r_fac = far_rule if split == far_split else _r_rule(lam, k, split, r_table)
+        delta_r = (1.0 - r) ** 2 + 2.0 * r * one_minus_cos_w[index]
+        q = r / delta_r
+        # the phi's table: sum_m p_{s,m} (1 + 2z)**lam Phi_{m,s}, one row per s
+        fold[rows_of, np.arange(columns)] = coeffs[index]
+        v = np.log1p((4.0 * sigma[index]) * q)
+        t_sums = _read((fold @ flat).reshape(len(orders), n, panels), v)
+        # r_fac r**s Delta_r**-(lam+1+s) (1 + 2z)**-lam, one row per s;
+        # Delta_r (1 + 2z) = Delta_r + 4 sigma r stays O(1) near the diagonal
+        base = r_fac / delta_r * np.power(delta_r + (4.0 * sigma[index]) * r, -lam)
+        weight = np.empty((len(orders), r.size))
+        weight[0] = base * q if orders[0] else base
+        for row in range(1, len(orders)):
+            np.multiply(weight[row - 1], q, out=weight[row])
+        values[index] = prefactor * float((t_sums * weight).sum())
+    _check_finite(values, phis, f"lambda {lam}, k {k}, theta {theta}")
     return float(values[0]) if np.ndim(phi) == 0 else values
 
 

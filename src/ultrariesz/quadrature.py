@@ -195,63 +195,6 @@ def _map_nodes(lo: float, hi: float, side: np.ndarray, dist: np.ndarray) -> np.n
     return x
 
 
-def _tanh_sinh_rows(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    m: int,
-    tol: float,
-    rtol: float,
-) -> np.ndarray:
-    """Adaptive tanh-sinh over (lo, hi) for m integrands ("rows") at once.
-
-    ``f(x, rows)`` returns the integrands numbered ``rows`` at the nodes x,
-    shape (rows.size, x.size).  Each row stops refining at the first level
-    >= 3 whose level-to-level difference is below max(tol, rtol * |integral|),
-    and only the rows still refining are evaluated at the next level.  A row
-    that never converges raises AccuracyError carrying its best estimate.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-        raise ValueError(f"invalid integration interval ({lo}, {hi})")
-    half = 0.5 * (hi - lo)
-    # weights carry the step h of their own level; rescale the running sums
-    # by halving when the level increases.  The level-to-level difference is
-    # taken as the error bound (conservative: convergence is faster than
-    # linear once the rule resolves the singularity).
-    total = np.zeros(m)
-    estimate = np.zeros(m)
-    diff = np.full(m, math.inf)
-    active = np.arange(m)
-    for level in range(0, _MAX_LEVEL + 1):
-        side, dist, weight = _ts_nodes(0) if level == 0 else _ts_new_points(level)
-        x = _map_nodes(lo, hi, side, dist)
-        y = f(x, active)
-        bad = ~np.isfinite(y)
-        if np.any(bad):
-            # an endpoint-rounded node with negligible weight may be dropped
-            fatal = bad & (weight >= 1e-250)
-            if np.any(fatal):
-                raise EvaluationError(f"integrand is not finite at x={float(x[np.nonzero(fatal)[1][0]])}")
-            y = np.where(bad, 0.0, y)
-        total[active] = 0.5 * total[active] + y @ weight
-        # no row stops before level 3, so the level-0 difference is never read
-        new = half * total[active]
-        diff[active] = np.abs(new - estimate[active])
-        estimate[active] = new
-        if level >= 3:
-            converged = diff[active] <= np.maximum(tol, rtol * np.abs(estimate[active]))
-            active = active[~converged]
-            if active.size == 0:
-                return estimate
-    row = int(active[0])
-    where = f" in row {row} of {m}" if m > 1 else ""
-    raise AccuracyError(
-        f"tanh-sinh did not reach tolerance {tol:g} on ({lo}, {hi}){where}",
-        estimate=float(estimate[row]),
-        error_bound=float(diff[row]),
-    )
-
-
 def singular_integrate(
     f: Callable,
     lo: float,
@@ -263,12 +206,40 @@ def singular_integrate(
     """Integrate f over (lo, hi) by adaptive tanh-sinh quadrature.
 
     Handles integrands with algebraic-logarithmic singularities at either
-    endpoint.  Convergence is declared when the level-to-level difference
-    drops below max(tol, rtol * |integral|); otherwise an AccuracyError
-    carrying the best estimate is raised.
+    endpoint.  Convergence is declared at the first level >= 3 whose
+    level-to-level difference is below max(tol, rtol * |integral|);
+    otherwise an AccuracyError carrying the best estimate is raised.
     """
-    rows = _tanh_sinh_rows(lambda x, _: _evaluate(f, x)[None, :], lo, hi, 1, tol, rtol)
-    return float(rows[0])
+    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+        raise ValueError(f"invalid integration interval ({lo}, {hi})")
+    half = 0.5 * (hi - lo)
+    # weights carry the step h of their own level; rescale the running sum
+    # by halving when the level increases.  The level-to-level difference is
+    # taken as the error bound (conservative: convergence is faster than
+    # linear once the rule resolves the singularity).
+    total = estimate = 0.0
+    for level in range(0, _MAX_LEVEL + 1):
+        side, dist, weight = _ts_new_points(level)
+        x = _map_nodes(lo, hi, side, dist)
+        y = _evaluate(f, x)
+        bad = ~np.isfinite(y)
+        if np.any(bad):
+            # an endpoint-rounded node with negligible weight may be dropped
+            fatal = bad & (weight >= 1e-250)
+            if np.any(fatal):
+                raise EvaluationError(f"integrand is not finite at x={float(x[fatal][0])}")
+            y = np.where(bad, 0.0, y)
+        total = 0.5 * total + float(y @ weight)
+        # level 0 never stops, so its difference from 0 is never read
+        diff = abs(half * total - estimate)
+        estimate = half * total
+        if level >= 3 and diff <= max(tol, rtol * abs(estimate)):
+            return estimate
+    raise AccuracyError(
+        f"tanh-sinh did not reach tolerance {tol:g} on ({lo}, {hi})",
+        estimate=estimate,
+        error_bound=diff,
+    )
 
 
 def tanh_sinh_segment(lo: float, hi: float, level: int) -> tuple[np.ndarray, np.ndarray]:

@@ -88,13 +88,9 @@ def _cos_leibniz(theta: float, order: int) -> np.ndarray:
     return _binomials(order) * np.array([cos, -sin, -cos, sin])[np.subtract.outer(k, k) % 4]
 
 
-def gegenbauer_theta_jets(n_max: int, lam: float, theta: float, order: int) -> list[Jet]:
-    """Jets of theta -> P_n(cos(theta)) for all n = 0..n_max in one pass.
-
-    The recurrence runs on the (n_max + 1, order + 1) array of derivative
-    vectors, one matrix-vector product per degree; the rows are wrapped as
-    Jets at the end.
-    """
+def _theta_jet_rows(n_max: int, lam: float, theta: float, order: int) -> np.ndarray:
+    """Row n: P_n(cos(theta)) and its first ``order`` theta-derivatives, for
+    n = 0..n_max; one matrix-vector product per degree of the recurrence."""
     lam = validate_lambda(lam)
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
@@ -102,8 +98,12 @@ def gegenbauer_theta_jets(n_max: int, lam: float, theta: float, order: int) -> l
         raise ValueError(f"derivative order must be nonnegative, got {order}")
     one = np.zeros(order + 1)
     one[0] = 1.0
-    rows = np.array(list(_recurrence(n_max, lam, _cos_leibniz(theta, order), one, np.matmul)))
-    return [Jet(row) for row in rows]
+    return np.array(list(_recurrence(n_max, lam, _cos_leibniz(theta, order), one, np.matmul)))
+
+
+def gegenbauer_theta_jets(n_max: int, lam: float, theta: float, order: int) -> list[Jet]:
+    """Jets of theta -> P_n(cos(theta)) for all n = 0..n_max in one pass."""
+    return [Jet(row) for row in _theta_jet_rows(n_max, lam, theta, order)]
 
 
 def gegenbauer_theta_jet(n: int, lam: float, theta: float, order: int) -> Jet:

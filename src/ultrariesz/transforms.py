@@ -29,7 +29,7 @@ from .quadrature import (
     gauss_legendre_segment,
     tanh_sinh_segment,
 )
-from .special import _recurrence, gegenbauer_theta_jets, norm_sq, validate_lambda
+from .special import _recurrence, _theta_jet_rows, norm_sq, validate_lambda
 
 __all__ = [
     "SpectralCoefficients",
@@ -150,15 +150,15 @@ def _norms(lam: float, n_max: int) -> np.ndarray:
 
 def synthesize(c: SpectralCoefficients, theta: float, derivative_order: int = 0) -> float:
     """Sum of c_n times the derivative_order-th theta-derivative of the
-    normalized eigenfunction, via jets."""
+    normalized eigenfunction, from one array recurrence of theta-jets."""
     if derivative_order < 0:
         raise ValueError(f"derivative order must be nonnegative, got {derivative_order}")
-    jets = gegenbauer_theta_jets(c.degree, c.lam, theta, derivative_order)
+    derivatives = _theta_jet_rows(c.degree, c.lam, theta, derivative_order)[:, derivative_order]
     total = 0.0
-    for coeff, jet, norm in zip(c.coeffs, jets, _norms(c.lam, c.degree)):
+    for coeff, derivative, norm in zip(c.coeffs, derivatives, _norms(c.lam, c.degree)):
         if coeff == 0.0:
             continue
-        total += coeff * jet.coeffs[derivative_order] / norm
+        total += coeff * derivative / norm
     return total
 
 

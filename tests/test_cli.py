@@ -121,10 +121,23 @@ class TestSubcommands:
         assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_non_finite_integrand_is_named_by_a_plain_float(self, capsys):
+        # the order-0 t-table overflows; the Poisson kernel's finiteness
+        # check names the value and the phi it was read at
         code, out, err = run_cli(capsys, "poisson", "--lambda", "200")
         assert code == 2
-        assert re.search(r"integrand is not finite at x=-?\d+(\.\d+)?(e[-+]\d+)?\n$", err), err
+        number = r"-?\d+(\.\d+)?(e[-+]\d+)?"
+        message = rf"kernel value (nan|-?inf) at phi = {number} is not finite \(.*\)\n$"
+        assert re.search(message, err), err
+        assert err.count("\n") == 1
         assert "np.float64(" not in err
+
+    @pytest.mark.parametrize("command", ["riesz-pv", "kernel", "poisson"])
+    def test_lambda_below_the_t_table_floor_fails_with_one_line(self, capsys, command):
+        # below lambda 0.25 the t-rule loses the (sin t)**(2 lambda - 1) mass at pi
+        code, out, err = run_cli(capsys, command, "--lambda", "0.05")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("FAIL:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

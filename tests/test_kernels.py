@@ -27,7 +27,7 @@ from ultrariesz import (
 )
 from ultrariesz import kernels, transforms
 from ultrariesz.jets import Jet
-from ultrariesz.kernels import DEFAULT_KERNEL_CONFIG, KernelConfig, _term_layout
+from ultrariesz.kernels import DEFAULT_KERNEL_CONFIG, KernelConfig, _t_table, _term_layout
 from ultrariesz.quadrature import tanh_sinh_segment
 
 
@@ -88,8 +88,9 @@ class TestPoissonKernel:
 
     @pytest.mark.parametrize("lam", [0.3, 1.0, 2.45])
     def test_array_phi_matches_the_scalar_loop(self, lam):
-        # the batch shares its t-factors across rows and sums them in one
-        # matrix product, so only the summation order may differ
+        # each entry reads the order-0 t-table on its own, but numpy sums a
+        # lone phi's barycentric terms pairwise and a batch's in order, so
+        # only the summation order may differ
         nodes = build_rule(lam, 128).nodes
         for t in (0.1, 1.0):
             r = math.exp(-t)
@@ -120,10 +121,37 @@ class TestPoissonKernel:
             (1.0, 0.1, 1.6, 1.6, 3.515001463664358349390859),
             (2.45, 0.1, 2.6, 2.0, 0.2471598982537479028427581),
             (2.45, 1.0, 0.6, 2.9, 0.1229897145270212851585107),
+            # r near 1, where the table reaches furthest; z is largest on the
+            # diagonal phi = theta
+            (0.3, 1e-3, 0.6, 0.6, 448.6601328044741589473965),
+            (1.0, 1e-3, 1.6, 1.6, 318.9002002755722444453206),
+            (1.0, 1e-3, 1.6, 1.55, 0.1274291575536008272576159),
+            (2.45, 1e-3, 2.6, 2.6, 8202.942817791217710523811),
+            (2.45, 1e-3, 0.6, 2.9, 0.00002253815022079887664231755),
         ],
     )
     def test_hypergeometric_closed_form(self, lam, t, theta, phi, expected):
         assert poisson_kernel(lam, math.exp(-t), theta, phi) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 2.45])
+    def test_reach_table_matches_the_full_reach_table(self, lam):
+        # panels sit at fixed v, so a nearer guard only appends panels; the
+        # shared ones agree to rounding
+        full = _t_table(lam, 0, DEFAULT_KERNEL_CONFIG.t_level, 1e-9)
+        for r in (0.0, 0.5, math.exp(-0.1), math.exp(-1e-3)):
+            table = _t_table(lam, 0, DEFAULT_KERNEL_CONFIG.t_level, 1.0 - r)
+            np.testing.assert_allclose(table, full[:, :, : table.shape[2]], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("lam", [0.2, 0.05, 1e-3])
+    def test_lambda_below_the_t_table_floor_raises(self, lam):
+        with pytest.raises(AccuracyError, match="below 0.25"):
+            poisson_kernel(lam, 0.5, 1.2, 0.7)
+        with pytest.raises(AccuracyError, match="below 0.25"):
+            riesz_kernel(lam, 1, 1.2, 0.7)
+        with pytest.raises(AccuracyError, match="below 0.25"):
+            kernel_partial(lam, 2, 0, 1.2, np.array([0.7, 2.0]))
+        # the floor itself is served
+        assert poisson_kernel(0.25, 0.5, 1.2, 0.7) > 0.0
 
 
 def test_layout_cache_stays_bounded():

@@ -17,8 +17,8 @@ from ultrariesz import (
 )
 from ultrariesz.quadrature import (
     ConstructionError,
+    _MAX_LEVEL,
     _cached_rule,
-    _tanh_sinh_rows,
     gauss_legendre_segment,
     tanh_sinh_segment,
 )
@@ -128,54 +128,51 @@ class TestSingularIntegrate:
 
 
 #: integrands that converge at different levels (3, 3, 5 and 7): smooth, an
-#: endpoint singularity, a near-endpoint peak and an interior peak
+#: endpoint singularity, a near-endpoint peak and an interior peak; and
+#: their integrals over (0, 1)
 ROWS = (
     lambda x: np.cos(x),
     lambda x: x**-0.5,
     lambda x: 1.0 / (1e-3 + x),
     lambda x: 1.0 / (1e-2 + (x - 0.5) ** 2),
 )
-
-
-def _row_family(functions):
-    def f(x, rows):
-        return np.array([functions[i](x) for i in rows])
-
-    return f
+ROW_LEVELS = (3, 3, 5, 7)
+ROW_INTEGRALS = (math.sin(1.0), 2.0, math.log(1001.0), 20.0 * math.atan(5.0))
 
 
 class TestRowEngine:
-    """_tanh_sinh_rows: the level loop behind singular_integrate, over m rows."""
+    """singular_integrate's adaptive level loop, one integrand ("row") at a time."""
 
     def test_rows_converge_at_their_own_level(self):
-        levels = []
+        for function, level, exact in zip(ROWS, ROW_LEVELS, ROW_INTEGRALS):
+            calls = []
 
-        def counted(x, rows):
-            levels.append(rows.copy())
-            return _row_family(ROWS)(x, rows)
+            def counted(x):
+                calls.append(x.size)
+                return function(x)
 
-        batch = _tanh_sinh_rows(counted, 0.0, 1.0, len(ROWS), 1e-10, 1e-12)
-        # rows drop out as they converge: level 3 is the first that may stop
-        # a row, level 7 the last one needed
-        assert [rows.tolist() for rows in levels] == [[0, 1, 2, 3]] * 4 + [[2, 3]] * 2 + [[3]] * 2
-        for value, function in zip(batch, ROWS):
-            assert value == pytest.approx(singular_integrate(function, 0.0, 1.0), rel=1e-14, abs=0.0)
-        assert batch[1] == pytest.approx(2.0, rel=1e-12)
-        assert batch[2] == pytest.approx(math.log(1001.0), rel=1e-12)
+            value = singular_integrate(counted, 0.0, 1.0)
+            # one evaluation per level, from level 0; level 3 is the first
+            # that may stop
+            assert len(calls) == level + 1
+            assert value == pytest.approx(exact, rel=1e-12)
 
     def test_a_row_that_never_converges_raises_with_its_estimate(self):
-        functions = (ROWS[0], lambda x: 1.0 / x, ROWS[1])
-        with pytest.raises(AccuracyError, match="row 1 of 3") as info:
-            _tanh_sinh_rows(_row_family(functions), 0.0, 1.0, 3, 1e-10, 1e-12)
-        with pytest.raises(AccuracyError) as alone:
-            singular_integrate(functions[1], 0.0, 1.0)
-        assert info.value.estimate == pytest.approx(alone.value.estimate, rel=1e-14)
-        assert info.value.error_bound == pytest.approx(alone.value.error_bound, rel=1e-12)
+        with pytest.raises(AccuracyError, match="did not reach tolerance 1e-10 on") as info:
+            singular_integrate(lambda x: 1.0 / x, 0.0, 1.0)
+        # the estimate is the finest level's sum, the bound its change from
+        # the level before
+        sums = []
+        for level in (_MAX_LEVEL - 1, _MAX_LEVEL):
+            x, w = tanh_sinh_segment(0.0, 1.0, level)
+            sums.append(float(np.dot(w, 1.0 / x)))
+        assert info.value.estimate == pytest.approx(sums[1], rel=1e-12)
+        assert info.value.error_bound == pytest.approx(abs(sums[1] - sums[0]), rel=1e-9)
+        assert info.value.error_bound > 1e-10
 
     def test_a_non_finite_row_raises(self):
-        functions = (ROWS[0], lambda x: np.full_like(x, np.nan))
-        with pytest.raises(EvaluationError):
-            _tanh_sinh_rows(_row_family(functions), 0.0, 1.0, 2, 1e-10, 1e-12)
+        with pytest.raises(EvaluationError, match="integrand is not finite"):
+            singular_integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
 
 
 #: a number as Python prints a float, not a numpy scalar's repr
@@ -190,9 +187,8 @@ class TestNonFiniteMessages:
         assert "np.float64(" not in str(info.value)
 
     def test_row_engine_names_a_plain_float(self):
-        functions = (ROWS[0], lambda x: np.full_like(x, np.nan))
         with pytest.raises(EvaluationError, match=rf"at x={_PLAIN_FLOAT}$") as info:
-            _tanh_sinh_rows(_row_family(functions), 0.0, 1.0, 2, 1e-10, 1e-12)
+            singular_integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
         assert "np.float64(" not in str(info.value)
 
 
