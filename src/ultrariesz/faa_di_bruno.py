@@ -9,9 +9,9 @@ differentiator of the same quantity serves as the oracle.
 
 The printed table carries no dependence on the exponent parameter: it is
 exact for lam = 0 and acquires a per-term Pochhammer factor
-(lam+1)_s / s! otherwise.  Both readings are exposed through an explicit
-``mode`` argument, and the test suite fails loudly if the corrected form
-ever disagrees with the jet oracle.
+(lam+1)_s / s! otherwise.  Only the corrected form is evaluated here; the
+test suite fails loudly if it ever disagrees with the jet oracle, and
+keeps the paper's uncorrected reading as a check that it does not.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .jets import Jet
 
 __all__ = [
     "MAX_ORDER",
-    "CORRECTION_MODES",
     "FaaTable",
     "KernelPoint",
     "coefficients",
@@ -38,8 +37,6 @@ __all__ = [
 ]
 
 MAX_ORDER = 12
-
-CORRECTION_MODES = ("as-printed", "pochhammer-corrected")
 
 
 @dataclass(frozen=True)
@@ -151,28 +148,16 @@ def pochhammer_factor(lam: float, s: int) -> float:
     return value
 
 
-def _validate_mode(mode: str) -> str:
-    if mode not in CORRECTION_MODES:
-        raise ValueError(f"mode must be one of {CORRECTION_MODES}, got {mode!r}")
-    return mode
-
-
-def expansion_eval(ell: int, lam: float, point: KernelPoint, mode: str = "pochhammer-corrected") -> float:
-    """Evaluate the finite expansion of the ell-th derivative of D_r**-(lam+1).
-
-    ``as-printed`` uses the table verbatim (exact at lam = 0);
-    ``pochhammer-corrected`` multiplies each (s, i, j) term by
-    (lam+1)_s / s!, the form validated against the jet oracle.
-    """
-    _validate_mode(mode)
+def expansion_eval(ell: int, lam: float, point: KernelPoint) -> float:
+    """Evaluate the finite expansion of the ell-th derivative of D_r**-(lam+1):
+    each (s, i, j) term of the table times (lam+1)_s / s!."""
     if lam < 0.0:
         raise ValueError(f"exponent parameter must be nonnegative, got {lam}")
     table = coefficients(ell)
     r, a, b, d = point.r, point.a, point.b, point.d_r
     value = 0.0
     for (s, i, j), coeff in sorted(table.entries.items()):
-        factor = pochhammer_factor(lam, s) if mode == "pochhammer-corrected" else 1.0
-        value += float(coeff) * factor * r ** (i + j) * a**i * b**j * d ** -(lam + 1.0 + s)
+        value += float(coeff) * pochhammer_factor(lam, s) * r ** (i + j) * a**i * b**j * d ** -(lam + 1.0 + s)
     return value
 
 

@@ -58,20 +58,6 @@ def _taylor_sin_cos(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, c
 
 
-def _taylor_log(u: np.ndarray) -> np.ndarray:
-    if u[0] <= 0.0:
-        raise ValueError(f"log composition requires a positive value, got {u[0]}")
-    n = len(u)
-    v = np.zeros(n)
-    v[0] = math.log(u[0])
-    for m in range(1, n):
-        acc = m * u[m]
-        for k in range(1, m):
-            acc -= k * v[k] * u[m - k]
-        v[m] = acc / (m * u[0])
-    return v
-
-
 def _taylor_pow(u: np.ndarray, alpha: float) -> np.ndarray:
     if u[0] <= 0.0:
         raise ValueError(f"power composition requires a positive value, got {u[0]}")
@@ -87,17 +73,6 @@ def _taylor_pow(u: np.ndarray, alpha: float) -> np.ndarray:
             for k in range(1, m):
                 acc -= k * v[k] * u[m - k]
             v[m] = acc / (m * u[0])
-    return v
-
-
-def _taylor_reciprocal(u: np.ndarray) -> np.ndarray:
-    if u[0] == 0.0:
-        raise ZeroDivisionError("reciprocal of a jet with zero value")
-    n = len(u)
-    v = np.zeros(n)
-    v[0] = 1.0 / u[0]
-    for m in range(1, n):
-        v[m] = -np.dot(u[1 : m + 1], v[m - 1 :: -1][:m]) / u[0]
     return v
 
 
@@ -176,13 +151,8 @@ class Jet:
     def __rmul__(self, other) -> "Jet":
         return Jet(self.coeffs * float(other))
 
-    def __truediv__(self, other) -> "Jet":
-        if not isinstance(other, Jet):
-            return Jet(self.coeffs / float(other))
-        return self * other.reciprocal()
-
-    def __rtruediv__(self, other) -> "Jet":
-        return self.reciprocal() * float(other)
+    def __truediv__(self, other: float) -> "Jet":
+        return Jet(self.coeffs / float(other))
 
     def sin(self) -> "Jet":
         s, _ = _taylor_sin_cos(_to_taylor(self.coeffs))
@@ -192,15 +162,9 @@ class Jet:
         _, c = _taylor_sin_cos(_to_taylor(self.coeffs))
         return Jet(_from_taylor(c))
 
-    def log(self) -> "Jet":
-        return Jet(_from_taylor(_taylor_log(_to_taylor(self.coeffs))))
-
     def power(self, alpha: float) -> "Jet":
         """Jet of u(x)**alpha for real alpha; requires a positive value."""
         return Jet(_from_taylor(_taylor_pow(_to_taylor(self.coeffs), float(alpha))))
-
-    def reciprocal(self) -> "Jet":
-        return Jet(_from_taylor(_taylor_reciprocal(_to_taylor(self.coeffs))))
 
     def __repr__(self) -> str:
         return f"Jet({self.coeffs.tolist()})"

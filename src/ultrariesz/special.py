@@ -17,12 +17,11 @@ import math
 
 import numpy as np
 
-from .jets import Jet, _binomials
+from .jets import _binomials
 
 __all__ = [
     "validate_lambda",
     "gegenbauer_eval",
-    "gegenbauer_theta_jet",
     "gegenbauer_theta_jets",
     "norm_sq",
     "beta",
@@ -88,10 +87,12 @@ def _cos_leibniz(theta: float, order: int) -> np.ndarray:
     return _binomials(order) * np.array([cos, -sin, -cos, sin])[np.subtract.outer(k, k) % 4]
 
 
-def _theta_jet_rows(n_max: int, lam: float, theta: float, order: int) -> np.ndarray:
+def gegenbauer_theta_jets(n_max: int, lam: float, theta: float, order: int) -> np.ndarray:
     """Row n: P_n(cos(theta)) and its first ``order`` theta-derivatives, for
     n = 0..n_max; one matrix-vector product per degree of the recurrence."""
     lam = validate_lambda(lam)
+    if n_max < 0:
+        raise ValueError(f"polynomial degree must be nonnegative, got {n_max}")
     if not 0.0 < theta < math.pi:
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
     if order < 0:
@@ -99,18 +100,6 @@ def _theta_jet_rows(n_max: int, lam: float, theta: float, order: int) -> np.ndar
     one = np.zeros(order + 1)
     one[0] = 1.0
     return np.array(list(_recurrence(n_max, lam, _cos_leibniz(theta, order), one, np.matmul)))
-
-
-def gegenbauer_theta_jets(n_max: int, lam: float, theta: float, order: int) -> list[Jet]:
-    """Jets of theta -> P_n(cos(theta)) for all n = 0..n_max in one pass."""
-    return [Jet(row) for row in _theta_jet_rows(n_max, lam, theta, order)]
-
-
-def gegenbauer_theta_jet(n: int, lam: float, theta: float, order: int) -> Jet:
-    """Jet (value and first ``order`` theta-derivatives) of P_n(cos(theta))."""
-    if n < 0:
-        raise ValueError(f"polynomial degree must be nonnegative, got {n}")
-    return gegenbauer_theta_jets(n, lam, theta, order)[n]
 
 
 def norm_sq(n: int, lam: float) -> float:

@@ -2,7 +2,7 @@
 powers, and the two routes to the Riesz transform.
 
 The spectral route applies the multiplier (n + lambda)**(-k) and takes k
-theta-derivatives through jet arithmetic.  The integral route truncates the
+theta-derivatives from the recurrence run on derivative vectors.  The integral route truncates the
 singular kernel away from the diagonal, evaluates the truncations on a
 decreasing schedule of radii, removes the truncation error by a least
 squares fit in the radius, and adds the parity jump constant gamma_k.
@@ -29,7 +29,7 @@ from .quadrature import (
     gauss_legendre_segment,
     tanh_sinh_segment,
 )
-from .special import _recurrence, _theta_jet_rows, norm_sq, validate_lambda
+from .special import _recurrence, gegenbauer_theta_jets, norm_sq, validate_lambda
 
 __all__ = [
     "SpectralCoefficients",
@@ -153,7 +153,7 @@ def synthesize(c: SpectralCoefficients, theta: float, derivative_order: int = 0)
     normalized eigenfunction, from one array recurrence of theta-jets."""
     if derivative_order < 0:
         raise ValueError(f"derivative order must be nonnegative, got {derivative_order}")
-    derivatives = _theta_jet_rows(c.degree, c.lam, theta, derivative_order)[:, derivative_order]
+    derivatives = gegenbauer_theta_jets(c.degree, c.lam, theta, derivative_order)[:, derivative_order]
     total = 0.0
     for coeff, derivative, norm in zip(c.coeffs, derivatives, _norms(c.lam, c.degree)):
         if coeff == 0.0:

@@ -142,7 +142,7 @@ def test_criterion_3_faa_di_bruno_oracle():
         for ell in range(1, 7):
             for point in points:
                 oracle = jet_oracle(ell, lam, point)
-                value = expansion_eval(ell, lam, point, "pochhammer-corrected")
+                value = expansion_eval(ell, lam, point)
                 worst = max(worst, abs(value - oracle) / max(abs(oracle), 1e-300))
     table_1 = {key: int(value) for key, value in coefficients(1).entries.items()}
     table_2 = {key: int(value) for key, value in coefficients(2).entries.items()}

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,8 @@ from ultrariesz import (
     transforms,
     validate_lambda,
 )
-from ultrariesz.cli import ConfigError, RunConfig, load_config_file, main
+from ultrariesz import cli
+from ultrariesz.cli import ConfigError, RunConfig, build_parser, load_config_file, main
 from ultrariesz.quadrature import ConstructionError
 
 
@@ -78,6 +81,46 @@ class TestConfig:
         path.write_text("lambduh = 1.0\n")
         with pytest.raises(Exception, match="unknown key"):
             load_config_file(str(path))
+
+
+#: per RunConfig field, a valid value other than its default
+_TWIN_VALUES = {
+    "lam": "0.8", "k": "3", "n_max": "12", "quad_order": "40", "eps_start": "0.04", "eps_ratio": "0.6",
+    "eps_count": "5", "rho": "2.5", "thetas": "1.1", "tolerance": "0.01", "ell": "4", "output": "report.csv",
+}
+
+
+def _flag(name):
+    return {"lam": "lambda", "thetas": "theta"}.get(name, name.replace("_", "-"))
+
+
+class TestFlagConfigTwins:
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_flag_and_config_line_give_the_same_config(self, monkeypatch, tmp_path, name):
+        built = []
+        monkeypatch.setitem(cli._COMMANDS, "coeffs", lambda config: built.append(config) or 0)
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{_flag(name)} = {_TWIN_VALUES[name]}\n")
+        assert main(["coeffs", f"--{_flag(name)}", _TWIN_VALUES[name]]) == 0
+        assert main(["coeffs", "--config", str(path)]) == 0
+        assert built[0] == built[1] != RunConfig()
+
+    def test_config_is_the_only_flag_without_a_field(self):
+        expected = {f"--{_flag(f.name)}" for f in fields(RunConfig)} | {"--config"}
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for parser in commands.choices.values():
+            assert {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"} == expected
+
+
+def _run_under_warnings_as_errors(argv):
+    """The CLI in a fresh interpreter under -W error: numpy warnings from the
+    kernel build would print outside pytest, and any warning that escapes
+    the CLI ends it with a traceback."""
+    src = str(Path(ultrariesz.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ultrariesz.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+    )
 
 
 class TestSubcommands:
@@ -152,16 +195,27 @@ class TestSubcommands:
         ],
     )
     def test_float_range_errors_print_one_line_under_warnings_as_errors(self, argv):
-        # a fresh interpreter: numpy warnings from the kernel build would
-        # print outside pytest, and -W error turns any of them into a traceback
-        src = str(Path(ultrariesz.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "ultrariesz.cli", *argv],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
-        )
+        done = _run_under_warnings_as_errors(argv)
         assert done.returncode == 2, done.stderr
         assert done.stdout == ""
         assert done.stderr.startswith("config error:") and done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the family's degree-4 function fills the last coefficient at
+            # n-max 4, at each theta: one false tail alarm, printed once
+            (
+                ("riesz-spectral", "--n-max", "4", "--theta", "1.0", "--theta", "2.0"),
+                "coefficient tail |a_4|/||a|| = 4.47e-01",
+            ),
+            (("variation", "--rho", "1.5", "--theta", "1.0"), "rho = 1.5 is outside the rho > 2 regime"),
+        ],
+    )
+    def test_library_warnings_print_one_plain_line_under_warnings_as_errors(self, argv, message):
+        done = _run_under_warnings_as_errors(argv)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.startswith(f"warning: {message}") and done.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["coeffs", "h-limit"])
     def test_commands_without_a_rule_ignore_its_flags(self, capsys, command):
@@ -415,6 +469,11 @@ class TestExitCodeContract:
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(_run_flags())
+    # the degree-4 family function fills the last coefficient at n-max 4
+    @example(
+        {"lam": 1.0, "k": 1, "n_max": 4, "quad_order": 64, "eps_start": 0.05, "eps_ratio": 0.5, "eps_count": 4,
+         "thetas": [1.0]}
+    )
     def test_riesz_spectral_exits_0_1_or_2(self, values):
         flags = {
             "lambda": values["lam"],
@@ -427,12 +486,7 @@ class TestExitCodeContract:
             "theta": values["thetas"][0],
         }
         # --flag=value keeps argparse from reading "-inf" as an option
-        argv = ["riesz-spectral"] + [f"--{name}={value!r}" for name, value in flags.items()]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                code = main(argv)
-        assert code in (0, 1, 2)
+        _assert_contract(["riesz-spectral"] + [f"--{name}={value!r}" for name, value in flags.items()])
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -482,15 +536,22 @@ class TestExitCodeContract:
         st.integers(-1, 5),
         st.lists(st.one_of(st.floats(1e-2, 3.13), _ANY_FLOAT), min_size=1, max_size=2),
         st.integers(3, 4),
+        st.integers(1, 6),
+        st.floats(1.0, 4.0),
     )
-    @example("poisson", 200.0, 1, [1.2], 3)
-    @example("poisson", 1e300, 2, [0.7, 2.2], 3)
-    @example("compare", 185.0, 2, [1.2], 3)
-    @example("compare", math.nan, 1, [1.2], 4)
-    @example("variation", 1e3, 3, [0.7, 1.2], 3)
-    @example("variation", 5e-324, 1, [1.2], 4)
-    def test_report_commands_exit_0_1_or_2_without_warnings(self, command, lam, k, thetas, count):
+    @example("poisson", 200.0, 1, [1.2], 3, 16, 3.0)
+    @example("poisson", 1e300, 2, [0.7, 2.2], 3, 16, 3.0)
+    @example("compare", 185.0, 2, [1.2], 3, 16, 3.0)
+    @example("compare", math.nan, 1, [1.2], 4, 16, 3.0)
+    @example("variation", 1e3, 3, [0.7, 1.2], 3, 16, 3.0)
+    @example("variation", 5e-324, 1, [1.2], 4, 16, 3.0)
+    # the degree-4 family function fills the last coefficient at n-max 4
+    @example("compare", 1.0, 1, [1.0], 3, 4, 3.0)
+    @example("variation", 1.0, 1, [1.0], 3, 4, 3.0)
+    # rho <= 2 is outside the variation operator's regime
+    @example("variation", 1.0, 1, [1.0], 3, 16, 1.5)
+    def test_report_commands_exit_0_1_or_2_without_warnings(self, command, lam, k, thetas, count, n_max, rho):
         # 3-4 radii and 1-2 theta keep each example cheap
-        argv = [command, f"--lambda={lam!r}", f"--k={k}", f"--eps-count={count}"]
+        argv = [command, f"--lambda={lam!r}", f"--k={k}", f"--eps-count={count}", f"--n-max={n_max}", f"--rho={rho!r}"]
         _assert_contract(argv + [f"--theta={theta!r}" for theta in thetas])
 

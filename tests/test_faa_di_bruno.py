@@ -102,30 +102,30 @@ class TestJetOracle:
 
 
 class TestExpansion:
-    def test_as_printed_exact_at_lambda_zero(self):
-        for point in sample_points(10):
-            for ell in range(1, 7):
-                printed = expansion_eval(ell, 0.0, point, "as-printed")
-                oracle = jet_oracle(ell, 0.0, point)
-                assert printed == pytest.approx(oracle, rel=1e-10)
-
     def test_pochhammer_corrected_matches_oracle(self):
         # the correction conjecture: if this fails the tables cannot be used
         points = sample_points(50)
         for lam in (0.0, 0.5, 1.0, 2.5):
             for ell in range(1, 7):
                 for point in points:
-                    corrected = expansion_eval(ell, lam, point, "pochhammer-corrected")
+                    corrected = expansion_eval(ell, lam, point)
                     oracle = jet_oracle(ell, lam, point)
                     assert corrected == pytest.approx(
                         oracle, rel=1e-10
                     ), f"correction conjecture fails at ell={ell}, lam={lam}"
 
     def test_as_printed_disagrees_for_positive_lambda(self):
-        point = sample_points(1)[0]
-        printed = expansion_eval(2, 1.0, point, "as-printed")
-        oracle = jet_oracle(2, 1.0, point)
+        # the paper's erratum: its table, read verbatim (no Pochhammer
+        # factor), is the derivative only at lam = 0
+        lam, point = 1.0, sample_points(1)[0]
+        r, a, b, d = point.r, point.a, point.b, point.d_r
+        printed = sum(
+            float(c) * r ** (i + j) * a**i * b**j * d ** -(lam + 1.0 + s)
+            for (s, i, j), c in coefficients(2).entries.items()
+        )
+        oracle = jet_oracle(2, lam, point)
         assert abs(printed - oracle) > 1e-6 * abs(oracle)
+        assert expansion_eval(2, lam, point) == pytest.approx(oracle, rel=1e-10)
 
     def test_pochhammer_factor_values(self):
         assert pochhammer_factor(0.0, 3) == pytest.approx(1.0)
@@ -156,8 +156,3 @@ class TestExpansion:
                     for (s, i, j), c in coefficients(ell).entries.items()
                 )
                 assert direct == pytest.approx(flipped, rel=1e-11)
-
-    def test_mode_validation(self):
-        point = sample_points(1)[0]
-        with pytest.raises(ValueError):
-            expansion_eval(2, 1.0, point, "apply-twice")

@@ -7,7 +7,6 @@ from ultrariesz import (
     beta,
     build_rule,
     gegenbauer_eval,
-    gegenbauer_theta_jet,
     gegenbauer_theta_jets,
     integrate,
     norm_sq,
@@ -62,22 +61,26 @@ class TestGegenbauerEval:
             gegenbauer_eval(-1, 1.0, 0.5)
 
 
+def _row(n, lam, theta, order):
+    """P_n(cos(theta)) and its first ``order`` theta-derivatives."""
+    return gegenbauer_theta_jets(n, lam, theta, order)[n]
+
+
 class TestThetaJets:
     def test_constant_jet(self):
-        jet = gegenbauer_theta_jet(0, 0.9, 1.0, 3)
-        assert jet.coeffs == pytest.approx([1.0, 0.0, 0.0, 0.0])
+        assert _row(0, 0.9, 1.0, 3) == pytest.approx([1.0, 0.0, 0.0, 0.0])
 
     def test_degree_one_derivative(self):
-        jet = gegenbauer_theta_jet(1, 0.5, math.pi / 2, 1)
-        assert jet.coeffs[0] == pytest.approx(0.0, abs=1e-14)
-        assert jet.coeffs[1] == pytest.approx(-1.0, rel=1e-14)
+        row = _row(1, 0.5, math.pi / 2, 1)
+        assert row[0] == pytest.approx(0.0, abs=1e-14)
+        assert row[1] == pytest.approx(-1.0, rel=1e-14)
 
     def test_second_derivative_against_finite_differences(self):
         lam, theta, h = 1.0, 1.1, 1e-4
-        jet = gegenbauer_theta_jet(2, lam, theta, 2)
+        row = _row(2, lam, theta, 2)
         p = lambda t: gegenbauer_eval(2, lam, math.cos(t))
         fd = (p(theta + h) - 2 * p(theta) + p(theta - h)) / h**2
-        assert jet.coeffs[2] == pytest.approx(fd, abs=1e-6)
+        assert row[2] == pytest.approx(fd, abs=1e-6)
 
     def test_random_orders_against_finite_differences(self):
         # steps widen with the order: an h**-order cancellation noise floor
@@ -87,7 +90,7 @@ class TestThetaJets:
             n = int(rng.integers(0, 11))
             lam = float(rng.uniform(0.2, 3.0))
             theta = float(rng.uniform(0.5, math.pi - 0.5))
-            jet = gegenbauer_theta_jet(n, lam, theta, 4)
+            row = _row(n, lam, theta, 4)
             p = lambda t: gegenbauer_eval(n, lam, math.cos(t))
             h, hw = 1e-4, 2e-3
             stencils = {
@@ -104,35 +107,35 @@ class TestThetaJets:
                 )
                 / hw**4,
             }
-            scale = max(1.0, float(np.max(np.abs(jet.coeffs))))
+            scale = max(1.0, float(np.max(np.abs(row))))
             for order, fd in stencils.items():
                 tol = 1e-5 if order <= 2 else 1e-4
-                assert jet.coeffs[order] == pytest.approx(fd, abs=tol * scale)
+                assert row[order] == pytest.approx(fd, abs=tol * scale)
 
     def test_first_derivative_identity(self):
         # d/dtheta P_n(cos theta) = -2 lam sin(theta) P_{n-1}^{lam+1}(cos theta)
         for lam in (0.3, 1.0, 2.2):
+            rows = gegenbauer_theta_jets(12, lam, 0.9, 1)
             for n in range(1, 13):
-                theta = 0.9
-                jet = gegenbauer_theta_jet(n, lam, theta, 1)
-                rhs = -2 * lam * math.sin(theta) * gegenbauer_eval(n - 1, lam + 1, math.cos(theta))
-                assert jet.coeffs[1] == pytest.approx(rhs, rel=1e-10)
+                rhs = -2 * lam * math.sin(0.9) * gegenbauer_eval(n - 1, lam + 1, math.cos(0.9))
+                assert rows[n, 1] == pytest.approx(rhs, rel=1e-10)
 
     def test_batch_matches_single(self):
-        jets = gegenbauer_theta_jets(6, 0.7, 1.3, 2)
-        assert jets[4].coeffs == pytest.approx(gegenbauer_theta_jet(4, 0.7, 1.3, 2).coeffs)
+        # a row does not depend on how far past its degree the batch runs
+        rows = gegenbauer_theta_jets(6, 0.7, 1.3, 2)
+        assert rows[4] == pytest.approx(gegenbauer_theta_jets(4, 0.7, 1.3, 2)[-1])
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 30, 60])
     @pytest.mark.parametrize("order", [0, 1, 6, 12])
     def test_matches_jet_object_recurrence(self, n_max, order):
         for theta in (1e-3, 1.1, math.pi - 1e-3):
             for lam in (0.05, 0.3, 2.45, 10.0):
-                jets = gegenbauer_theta_jets(n_max, lam, theta, order)
+                rows = gegenbauer_theta_jets(n_max, lam, theta, order)
                 reference = _jet_object_recurrence(n_max, lam, theta, order)
-                assert len(jets) == len(reference) == n_max + 1
-                for jet, ref in zip(jets, reference):
+                assert rows.shape == (len(reference), order + 1) == (n_max + 1, order + 1)
+                for row, ref in zip(rows, reference):
                     scale = float(np.max(np.abs(ref.coeffs)))
-                    assert np.max(np.abs(jet.coeffs - ref.coeffs)) <= 1e-13 * scale
+                    assert np.max(np.abs(row - ref.coeffs)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("order", [0, 1, 6, 12])
     def test_cos_rows_match_jet_cos(self, order):
@@ -143,6 +146,10 @@ class TestThetaJets:
     def test_negative_order_raises(self):
         with pytest.raises(ValueError):
             gegenbauer_theta_jets(3, 1.0, 1.0, -1)
+
+    def test_negative_degree_raises(self):
+        with pytest.raises(ValueError, match="degree"):
+            gegenbauer_theta_jets(-1, 1.0, 1.0, 2)
 
 
 class TestNorms:

@@ -89,6 +89,22 @@ class TestSynthesize:
         c = SpectralCoefficients(0.5, [0.0, 1.0])
         assert synthesize(c, math.pi / 2, 2) == pytest.approx(0.0, abs=1e-12)
 
+    def test_theta_jets_come_from_the_public_function_once_per_call(self, monkeypatch):
+        # perfbench traces special.gegenbauer_theta_jets by name, so the
+        # spectral route's jet time shows only if synthesize calls it
+        calls = []
+        theta_jets = transforms.gegenbauer_theta_jets
+
+        def counted(*args):
+            calls.append(args)
+            return theta_jets(*args)
+
+        monkeypatch.setattr(transforms, "gegenbauer_theta_jets", counted)
+        c = SpectralCoefficients(0.8, [0.3, 0.0, 1.0, -0.2])
+        for order in (0, 2):
+            synthesize(c, 1.1, order)
+        assert calls == [(3, 0.8, 1.1, 0), (3, 0.8, 1.1, 2)]
+
 
 class TestPoisson:
     def test_constant_decays_at_rate_lambda(self):
