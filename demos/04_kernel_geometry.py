@@ -3,7 +3,8 @@
 Away from the diagonal the kernel obeys Hardy-type bounds depending on
 which wedge of (0, pi)^2 the point sits in; near the diagonal it matches
 the circle kernel M_k / sin(theta - phi) up to an integrable error.  The
-circle kernels H^k carry the jump constants: for even k, H^k(w) tends to
+circle kernels R^k and H^k are closed forms (the multiplier (i sgn n)^k on
+the circle) and carry the jump constants: for even k, H^k(w) tends to
 (-1)^(k/2) pi Gamma(k) as w -> 0.
 """
 
@@ -37,11 +38,11 @@ for theta, phi in ((0.3, 2.5), (1.2, 1.25), (1.5, 0.4)):
     ratio = envelope_residual(0.5, 2, theta, phi)
     print(f"  {region} at ({theta}, {phi}): ratio {ratio:.4f}")
 
-print("\ndiagonal constants of the circle kernel, sin(w) R^k(w) extrapolated to 0:")
+print("\ndiagonal constants of the circle kernel, M_k = lim sin(w) R^k(w), in closed form:")
 for k in (1, 2, 3, 4):
     m = m_k_estimate(k)
-    note = " (= -1/pi)" if k == 1 else ""
-    print(f"  M_{k} = {m:+.6f}{note}")
+    w = 1e-3
+    print(f"  M_{k} = {m:+.6f}   sin(w) R^k(w) at w = 1e-3: {math.sin(w) * circle_R(k, 1.0 + w, 1.0):+.6f}")
 
 print("\ncircle-kernel limits: H^k(w) for w = 1e-3 against (-1)^(k/2) pi Gamma(k):")
 for k in (2, 4, 6):
@@ -50,6 +51,6 @@ print("and w H^k(w) -> 0 for odd k:")
 for k in (1, 3, 5):
     print(f"  k={k}: |w H^k| at w=1e-2: {abs(1e-2 * circle_H(k, 1e-2)):.5f}, at w=1e-3: {abs(1e-3 * circle_H(k, 1e-3)):.5f}")
 
-print("\nclosed form check: R^1(w) = -cot(w/2) / (2 pi):")
+print("\nthe circle Riesz kernel is the multiplier (i sgn n)^k: R^1(w) = -cot(w/2) / (2 pi), R^2 = 1 / (2 pi):")
 w = 0.8
-print(f"  numeric {circle_R(1, 1.0 + w, 1.0):+.12f}   closed form {-1 / (2 * math.pi * math.tan(w / 2)):+.12f}")
+print(f"  R^1({w}) = {circle_R(1, 1.0 + w, 1.0):+.12f}   R^2({w}) = {circle_R(2, 1.0 + w, 1.0):+.12f}")

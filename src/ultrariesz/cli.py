@@ -104,22 +104,23 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         checks = [
-            (math.isfinite(self.lam) and self.lam > 0.0, "lambda", "must be positive and finite"),
+            (math.isfinite(self.lam) and self.lam > 0.0, "lam", "must be positive and finite"),
             (1 <= self.k <= faa_di_bruno.MAX_ORDER, "k", f"must lie in [1, {faa_di_bruno.MAX_ORDER}]"),
-            (self.n_max >= 1, "n-max", "must be at least 1"),
+            (self.n_max >= 1, "n_max", "must be at least 1"),
             (self.rho >= 1.0, "rho", "must be at least 1"),
-            (len(self.thetas) > 0, "theta", "need at least one evaluation point"),
-            (all(0.0 < t < math.pi for t in self.thetas), "theta", "must lie in (0, pi)"),
+            (len(self.thetas) > 0, "thetas", "need at least one evaluation point"),
+            (all(0.0 < t < math.pi for t in self.thetas), "thetas", "must lie in (0, pi)"),
             (self.tolerance > 0.0, "tolerance", "must be positive"),
             (1 <= self.ell <= faa_di_bruno.MAX_ORDER, "ell", f"must lie in [1, {faa_di_bruno.MAX_ORDER}]"),
         ]
         for ok, name, message in checks:
             if not ok:
-                raise ConfigError(f"field '{name}': {message}")
+                raise ConfigError(f"field '{_flag(name)}': {message}")
         try:
             self.schedule()
         except ValueError as exc:
-            raise ConfigError(f"fields 'eps-start', 'eps-ratio', 'eps-count': {exc}") from exc
+            names = ", ".join(f"'{_flag(name)}'" for name in ("eps_start", "eps_ratio", "eps_count"))
+            raise ConfigError(f"fields {names}: {exc}") from exc
         return self
 
     def schedule(self) -> TruncationSchedule:
@@ -131,7 +132,8 @@ class RunConfig:
         degree = max(self.n_max, _FAMILY_DEGREE)
         if not degree < self.quad_order <= _MAX_QUAD_ORDER:
             raise ConfigError(
-                f"field 'quad-order': must lie in (max(n-max, {_FAMILY_DEGREE}) = {degree}, {_MAX_QUAD_ORDER}]"
+                f"field '{_flag('quad_order')}': must lie in "
+                f"(max({_flag('n_max')}, {_FAMILY_DEGREE}) = {degree}, {_MAX_QUAD_ORDER}]"
             )
         # an extreme lambda overflows the recurrence into a ConstructionError
         with np.errstate(over="ignore", invalid="ignore"):
@@ -141,10 +143,16 @@ class RunConfig:
 #: flags that are not their field's name with "_" -> "-"
 _RENAMED_FLAGS = {"lam": "lambda", "thetas": "theta"}
 
+
+def _flag(name: str) -> str:
+    """The CLI flag and config-file key of the RunConfig field ``name``."""
+    return _RENAMED_FLAGS.get(name, name.replace("_", "-"))
+
+
 #: flag and config-file key -> (RunConfig field, type of its default); a
 #: list field takes floats, repeated flags or one whitespace/comma list
 _CONFIG_KEYS = {
-    _RENAMED_FLAGS.get(f.name, f.name.replace("_", "-")): (
+    _flag(f.name): (
         f.name,
         type(f.default_factory() if f.default is MISSING else f.default),
     )

@@ -27,10 +27,8 @@ from .faa_di_bruno import coefficients, pochhammer_factor
 from .quadrature import (
     AccuracyError,
     EvaluationError,
-    _least_squares_fit,
     _segment,
     _ts_nodes,
-    singular_integrate,
     tanh_sinh_segment,
 )
 from .special import validate_lambda
@@ -487,103 +485,53 @@ def riesz_kernel(
     return kernel_partial(lam, k, k, theta, phi, config=config)
 
 
-def _circle_integrand_factory(k: int, w: float):
-    """r-integrand of the circle kernels: the order-(k-1 or k) lam = 0
-    expansion under the subordination integral, as a vectorized callable."""
-    cos_w = math.cos(w)
-    sin_w = math.sin(w)
-    one_minus_cos_w = 2.0 * math.sin(0.5 * w) ** 2
-
-    def delta(r):
-        return (1.0 - r) ** 2 + 2.0 * r * one_minus_cos_w
-
-    def integrand_order(ell: int):
-        layout = _term_layout(ell, 0.0)
-
-        def f(r):
-            r = np.asarray(r, dtype=float)
-            d = delta(r)
-            total = np.zeros_like(r)
-            for s, terms in layout.items():
-                poly = sum(c * cos_w**i * (-sin_w) ** j for c, i, j in terms)
-                total += poly * r ** (s - 1) / d ** (s + 1)
-            return (1.0 - r * r) * (-np.log(r)) ** (k - 1) * total
-
-        return f
-
-    return integrand_order
-
-
-def circle_H(k: int, w: float, *, tol: float = 1e-10) -> float:
-    """H^k(w): the (k-1)-th w-derivative of the subordinated circle Poisson
-    ratio, integrated in r.  Near w = 0 use h_limit_even instead."""
+def _check_circle(k: int, w: float) -> None:
+    """Refusals both circle kernels make: an order below 1, and
+    0 < |w| < 1e-6, where the closed forms lose their digits to the pole at
+    w = 0 (and w = 5e-324 would divide by zero)."""
     if k < 1:
         raise ValueError(f"order must be a positive integer, got {k}")
+    if abs(w) < 1e-6:
+        message = f"|w| = {abs(w):.2e} too close to the diagonal; h_limit_even gives H^k's even-order limit"
+        raise AccuracyError(message, estimate=math.nan, error_bound=math.inf)
+
+
+def circle_H(k: int, w: float) -> float:
+    """H^k(w): the (k-1)-th w-derivative of the subordinated circle Poisson
+    ratio, integrated in r, in closed form:
+    -2 (-1)**((k-1)/2) (k-1)! log|2 sin(w/2)| for odd k and
+    sgn(w) (-1)**(k/2) (k-1)! (pi - |w|) for even k."""
     w = float(w)
     if not -math.pi < w < math.pi or w == 0.0:
         raise ValueError(f"w must lie in (-pi, pi) away from 0, got {w}")
-    if abs(w) < 1e-6:
-        raise AccuracyError(
-            f"|w| = {abs(w):.2e} too close to 0 for quadrature; "
-            "use h_limit_even for the even-order limit",
-            estimate=math.nan,
-            error_bound=math.inf,
-        )
-    if k == 1:
-        one_minus_cos_w = 2.0 * math.sin(0.5 * w) ** 2
-
-        def integrand(r):
-            r = np.asarray(r, dtype=float)
-            d = (1.0 - r) ** 2 + 2.0 * r * one_minus_cos_w
-            # ((1-r^2)/Delta - 1)/r simplified to avoid the 0/0 at r -> 0
-            return 2.0 * (math.cos(w) - r) / d
-
-        return singular_integrate(integrand, 0.0, 1.0, tol=tol, rtol=1e-8)
-    factory = _circle_integrand_factory(k, w)
-    return singular_integrate(factory(k - 1), 0.0, 1.0, tol=tol, rtol=1e-8)
+    _check_circle(k, w)
+    if k % 2 == 1:
+        return -2.0 * (-1) ** ((k - 1) // 2) * math.factorial(k - 1) * math.log(abs(2.0 * math.sin(0.5 * w)))
+    return math.copysign(1.0, w) * (-1) ** (k // 2) * math.factorial(k - 1) * (math.pi - abs(w))
 
 
-def circle_R(k: int, theta: float, phi: float, *, tol: float = 1e-10) -> float:
-    """R^k(theta, phi) = the order-k circle Riesz kernel, a function of
-    theta - phi alone."""
-    if k < 1:
-        raise ValueError(f"order must be a positive integer, got {k}")
+def circle_R(k: int, theta: float, phi: float) -> float:
+    """R^k(theta, phi), the order-k circle Riesz kernel, a function of
+    w = theta - phi alone.  R^k is the Fourier multiplier (i sgn n)**k, so
+    its kernel is (-1)**((k+1)/2) cot(w/2) / (2 pi) for odd k (the conjugate
+    function's) and the constant -(-1)**(k/2) / (2 pi) for even k, whose
+    jump gamma_k is kernel_constants'."""
     w = float(theta) - float(phi)
     if w == 0.0:
         raise ValueError("kernel is singular on the diagonal theta = phi")
-    if abs(w) < 1e-6:
-        raise AccuracyError(
-            f"|theta - phi| = {abs(w):.2e} too close to the diagonal",
-            estimate=math.nan,
-            error_bound=math.inf,
-        )
-    factory = _circle_integrand_factory(k, w)
-    value = singular_integrate(factory(k), 0.0, 1.0, tol=tol, rtol=1e-8)
-    return value / (2.0 * math.pi * math.gamma(k))
+    _check_circle(k, w)
+    if k % 2 == 1:
+        return (-1) ** ((k + 1) // 2) / (2.0 * math.pi * math.tan(0.5 * w))
+    return -((-1) ** (k // 2)) / (2.0 * math.pi)
 
 
-@lru_cache(maxsize=None)
 def m_k_estimate(k: int) -> float:
-    """Estimate the diagonal constant M_k of the circle kernel.
-
-    Evaluates sin(w) * R^k at w in {1e-2, 1e-3, 1e-4} and extrapolates with
-    the model a + b*sqrt(w) (the kernel's error term is O(w**-1/2)).  The
-    constant does not depend on the ultraspherical parameter; a fit residual
-    above 1e-3 raises AccuracyError.
-    """
+    """The diagonal constant M_k = lim_{w -> 0} sin(w) R^k(w) of the circle
+    kernel: (-1)**((k+1)/2) / pi for odd k and 0 for even k, whatever the
+    ultraspherical parameter."""
     if k < 1:
         raise ValueError(f"order must be a positive integer, got {k}")
-    ws = np.array([1e-2, 1e-3, 1e-4])
-    phi = 1.0
-    y = np.array([math.sin(w) * circle_R(k, phi + w, phi) for w in ws])
-    coeffs, residual = _least_squares_fit(np.column_stack([np.ones_like(ws), np.sqrt(ws)]), y)
-    if residual > 1e-3:
-        raise AccuracyError(
-            f"sqrt-fit residual {residual:.2e} exceeds tolerance 1e-3 for M_{k}",
-            estimate=float(coeffs[0]),
-            error_bound=residual,
-        )
-    return float(coeffs[0])
+    return (-1) ** ((k + 1) // 2) / math.pi if k % 2 == 1 else 0.0
 
 
 def envelope_residual(
@@ -613,8 +561,7 @@ def _envelope_ratio(
     at (theta, phi), which lies in ``region``."""
     sigma = math.sin(theta) * math.sin(phi)
     if region == "A2":
-        m_k = 0.0 if k % 2 == 0 else m_k_estimate(k)
-        lead = m_k / (sigma**lam * math.sin(theta - phi))
+        lead = m_k_estimate(k) / (sigma**lam * math.sin(theta - phi))
         envelope = math.sin(phi) ** -(2.0 * lam + 1.0) * (
             1.0 + math.sqrt(math.sin(phi) / abs(theta - phi))
         )

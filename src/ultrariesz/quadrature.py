@@ -275,9 +275,3 @@ def gauss_legendre_segment(lo: float, hi: float, n: int) -> tuple[np.ndarray, np
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 
-
-def _least_squares_fit(design: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients c of design @ c ~ values, and the largest
-    absolute residual of the fit."""
-    coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
-    return coeffs, float(np.max(np.abs(design @ coeffs - values)))

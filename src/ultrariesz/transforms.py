@@ -25,7 +25,6 @@ from .quadrature import (
     EvaluationError,
     QuadratureRule,
     _evaluate,
-    _least_squares_fit,
     gauss_legendre_segment,
     tanh_sinh_segment,
 )
@@ -129,8 +128,10 @@ def analyze(f: Callable, lam: float, n_max: int, rule: QuadratureRule) -> Spectr
     lam = validate_lambda(lam)
     if rule.order < n_max + 1:
         raise ValueError(f"rule order {rule.order} too low for degree {n_max}")
+    # norms first: they overflow (OverflowError) before the recurrence would
+    norms = _norms(lam, n_max)
     x = np.cos(rule.nodes)
-    basis = np.array(list(_recurrence(n_max, lam, x, np.ones_like(x)))) / _norms(lam, n_max)[:, None]
+    basis = np.array(list(_recurrence(n_max, lam, x, np.ones_like(x)))) / norms[:, None]
     fvals = _evaluate(f, rule.nodes)
     return SpectralCoefficients(lam=lam, coeffs=basis @ (rule.weights * fvals))
 
@@ -302,32 +303,28 @@ class TruncationOperator:
                 pieces.append((lo, min(hi, math.pi), i, hi >= math.pi))
         panels = []
         for lo, hi, index, endpoint in pieces:
+            # both rules' nodes are interior, so every node lies inside (0, pi)
             if endpoint:
-                nodes, weights = tanh_sinh_segment(lo, hi, _PHI_LEVEL)
+                panels.append((*tanh_sinh_segment(lo, hi, _PHI_LEVEL), index))
             else:
-                nodes, weights = gauss_legendre_segment(lo, hi, _band_points(lo, hi, theta))
-            # nodes that round onto 0 or pi carry negligible weight and a
-            # vanishing (sin phi)**(2 lam) factor; drop them
-            keep = (nodes > 0.0) & (nodes < math.pi)
-            panels.append((nodes[keep], weights[keep], index))
+                panels.append((*gauss_legendre_segment(lo, hi, _band_points(lo, hi, theta)), index))
         # one kernel call over every panel's nodes: the call fetches the t-table
         # of (lambda, k) once and builds the far r-rule once for all of them
-        all_nodes = np.concatenate([nodes for nodes, _, _ in panels])
-        kernel_vals = np.split(
-            riesz_kernel(self.lam, self.k, theta, all_nodes, config=config),
-            np.cumsum([nodes.size for nodes, _, _ in panels])[:-1],
-        )
+        self._nodes = np.concatenate([nodes for nodes, _, _ in panels])
+        weights = np.concatenate([w for _, w, _ in panels])
+        kernel_vals = riesz_kernel(self.lam, self.k, theta, self._nodes, config=config)
+        self._kernel_weights = weights * np.sin(self._nodes) ** (2.0 * self.lam) * kernel_vals
+        ends = np.cumsum([nodes.size for nodes, _, _ in panels]).tolist()
         self._segments = [
-            (nodes, weights * np.sin(nodes) ** (2.0 * self.lam) * values, index)
-            for (nodes, weights, index), values in zip(panels, kernel_vals)
+            (slice(end - nodes.size, end), index) for (nodes, _, index), end in zip(panels, ends)
         ]
 
     def truncated_values(self, f: Callable) -> np.ndarray:
         """The truncated integral at every schedule radius, largest first."""
+        fvals = _evaluate(f, self._nodes)
         out = np.zeros(self.epsilons.size)
-        for nodes, kernel_weights, index in self._segments:
-            fvals = np.asarray(f(nodes), dtype=float)
-            out[index:] += float(np.dot(kernel_weights, fvals))
+        for part, index in self._segments:
+            out[index:] += float(np.dot(self._kernel_weights[part], fvals[part]))
         return out
 
 
@@ -351,9 +348,9 @@ def _extrapolate(epsilons: np.ndarray, values: np.ndarray) -> tuple[float, float
     radii the highest terms are dropped so the fit stays overdetermined."""
     window = min(_FIT_WINDOW, epsilons.size)
     eps = epsilons[-window:]
-    basis = (np.ones_like(eps), eps, eps * np.log(eps), eps * eps)[: window - 1]
-    coeffs, residual = _least_squares_fit(np.column_stack(basis), values[-window:])
-    return float(coeffs[0]), residual
+    design = np.column_stack((np.ones_like(eps), eps, eps * np.log(eps), eps * eps)[: window - 1])
+    coeffs, *_ = np.linalg.lstsq(design, values[-window:], rcond=None)
+    return float(coeffs[0]), float(np.max(np.abs(design @ coeffs - values[-window:])))
 
 
 def riesz_pv(

@@ -82,6 +82,21 @@ class TestConfig:
         with pytest.raises(Exception, match="unknown key"):
             load_config_file(str(path))
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"lam": -1.0}, {"k": 0}, {"n_max": 0}, {"rho": 0.5}, {"thetas": []}, {"thetas": [4.0]},
+            {"tolerance": 0.0}, {"ell": 0}, {"eps_count": 1}, {"quad_order": 3},
+        ],
+    )
+    def test_config_errors_name_only_config_keys(self, values):
+        with pytest.raises(ConfigError) as info:
+            RunConfig(**values).validate().rule()
+        message = str(info.value)
+        named = re.findall(r"'([^']+)'", message) + re.findall(r"\b[a-z]+(?:-[a-z]+)+\b", message)
+        assert _flag(next(iter(values))) in named
+        assert set(named) <= set(cli._CONFIG_KEYS)
+
 
 #: per RunConfig field, a valid value other than its default
 _TWIN_VALUES = {
@@ -388,6 +403,18 @@ class TestVariationReport:
         assert csv_lines[0] == "theta,epsilon,truncated_value"
         assert len(csv_lines) == 1 + 6
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_summary_diagonal_constant_is_exact(self, capsys, tmp_path, k):
+        base = tmp_path / "report"
+        argv = ["variation", "--k", str(k), "--theta", "1.2", "--eps-count", "6", "--quad-order", "48"]
+        code, _, err = run_cli(capsys, *argv, "--output", str(base))
+        assert code == 0, err
+        m_k = json.loads(base.with_suffix(".json").read_text())["summary"]["m_k"]
+        if k == 2:
+            assert m_k == 0.0
+        else:
+            assert abs(m_k + 1.0 / math.pi) <= 1e-15
+
     def test_theta_order_does_not_change_norms(self, capsys, tmp_path):
         norms = []
         for index, thetas in enumerate((("0.9", "1.2"), ("1.2", "0.9"))):
@@ -473,6 +500,11 @@ class TestExitCodeContract:
     @example(
         {"lam": 1.0, "k": 1, "n_max": 4, "quad_order": 64, "eps_start": 0.05, "eps_ratio": 0.5, "eps_count": 4,
          "thetas": [1.0]}
+    )
+    # the degree-40 recurrence overflows, and the eigenfunction norms first
+    @example(
+        {"lam": 3178024656963862.0, "k": 1, "n_max": 40, "quad_order": 41, "eps_start": 1.0, "eps_ratio": 0.5,
+         "eps_count": 3, "thetas": [1.0]}
     )
     def test_riesz_spectral_exits_0_1_or_2(self, values):
         flags = {

@@ -565,6 +565,51 @@ class TestParallelKernel:
                 riesz_kernel(1e300, 1, 1.2, np.array([0.5, 1.0, 2.0, 2.5]), config=_COARSE)
 
 
+def _circle_integral(k, w, ell):
+    """The circle kernels' subordination r-integral of the order-ell lam = 0
+    expansion, sum_s P_s(w) r**(s-1) Delta_r**-(s+1) against
+    (1 - r**2) log(1/r)**(k-1), by adaptive tanh-sinh: the definition the
+    closed forms of circle_H (ell = k - 1) and circle_R (ell = k) are held to."""
+    cos_w, sin_w = math.cos(w), math.sin(w)
+    one_minus_cos_w = 2.0 * math.sin(0.5 * w) ** 2
+    polys = {
+        s: sum(c * cos_w**i * (-sin_w) ** j for c, i, j in terms)
+        for s, terms in _term_layout(ell, 0.0).items()
+    }
+
+    def integrand(r):
+        d = (1.0 - r) ** 2 + 2.0 * r * one_minus_cos_w
+        total = sum(poly * r ** (s - 1) / d ** (s + 1) for s, poly in polys.items())
+        return (1.0 - r * r) * (-np.log(r)) ** (k - 1) * total
+
+    return _split_integral(integrand, w)
+
+
+def _split_integral(integrand, w):
+    """The r-integral over (0, 1) split at 1 - min(|w|, 1/2), where the
+    integrand's near-diagonal peak begins, as the kernel's r-rule splits it."""
+    split = 1.0 - min(abs(w), 0.5)
+    pieces = ((0.0, split), (split, 1.0))
+    return sum(singular_integrate(integrand, lo, hi, tol=1e-12, rtol=1e-11) for lo, hi in pieces)
+
+
+def _circle_H_reference(k, w):
+    if k == 1:
+        # ((1 - r**2) / Delta_r - 1) / r, simplified so the r -> 0 end is regular
+        one_minus_cos_w = 2.0 * math.sin(0.5 * w) ** 2
+        return _split_integral(
+            lambda r: 2.0 * (math.cos(w) - r) / ((1.0 - r) ** 2 + 2.0 * r * one_minus_cos_w), w
+        )
+    return _circle_integral(k, w, k - 1)
+
+
+def _circle_R_reference(k, w):
+    return _circle_integral(k, w, k) / (2.0 * math.pi * math.gamma(k))
+
+
+_CIRCLE_WS = (1e-5, 1e-3, 0.3, 1.0, 2.0, 3.0, -0.5, -2.5)
+
+
 class TestCircleKernels:
     def test_h1_closed_form(self):
         assert circle_H(1, math.pi / 3) == pytest.approx(0.0, abs=1e-12)
@@ -604,6 +649,44 @@ class TestCircleKernels:
             circle_H(2, 1e-8)
         with pytest.raises(ValueError):
             circle_R(1, 1.0, 1.0)
+        # the smallest subnormal gap is refused, not divided by
+        with pytest.raises(AccuracyError):
+            circle_H(1, 5e-324)
+        with pytest.raises(AccuracyError):
+            circle_R(1, 5e-324, 0.0)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_closed_forms_match_the_subordination_integrals(self, k):
+        for w in _CIRCLE_WS:
+            assert circle_H(k, w) == pytest.approx(_circle_H_reference(k, w), rel=1e-9, abs=0.0)
+            if k % 2 == 0 and abs(w) < 1e-4:
+                # 1 - r near r = 1 rounds at ~1e-16 / |w| relative and the
+                # even-order terms cancel to a constant, so the float integral
+                # keeps no digits: the extended-precision test covers these
+                continue
+            theta, phi = 1.0 + w, 1.0
+            assert circle_R(k, theta, phi) == pytest.approx(
+                _circle_R_reference(k, theta - phi), rel=1e-9, abs=0.0
+            )
+
+    @pytest.mark.parametrize("k", range(2, 13, 2))
+    def test_even_order_circle_r_near_the_diagonal_in_extended_precision(self, k):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            w = mpmath.mpf(1e-5)
+            cos_w, sin_w, one_minus_cos_w = mpmath.cos(w), mpmath.sin(w), 2 * mpmath.sin(w / 2) ** 2
+            polys = {
+                s: sum(c * cos_w**i * (-sin_w) ** j for c, i, j in terms)
+                for s, terms in _term_layout(k, 0.0).items()
+            }
+
+            def integrand(r):
+                d = (1 - r) ** 2 + 2 * r * one_minus_cos_w
+                total = sum(poly * r ** (s - 1) / d ** (s + 1) for s, poly in polys.items())
+                return (1 - r * r) * (-mpmath.log(r)) ** (k - 1) * total
+
+            reference = mpmath.quad(integrand, [0, 1 - w, 1]) / (2 * mpmath.pi * mpmath.factorial(k - 1))
+        assert circle_R(k, 1.0 + 1e-5, 1.0) == pytest.approx(float(reference), rel=1e-9, abs=0.0)
 
 
 class TestMkEstimate:
@@ -613,6 +696,14 @@ class TestMkEstimate:
     def test_even_vanishes(self):
         assert m_k_estimate(2) == pytest.approx(0.0, abs=1e-3)
         assert m_k_estimate(4) == pytest.approx(0.0, abs=1e-3)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_exact_and_the_limit_of_the_reference_kernel(self, k):
+        expected = (-1.0 if k % 4 == 1 else 1.0) / math.pi if k % 2 else 0.0
+        assert m_k_estimate(k) == expected
+        # sin(w) R^k(w) = M_k cos(w/2)**2 for odd k and O(w) for even k
+        w = 1e-3
+        assert abs(math.sin(w) * _circle_R_reference(k, w) - m_k_estimate(k)) <= w
 
 
 class TestRegions:

@@ -503,6 +503,30 @@ class TestSampling:
         kernel = poisson_via_kernel(lambda th: math.cos(th), 1.0, 0.5, 1.1, rule)
         assert kernel == pytest.approx(poisson_via_kernel(np.cos, 1.0, 0.5, 1.1, rule), rel=1e-14)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_pv_route_takes_a_scalar_only_callable(self, k):
+        from ultrariesz import DyadicBands, convergence_report
+
+        lam, theta = 1.0, 1.1
+        schedule = TruncationSchedule.geometric(0.05, 0.5, 5)
+        operator = TruncationOperator(lam, k, theta, schedule.epsilons)
+        counted = CountingCallable(np.cos)
+        operator.truncated_values(counted)
+        assert len(counted.args) == 1
+        scalar = lambda th: math.cos(th)  # noqa: E731
+        pvs = [riesz_pv(f, lam, k, theta, operator=operator) for f in (scalar, np.cos)]
+        np.testing.assert_allclose(pvs[0].truncated, pvs[1].truncated, rtol=1e-14, atol=0.0)
+        assert pvs[0].value == pytest.approx(pvs[1].value, rel=1e-14, abs=0.0)
+        reports = [
+            convergence_report(f, lam, k, [0.8, 1.9], schedule, DyadicBands.dyadic(0.1, 8), 3.0, build_rule(lam, 32))
+            for f in (scalar, np.cos)
+        ]
+        for got, expected in zip(reports[0].records, reports[1].records):
+            for name in ("oscillation", "variation", "maximal", "pv", "spectral"):
+                assert getattr(got, name) == pytest.approx(getattr(expected, name), rel=1e-14, abs=0.0)
+        for p, norms in reports[1].norms.items():
+            assert reports[0].norms[p] == pytest.approx(norms, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("lam", [0.3, 2.45])
     def test_band_limited_array_equals_scalar_loop(self, lam):
         rule = build_rule(lam, 128)
