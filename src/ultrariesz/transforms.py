@@ -229,15 +229,20 @@ def riesz_spectral(
     analyze -> multiplier (n+lambda)**(-k) -> k-th derivative synthesis."""
     if k < 1:
         raise ValueError(f"order must be a positive integer, got {k}")
-    c = analyze(f, lam, n_max, rule)
-    norm = float(np.linalg.norm(c.coeffs))
-    if norm > 0.0 and abs(c.coeffs[-1]) > 1e-8 * norm:
-        warnings.warn(
-            f"coefficient tail |a_{n_max}|/||a|| = {abs(c.coeffs[-1]) / norm:.2e} > 1e-8; "
-            "the function may not be resolved at this degree",
-            stacklevel=2,
-        )
-    return synthesize(fractional_power(c, 0.5 * k), theta, derivative_order=k)
+    # an extreme lambda carries the coefficients and the jets toward the float
+    # range; raise FloatingPointError there rather than warn and return inf
+    with np.errstate(over="raise", invalid="raise"):
+        c = analyze(f, lam, n_max, rule)
+        # ||a|| over its largest entry: the squares of finite coefficients may overflow
+        scale = float(np.max(np.abs(c.coeffs)))
+        tail = abs(c.coeffs[-1]) / (scale * float(np.linalg.norm(c.coeffs / scale))) if scale > 0.0 else 0.0
+        if tail > 1e-8:
+            warnings.warn(
+                f"coefficient tail |a_{n_max}|/||a|| = {tail:.2e} > 1e-8; "
+                "the function may not be resolved at this degree",
+                stacklevel=2,
+            )
+        return synthesize(fractional_power(c, 0.5 * k), theta, derivative_order=k)
 
 
 def _band_points(lo: float, hi: float, theta: float) -> int:

@@ -506,6 +506,11 @@ class TestExitCodeContract:
         {"lam": 3178024656963862.0, "k": 1, "n_max": 40, "quad_order": 41, "eps_start": 1.0, "eps_ratio": 0.5,
          "eps_count": 3, "thetas": [1.0]}
     )
+    # the squared coefficients overflow though the coefficients are finite
+    @example(
+        {"lam": 2.716193130245157e16, "k": 1, "n_max": 1, "quad_order": 41, "eps_start": 1.0, "eps_ratio": 0.5,
+         "eps_count": 3, "thetas": [1.0]}
+    )
     def test_riesz_spectral_exits_0_1_or_2(self, values):
         flags = {
             "lambda": values["lam"],
