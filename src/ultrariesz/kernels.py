@@ -5,13 +5,16 @@ The Riesz kernel of order k is assembled from the derivative expansion of
 the Poisson kernel: each admissible index (s, i, j) contributes a 2-D
 integral over (r, t) in (0,1) x (0,pi), discretized with a fixed tanh-sinh
 rule in t (it carries the (sin t)**(2*lambda-1) endpoint singularity) and
-one in r split at r = 1 - min(|theta - phi|, 1/2) to resolve the
-near-diagonal concentration.  The t-sum depends on phi only through one
-variable z, so it is tabulated once per (lambda, order, t-level, guard) as
-Chebyshev-point values on panels in log(1 + 2 z), and each phi sums over
-its r-nodes alone (see kernel_partial); the Poisson kernel reads the
-order-0 table at its one r.  Each Riesz value is computed alone, so a batch
-of phi gives it bit for bit.
+an r-rule split at r = 1 - min(|theta - phi|, 1/2) to resolve the
+near-diagonal concentration: tanh-sinh below the split, where the
+r**(lambda-1) log(1/r)**(k-1) singularity sits, and a fixed Gauss-Legendre
+rule above it, where the integrand is analytic.  The t-sum depends on phi
+only through one variable z, so it is tabulated once per (lambda, order,
+t-level, guard) as Chebyshev-point values on panels in log(1 + 2 z), and
+each phi sums over its r-nodes alone (see kernel_partial); the Poisson
+kernel reads the order-0 table at its one r.  Each Riesz value comes out
+the same whichever batch it is computed in, so a batch of phi gives it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from .faa_di_bruno import coefficients, pochhammer_factor
 from .quadrature import (
     AccuracyError,
     EvaluationError,
-    _segment,
+    _gl_base,
+    _map_nodes,
     _ts_nodes,
     tanh_sinh_segment,
 )
@@ -66,11 +70,26 @@ _quiet_float_range = np.errstate(over="ignore", invalid="ignore", divide="ignore
 class KernelConfig:
     """Quadrature resolution for the 2-D kernel integrals.
 
-    ``t_level`` / ``r_level`` are tanh-sinh refinement levels (the node count
-    roughly doubles per level); ``min_separation`` is the smallest
-    |theta - phi| accepted before an AccuracyError.  Target accuracy of the
-    defaults is ~1e-8 relative; doubling both levels is the standard
-    self-check.
+    ``t_level`` is the tanh-sinh level of the t-rule and ``r_level`` that of
+    the r-rule below its split (the node count roughly doubles per level);
+    the r-rule's Gauss-Legendre segment above the split is fixed and no
+    level refines it.  ``min_separation`` is the smallest |theta - phi|
+    accepted before an AccuracyError.  ``doubled()`` raises both levels by
+    one, the standard self-check.
+
+    Probed at theta = 1.2 against levels (t, r) = (8, 7), k 1..12 and
+    lambda 0.5 and 2.45, the defaults are within 4e-12 relative at
+    |theta - phi| = 1e-2 and 0.3, but not near the diagonal.  The relative
+    error at |theta - phi| = 1e-4 (the worse side):
+
+        k   lambda 0.5: (5, 5)  (6, 5)    lambda 2.45: (5, 5)  (6, 5)
+        4              6.4e-7   6.0e-10                3.1e-5   2.9e-10
+        8              2.7e-6   2.6e-10                1.3e-4   1.4e-10
+        12             8.8e-6   3.5e-10                6.3e-4   1.5e-10
+
+    The t-rule sets this: (5, 7) errs as (5, 5) does, and (7, 5) as (6, 5).
+    ``t_level`` costs only the t-table builds, once per (lambda, order,
+    level, guard); the per-phi work does not depend on it.
     """
 
     t_level: int = 5
@@ -162,7 +181,7 @@ def poisson_kernel(lam: float, r: float, theta: float, phi: float | np.ndarray) 
     table = _t_table(lam, 0, DEFAULT_KERNEL_CONFIG.t_level, 1.0 - r)
     delta_r = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * (theta - phis)) ** 2
     cross = 2.0 * r * (math.sin(theta) * np.sin(phis))
-    t_sum = _read(table, np.log1p(2.0 * cross / delta_r))[0]
+    t_sum = _read(table, *_locate(np.log1p(2.0 * cross / delta_r), table.shape[2]))[0]
     values = lam / math.pi * (1.0 - r * r) / delta_r * np.power(delta_r + 2.0 * cross, -lam) * t_sum
     _check_finite(values, phis, f"lambda {lam}, r {r}, theta {theta}")
     return float(values[0]) if np.ndim(phi) == 0 else values
@@ -186,6 +205,17 @@ def _term_layout(ell: int, lam: float):
 #: every phi with |theta - phi| >= _FAR_SPLIT shares the r-rule split at 1 - _FAR_SPLIT
 _FAR_SPLIT = 0.5
 
+#: Gauss-Legendre points of the r-rule on (split, 1): there the integrand's
+#: nearest singularities are r = exp(+-i w), w = |theta - phi|, whose
+#: Bernstein ellipse about the segment has rho >= 4.18 for every split
+#: (least at w = 1/2), so the rule errs by ~rho**(-2 * _UPPER_POINTS) < 1e-24
+_UPPER_POINTS = 20
+
+#: phi whose r-node arithmetic is done at once: a block's arrays hold
+#: ~_PHI_BLOCK * 275 nodes per s-row.  Four default operator builds peaked
+#: at 33 MiB in blocks of 32 phi and at 45 MiB in one block of ~420
+_PHI_BLOCK = 32
+
 #: the t-table is piecewise polynomial in v = log(1 + 2 z), on panels of
 #: this width; see _panel_nodes for the nodes per panel
 _PANEL_WIDTH = 0.5
@@ -198,20 +228,33 @@ _TABLE_CHUNK = 64
 
 #: the smallest lambda the t-table serves: the t-rule drops the nodes within
 #: ~1e-16 of pi, with ~(1e-16)**(2 lam) / (2 lam) of the t-mass, so the Poisson
-#: kernel is off by 6.6e-9 (KernelConfig's ~1e-8) at 0.25 but 1.2e-7 at 0.21
+#: kernel is off by 6.6e-9 at 0.25 but 1.2e-7 at 0.21
 _LAMBDA_FLOOR = 0.25
 
 
-def _r_rule(lam: float, k: int, split: float, table: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """r-nodes on (0, 1) split at ``split``, mapped from the tanh-sinh
-    ``table`` of quadrature._ts_nodes as tanh_sinh_segment maps it, and the
-    node factor r**(lam-1) log(1/r)**(k-1) (1 - r**2) times the weight."""
-    r_lo, w_lo = _segment(0.0, split, *table)
-    r_hi, w_hi = _segment(split, 1.0, *table)
-    r = np.concatenate([r_lo, r_hi])
-    r_weights = np.concatenate([w_lo, w_hi])
+def _r_rules(
+    lam: float, k: int, splits: np.ndarray, table: tuple
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The r-rules of a block of phi, one per entry of ``splits``: the
+    tanh-sinh ``table`` of quadrature._ts_nodes mapped onto (0, split) as
+    tanh_sinh_segment maps it (it carries the r**(lam-1) log(1/r)**(k-1)
+    singularity at 0), then _UPPER_POINTS Gauss-Legendre nodes on (split, 1),
+    where the integrand is analytic.  Returns the rules' nodes concatenated
+    in the order of ``splits``, the node factor r**(lam-1) log(1/r)**(k-1)
+    (1 - r**2) times the weight, and each rule's node count."""
+    side, dist, weight = table
+    split = splits[:, None]
+    lower = _map_nodes(0.0, split, side, dist)
+    gl_nodes, gl_weights = _gl_base(_UPPER_POINTS)
+    half = 0.5 * (1.0 - split)
+    r = np.concatenate([lower, split + half * (gl_nodes + 1.0)], axis=1)
+    r_weights = np.concatenate([(0.5 * split) * weight, half * gl_weights], axis=1)
+    # tanh_sinh_segment drops the lower nodes that round onto an end
+    keep = np.ones(r.shape, dtype=bool)
+    keep[:, : lower.shape[1]] = (lower > 0.0) & (lower < split)
+    r, r_weights = r[keep], r_weights[keep]
     log_inv_r = -np.log(r)
-    return r, r ** (lam - 1.0) * log_inv_r ** (k - 1) * (1.0 - r * r) * r_weights
+    return r, r ** (lam - 1.0) * log_inv_r ** (k - 1) * (1.0 - r * r) * r_weights, keep.sum(axis=1)
 
 
 def _phi_array(phi) -> np.ndarray:
@@ -325,24 +368,35 @@ def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
     return points, bary
 
 
-def _read(table: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Every row of ``table``, laid out as _t_table's, read at each v of a
-    1-D array by barycentric interpolation on its panel: shape
-    (rows, v.size).  numpy sums a lone v's n terms pairwise and a batch's in
-    order, so a batch entry may differ from a lone read by rounding."""
-    _, n, panels = table.shape
-    points, bary = _chebyshev(n)
+def _locate(v: np.ndarray, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The table panel of each v of a 1-D array and v's local coordinate in
+    [-1, 1] on it, as _read takes them."""
     position = v * (1.0 / _PANEL_WIDTH)
     panel = np.minimum(position.astype(np.intp), panels - 1)
-    # barycentric weights at each v's local coordinate
-    diff = (2.0 * (position - panel) - 1.0) - points
-    # a node hit exactly: its weight dominates and normalizes to 1
-    diff[diff == 0.0] = 1e-300
-    lagrange = bary / diff
-    lagrange /= lagrange.sum(axis=0)
+    return panel, 2.0 * (position - panel) - 1.0
+
+
+def _read(table: np.ndarray, panel: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Every row of ``table``, laid out as _t_table's, read at the local
+    coordinates ``x`` of the panels ``panel`` (see _locate) by barycentric
+    interpolation: shape (rows, x.size).  The weighted sums are divided by
+    the weights' sum after the contraction; an x exactly on a node makes
+    that sum infinite, and such a column takes the node's table value."""
+    if x.size == 1:
+        # numpy sums a lone column's n terms pairwise and a batch's in
+        # order: read a lone x as a pair, so it gets a batch entry's rounding
+        return _read(table, np.repeat(panel, 2), np.repeat(x, 2))[:, :1]
+    points, bary = _chebyshev(table.shape[1])
+    lagrange = bary / (x - points)
     gathered = np.take(table, panel, axis=2)
     gathered *= lagrange
-    return gathered.sum(axis=1)
+    weight_sum = lagrange.sum(axis=0)
+    values = gathered.sum(axis=1) / weight_sum
+    hits = ~np.isfinite(weight_sum)
+    if hits.any():
+        node = np.argmax(np.abs(lagrange[:, hits]), axis=0)
+        values[:, hits] = table[:, node, panel[hits]]
+    return values
 
 
 def _check_finite(values: np.ndarray, phis: np.ndarray, context: str) -> None:
@@ -406,10 +460,12 @@ def kernel_partial(
         prefactor * sum_r r_fac sum_{s,m} p_{s,m} r**s Delta_r**-(lam+1+s) Phi_{m,s}(z_r),
 
     with Phi read off the table by barycentric interpolation in
-    v = log(1 + 2 z).  The r-rule for |theta - phi| >= 1/2 is built once per
-    call; a phi nearer theta maps the cached tanh-sinh table onto its own
-    split.  Each phi is computed alone, so a batch gives its entries bit for
-    bit as scalar calls would.
+    v = log(1 + 2 z).  The phi are taken in blocks of _PHI_BLOCK: a block's
+    r-rules (see _r_rules) and the arithmetic of their nodes (Delta_r, the
+    panel and local coordinate of v, the r-weights) run once on the nodes
+    of the whole block, elementwise; each phi then folds its table, reads
+    it and sums.  So a batch gives its entries bit for bit as scalar calls
+    would.
     """
     lam = validate_lambda(lam)
     config = config or DEFAULT_KERNEL_CONFIG
@@ -437,29 +493,33 @@ def kernel_partial(
     sigma = sin_theta * sin_p
     one_minus_cos_w = np.array([2.0 * math.sin(0.5 * (theta - p)) ** 2 for p in phis])
     sin_w = np.array([math.sin(theta - p) for p in phis])
+    splits = 1.0 - np.minimum(np.abs(theta - phis), _FAR_SPLIT)
     r_table = _ts_nodes(config.r_level)
-    far_split = 1.0 - _FAR_SPLIT
-    values = np.empty(phis.size)
-    fold = np.zeros((len(orders), columns))
     coeffs = _expansion(layout, ell, 1.0 - one_minus_cos_w, -sigma, -sin_w, -cos_theta * sin_p)
-    far_rule = _r_rule(lam, k, far_split, r_table)
-    for index, p in enumerate(phis):
-        split = 1.0 - min(abs(theta - p), _FAR_SPLIT)
-        r, r_fac = far_rule if split == far_split else _r_rule(lam, k, split, r_table)
-        delta_r = (1.0 - r) ** 2 + 2.0 * r * one_minus_cos_w[index]
+    fold, fold_at = np.zeros((len(orders), columns)), (rows_of, np.arange(columns))
+    values = np.empty(phis.size)
+    for start in range(0, phis.size, _PHI_BLOCK):
+        block = slice(start, start + _PHI_BLOCK)
+        # the block's r-nodes, concatenated phi by phi, and their arithmetic
+        r, r_fac, counts = _r_rules(lam, k, splits[block], r_table)
+        delta_r = (1.0 - r) ** 2 + 2.0 * r * np.repeat(one_minus_cos_w[block], counts)
         q = r / delta_r
-        # the phi's table: sum_m p_{s,m} (1 + 2z)**lam Phi_{m,s}, one row per s
-        fold[rows_of, np.arange(columns)] = coeffs[index]
-        v = np.log1p((4.0 * sigma[index]) * q)
-        t_sums = _read((fold @ flat).reshape(len(orders), n, panels), v)
+        four_sigma = np.repeat(4.0 * sigma[block], counts)
+        panel, x = _locate(np.log1p(four_sigma * q), panels)
         # r_fac r**s Delta_r**-(lam+1+s) (1 + 2z)**-lam, one row per s;
         # Delta_r (1 + 2z) = Delta_r + 4 sigma r stays O(1) near the diagonal
-        base = r_fac / delta_r * np.power(delta_r + (4.0 * sigma[index]) * r, -lam)
         weight = np.empty((len(orders), r.size))
-        weight[0] = base * q if orders[0] else base
+        weight[0] = r_fac / delta_r * np.power(delta_r + four_sigma * r, -lam)
+        if orders[0]:
+            weight[0] *= q
         for row in range(1, len(orders)):
             np.multiply(weight[row - 1], q, out=weight[row])
-        values[index] = prefactor * float((t_sums * weight).sum())
+        ends = np.cumsum(counts)
+        for index, lo, hi in zip(range(start, start + counts.size), ends - counts, ends):
+            # the phi's table: sum_m p_{s,m} (1 + 2z)**lam Phi_{m,s}, one row per s
+            fold[fold_at] = coeffs[index]
+            t_sums = _read((fold @ flat).reshape(len(orders), n, panels), panel[lo:hi], x[lo:hi])
+            values[index] = prefactor * float((t_sums * weight[:, lo:hi]).sum())
     _check_finite(values, phis, f"lambda {lam}, k {k}, theta {theta}")
     return float(values[0]) if np.ndim(phi) == 0 else values
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .special import validate_lambda
+from .special import _gamma_half_ratio, validate_lambda
 
 __all__ = [
     "QuadratureError",
@@ -57,9 +57,9 @@ class AccuracyError(QuadratureError):
 
 
 def total_mass(lam: float) -> float:
-    """m_lambda(0, pi) = sqrt(pi) Gamma(lam + 1/2) / Gamma(lam + 1)."""
-    lam = validate_lambda(lam)
-    return math.sqrt(math.pi) * math.exp(math.lgamma(lam + 0.5) - math.lgamma(lam + 1.0))
+    """m_lambda(0, pi) = sqrt(pi) Gamma(lam + 1/2) / Gamma(lam + 1), which is
+    special.norm_sq(0, lam) bit for bit."""
+    return math.sqrt(math.pi) * _gamma_half_ratio(lam)
 
 
 @dataclass(frozen=True)

@@ -102,22 +102,59 @@ def gegenbauer_theta_jets(n_max: int, lam: float, theta: float, order: int) -> n
     return np.array(list(_recurrence(n_max, lam, _cos_leibniz(theta, order), one, np.matmul)))
 
 
+#: from this lambda on, _gamma_half_ratio sums its asymptotic series: the
+#: series' first omitted term is below 1e-15 relative there, while the lgamma
+#: difference loses ~1e-16 * lambda * log(lambda) to cancellation
+_RATIO_SERIES_FROM = 30.0
+
+#: coefficients of sqrt(lam) Gamma(lam + 1/2) / Gamma(lam + 1) in powers of
+#: 1/lam, lowest first
+_RATIO_SERIES = (1.0, -1 / 8, 1 / 128, 5 / 1024, -21 / 32768, -399 / 262144, 869 / 4194304, 39325 / 33554432)
+
+
+def _gamma_half_ratio(lam: float) -> float:
+    """Gamma(lam + 1/2) / Gamma(lam + 1) for lam > 0.
+
+    Below _RATIO_SERIES_FROM it is the exponential of an lgamma difference;
+    from there on the asymptotic series lam**-1/2 (1 - 1/(8 lam) +
+    1/(128 lam**2) + ...), which never forms lam + 1/2 and so keeps its
+    digits where lam + 1/2 and lam + 1 round to lam."""
+    lam = validate_lambda(lam)
+    if lam < _RATIO_SERIES_FROM:
+        return math.exp(math.lgamma(lam + 0.5) - math.lgamma(lam + 1.0))
+    inverse, series = 1.0 / lam, 0.0
+    for coefficient in reversed(_RATIO_SERIES):
+        series = series * inverse + coefficient
+    return series / math.sqrt(lam)
+
+
 def norm_sq(n: int, lam: float) -> float:
     """Squared L2 norm of P_n(cos .) against (sin theta)**(2*lam) d(theta).
 
-    Classical closed form ``pi * 2**(1-2*lam) * Gamma(n+2*lam) /
-    (n! * (n+lam) * Gamma(lam)**2)``; cross-checked against quadrature in the
-    acceptance suite so a transcription slip cannot hide.
+    The classical closed form ``pi * 2**(1-2*lam) * Gamma(n+2*lam) /
+    (n! * (n+lam) * Gamma(lam)**2)`` becomes, through the duplication
+    formula, the total mass sqrt(pi) Gamma(lam + 1/2) / Gamma(lam + 1) times
+    lam / (n + lam) times (2 lam)_n / n!, a product of n ratios; so
+    ``norm_sq(0, lam)`` is quadrature.total_mass(lam), and large lam keeps
+    its digits.  Raises OverflowError past the float range.  Cross-checked
+    against quadrature in the acceptance suite so a transcription slip
+    cannot hide.
     """
     lam = validate_lambda(lam)
     if n < 0:
         raise ValueError(f"polynomial degree must be nonnegative, got {n}")
-    log_value = (
-        math.log(math.pi)
-        + (1.0 - 2.0 * lam) * math.log(2.0)
-        + math.lgamma(n + 2.0 * lam)
-        - math.lgamma(n + 1.0)
-        - math.log(n + lam)
-        - 2.0 * math.lgamma(lam)
-    )
-    return math.exp(log_value)
+    return _norm_sqs(n, lam)[n]
+
+
+def _norm_sqs(n_max: int, lam: float) -> list[float]:
+    """norm_sq(n, lam) for n = 0..n_max from one running product, the total
+    mass times (2 lam)_n / n!, each times lam / (n + lam)."""
+    running = math.sqrt(math.pi) * _gamma_half_ratio(lam)
+    values = []
+    for n in range(n_max + 1):
+        if n:
+            running *= (2.0 * lam + (n - 1)) / n
+        values.append(running * (lam / (n + lam)))
+    if math.isinf(running):
+        raise OverflowError(f"eigenfunction norms overflow at lambda {lam}, degree {n_max}")
+    return values

@@ -27,8 +27,9 @@ from .quadrature import (
     _evaluate,
     gauss_legendre_segment,
     tanh_sinh_segment,
+    total_mass,
 )
-from .special import _recurrence, gegenbauer_theta_jets, norm_sq, validate_lambda
+from .special import _norm_sqs, _recurrence, gegenbauer_theta_jets, validate_lambda
 
 __all__ = [
     "SpectralCoefficients",
@@ -77,6 +78,11 @@ _PHI_LEVEL = 4
 #: most _MAX_BAND_POINTS
 _BAND_ERROR = 1e-18
 _MAX_BAND_POINTS = 24
+
+#: riesz_spectral refuses a theta where the rounding of an O(1) function's
+#: coefficients reaches the value past this: at large lambda the measure
+#: sits near pi/2 and the eigenfunctions grow fast away from it
+_ROUNDING_LIMIT = 1e-6
 
 #: the fit reads only the smallest radii and every band costs kernel calls,
 #: so a longer schedule only adds work
@@ -141,7 +147,7 @@ def analyze(f: Callable, lam: float, n_max: int, rule: QuadratureRule) -> Spectr
 def _norms(lam: float, n_max: int) -> np.ndarray:
     """L2(dm_lambda) norms of P_0, ..., P_{n_max}: the divisors that make
     the eigenfunctions normalized."""
-    norms = np.array([math.sqrt(norm_sq(n, lam)) for n in range(n_max + 1)])
+    norms = np.sqrt(_norm_sqs(n_max, lam))
     # norm_sq(n, lam) ~ lam**2 for n >= 1 underflows to 0 for lam below ~1e-154
     if not np.all(norms > 0.0):
         raise OverflowError(f"eigenfunction norms underflow to 0 at lambda {lam}")
@@ -155,8 +161,13 @@ def synthesize(c: SpectralCoefficients, theta: float, derivative_order: int = 0)
     if derivative_order < 0:
         raise ValueError(f"derivative order must be nonnegative, got {derivative_order}")
     derivatives = gegenbauer_theta_jets(c.degree, c.lam, theta, derivative_order)[:, derivative_order]
+    return _synthesis_sum(c.coeffs, derivatives, _norms(c.lam, c.degree))
+
+
+def _synthesis_sum(coeffs: np.ndarray, derivatives: np.ndarray, norms: np.ndarray) -> float:
+    """synthesize's sum, in degree order over the nonzero coefficients."""
     total = 0.0
-    for coeff, derivative, norm in zip(c.coeffs, derivatives, _norms(c.lam, c.degree)):
+    for coeff, derivative, norm in zip(coeffs, derivatives, norms):
         if coeff == 0.0:
             continue
         total += coeff * derivative / norm
@@ -226,7 +237,13 @@ def riesz_spectral(
     f: Callable, lam: float, k: int, theta: float, n_max: int, rule: QuadratureRule
 ) -> float:
     """Order-k Riesz transform through the spectral pipeline:
-    analyze -> multiplier (n+lambda)**(-k) -> k-th derivative synthesis."""
+    analyze -> multiplier (n+lambda)**(-k) -> k-th derivative synthesis.
+
+    Raises FloatingPointError where float64 cannot carry the answer: past
+    the float range, or where the rounding of the coefficients, ~eps times
+    the rule order for an O(1) function, reaches the value past
+    _ROUNDING_LIMIT through the modes' multipliers and derivatives at theta
+    (lambda 300 at theta 0.7 and k 1, for instance)."""
     if k < 1:
         raise ValueError(f"order must be a positive integer, got {k}")
     # an extreme lambda carries the coefficients and the jets toward the float
@@ -242,7 +259,19 @@ def riesz_spectral(
                 "the function may not be resolved at this degree",
                 stacklevel=2,
             )
-        return synthesize(fractional_power(c, 0.5 * k), theta, derivative_order=k)
+        derivatives, norms = gegenbauer_theta_jets(n_max, c.lam, theta, k)[:, k], _norms(c.lam, n_max)
+        # fractional_power(c, k / 2)'s multiplier
+        multipliers = (np.arange(n_max + 1) + c.lam) ** (-float(k))
+        # each coefficient of an O(1) function, ||a|| ~ sqrt(total mass), is
+        # a sum of rule.order products and rounds by at most ~eps times that
+        rounding = np.finfo(float).eps * rule.order * math.sqrt(total_mass(c.lam))
+        rounding *= float(np.sum(np.abs(multipliers * derivatives / norms)))
+        if not rounding <= _ROUNDING_LIMIT:
+            raise FloatingPointError(
+                f"coefficient rounding reaches the order-{k} transform at theta {theta} "
+                f"as {rounding:.1e}, past {_ROUNDING_LIMIT:g}, at lambda {c.lam}"
+            )
+        return _synthesis_sum(c.coeffs * multipliers, derivatives, norms)
 
 
 def _band_points(lo: float, hi: float, theta: float) -> int:

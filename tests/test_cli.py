@@ -178,6 +178,14 @@ class TestSubcommands:
         assert out == ""
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("lam", ["2.7e16", "1e12", "300"])
+    def test_spectral_route_refuses_a_lambda_it_cannot_carry(self, capsys, lam):
+        # the constant's transform came back as -3.5e167 at 2.7e16, with exit 0
+        code, out, err = run_cli(capsys, "riesz-spectral", "--lambda", lam)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and "rounding" in err and err.count("\n") == 1
+
     def test_non_finite_integrand_is_named_by_a_plain_float(self, capsys):
         # the order-0 t-table overflows; the Poisson kernel's finiteness
         # check names the value and the phi it was read at

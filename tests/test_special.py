@@ -10,7 +10,9 @@ from ultrariesz import (
     gegenbauer_theta_jets,
     integrate,
     norm_sq,
+    total_mass,
 )
+from ultrariesz import special
 from ultrariesz.jets import Jet
 from ultrariesz.special import _cos_leibniz
 
@@ -175,6 +177,45 @@ class TestNorms:
                 for m in range(n + 1, 16):
                     inner = float(np.dot(rule.weights, values[n] * values[m]))
                     assert abs(inner) < 1e-9
+
+
+class TestLargeLambdaMasses:
+    @pytest.mark.parametrize("lam", [1e6, 1e12, 2.7e16])
+    def test_total_mass_follows_the_asymptotic_series(self, lam):
+        # past ~4.5e15, lam + 1/2 and lam + 1 round to lam, and an lgamma
+        # difference returned sqrt(pi) at 2.7e16
+        expected = math.sqrt(math.pi / lam) * (1.0 - 1.0 / (8.0 * lam) + 1.0 / (128.0 * lam**2))
+        assert total_mass(lam) == pytest.approx(expected, rel=4e-16)
+
+    @pytest.mark.parametrize("lam", [0.25, 0.3, 1.0, 2.45, 29.9, 30.0, 1e3, 1e6, 1e12, 2.7e16, 1e300])
+    def test_norm_of_the_constant_is_the_total_mass(self, lam):
+        assert norm_sq(0, lam) == total_mass(lam)
+
+    def test_series_meets_the_lgamma_difference_at_its_threshold(self):
+        # the two sides of special._RATIO_SERIES_FROM agree, each to ~1e-14
+        below = math.nextafter(special._RATIO_SERIES_FROM, 0.0)
+        assert special._gamma_half_ratio(below) == pytest.approx(
+            special._gamma_half_ratio(special._RATIO_SERIES_FROM), rel=2e-14
+        )
+
+    @pytest.mark.parametrize("n", [1, 10, 40])
+    @pytest.mark.parametrize("lam", [0.3, 2.45, 25.0])
+    def test_norm_sq_matches_the_classical_closed_form(self, n, lam):
+        log_value = (
+            math.log(math.pi) + (1.0 - 2.0 * lam) * math.log(2.0) + math.lgamma(n + 2.0 * lam)
+            - math.lgamma(n + 1.0) - math.log(n + lam) - 2.0 * math.lgamma(lam)
+        )
+        assert norm_sq(n, lam) == pytest.approx(math.exp(log_value), rel=1e-13)
+
+    def test_large_lambda_norm_keeps_its_digits(self):
+        # norm_sq(1, lam) = total mass * lam / (1 + lam) * 2 lam
+        lam = 1e12
+        expected = 2.0 * math.sqrt(math.pi * lam) * (1.0 - 1.0 / (8.0 * lam)) / (1.0 + 1.0 / lam)
+        assert norm_sq(1, lam) == pytest.approx(expected, rel=1e-15)
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            norm_sq(40, 2.7e16)
 
 
 class TestGammaBeta:

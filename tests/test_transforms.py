@@ -210,6 +210,17 @@ class TestRieszSpectral:
         with pytest.warns(UserWarning):
             riesz_spectral(spiky, 1.0, 1, 1.0, 4, rule)
 
+    @pytest.mark.parametrize("lam", [300.0, 1e6, 2.7e16])
+    def test_refuses_where_rounding_swamps_the_value(self, lam):
+        # the constant's transform is 0; off pi/2 its coefficients' rounding
+        # came back as 2.1e-3 at lambda 300 and ~1e102 at 2.7e16
+        rule = build_rule(lam, 64)
+        f = lambda th: np.ones_like(np.asarray(th))
+        with pytest.raises(FloatingPointError, match="rounding"):
+            riesz_spectral(f, lam, 1, 0.7, 16, rule)
+        # at pi/2, where the measure sits, the value stays good
+        assert riesz_spectral(f, lam, 1, math.pi / 2, 16, rule) == pytest.approx(0.0, abs=1e-12)
+
 
 class TestTruncated:
     def test_odd_kernel_cancels_at_symmetric_point(self):
@@ -246,12 +257,14 @@ class TestTruncated:
         operator = TruncationOperator(1.0, 2, 1.0, TruncationSchedule.geometric().epsilons)
         assert len(calls) == 1
         f = band_limited(SpectralCoefficients(1.0, [0.0, 0.3, 1.0, 0.0, 0.5]))
-        # recorded from the build with geometry-sized phi panels and trimmed
-        # (r, t) grids
+        # recorded from the build whose r-rule takes Gauss-Legendre above its
+        # split; against the same operator with long-double kernel values
+        # these are off by 2.2e-16 to 5.6e-15, the record before them by
+        # 1.1e-16 to 1.1e-14
         expected = [
-            0.5573262175454624, 0.557349435869826, 0.5565472772160064,
-            0.5559511285790725, 0.5556054224959432, 0.555420808679584,
-            0.5553255802887074, 0.5552772380808225, 0.5552528852697496,
+            0.557326217545463, 0.5573494358698265, 0.5565472772160069,
+            0.5559511285790728, 0.5556054224959434, 0.5554208086795838,
+            0.5553255802887065, 0.5552772380808202, 0.5552528852697441,
         ]
         values = operator.truncated_values(f)
         assert np.array_equal(values, expected)
