@@ -5,16 +5,17 @@ The Riesz kernel of order k is assembled from the derivative expansion of
 the Poisson kernel: each admissible index (s, i, j) contributes a 2-D
 integral over (r, t) in (0,1) x (0,pi), discretized with a fixed tanh-sinh
 rule in t (it carries the (sin t)**(2*lambda-1) endpoint singularity) and
-an r-rule split at r = 1 - min(|theta - phi|, 1/2) to resolve the
-near-diagonal concentration: tanh-sinh below the split, where the
-r**(lambda-1) log(1/r)**(k-1) singularity sits, and a fixed Gauss-Legendre
-rule above it, where the integrand is analytic.  The t-sum depends on phi
-only through one variable z, so it is tabulated once per (lambda, order,
-t-level, guard) as Chebyshev-point values on panels in log(1 + 2 z), and
-each phi sums over its r-nodes alone (see kernel_partial); the Poisson
-kernel reads the order-0 table at its one r.  Each Riesz value comes out
-the same whichever batch it is computed in, so a batch of phi gives it bit
-for bit.
+an r-rule in three segments, each for one difficulty: tanh-sinh on
+(0, 1/2), where the r**(lambda-1) log(1/r)**(k-1) singularity sits;
+Gauss-Legendre panels on (1/2, 1 - w), w = min(|theta - phi|, 1/2),
+graded geometrically toward the near-diagonal concentration at
+r = exp(+-i w); and a fixed Gauss-Legendre rule on (1 - w, 1) (see
+_r_rules).  The t-sum depends on phi only through one variable z, so it is
+tabulated once per (lambda, order, t-level, guard) as Chebyshev-point
+values on panels in log(1 + 2 z), and each phi sums over its r-nodes alone
+(see kernel_partial); the Poisson kernel reads the order-0 table at its
+one r.  Each Riesz value comes out the same whichever batch it is computed
+in, so a batch of phi gives it bit for bit.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ import numpy as np
 
 from .faa_di_bruno import coefficients, pochhammer_factor
 from .quadrature import (
+    _MAX_LEVEL,
     AccuracyError,
     EvaluationError,
     _gl_base,
-    _map_nodes,
+    _segment,
     _ts_nodes,
     tanh_sinh_segment,
 )
@@ -70,31 +72,44 @@ _quiet_float_range = np.errstate(over="ignore", invalid="ignore", divide="ignore
 class KernelConfig:
     """Quadrature resolution for the 2-D kernel integrals.
 
-    ``t_level`` is the tanh-sinh level of the t-rule and ``r_level`` that of
-    the r-rule below its split (the node count roughly doubles per level);
-    the r-rule's Gauss-Legendre segment above the split is fixed and no
-    level refines it.  ``min_separation`` is the smallest |theta - phi|
-    accepted before an AccuracyError.  ``doubled()`` raises both levels by
-    one, the standard self-check.
+    ``t_level`` is the tanh-sinh level of the t-rule.  ``r_level`` is that of
+    the r-rule's singular segment (0, 1/2), which carries the
+    r**(lambda-1) log(1/r)**(k-1) endpoint singularity, at orders k <= 4;
+    orders above 4 take it one level finer (see _FINE_ORDER).  The node
+    count roughly doubles per level.  The r-rule's Gauss-Legendre segments
+    above 1/2 are sized by their Bernstein-ellipse bounds, and no level
+    refines them.  Both levels must be integers in [1, 12].
+    ``min_separation`` is the smallest |theta - phi| accepted before an
+    AccuracyError.  ``doubled()`` raises both levels by one, the standard
+    self-check.
 
     Probed at theta = 1.2 against levels (t, r) = (8, 7), k 1..12 and
     lambda 0.5 and 2.45, the defaults are within 4e-12 relative at
     |theta - phi| = 1e-2 and 0.3, but not near the diagonal.  The relative
     error at |theta - phi| = 1e-4 (the worse side):
 
-        k   lambda 0.5: (5, 5)  (6, 5)    lambda 2.45: (5, 5)  (6, 5)
-        4              6.4e-7   6.0e-10                3.1e-5   2.9e-10
-        8              2.7e-6   2.6e-10                1.3e-4   1.4e-10
-        12             8.8e-6   3.5e-10                6.3e-4   1.5e-10
+        k   lambda 0.5: (5, 3)  (6, 3)    lambda 2.45: (5, 3)  (6, 3)
+        1              1.1e-12  2.7e-16                1.2e-10  2.0e-16
+        4              6.4e-7   4.4e-12                3.1e-5   9.9e-13
+        8              2.7e-6   4.0e-12                1.3e-4   8.7e-12
+        12             8.8e-6   2.2e-11                6.3e-4   4.0e-11
 
-    The t-rule sets this: (5, 7) errs as (5, 5) does, and (7, 5) as (6, 5).
-    ``t_level`` costs only the t-table builds, once per (lambda, order,
-    level, guard); the per-phi work does not depend on it.
+    The t-rule sets this: (5, 7) errs as (5, 3) does.  ``t_level`` costs only
+    the t-table builds, once per (lambda, order, level, guard); the per-phi
+    work does not depend on it.
     """
 
     t_level: int = 5
-    r_level: int = 5
+    r_level: int = 3
     min_separation: float = RIESZ_MIN_SEPARATION
+
+    def __post_init__(self):
+        # before any rule or table is built: a level past the range would
+        # otherwise quietly give another kernel, or allocate without bound
+        for name in ("t_level", "r_level"):
+            level = getattr(self, name)
+            if not isinstance(level, (int, np.integer)) or not 1 <= level <= _MAX_LEVEL:
+                raise ValueError(f"{name} must be an integer in [1, {_MAX_LEVEL}], got {level!r}")
 
     def doubled(self) -> "KernelConfig":
         return KernelConfig(
@@ -181,7 +196,9 @@ def poisson_kernel(lam: float, r: float, theta: float, phi: float | np.ndarray) 
     table = _t_table(lam, 0, DEFAULT_KERNEL_CONFIG.t_level, 1.0 - r)
     delta_r = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * (theta - phis)) ** 2
     cross = 2.0 * r * (math.sin(theta) * np.sin(phis))
-    t_sum = _read(table, *_locate(np.log1p(2.0 * cross / delta_r), table.shape[2]))[0]
+    _, n, panels = table.shape
+    panel, x = _locate(np.log1p(2.0 * cross / delta_r), panels)
+    t_sum = _read(table, panel, _lagrange(n, x))[0]
     values = lam / math.pi * (1.0 - r * r) / delta_r * np.power(delta_r + 2.0 * cross, -lam) * t_sum
     _check_finite(values, phis, f"lambda {lam}, r {r}, theta {theta}")
     return float(values[0]) if np.ndim(phi) == 0 else values
@@ -202,18 +219,46 @@ def _term_layout(ell: int, lam: float):
     return {s: tuple(terms) for s, terms in layout.items()}
 
 
-#: every phi with |theta - phi| >= _FAR_SPLIT shares the r-rule split at 1 - _FAR_SPLIT
+#: the r-rule's segments meet at r = 1 - _FAR_SPLIT and r = 1 - w,
+#: w = min(|theta - phi|, _FAR_SPLIT)
 _FAR_SPLIT = 0.5
 
-#: Gauss-Legendre points of the r-rule on (split, 1): there the integrand's
-#: nearest singularities are r = exp(+-i w), w = |theta - phi|, whose
-#: Bernstein ellipse about the segment has rho >= 4.18 for every split
-#: (least at w = 1/2), so the rule errs by ~rho**(-2 * _UPPER_POINTS) < 1e-24
+#: orders above this take the r-rule's singular segment one tanh-sinh level
+#: finer than KernelConfig.r_level: its log(1/r)**(k-1) factor needs it
+_FINE_ORDER = 4
+
+#: Gauss-Legendre points of the r-rule on (1 - w, 1): there the integrand's
+#: nearest singularities are r = exp(+-i w), whose Bernstein ellipse about
+#: the segment has rho >= 4.18 for every w (least at w = 1/2), so the rule
+#: errs by ~rho**(-2 * _UPPER_POINTS) < 1e-24
 _UPPER_POINTS = 20
 
+#: the r-rule's graded segment (1/2, 1 - w) is cut into the fewest panels
+#: whose ends' distances to r = 1 grow by a common ratio of at most _GRADING
+#: (4 minimized the default operator's nodes among 2, 2.5, 3, 4, 6 and 8)
+_GRADING = 4.0
+
+#: target of a graded panel's Bernstein-ellipse bound rho**(-2n)
+_GRADED_ERROR = 1e-18
+
+
+def _graded_points(ratio: float) -> int:
+    """Gauss-Legendre points of a graded panel (1 - ratio d, 1 - d): the fewest
+    n with rho**(-2n) <= _GRADED_ERROR, rho that of the panel's Bernstein
+    ellipse through r = 1.  The nearest singularities exp(+-i w), w <= d,
+    lie on or outside it, and r = 0 farther out (Trefethen, SIAM Rev. 2008)."""
+    a = (ratio + 1.0) / (ratio - 1.0)
+    return math.ceil(-math.log(_GRADED_ERROR) / (2.0 * math.log(a + math.sqrt(a * a - 1.0))))
+
+
+#: Gauss-Legendre points of every graded panel: the count at the steepest
+#: ratio, 19 at _GRADING 4
+_GRADED_POINTS = _graded_points(_GRADING)
+
 #: phi whose r-node arithmetic is done at once: a block's arrays hold
-#: ~_PHI_BLOCK * 275 nodes per s-row.  Four default operator builds peaked
-#: at 33 MiB in blocks of 32 phi and at 45 MiB in one block of ~420
+#: ~_PHI_BLOCK * 130 nodes per s-row, and its barycentric weights 13 to 22
+#: per node.  Four default operator builds peaked at 34 MiB in blocks of 32
+#: phi and at 45 MiB in one block of ~420
 _PHI_BLOCK = 32
 
 #: the t-table is piecewise polynomial in v = log(1 + 2 z), on panels of
@@ -232,29 +277,64 @@ _TABLE_CHUNK = 64
 _LAMBDA_FLOOR = 0.25
 
 
+# keyed by (lambda, k, level): the bound keeps a caller drawing a fresh
+# lambda per call from growing the cache
+@lru_cache(maxsize=64)
+def _lower_rule(lam: float, k: int, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The r-rules' segment on (0, 1/2), the same for every phi: the
+    level-``level`` tanh-sinh nodes r, their 1 - r and node factors
+    r**(lam-1) log(1/r)**(k-1) (1 - r**2) times the weight, read-only."""
+    lower, weights = _segment(0.0, _FAR_SPLIT, *_ts_nodes(level))
+    parts = (lower, 1.0 - lower, lower ** (lam - 1.0) * (-np.log(lower)) ** (k - 1) * (1.0 - lower * lower) * weights)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
 def _r_rules(
-    lam: float, k: int, splits: np.ndarray, table: tuple
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The r-rules of a block of phi, one per entry of ``splits``: the
-    tanh-sinh ``table`` of quadrature._ts_nodes mapped onto (0, split) as
-    tanh_sinh_segment maps it (it carries the r**(lam-1) log(1/r)**(k-1)
-    singularity at 0), then _UPPER_POINTS Gauss-Legendre nodes on (split, 1),
-    where the integrand is analytic.  Returns the rules' nodes concatenated
-    in the order of ``splits``, the node factor r**(lam-1) log(1/r)**(k-1)
-    (1 - r**2) times the weight, and each rule's node count."""
-    side, dist, weight = table
-    split = splits[:, None]
-    lower = _map_nodes(0.0, split, side, dist)
-    gl_nodes, gl_weights = _gl_base(_UPPER_POINTS)
-    half = 0.5 * (1.0 - split)
-    r = np.concatenate([lower, split + half * (gl_nodes + 1.0)], axis=1)
-    r_weights = np.concatenate([(0.5 * split) * weight, half * gl_weights], axis=1)
-    # tanh_sinh_segment drops the lower nodes that round onto an end
-    keep = np.ones(r.shape, dtype=bool)
-    keep[:, : lower.shape[1]] = (lower > 0.0) & (lower < split)
-    r, r_weights = r[keep], r_weights[keep]
-    log_inv_r = -np.log(r)
-    return r, r ** (lam - 1.0) * log_inv_r ** (k - 1) * (1.0 - r * r) * r_weights, keep.sum(axis=1)
+    lam: float, k: int, seps: np.ndarray, level: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The r-rules of a block of phi, one per entry w of ``seps``, each in
+    three segments: the level-``level`` tanh-sinh rule on (0, 1/2), the same
+    for every phi (it carries the r**(lam-1) log(1/r)**(k-1) singularity at
+    0); Gauss-Legendre panels on (1/2, 1 - w), graded toward r = 1 with a
+    common ratio of their ends' distances to 1 of at most _GRADING and
+    _GRADED_POINTS nodes each; and _UPPER_POINTS Gauss-Legendre nodes on
+    (1 - w, 1).  Above 1/2 the nodes are placed by their distance 1 - r, so
+    log(1/r) and 1 - r**2 keep their digits next to r = 1.  Returns the
+    rules' nodes r and 1 - r, concatenated in the order of ``seps``, the
+    node factor r**(lam-1) log(1/r)**(k-1) (1 - r**2) times the weight, and
+    each rule's node count."""
+    lower, lower_dist, lower_fac = _lower_rule(lam, k, level)
+    # graded panel j of a phi spans the distances w g**j .. w g**(j + 1) to
+    # r = 1, where g = (1/2 / w)**(1 / panels)
+    span = np.log(_FAR_SPLIT / seps)
+    panels = np.ceil(span / math.log(_GRADING)).astype(np.intp)
+    of_panel = np.repeat(np.arange(seps.size), panels)
+    j = np.arange(of_panel.size) - np.repeat(np.cumsum(panels) - panels, panels)
+    step = span[of_panel] / panels[of_panel]
+    near = seps[of_panel] * np.exp(step * j)
+    far = np.where(j + 1 < panels[of_panel], seps[of_panel] * np.exp(step * (j + 1)), _FAR_SPLIT)
+    gl_nodes, gl_weights = _gl_base(_GRADED_POINTS)
+    up_nodes, up_weights = _gl_base(_UPPER_POINTS)
+    half, up_half = (0.5 * (far - near))[:, None], (0.5 * seps)[:, None]
+    dist = np.concatenate(
+        [((0.5 * (near + far))[:, None] + half * gl_nodes).ravel(), (up_half * (1.0 - up_nodes)).ravel()]
+    )
+    weights = np.concatenate([(half * gl_weights).ravel(), (up_half * up_weights).ravel()])
+    r_upper = 1.0 - dist
+    upper_fac = r_upper ** (lam - 1.0) * (-np.log1p(-dist)) ** (k - 1) * (dist * (1.0 + r_upper)) * weights
+    # each phi's nodes together, in the order of seps: lower, graded, upper
+    phi = np.arange(seps.size)
+    owner = np.concatenate(
+        [np.repeat(phi, lower.size), np.repeat(of_panel, _GRADED_POINTS), np.repeat(phi, _UPPER_POINTS)]
+    )
+    source = np.concatenate([np.tile(np.arange(lower.size), seps.size), lower.size + np.arange(dist.size)])
+    source = source[np.argsort(owner, kind="stable")]
+    r = np.concatenate([lower, r_upper])[source]
+    one_minus_r = np.concatenate([lower_dist, dist])[source]
+    r_fac = np.concatenate([lower_fac, upper_fac])[source]
+    return r, one_minus_r, r_fac, lower.size + _GRADED_POINTS * panels + _UPPER_POINTS
 
 
 def _phi_array(phi) -> np.ndarray:
@@ -370,33 +450,42 @@ def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _locate(v: np.ndarray, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """The table panel of each v of a 1-D array and v's local coordinate in
-    [-1, 1] on it, as _read takes them."""
+    [-1, 1] on it, as _lagrange takes them."""
     position = v * (1.0 / _PANEL_WIDTH)
     panel = np.minimum(position.astype(np.intp), panels - 1)
     return panel, 2.0 * (position - panel) - 1.0
 
 
-def _read(table: np.ndarray, panel: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Every row of ``table``, laid out as _t_table's, read at the local
-    coordinates ``x`` of the panels ``panel`` (see _locate) by barycentric
-    interpolation: shape (rows, x.size).  The weighted sums are divided by
-    the weights' sum after the contraction; an x exactly on a node makes
-    that sum infinite, and such a column takes the node's table value."""
+def _lagrange(n: int, x: np.ndarray, scale: float | np.ndarray = 1.0) -> np.ndarray:
+    """The barycentric weights, shape (n, x.size), that interpolate a table
+    panel's n Chebyshev-point values at the local coordinates ``x`` (see
+    _locate), each column divided by its sum and times its ``scale``.  An x
+    exactly on a node makes that sum infinite, and such a column takes the
+    node's value alone."""
     if x.size == 1:
         # numpy sums a lone column's n terms pairwise and a batch's in
-        # order: read a lone x as a pair, so it gets a batch entry's rounding
-        return _read(table, np.repeat(panel, 2), np.repeat(x, 2))[:, :1]
-    points, bary = _chebyshev(table.shape[1])
-    lagrange = bary / (x - points)
-    gathered = np.take(table, panel, axis=2)
-    gathered *= lagrange
+        # order: weigh a lone x as a pair, so it gets a batch entry's rounding
+        return _lagrange(n, np.repeat(x, 2), np.repeat(scale, 2))[:, :1]
+    points, bary = _chebyshev(n)
+    # in place: a block's weights run to ~0.5 MiB, and a second array that
+    # size per call costs more than the arithmetic
+    lagrange = x - points
+    np.divide(bary, lagrange, out=lagrange)
     weight_sum = lagrange.sum(axis=0)
-    values = gathered.sum(axis=1) / weight_sum
+    lagrange *= scale / weight_sum
     hits = ~np.isfinite(weight_sum)
     if hits.any():
-        node = np.argmax(np.abs(lagrange[:, hits]), axis=0)
-        values[:, hits] = table[:, node, panel[hits]]
-    return values
+        lagrange[:, hits] = (points == x[hits]) * np.broadcast_to(scale, x.shape)[hits]
+    return lagrange
+
+
+def _read(table: np.ndarray, panel: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Every row of ``table``, laid out as _t_table's, read at the panels
+    ``panel`` (see _locate): each panel's n values weighed by the columns of
+    ``weights`` (from _lagrange) and summed, shape (rows, panel.size)."""
+    gathered = np.take(table, panel, axis=2)
+    gathered *= weights
+    return gathered.sum(axis=1)
 
 
 def _check_finite(values: np.ndarray, phis: np.ndarray, context: str) -> None:
@@ -462,10 +551,10 @@ def kernel_partial(
     with Phi read off the table by barycentric interpolation in
     v = log(1 + 2 z).  The phi are taken in blocks of _PHI_BLOCK: a block's
     r-rules (see _r_rules) and the arithmetic of their nodes (Delta_r, the
-    panel and local coordinate of v, the r-weights) run once on the nodes
-    of the whole block, elementwise; each phi then folds its table, reads
-    it and sums.  So a batch gives its entries bit for bit as scalar calls
-    would.
+    panel and local coordinate of v, the r-weights folded into the
+    barycentric weights, the powers of q) run once on the nodes of the
+    whole block, node by node; each phi then folds its table, reads it and
+    sums.  So a batch gives its entries bit for bit as scalar calls would.
     """
     lam = validate_lambda(lam)
     config = config or DEFAULT_KERNEL_CONFIG
@@ -493,33 +582,36 @@ def kernel_partial(
     sigma = sin_theta * sin_p
     one_minus_cos_w = np.array([2.0 * math.sin(0.5 * (theta - p)) ** 2 for p in phis])
     sin_w = np.array([math.sin(theta - p) for p in phis])
-    splits = 1.0 - np.minimum(np.abs(theta - phis), _FAR_SPLIT)
-    r_table = _ts_nodes(config.r_level)
+    seps = np.minimum(np.abs(theta - phis), _FAR_SPLIT)
+    level = config.r_level + (k > _FINE_ORDER)
     coeffs = _expansion(layout, ell, 1.0 - one_minus_cos_w, -sigma, -sin_w, -cos_theta * sin_p)
     fold, fold_at = np.zeros((len(orders), columns)), (rows_of, np.arange(columns))
     values = np.empty(phis.size)
     for start in range(0, phis.size, _PHI_BLOCK):
         block = slice(start, start + _PHI_BLOCK)
         # the block's r-nodes, concatenated phi by phi, and their arithmetic
-        r, r_fac, counts = _r_rules(lam, k, splits[block], r_table)
-        delta_r = (1.0 - r) ** 2 + 2.0 * r * np.repeat(one_minus_cos_w[block], counts)
+        r, dist, r_fac, counts = _r_rules(lam, k, seps[block], level)
+        delta_r = dist * dist + 2.0 * r * np.repeat(one_minus_cos_w[block], counts)
         q = r / delta_r
         four_sigma = np.repeat(4.0 * sigma[block], counts)
         panel, x = _locate(np.log1p(four_sigma * q), panels)
-        # r_fac r**s Delta_r**-(lam+1+s) (1 + 2z)**-lam, one row per s;
+        # r_fac r**s Delta_r**-(lam+1+s) (1 + 2z)**-lam at the first s, folded
+        # into the interpolation weights, and q**row for the rows above it;
         # Delta_r (1 + 2z) = Delta_r + 4 sigma r stays O(1) near the diagonal
-        weight = np.empty((len(orders), r.size))
-        weight[0] = r_fac / delta_r * np.power(delta_r + four_sigma * r, -lam)
+        base = r_fac / delta_r * np.power(delta_r + four_sigma * r, -lam)
         if orders[0]:
-            weight[0] *= q
+            base *= q
+        weights = _lagrange(n, x, base)
+        q_pow = np.empty((len(orders), r.size))
+        q_pow[0] = 1.0
         for row in range(1, len(orders)):
-            np.multiply(weight[row - 1], q, out=weight[row])
+            np.multiply(q_pow[row - 1], q, out=q_pow[row])
         ends = np.cumsum(counts)
         for index, lo, hi in zip(range(start, start + counts.size), ends - counts, ends):
             # the phi's table: sum_m p_{s,m} (1 + 2z)**lam Phi_{m,s}, one row per s
             fold[fold_at] = coeffs[index]
-            t_sums = _read((fold @ flat).reshape(len(orders), n, panels), panel[lo:hi], x[lo:hi])
-            values[index] = prefactor * float((t_sums * weight[:, lo:hi]).sum())
+            t_sums = _read((fold @ flat).reshape(len(orders), n, panels), panel[lo:hi], weights[:, lo:hi])
+            values[index] = prefactor * float((t_sums * q_pow[:, lo:hi]).sum())
     _check_finite(values, phis, f"lambda {lam}, k {k}, theta {theta}")
     return float(values[0]) if np.ndim(phi) == 0 else values
 

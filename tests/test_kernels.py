@@ -28,7 +28,7 @@ from ultrariesz import (
 from ultrariesz import kernels, transforms
 from ultrariesz.jets import Jet
 from ultrariesz.kernels import DEFAULT_KERNEL_CONFIG, KernelConfig, _t_table, _term_layout
-from ultrariesz.quadrature import _segment, gauss_legendre_segment, tanh_sinh_segment
+from ultrariesz.quadrature import _segment, _ts_nodes, gauss_legendre_segment, tanh_sinh_segment
 
 
 class TestConstants:
@@ -327,23 +327,37 @@ class TestRieszKernel:
                 2.304794908341411, 0.125093748664147, 0.12509377270325242,
             ],
         }
-        # at the three phi within 2.1e-4 of theta the kernel is fixed by
-        # float64 only to ~1e-7 relative at even k, where it cancels terms far
-        # larger than itself, and to ~3e-12 at odd k: so measured against
-        # plain double sums on the same t-rule, with the r-integral converged
-        # (level-8 tanh-sinh, its nodes and weights too in long double) and
-        # every cell summed in long double (below).  The records there
-        # were re-recorded when the r-rule took Gauss-Legendre above its
-        # split, each closer to the long-double sum; k = 3 moved 1.9e-13
-        # relative and keeps its record
-        rerecorded = {
-            (0.3, 1): [-16602.501830481833, 16601.440617570406, 1648.7036739358068],
-            (0.3, 2): [0.6168893350502099, 0.37356004172327734, 0.37354765294170456],
-            (0.3, 4): [-1.052292607856681, -0.5656480793307299, -0.5655904753701154],
-            (2.45, 1): [-22474.175803611884, 22464.773380071645, 2228.2754037191644],
-            (2.45, 2): [3.797033666791198, 1.1075691729521313, 1.1076338290522898],
-            (2.45, 4): [-7.293185609531771, -1.9146030523699615, -1.9023174528478521],
-        }
+        # at the three phi within 2.1e-4 of theta the kernel cancels terms
+        # far larger than itself at even k, so the records there are measured
+        # against plain double sums on the same t-rule, with the r-integral
+        # converged (level-8 tanh-sinh, its nodes and weights too in long
+        # double) and every cell summed in long double (below).  They were
+        # re-recorded twice, each record closer to the long-double sum than
+        # the one it replaces: when the r-rule took Gauss-Legendre above its
+        # split (k = 3 moved 1.9e-13 relative and kept its record), and when
+        # its nodes above r = 1/2 came to carry their distance 1 - r, on
+        # graded panels (every record moved, to within 2.2e-15 of the sum at
+        # odd k and 9.8e-11 at even k)
+        rerecords = [
+            {
+                (0.3, 1): [-16602.501830481833, 16601.440617570406, 1648.7036739358068],
+                (0.3, 2): [0.6168893350502099, 0.37356004172327734, 0.37354765294170456],
+                (0.3, 4): [-1.052292607856681, -0.5656480793307299, -0.5655904753701154],
+                (2.45, 1): [-22474.175803611884, 22464.773380071645, 2228.2754037191644],
+                (2.45, 2): [3.797033666791198, 1.1075691729521313, 1.1076338290522898],
+                (2.45, 4): [-7.293185609531771, -1.9146030523699615, -1.9023174528478521],
+            },
+            {
+                (0.3, 1): [-16602.501830501802, 16601.44061759038, 1648.7036739360992],
+                (0.3, 2): [0.6168893609635742, 0.3735600676310831, 0.37354765319912897],
+                (0.3, 3): [16603.162361384737, -16600.779924989994, -1648.2214045113844],
+                (0.3, 4): [-1.0522926053961528, -0.5656480768924353, -0.5655904756568374],
+                (2.45, 1): [-22474.175803648097, 22464.77338010786, 2228.2754037195605],
+                (2.45, 2): [3.7970337321809398, 1.107569238341873, 1.1076338293991266],
+                (2.45, 3): [22480.93913072845, -22458.0163862808, -2223.4824151311673],
+                (2.45, 4): [-7.293186345470882, -1.9146037882409814, -1.902317453240319],
+            },
+        ]
         long_double = {
             (0.3, 1): [-16602.501830501773, 16601.440617590346, 1648.7036739360983],
             (0.3, 2): [0.6168893609298525, 0.3735600675945565, 0.3735476531975565],
@@ -354,12 +368,13 @@ class TestRieszKernel:
             (2.45, 3): [22480.939130728482, -22458.016386280826, -2223.482415131168],
             (2.45, 4): [-7.293186345481904, -1.91460378823768, -1.9023174532420675],
         }
-        for (lam, k), near in rerecorded.items():
-            old, exact = np.array(recorded[(lam, k)][:3]), np.array(long_double[(lam, k)])
-            assert np.all(np.abs(np.array(near) - exact) <= np.abs(old - exact)), (lam, k)
-            recorded[(lam, k)] = near + recorded[(lam, k)][3:]
+        for rerecorded in rerecords:
+            for (lam, k), near in rerecorded.items():
+                old, exact = np.array(recorded[(lam, k)][:3]), np.array(long_double[(lam, k)])
+                assert np.all(np.abs(np.array(near) - exact) <= np.abs(old - exact)), (lam, k)
+                recorded[(lam, k)] = near + recorded[(lam, k)][3:]
         for (lam, k), exact in long_double.items():
-            floor = 3e-12 if k % 2 else 5e-7
+            floor = 3e-15 if k % 2 else 1e-10
             np.testing.assert_allclose(recorded[(lam, k)][:3], exact, rtol=floor, atol=0.0)
         for (lam, k), expected in recorded.items():
             values = riesz_kernel(lam, k, theta, phis)
@@ -379,23 +394,28 @@ class TestRieszKernel:
 
 def _plain_double_sum(lam, k, ell, theta, phi, config):
     """kernel_partial as the plain double sum over its (r, t) grid: tanh-sinh
-    in t and in r below the split, Gauss-Legendre in r above it; every cell's
-    d**-(lam+1+s) with P_s(t) evaluated at the node, nothing tabulated or
-    interpolated."""
+    in t and in r on (0, 1/2), Gauss-Legendre in r on the graded panels of
+    (1/2, 1 - w) and on (1 - w, 1), placed by their distance 1 - r; every
+    cell's d**-(lam+1+s) with P_s(t) evaluated at the node, nothing
+    tabulated or interpolated."""
     t, t_weights = tanh_sinh_segment(0.0, math.pi, config.t_level)
     one_minus_cos_t = 2.0 * np.sin(0.5 * t) ** 2
     t_fac = np.sin(t) ** (2.0 * lam - 1.0) * t_weights
-    split = 1.0 - min(abs(theta - phi), 0.5)
-    nodes = [
-        tanh_sinh_segment(0.0, split, config.r_level),
-        gauss_legendre_segment(split, 1.0, kernels._UPPER_POINTS),
-    ]
-    r = np.concatenate([n for n, _ in nodes])
-    r_fac = r ** (lam - 1.0) * (-np.log(r)) ** (k - 1) * (1.0 - r * r) * np.concatenate([w for _, w in nodes])
+    sep = min(abs(theta - phi), 0.5)
+    lower, lower_weights = tanh_sinh_segment(0.0, 0.5, config.r_level + (k > kernels._FINE_ORDER))
+    panels = math.ceil(math.log(0.5 / sep) / math.log(kernels._GRADING))
+    edges = [sep * (0.5 / sep) ** (j / panels) for j in range(panels)] + [0.5]
+    upper = [gauss_legendre_segment(near, far, kernels._GRADED_POINTS) for near, far in zip(edges, edges[1:])]
+    upper.append(gauss_legendre_segment(0.0, sep, kernels._UPPER_POINTS))
+    dist = np.concatenate([nodes for nodes, _ in upper])
+    r, one_minus_r = np.concatenate([lower, 1.0 - dist]), np.concatenate([1.0 - lower, dist])
+    log_inv_r = np.concatenate([-np.log(lower), -np.log1p(-dist)])
+    r_weights = np.concatenate([lower_weights] + [w for _, w in upper])
+    r_fac = r ** (lam - 1.0) * log_inv_r ** (k - 1) * (one_minus_r * (1.0 + r)) * r_weights
     w = theta - phi
     sigma = math.sin(theta) * math.sin(phi)
     one_minus_cos_w = 2.0 * math.sin(0.5 * w) ** 2
-    d = ((1.0 - r) ** 2 + 2.0 * r * one_minus_cos_w)[:, None] + 2.0 * sigma * r[:, None] * one_minus_cos_t
+    d = (one_minus_r**2 + 2.0 * r * one_minus_cos_w)[:, None] + 2.0 * sigma * r[:, None] * one_minus_cos_t
     a = (1.0 - one_minus_cos_w) - sigma * one_minus_cos_t
     b = -math.sin(w) - math.cos(theta) * math.sin(phi) * one_minus_cos_t
     cells = np.zeros_like(d)
@@ -423,17 +443,22 @@ class TestTabulatedKernel:
 
     def test_read_on_a_node_gives_the_node_value(self):
         # an x exactly on a Chebyshev point makes the barycentric weights'
-        # sum infinite; _read then takes the table value there.  The kernels
-        # call it under their float policy, which silences that division
+        # sum infinite; _lagrange then weighs the node alone, times its
+        # scale.  The kernels call it under their float policy, which
+        # silences that division
         table = np.random.default_rng(2).standard_normal((2, 13, 3))
         points = kernels._chebyshev(13)[0][:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            values = kernels._read(table, np.array([0, 1, 2]), np.array([points[3], 0.1, points[12]]))
-            lone = kernels._read(table, np.array([1]), np.array([points[5]]))
+            weights = kernels._lagrange(13, np.array([points[3], 0.1, points[12]]))
+            lone = kernels._lagrange(13, np.array([points[5]]))
+            scaled = kernels._lagrange(13, np.array([0.1, points[7]]), np.array([2.0, 3.0]))
+        values = kernels._read(table, np.array([0, 1, 2]), weights)
         assert np.array_equal(values[:, 0], table[:, 3, 0])
         assert np.array_equal(values[:, 2], table[:, 12, 2])
         assert np.all(np.isfinite(values[:, 1]))
-        assert np.array_equal(lone[:, 0], table[:, 5, 1])
+        assert np.array_equal(kernels._read(table, np.array([1]), lone)[:, 0], table[:, 5, 1])
+        assert np.array_equal(scaled[:, 1], 3.0 * (np.arange(13) == 7))
+        assert np.array_equal(scaled[:, 0], 2.0 * weights[:, 1])
 
     def test_table_cache_stays_bounded(self):
         for lam in np.linspace(0.31, 2.4, 40):
@@ -442,14 +467,28 @@ class TestTabulatedKernel:
         assert info.currsize <= info.maxsize
 
 
-def _tanh_sinh_r_rules(lam, k, splits, table):
-    """kernels._r_rules with the tanh-sinh ``table`` mapped onto both
-    segments of every r-rule, (0, split) and (split, 1)."""
-    rules = [[_segment(lo, hi, *table) for lo, hi in ((0.0, split), (split, 1.0))] for split in splits]
-    r = np.concatenate([nodes for rule in rules for nodes, _ in rule])
-    weights = np.concatenate([w for rule in rules for _, w in rule])
-    counts = np.array([sum(nodes.size for nodes, _ in rule) for rule in rules])
-    return r, r ** (lam - 1.0) * (-np.log(r)) ** (k - 1) * (1.0 - r * r) * weights, counts
+def _tanh_sinh_r_rules(lam, k, seps, level):
+    """kernels._r_rules with the level-``level`` tanh-sinh rule on both
+    segments of every r-rule, (0, 1 - w) and (1 - w, 1).  As in the kernel's
+    own rule, each node carries its distance 1 - r without cancellation:
+    taken from a rounded r instead, 1 - r moves the rule by ~eps/w relative,
+    at any level (5.1e-12 at k 1 and w = 1.01e-5, where levels 6, 7 and 8
+    all sit 5.1e-12 to 5.8e-12 off a long-double double sum)."""
+    side, dist, weight = _ts_nodes(level)
+    r, one_minus_r, weights = [], [], []
+    for w in seps:
+        # the segment's ends as distances to r = 1; a node left of its
+        # midpoint lies half * dist above the far end, one right of it below
+        # the near end
+        for far, near in ((1.0, w), (w, 0.0)):
+            half = 0.5 * (far - near)
+            r.append(np.where(side < 0, (1.0 - far) + half * dist, (1.0 - near) - half * dist))
+            one_minus_r.append(np.where(side < 0, far - half * dist, near + half * dist))
+            weights.append(half * weight)
+    r, one_minus_r, weights = map(np.concatenate, (r, one_minus_r, weights))
+    log_inv_r = np.where(r < 0.5, -np.log(r), -np.log1p(-np.minimum(one_minus_r, 0.5)))
+    r_fac = r ** (lam - 1.0) * log_inv_r ** (k - 1) * (one_minus_r * (1.0 + r)) * weights
+    return r, one_minus_r, r_fac, np.full(len(seps), 2 * side.size)
 
 
 def _phi_batch(lam, k, theta):
@@ -467,10 +506,74 @@ def _phi_batch(lam, k, theta):
     return calls[0], operator._kernel_weights
 
 
+class TestKernelConfig:
+    @pytest.mark.parametrize("field", ["t_level", "r_level"])
+    @pytest.mark.parametrize("level", [-2, 0, 2.5, 13])
+    def test_a_level_outside_the_range_raises(self, field, level):
+        # such levels once gave another kernel without a word: the k = 2
+        # kernel at lambda 1, (1.2, 0.7) is 1.2269, but was 2.137 at
+        # t_level -2 and 1.499 at r_level -2
+        with pytest.raises(ValueError, match=field):
+            KernelConfig(**{field: level})
+
+    def test_levels_in_the_range_construct(self):
+        assert (KernelConfig(3, 3).t_level, KernelConfig(3, 3).r_level) == (3, 3)
+        doubled = DEFAULT_KERNEL_CONFIG.doubled()
+        assert doubled.t_level == DEFAULT_KERNEL_CONFIG.t_level + 1
+        assert doubled.r_level == DEFAULT_KERNEL_CONFIG.r_level + 1
+
+
+class TestGradedRRule:
+    @pytest.mark.parametrize("lam", [0.3, 2.45])
+    def test_default_operators_hold_at_most_165_r_nodes_per_phi(self, monkeypatch, lam):
+        # 0.6 of the ~275 r-nodes per phi of the rule before the graded
+        # panels; each phi's graded segment holds its panels, the fewest
+        # that keep the ratio at most _GRADING, at _GRADED_POINTS apiece:
+        # the Bernstein-ellipse count at that ratio, and no more
+        r_rules, seen = kernels._r_rules, []
+
+        def recording(lam, k, seps, level):
+            assert level == DEFAULT_KERNEL_CONFIG.r_level
+            rules = r_rules(lam, k, seps, level)
+            seen.append((seps, rules[3]))
+            return rules
+
+        monkeypatch.setattr(kernels, "_r_rules", recording)
+        for k in range(1, 5):
+            riesz_kernel(lam, k, 1.2, _phi_batch(lam, k, 1.2)[0])
+        seps, counts = (np.concatenate(parts) for parts in zip(*seen))
+        assert counts.sum() <= 0.6 * 275 * counts.size
+        lower = _segment(0.0, 0.5, *_ts_nodes(DEFAULT_KERNEL_CONFIG.r_level))[0].size
+        graded = counts - lower - kernels._UPPER_POINTS
+        panels = np.ceil(np.log(0.5 / seps) / math.log(kernels._GRADING))
+        assert np.array_equal(graded, kernels._GRADED_POINTS * panels)
+        assert kernels._GRADED_POINTS == kernels._graded_points(kernels._GRADING) == 19
+
+    def test_deepest_grading_is_finite_and_batch_independent(self):
+        # the relaxed guard of TestDifferentiationUnderIntegral: w down to
+        # 1e-11 takes ~20 graded panels
+        relaxed = KernelConfig(t_level=5, r_level=5, min_separation=1e-12)
+        theta = 1.2
+        w = np.geomspace(1e-11, 0.5, 12)
+        phis = np.concatenate([theta - w, theta + w])
+        for k in range(1, 5):
+            for ell in sorted({k - 1, k}):
+                values = kernel_partial(0.5, k, ell, theta, phis, config=relaxed)
+                loop = [kernel_partial(0.5, k, ell, theta, float(phi), config=relaxed) for phi in phis]
+                assert np.all(np.isfinite(values)), (k, ell)
+                assert np.array_equal(values, np.array(loop)), (k, ell)
+
+
+#: the default r-rule under a finer t-rule, so that the t-rule's error does
+#: not mask the r-rule's
+_FINE_T = KernelConfig(t_level=8, r_level=DEFAULT_KERNEL_CONFIG.r_level)
+
+
 class TestUpperRSegment:
-    """The r-rule's Gauss-Legendre segment on (split, 1) against tanh-sinh on
-    both segments at r-level 7, at t-level 8 on both sides so that the
-    t-table is shared and only the r-rule differs."""
+    """The default r-rule, Gauss-Legendre on the graded panels of
+    (1/2, 1 - w) and on (1 - w, 1), against tanh-sinh on (0, 1 - w) and
+    (1 - w, 1) at r-level 7, at t-level 8 on both sides so that the t-table
+    is shared and only the r-rule differs."""
 
     @pytest.mark.parametrize("lam", [0.25, 0.3, 1.0, 2.45])
     def test_matches_tanh_sinh_on_both_segments(self, monkeypatch, lam):
@@ -480,26 +583,25 @@ class TestUpperRSegment:
         phis = theta - w
         eps = np.finfo(float).eps
         for k in (1, 2, 4, 8, 12):
-            values = riesz_kernel(lam, k, theta, phis, config=KernelConfig(t_level=8, r_level=5))
+            values = riesz_kernel(lam, k, theta, phis, config=_FINE_T)
             with monkeypatch.context() as patch:
                 patch.setattr(kernels, "_r_rules", _tanh_sinh_r_rules)
                 reference = riesz_kernel(lam, k, theta, phis, config=KernelConfig(t_level=8, r_level=7))
             # near the diagonal the even-k kernel is O(1) but sums terms
-            # ~1/w**2 larger, so float64 fixes it only to ~eps/w**2 whatever
-            # the rule: the floor below, k eps/w**2 for w < 1e-2, bounds the
-            # measured gaps (up to 1e-5 relative at k = 12, w = 1e-5)
+            # ~1/w**2 larger, so float64 may fix it only to ~eps/w**2: the
+            # floor below, k eps/w**2 for w < 1e-2, bounds the measured gaps
+            # (up to 2.6e-9 relative at k = 12, w = 1e-5; odd k within 1e-15)
             floor = k * eps / w**2 if k % 2 == 0 else np.zeros_like(w)
             tolerance = np.maximum(2e-12, np.where(np.abs(w) < 1e-2, floor, 0.0))
             np.testing.assert_array_less(np.abs(values - reference), tolerance * np.abs(reference))
 
     @pytest.mark.parametrize(("lam", "k"), [(0.3, 2), (2.45, 4)])
     def test_operator_weighted_error(self, monkeypatch, lam, k):
-        # as the truncated integrals weigh the kernel: measured 8.3e-14 and
-        # 8.5e-14, against 3.0e-14 and 3.9e-14 for tanh-sinh at r-level 5,
-        # whose nodes the level-7 reference shares
+        # as the truncated integrals weigh the kernel: measured 4.1e-15 and
+        # 4.2e-15
         theta = 1.2
         phis, weights = _phi_batch(lam, k, theta)
-        values = riesz_kernel(lam, k, theta, phis, config=KernelConfig(t_level=8, r_level=5))
+        values = riesz_kernel(lam, k, theta, phis, config=_FINE_T)
         with monkeypatch.context() as patch:
             patch.setattr(kernels, "_r_rules", _tanh_sinh_r_rules)
             reference = riesz_kernel(lam, k, theta, phis, config=KernelConfig(t_level=8, r_level=7))

@@ -257,14 +257,16 @@ class TestTruncated:
         operator = TruncationOperator(1.0, 2, 1.0, TruncationSchedule.geometric().epsilons)
         assert len(calls) == 1
         f = band_limited(SpectralCoefficients(1.0, [0.0, 0.3, 1.0, 0.0, 0.5]))
-        # recorded from the build whose r-rule takes Gauss-Legendre above its
-        # split; against the same operator with long-double kernel values
-        # these are off by 2.2e-16 to 5.6e-15, the record before them by
-        # 1.1e-16 to 1.1e-14
+        # recorded from the build whose r-rule takes graded Gauss-Legendre
+        # panels above r = 1/2, placed by their distance 1 - r; against the
+        # same operator with long-double kernel values (the same t-rule, the
+        # r-integral converged) these are off by 1.7e-18 to 1.8e-16, the
+        # record before them by 2.6e-16 to 5.7e-15, and the one before that
+        # by 1.1e-16 to 1.1e-14
         expected = [
-            0.557326217545463, 0.5573494358698265, 0.5565472772160069,
-            0.5559511285790728, 0.5556054224959434, 0.5554208086795838,
-            0.5553255802887065, 0.5552772380808202, 0.5552528852697441,
+            0.5573262175454629, 0.5573494358698264, 0.5565472772160066,
+            0.5559511285790725, 0.5556054224959428, 0.5554208086795828,
+            0.5553255802887047, 0.5552772380808172, 0.5552528852697385,
         ]
         values = operator.truncated_values(f)
         assert np.array_equal(values, expected)
