@@ -3,10 +3,10 @@ powers, and the two routes to the Riesz transform.
 
 The spectral route applies the multiplier (n + lambda)**(-k) and takes k
 theta-derivatives from the recurrence run on derivative vectors.  The integral route truncates the
-singular kernel away from the diagonal, evaluates the truncations on a
-decreasing schedule of radii, removes the truncation error by a least
-squares fit in the radius, and adds the parity jump constant gamma_k.
-The two must agree; the test suite holds them to each other.
+singular kernel away from the diagonal on a decreasing schedule of radii,
+applied to f minus the a + b cos (known transform) matching f and f' at
+theta: the remainder's truncations converge like the radius squared, with no
+jump gamma_k.  The two must agree; the test suite holds them to each other.
 """
 
 from __future__ import annotations
@@ -67,9 +67,6 @@ class SpectralCoefficients:
         return self.coeffs.size - 1
 
 
-#: the fit uses only the smallest radii, where higher-order terms are dead
-_FIT_WINDOW = 7
-
 #: tanh-sinh level of the phi panels that reach 0 or pi
 _PHI_LEVEL = 4
 
@@ -84,14 +81,14 @@ _MAX_BAND_POINTS = 24
 #: sits near pi/2 and the eigenfunctions grow fast away from it
 _ROUNDING_LIMIT = 1e-6
 
-#: the fit reads only the smallest radii and every band costs kernel calls,
-#: so a longer schedule only adds work
+#: the PV value reads only the two smallest radii and every band costs
+#: kernel calls, so a longer schedule only adds work
 _MAX_RADII = 1000
 
 
 @dataclass(frozen=True)
 class TruncationSchedule:
-    """Three to 1000 strictly decreasing truncation radii in (0, pi), the
+    """Two to 1000 strictly decreasing truncation radii in (0, pi), the
     smallest above the Riesz kernel's diagonal guard."""
 
     epsilons: np.ndarray
@@ -106,8 +103,8 @@ class TruncationSchedule:
             raise ValueError("truncation radii must lie in (0, pi)")
         if not np.all(np.diff(eps) < 0.0):
             raise ValueError("truncation radii must be strictly decreasing")
-        if eps.size < 3:
-            raise ValueError("the radius fit needs at least 3 radii")
+        if eps.size < 2:
+            raise ValueError("the tail estimate needs at least 2 radii")
         if eps.size > _MAX_RADII:
             raise ValueError(f"a schedule holds at most {_MAX_RADII} radii, got {eps.size}")
         if not eps[-1] > RIESZ_MIN_SEPARATION:
@@ -304,7 +301,8 @@ class TruncationOperator:
     computed once, in one kernel call at the resolution ``config`` (each phi
     a sum over its r-nodes of the t-table cached per lambda and k; see
     kernels.kernel_partial), and reused for every function the operator is
-    applied to.  ``epsilons`` must form a TruncationSchedule.
+    applied to: at build time 1 and cos, which riesz_pv subtracts, then each
+    f.  ``epsilons`` must form a TruncationSchedule.
     """
 
     def __init__(
@@ -352,10 +350,14 @@ class TruncationOperator:
         self._segments = [
             (slice(end - nodes.size, end), index) for (nodes, _, index), end in zip(panels, ends)
         ]
+        self._of_one = self._apply(np.ones_like(self._nodes))
+        self._of_cos = self._apply(np.cos(self._nodes))
 
     def truncated_values(self, f: Callable) -> np.ndarray:
         """The truncated integral at every schedule radius, largest first."""
-        fvals = _evaluate(f, self._nodes)
+        return self._apply(_evaluate(f, self._nodes))
+
+    def _apply(self, fvals: np.ndarray) -> np.ndarray:
         out = np.zeros(self.epsilons.size)
         for part, index in self._segments:
             out[index:] += float(np.dot(self._kernel_weights[part], fvals[part]))
@@ -364,7 +366,10 @@ class TruncationOperator:
 
 @dataclass(frozen=True)
 class PVResult:
-    """Outcome of the principal-value evaluation at one point."""
+    """R^k f(theta) as ``value``, the jump gamma_k f(theta) as ``gamma_term``,
+    the principal-value integral value - gamma_term as ``extrapolated``, T_eps f
+    at ``epsilons`` as ``truncated``, and as ``residual`` the tail estimate (not
+    a bound) |T g(eps_{n-1}) - T g(eps_n)| of riesz_pv's g."""
 
     value: float
     extrapolated: float
@@ -372,19 +377,6 @@ class PVResult:
     residual: float
     epsilons: np.ndarray
     truncated: np.ndarray
-
-
-def _extrapolate(epsilons: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """Value at radius zero and worst residual of the least-squares fit of
-    1, eps, eps*log(eps), eps**2 over the smallest radii.  The truncation
-    error expands in integer powers of the radius with logarithms (measured:
-    an eps*log term is present and no half power is).  With fewer than five
-    radii the highest terms are dropped so the fit stays overdetermined."""
-    window = min(_FIT_WINDOW, epsilons.size)
-    eps = epsilons[-window:]
-    design = np.column_stack((np.ones_like(eps), eps, eps * np.log(eps), eps * eps)[: window - 1])
-    coeffs, *_ = np.linalg.lstsq(design, values[-window:], rcond=None)
-    return float(coeffs[0]), float(np.max(np.abs(design @ coeffs - values[-window:])))
 
 
 def riesz_pv(
@@ -397,8 +389,11 @@ def riesz_pv(
     tolerance: float = 1e-3,
     operator: TruncationOperator | None = None,
 ) -> PVResult:
-    """Principal-value Riesz transform: truncations along the schedule,
-    their fit extrapolated to radius zero, plus the jump term gamma_k f(theta).
+    """Principal-value Riesz transform: with g = f - a - b cos, g(theta) =
+    g'(theta) = 0, R^k f(theta) is b (1 + lambda)**(-k) cos(theta + k pi/2)
+    plus the last truncation of g.  b is a central difference of step
+    min(smallest radius, theta/2, (pi - theta)/2); its error only leaves an
+    O(eps) tail.  AccuracyError when that tail passes 10 x ``tolerance``.
 
     A pre-built TruncationOperator amortizes kernel evaluations over several
     functions and carries a custom KernelConfig; it must have been built for
@@ -415,23 +410,25 @@ def riesz_pv(
             f"operator was built for (lambda, k, theta) = ({operator.lam}, {operator.k}, "
             f"{operator.theta}) and its {operator.epsilons.size} radii; the call does not match"
         )
+    h = min(float(operator.epsilons[-1]), 0.5 * theta, 0.5 * (math.pi - theta))
+    below, at, above = _evaluate(f, np.array([theta - h, theta, theta + h]))
     values = operator.truncated_values(f)
-    limit, residual = _extrapolate(operator.epsilons, values)
-    # a NaN residual would pass the comparison below
-    if not (np.all(np.isfinite(values)) and math.isfinite(limit) and math.isfinite(residual)):
-        raise EvaluationError(
-            f"truncated integrals or their fit are not finite (limit {limit}, residual {residual})"
-        )
+    # an underflowing h or sin theta turns this to inf or NaN, refused below
+    with np.errstate(all="ignore"):
+        b = (below - above) / (2.0 * h) / math.sin(theta)
+        tail = values[-2:] - (at - b * math.cos(theta)) * operator._of_one[-2:] - b * operator._of_cos[-2:]
+        value = float(tail[-1] + b * (1.0 + lam) ** -k * math.cos(theta + 0.5 * k * math.pi))
+        residual = float(abs(tail[-2] - tail[-1]))
+    # a NaN residual would pass the comparison below; values[-1] sums every panel
+    if not (math.isfinite(value) and math.isfinite(residual)):
+        raise EvaluationError(f"truncated integrals or the PV value are not finite (value {value}, tail {residual})")
     if residual > 10.0 * tolerance:
-        raise AccuracyError(
-            f"PV fit residual {residual:.2e} exceeds 10 x tolerance {tolerance:g}",
-            estimate=limit,
-            error_bound=residual,
-        )
-    gamma_term = kernel_constants(k).gamma_k * float(np.atleast_1d(f(theta))[0])
+        message = f"PV tail estimate {residual:.2e} exceeds 10 x tolerance {tolerance:g}"
+        raise AccuracyError(message, estimate=value, error_bound=residual)
+    gamma_term = kernel_constants(k).gamma_k * float(at)
     return PVResult(
-        value=limit + gamma_term,
-        extrapolated=limit,
+        value=value,
+        extrapolated=value - gamma_term,
         gamma_term=gamma_term,
         residual=residual,
         epsilons=operator.epsilons.copy(),

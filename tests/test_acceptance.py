@@ -99,18 +99,47 @@ def test_criterion_1_pv_spectral_identity():
                     moved = abs(result.value - recorded[key]) / (1.0 + abs(recorded[key]))
                     if moved >= drift:
                         drift, drift_case = moved, key
-                    if k % 2 == 0:
-                        # dropping gamma_k must break the identity by |f(theta)|
-                        miss = abs(result.extrapolated - spectral)
-                        if abs(miss - abs(f(theta))) > 0.02 * (1.0 + abs(f(theta))):
-                            jump_failures.append((lam, k, theta, name))
+                    # the paper's representation, read off the smallest
+                    # truncation of f itself: T f + gamma_k f(theta) holds
+                    # the identity, and for even k dropping gamma_k breaks
+                    # it by |f(theta)|
+                    f_theta = f(theta)
+                    bound = 0.02 * (1.0 + abs(f_theta))
+                    miss = abs(result.truncated[-1] - spectral)
+                    if abs(result.truncated[-1] + gamma * f_theta - spectral) > bound or (
+                        k % 2 == 0 and abs(miss - abs(f_theta)) > bound
+                    ):
+                        jump_failures.append((lam, k, theta, name))
+    # 1e-3 is the criterion as stated; 2e-9 holds the singularity-subtracted
+    # route to its measured floor (1.1e-9)
     report(
         1,
-        worst <= 1e-3 and not jump_failures and drift <= 1e-12 and seen == set(recorded),
+        worst <= 1e-3 and worst <= 2e-9 and not jump_failures and drift <= 1e-12 and seen == set(recorded),
         f"max |pv - spectral| / (1 + |spectral|) = {worst:.3e} at {worst_case} "
-        f"(tolerance 1e-3); jump-constant sanity failures: {len(jump_failures)}; "
+        f"(tolerances 1e-3 and 2e-9); jump-constant sanity failures: {len(jump_failures)}; "
         f"max |pv - recorded| / (1 + |recorded|) = {drift:.1e} at {drift_case} "
         f"over {len(seen)} of {len(recorded)} recorded values (tolerance 1e-12)",
+    )
+
+
+def test_criterion_1_every_order():
+    """The identity past the sweep's k 1-4: the paper's "every k" at orders
+    5-12, on a degree-5 function."""
+    coeffs = [0.3, -0.5, 1.0, 0.0, 0.5, 0.25]
+    worst, worst_case = 0.0, None
+    for lam in (0.5, 1.0, 2.5):
+        rule = build_rule(lam, 64)
+        f = band_limited(SpectralCoefficients(lam, coeffs))
+        for k in (5, 6, 8, 12):
+            for theta in (0.8, 2.3):
+                spectral = riesz_spectral(f, lam, k, theta, 12, rule)
+                rel = abs(riesz_pv(f, lam, k, theta).value - spectral) / (1.0 + abs(spectral))
+                if rel > worst:
+                    worst, worst_case = rel, (lam, k, theta)
+    report(
+        "1 (k 5-12)",
+        worst <= 1e-8,
+        f"max |pv - spectral| / (1 + |spectral|) = {worst:.3e} at {worst_case} (tolerance 1e-8)",
     )
 
 

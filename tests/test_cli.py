@@ -248,7 +248,7 @@ class TestSubcommands:
         assert code == 0, err
 
     def test_accuracy_error_exits_1_with_one_line(self, capsys):
-        # no extrapolation residual meets 10 x 1e-16
+        # no tail estimate meets 10 x 1e-16
         code, out, err = run_cli(
             capsys, "riesz-pv", "--k", "1", "--theta", "1.2", "--tolerance", "1e-16"
         )
@@ -423,6 +423,18 @@ class TestVariationReport:
         else:
             assert abs(m_k + 1.0 / math.pi) <= 1e-15
 
+    def test_fails_on_compare_s_relative_error(self, capsys, tmp_path):
+        base = tmp_path / "report"
+        argv = ["variation", "--k", "2", "--theta", "0.9", "--theta", "1.2", "--eps-count", "6", "--quad-order", "48"]
+        code, _, err = run_cli(capsys, *argv, "--output", str(base))
+        assert code == 0, err
+        per_theta = json.loads(base.with_suffix(".json").read_text())["per_theta"]
+        worst = max(r["error"] / (1.0 + abs(r["spectral"])) for r in per_theta)
+        assert 0.0 < worst <= 1e-3
+        code, _, err = run_cli(capsys, *argv, "--output", str(base), "--tolerance", repr(worst / 2.0))
+        assert code == 1
+        assert err.startswith("FAIL: identity error") and err.count("\n") == 1
+
     def test_theta_order_does_not_change_norms(self, capsys, tmp_path):
         norms = []
         for index, thetas in enumerate((("0.9", "1.2"), ("1.2", "0.9"))):
@@ -568,6 +580,8 @@ class TestExitCodeContract:
     @example(185.0, 2, 3.1, 3)
     @example(math.inf, 1, 1.2, 3)
     @example(1.0, 13, 1.2, 3)
+    # the difference step for f'(theta) underflows to 0
+    @example(1.0, 2, 5e-324, 3)
     def test_riesz_pv_exits_0_1_or_2_without_warnings(self, lam, k, theta, count):
         # the operator's smallest schedule keeps each example cheap
         _assert_contract(

@@ -353,10 +353,14 @@ class TestPVIdentity:
         result = riesz_pv(f, lam, k, theta)
         spectral = riesz_spectral(f, lam, k, theta, 10, rule)
         assert result.value == pytest.approx(spectral, abs=1e-3 * (1 + abs(spectral)))
-        # without the jump constant the identity misses by |f(theta)|
-        assert abs(result.extrapolated - spectral) == pytest.approx(
+        # the smallest truncation of f plus the jump constant holds the
+        # identity; without gamma_k it misses by |f(theta)|
+        gamma_f = kernel_constants(k).gamma_k * f(theta)
+        assert result.truncated[-1] + gamma_f == pytest.approx(spectral, abs=0.02 * (1 + abs(f(theta))))
+        assert abs(result.truncated[-1] - spectral) == pytest.approx(
             abs(f(theta)), abs=0.02 * (1 + abs(f(theta)))
         )
+        assert result.extrapolated + result.gamma_term == pytest.approx(result.value, rel=1e-15, abs=1e-15)
 
     def test_order_four_jump_sign(self):
         lam, k, theta = 1.0, 4, 1.2
@@ -394,6 +398,17 @@ class TestPVIdentity:
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_truncations_of_one_tend_to_minus_gamma_k(lam, k):
+    # R^k 1 = 0 = lim T_eps 1 + gamma_k: the paper's jump constant from the
+    # kernel alone, with no spectral value and no subtraction
+    operator = TruncationOperator(lam, k, 1.1, TruncationSchedule.geometric().epsilons)
+    gaps = np.abs(operator.truncated_values(np.ones_like) + kernel_constants(k).gamma_k)
+    assert gaps[-1] <= 1e-2
+    assert 20.0 * gaps[-1] <= gaps[0]
+
+
 @pytest.fixture(scope="module")
 def twelve_radius_operator():
     schedule = TruncationSchedule.geometric(0.05, 0.5, 12)
@@ -426,8 +441,8 @@ class TestSchedule:
     def test_validation(self):
         with pytest.raises(ValueError):
             TruncationSchedule(np.array([0.1, 0.2]))
-        with pytest.raises(ValueError):
-            TruncationSchedule(np.array([0.2, 0.1]))
+        with pytest.raises(ValueError, match="at least 2 radii"):
+            TruncationSchedule(np.array([0.1]))
 
     def test_at_most_1000_radii(self):
         TruncationSchedule(np.linspace(0.5, 0.1, 1000))
