@@ -268,8 +268,10 @@ _PANEL_WIDTH = 0.5
 #: target of a panel's interpolation error, relative to the panel's values
 _PANEL_ERROR = 1e-17
 
-#: z-nodes of the (z, t) grid summed at once while a table is built
-_TABLE_CHUNK = 64
+#: z-nodes of the (z, t) grid summed at once while a table is built; the last
+#: chunk is padded to full size, so a short table wastes at most 31 rows (the
+#: Poisson tables at r = exp(-1) and exp(-0.1) hold 65 and 169)
+_TABLE_CHUNK = 32
 
 #: the smallest lambda the t-table serves: the t-rule drops the nodes within
 #: ~1e-16 of pi, with ~(1e-16)**(2 lam) / (2 lam) of the t-mass, so the Poisson
@@ -284,7 +286,7 @@ def _lower_rule(lam: float, k: int, level: int) -> tuple[np.ndarray, np.ndarray,
     """The r-rules' segment on (0, 1/2), the same for every phi: the
     level-``level`` tanh-sinh nodes r, their 1 - r and node factors
     r**(lam-1) log(1/r)**(k-1) (1 - r**2) times the weight, read-only."""
-    lower, weights = _segment(0.0, _FAR_SPLIT, *_ts_nodes(level))
+    lower, weights, _ = _segment(0.0, _FAR_SPLIT, *_ts_nodes(level))
     parts = (lower, 1.0 - lower, lower ** (lam - 1.0) * (-np.log(lower)) ** (k - 1) * (1.0 - lower * lower) * weights)
     for part in parts:
         part.flags.writeable = False
@@ -421,8 +423,12 @@ def _t_table(lam: float, ell: int, t_level: int, min_separation: float) -> np.nd
     points = _chebyshev(n)[0][:, 0]
     v = ((np.arange(panels)[:, None] + 0.5 * (points + 1.0)) * _PANEL_WIDTH).ravel()
     z = 0.5 * np.expm1(v)
-    values = np.empty((v.size, len(pairs)))
-    for lo in range(0, v.size, _TABLE_CHUNK):
+    # every chunk full, the last one padded with its final z: a row's product
+    # then has one shape wherever the table ends, so each row is what it is in
+    # a table of any reach
+    z = np.concatenate([z, np.full(-v.size % _TABLE_CHUNK, z[-1])])
+    values = np.empty((z.size, len(pairs)))
+    for lo in range(0, z.size, _TABLE_CHUNK):
         rows = slice(lo, lo + _TABLE_CHUNK)
         # (1 + 2z)**lam (1 + z u)**-(lam+1+s) as ratio**lam inverse**(1+s):
         # powers of O(1)-conditioned bases, not exp of a large logarithm
@@ -433,7 +439,7 @@ def _t_table(lam: float, ell: int, t_level: int, min_separation: float) -> np.nd
             if (s, 0) in pairs:
                 col = pairs.index((s, 0))
                 values[rows, col : col + s + 1] = term @ u_pow[:, : s + 1]
-    table = np.ascontiguousarray(values.T.reshape(len(pairs), panels, n).transpose(0, 2, 1))
+    table = np.ascontiguousarray(values[: v.size].T.reshape(len(pairs), panels, n).transpose(0, 2, 1))
     table.setflags(write=False)
     return table
 

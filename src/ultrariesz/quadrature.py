@@ -180,13 +180,14 @@ def _ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return side, dist, weight
 
 
-def _ts_new_points(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes present at ``level`` but not at ``level - 1`` (odd multiples)."""
+def _ts_new_points(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of _ts_table(level) absent from level - 1: the odd indices.
+    Level - 1 holds the even ones at twice their weights, bit for bit."""
     k, side, dist, weight = _ts_table(level)
     if level == 0:
-        return side, dist, weight
+        return k, side, dist, weight
     odd = (np.abs(k) % 2) == 1
-    return side[odd], dist[odd], weight[odd]
+    return k[odd], side[odd], dist[odd], weight[odd]
 
 
 def _map_nodes(lo: float, hi: float, side: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -219,7 +220,7 @@ def singular_integrate(
     # linear once the rule resolves the singularity).
     total = estimate = 0.0
     for level in range(0, _MAX_LEVEL + 1):
-        side, dist, weight = _ts_new_points(level)
+        _, side, dist, weight = _ts_new_points(level)
         x = _map_nodes(lo, hi, side, dist)
         y = _evaluate(f, x)
         bad = ~np.isfinite(y)
@@ -251,17 +252,18 @@ def tanh_sinh_segment(lo: float, hi: float, level: int) -> tuple[np.ndarray, np.
     """
     if hi <= lo:
         raise ValueError(f"invalid segment ({lo}, {hi})")
-    return _segment(lo, hi, *_ts_nodes(level))
+    return _segment(lo, hi, *_ts_nodes(level))[:2]
 
 
 def _segment(
     lo: float, hi: float, side: np.ndarray, dist: np.ndarray, weight: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """tanh_sinh_segment's arithmetic on a table from _ts_nodes: callers that
-    map one level onto many segments fetch the table once."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """tanh_sinh_segment's arithmetic on table rows from _ts_nodes or
+    _ts_new_points, and the mask of the rows it keeps: callers that map one
+    level onto many segments fetch the table once."""
     x = _map_nodes(lo, hi, side, dist)
     keep = (x > lo) & (x < hi)
-    return x[keep], 0.5 * (hi - lo) * weight[keep]
+    return x[keep], 0.5 * (hi - lo) * weight[keep], keep
 
 
 @lru_cache(maxsize=None)

@@ -25,8 +25,10 @@ from .quadrature import (
     EvaluationError,
     QuadratureRule,
     _evaluate,
+    _segment,
+    _ts_new_points,
+    _ts_table,
     gauss_legendre_segment,
-    tanh_sinh_segment,
     total_mass,
 )
 from .special import _norm_sqs, _recurrence, gegenbauer_theta_jets, validate_lambda
@@ -67,8 +69,21 @@ class SpectralCoefficients:
         return self.coeffs.size - 1
 
 
-#: tanh-sinh level of the phi panels that reach 0 or pi
-_PHI_LEVEL = 4
+#: tanh-sinh level at which an operator builds the phi pieces that reach 0
+#: or pi; a function the pieces do not resolve refines them (see _Piece)
+_PHI_LEVEL = 3
+
+#: the finest level a far piece refines to, ~1,230 phi; a function that needs
+#: more raises AccuracyError
+_MAX_PHI_LEVEL = 7
+
+#: a far piece's error estimate for a function v is _RESOLUTION_SAFETY a**2 / m,
+#: where m = sum |w v| over the piece and a = sum |w r| over the next level's
+#: nodes, r the miss there of the level's sinc interpolant of v (see
+#: _Piece.estimate).  The piece refines while the estimate exceeds
+#: _RESOLUTION_TARGET m, that is while a / m exceeds 1e-5
+_RESOLUTION_SAFETY = 1e3
+_RESOLUTION_TARGET = 1e-7
 
 #: Gauss-Legendre points of a band between consecutive radii: the fewest n
 #: whose Bernstein-ellipse bound rho**(-2n) is at most _BAND_ERROR, and at
@@ -128,15 +143,23 @@ class TruncationSchedule:
 def analyze(f: Callable, lam: float, n_max: int, rule: QuadratureRule) -> SpectralCoefficients:
     """Coefficients of f against the normalized eigenfunctions up to degree
     n_max, by Gaussian quadrature."""
+    return _analyze(f, lam, n_max, rule)[0]
+
+
+def _analyze(
+    f: Callable, lam: float, n_max: int, rule: QuadratureRule, extra: int = 0
+) -> tuple[SpectralCoefficients, np.ndarray]:
+    """analyze, and the ``extra`` coefficients past n_max from a product of
+    their own, so that a_0 .. a_n_max are analyze's bit for bit."""
     lam = validate_lambda(lam)
     if rule.order < n_max + 1:
         raise ValueError(f"rule order {rule.order} too low for degree {n_max}")
     # norms first: they overflow (OverflowError) before the recurrence would
-    norms = _norms(lam, n_max)
+    norms = _norms(lam, n_max + extra)
     x = np.cos(rule.nodes)
-    basis = np.array(list(_recurrence(n_max, lam, x, np.ones_like(x)))) / norms[:, None]
-    fvals = _evaluate(f, rule.nodes)
-    return SpectralCoefficients(lam=lam, coeffs=basis @ (rule.weights * fvals))
+    basis = np.array(list(_recurrence(n_max + extra, lam, x, np.ones_like(x)))) / norms[:, None]
+    weighted = rule.weights * _evaluate(f, rule.nodes)
+    return SpectralCoefficients(lam=lam, coeffs=basis[: n_max + 1] @ weighted), basis[n_max + 1 :] @ weighted
 
 
 # bounded like the rule cache; read-only because every caller shares it
@@ -246,17 +269,25 @@ def riesz_spectral(
     # an extreme lambda carries the coefficients and the jets toward the float
     # range; raise FloatingPointError there rather than warn and return inf
     with np.errstate(over="raise", invalid="raise"):
-        c = analyze(f, lam, n_max, rule)
+        # the tail: a_{n_max+1} and a_{n_max+2} where the rule integrates them
+        # (an f of exact degree n_max fills a_{n_max} with no loss), else a_{n_max}
+        extra = 2 if rule.order >= n_max + 3 else 0
+        c, past = _analyze(f, lam, n_max, rule, extra)
+        tail_coeffs = np.abs(past if past.size else c.coeffs[-1:])
+        tail_index = n_max + int(past.size > 0) + int(np.argmax(tail_coeffs))
         # ||a|| over its largest entry: the squares of finite coefficients may overflow
         scale = float(np.max(np.abs(c.coeffs)))
-        tail = abs(c.coeffs[-1]) / (scale * float(np.linalg.norm(c.coeffs / scale))) if scale > 0.0 else 0.0
+        norm = scale * float(np.linalg.norm(c.coeffs / scale)) if scale > 0.0 else math.inf
+        tail = float(np.max(tail_coeffs)) / norm
         if tail > 1e-8:
             warnings.warn(
-                f"coefficient tail |a_{n_max}|/||a|| = {tail:.2e} > 1e-8; "
+                f"coefficient tail |a_{tail_index}|/||a|| = {tail:.2e} > 1e-8; "
                 "the function may not be resolved at this degree",
                 stacklevel=2,
             )
-        derivatives, norms = gegenbauer_theta_jets(n_max, c.lam, theta, k)[:, k], _norms(c.lam, n_max)
+        # the norms _analyze fetched: one cache entry per (lambda, degree)
+        derivatives = gegenbauer_theta_jets(n_max, c.lam, theta, k)[:, k]
+        norms = _norms(c.lam, n_max + extra)[: n_max + 1]
         # fractional_power(c, k / 2)'s multiplier
         multipliers = (np.arange(n_max + 1) + c.lam) ** (-float(k))
         # each coefficient of an O(1) function, ||a|| ~ sqrt(total mass), is
@@ -287,22 +318,115 @@ def _band_points(lo: float, hi: float, theta: float) -> int:
     return math.ceil(needed / per_point)
 
 
+def _inside(lo: float, hi: float, k, side, dist, weight) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The indices, nodes and weights of the tanh-sinh table rows (k, side,
+    dist, weight) that tanh_sinh_segment keeps on (lo, hi)."""
+    nodes, weights, keep = _segment(lo, hi, side, dist, weight)
+    return k[keep], nodes, weights
+
+
+class _Piece:
+    """A phi panel of a TruncationOperator, counted from radius ``index`` on:
+    nodes and weights on (lo, hi) and, once the operator fills it in, the
+    density sin(phi)**(2 lam) K(theta, phi) at the nodes.  A Gauss-Legendre
+    band has ``level`` None.  A tanh-sinh piece (one that reaches 0 or pi)
+    holds the level-``level`` rule with each node's table index ``k``, and
+    refines by the nodes that level + 1 adds, the odd indices: level + 1
+    keeps the others at half their weights, bit for bit."""
+
+    def __init__(self, lo: float, hi: float, index: int, nodes: np.ndarray, weights: np.ndarray, level=None, k=None):
+        self.lo, self.hi, self.index = lo, hi, index
+        self.nodes, self.weights, self.level, self.k = nodes, weights, level, k
+        self.density = np.empty(0)
+        self._ahead = None
+
+    @classmethod
+    def tanh_sinh(cls, lo: float, hi: float, index: int, level: int) -> "_Piece":
+        k, nodes, weights = _inside(lo, hi, *_ts_table(level))
+        return cls(lo, hi, index, nodes, weights, level, k)
+
+    def ahead(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The indices, nodes and weights that level + 1 adds inside (lo, hi), and
+        the sinc matrix that interpolates a function on the level's grid (spacing
+        1 in k) at them (k / 2)."""
+        if self._ahead is None:
+            k, nodes, weights = _inside(self.lo, self.hi, *_ts_new_points(self.level + 1))
+            self._ahead = (k, nodes, weights, np.sinc(np.subtract.outer(0.5 * k, self.k)))
+        return self._ahead
+
+    def refine(self, density: np.ndarray) -> None:
+        """Take the piece to level + 1, given the density at the nodes it adds."""
+        k, nodes, weights, _ = self.ahead()
+        merged = np.concatenate([2 * self.k, k])
+        order = np.argsort(merged)
+        self.k = merged[order]
+        self.nodes = np.concatenate([self.nodes, nodes])[order]
+        self.weights = np.concatenate([0.5 * self.weights, weights])[order]
+        self.density = np.concatenate([self.density, density])[order]
+        self.level += 1
+        self._ahead = None
+
+    def estimate(self, values: np.ndarray, ahead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Error estimates of the level's sums of the columns of ``values`` (at
+        the nodes; ``ahead`` holds them at the nodes level + 1 adds), and the
+        columns' masses m = sum |w v|.  The columns less the line through their
+        end values tend to 0 at both ends in the tanh-sinh variable, so their
+        sinc interpolant converges; it misses v at the new nodes by r, and the
+        estimate is _RESOLUTION_SAFETY a**2 / m, a = sum |w r| with w there
+        interpolated alike, plus the rounding bound n eps m.  Interpolation on a
+        grid reaches about the square root of the grid's quadrature accuracy,
+        hence the square; the kernel's own resolution is outside it."""
+        if self.nodes.size < 2:
+            # a sliver of a band that ends at 0 or pi, narrower than the
+            # rounding of its ends: its sum is the rule's, whatever the level
+            return np.zeros(values.shape[1]), np.zeros(values.shape[1])
+        _, nodes, _, sinc = self.ahead()
+        start, stop = self.nodes[0], self.nodes[-1]
+        slope = (values[-1] - values[0]) / (stop - start)
+        line, line_ahead = (values[0] + np.multiply.outer(x - start, slope) for x in (self.nodes, nodes))
+        miss = ahead - line_ahead - sinc @ (values - line)
+        kernel_weights = self.weights * self.density
+        mass = np.abs(kernel_weights) @ np.abs(values)
+        reach = np.abs(0.5 * (sinc @ kernel_weights)) @ np.abs(miss)
+        estimate = _RESOLUTION_SAFETY * reach * reach / mass + self.nodes.size * np.finfo(float).eps * mass
+        return np.where(mass > 0.0, estimate, 0.0), mass
+
+
+def _matched_line(below: float, at: float, above: float, theta: float, h: float) -> tuple[float, float]:
+    """a and b of the a + b cos that matches f and f' at theta, given f at
+    theta - h, theta and theta + h; f' is their central difference.  An
+    underflowing h or sin theta makes them inf or NaN."""
+    b = (below - above) / (2.0 * h) / math.sin(theta)
+    return at - b * math.cos(theta), b
+
+
 class TruncationOperator:
     """Truncated Riesz integrals at fixed (lambda, k, theta) for a decreasing
     radius schedule.
 
-    The complement of the largest excluded band is integrated once with
-    level-4 tanh-sinh panels; each schedule step then adds the two thin bands
-    between consecutive radii with Gauss-Legendre panels (the kernel is
-    analytic there).  Each band gets the fewest points whose Bernstein-ellipse
-    bound, set by its distance to the nearest of theta, 0 and pi, is below
-    1e-18, and at most 24 (see _band_points): 12 at ratio 1/2 away from 0
-    and pi, so the default operator holds ~420 phi.  Kernel values are
-    computed once, in one kernel call at the resolution ``config`` (each phi
-    a sum over its r-nodes of the t-table cached per lambda and k; see
+    The complement of the largest excluded band is integrated with tanh-sinh
+    pieces out to 0 and pi, built at level 3; each schedule step then adds the
+    two thin bands between consecutive radii with Gauss-Legendre panels (the
+    kernel is analytic there).  Each band gets the fewest points whose
+    Bernstein-ellipse bound, set by its distance to the nearest of theta, 0
+    and pi, is below 1e-18, and at most 24 (see _band_points): 12 at ratio 1/2
+    away from 0 and pi, so the default operator holds ~306 phi.  Kernel values
+    are computed in one kernel call at the resolution ``config`` (each phi a
+    sum over its r-nodes of the t-table cached per lambda and k; see
     kernels.kernel_partial), and reused for every function the operator is
-    applied to: at build time 1 and cos, which riesz_pv subtracts, then each
-    f.  ``epsilons`` must form a TruncationSchedule.
+    applied to: at build time 1 and cos, which riesz_pv subtracts, then each f.
+
+    The level-3 pieces resolve the kernel, not every f.  Each apply samples f
+    also at the nodes the next level adds and estimates each tanh-sinh piece's
+    error for f and for g = f - a - b cos, riesz_pv's remainder (see
+    _Piece.estimate).  A piece whose estimate for either exceeds 1e-7 of its
+    mass sum |w v| goes up one level, with kernel values at the new nodes
+    only, kept for every later f; an f applied after a refinement is summed at
+    the finer level.  Past level 7 the apply raises AccuracyError carrying the
+    estimate.  The estimate assumes f bounded at 0 and pi: an f unbounded
+    there is refused.  ``levels`` holds the pieces' levels and
+    ``far_estimate`` the estimate of the last apply.  ``epsilons`` must form a
+    TruncationSchedule.
     """
 
     def __init__(
@@ -318,49 +442,109 @@ class TruncationOperator:
         self.k = int(k)
         self.theta = float(theta)
         self.epsilons = TruncationSchedule(epsilons).epsilons
+        self._config = config
         theta = self.theta
         e0 = float(self.epsilons[0])
-        pieces: list[tuple[float, float, int, bool]] = []
+        self._step = min(float(self.epsilons[-1]), 0.5 * theta, 0.5 * (math.pi - theta))
+        spans: list[tuple[float, float, int, bool]] = []
         if theta - e0 > 0.0:
-            pieces.append((0.0, theta - e0, 0, True))
+            spans.append((0.0, theta - e0, 0, True))
         if theta + e0 < math.pi:
-            pieces.append((theta + e0, math.pi, 0, True))
+            spans.append((theta + e0, math.pi, 0, True))
         for i in range(1, self.epsilons.size):
             hi_r, lo_r = float(self.epsilons[i - 1]), float(self.epsilons[i])
             lo, hi = theta - hi_r, theta - lo_r
             if hi > 0.0:
-                pieces.append((max(lo, 0.0), hi, i, lo <= 0.0))
+                spans.append((max(lo, 0.0), hi, i, lo <= 0.0))
             lo, hi = theta + lo_r, theta + hi_r
             if lo < math.pi:
-                pieces.append((lo, min(hi, math.pi), i, hi >= math.pi))
-        panels = []
-        for lo, hi, index, endpoint in pieces:
-            # both rules' nodes are interior, so every node lies inside (0, pi)
-            if endpoint:
-                panels.append((*tanh_sinh_segment(lo, hi, _PHI_LEVEL), index))
-            else:
-                panels.append((*gauss_legendre_segment(lo, hi, _band_points(lo, hi, theta)), index))
-        # one kernel call over every panel's nodes: the call fetches the t-table
-        # of (lambda, k) once and builds the far r-rule once for all of them
-        self._nodes = np.concatenate([nodes for nodes, _, _ in panels])
-        weights = np.concatenate([w for _, w, _ in panels])
-        kernel_vals = riesz_kernel(self.lam, self.k, theta, self._nodes, config=config)
-        self._kernel_weights = weights * np.sin(self._nodes) ** (2.0 * self.lam) * kernel_vals
-        ends = np.cumsum([nodes.size for nodes, _, _ in panels]).tolist()
-        self._segments = [
-            (slice(end - nodes.size, end), index) for (nodes, _, index), end in zip(panels, ends)
+                spans.append((lo, min(hi, math.pi), i, hi >= math.pi))
+        # both rules' nodes are interior, so every node lies inside (0, pi)
+        self._pieces = [
+            _Piece.tanh_sinh(lo, hi, index, _PHI_LEVEL)
+            if endpoint
+            else _Piece(lo, hi, index, *gauss_legendre_segment(lo, hi, _band_points(lo, hi, theta)))
+            for lo, hi, index, endpoint in spans
         ]
+        # one kernel call over every piece's nodes: the call fetches the t-table
+        # of (lambda, k) once and builds the far r-rule once for all of them
+        for piece, density in zip(self._pieces, self._densities([piece.nodes for piece in self._pieces])):
+            piece.density = density
+        self._assemble()
+        self._far_estimate = 0.0
+
+    @property
+    def levels(self) -> tuple[int, ...]:
+        """The tanh-sinh level of each piece that reaches 0 or pi."""
+        return tuple(piece.level for piece in self._pieces if piece.level is not None)
+
+    @property
+    def far_estimate(self) -> float:
+        """The error estimate of those pieces for the last function applied:
+        per piece the larger of f's and g's, summed."""
+        return self._far_estimate
+
+    def _densities(self, phis: list[np.ndarray]) -> list[np.ndarray]:
+        """sin(phi)**(2 lambda) K(theta, phi) on each array of ``phis``, from one
+        kernel call; each value is what it would be in any other batch."""
+        phi = np.concatenate(phis)
+        kernel_vals = riesz_kernel(self.lam, self.k, self.theta, phi, config=self._config)
+        density = np.array([math.sin(p) ** (2.0 * self.lam) for p in phi]) * kernel_vals
+        return np.split(density, np.cumsum([part.size for part in phis])[:-1])
+
+    def _assemble(self) -> None:
+        """The pieces' nodes and kernel weights as flat arrays, and the
+        truncations of 1 and cos, which riesz_pv subtracts."""
+        self._nodes = np.concatenate([piece.nodes for piece in self._pieces])
+        self._kernel_weights = np.concatenate([piece.weights * piece.density for piece in self._pieces])
+        ends = np.cumsum([piece.nodes.size for piece in self._pieces]).tolist()
+        self._parts = [slice(end - piece.nodes.size, end) for piece, end in zip(self._pieces, ends)]
         self._of_one = self._apply(np.ones_like(self._nodes))
         self._of_cos = self._apply(np.cos(self._nodes))
 
     def truncated_values(self, f: Callable) -> np.ndarray:
-        """The truncated integral at every schedule radius, largest first."""
-        return self._apply(_evaluate(f, self._nodes))
+        """The truncated integral at every schedule radius, largest first, with
+        every tanh-sinh piece refined until f and riesz_pv's g resolve on it."""
+        h = self._step
+        matching = np.array([self.theta - h, self.theta, self.theta + h])
+        while True:
+            far = [(piece, part) for piece, part in zip(self._pieces, self._parts) if piece.level is not None]
+            ahead = [piece.ahead()[1] for piece, _ in far]
+            sampled = _evaluate(f, np.concatenate([self._nodes, *ahead, matching]))
+            fvals = sampled[: self._nodes.size]
+            estimates, refine = [], []
+            with np.errstate(all="ignore"):
+                a, b = _matched_line(*sampled[-3:], self.theta, h)
+                start = self._nodes.size
+                for (piece, part), nodes in zip(far, ahead):
+                    at_nodes, at_ahead = fvals[part], sampled[start : start + nodes.size]
+                    start += nodes.size
+                    # columns f and g = f - a - b cos
+                    values = np.stack([at_nodes, at_nodes - a - b * np.cos(piece.nodes)], axis=1)
+                    ahead_values = np.stack([at_ahead, at_ahead - a - b * np.cos(nodes)], axis=1)
+                    estimate, mass = piece.estimate(values, ahead_values)
+                    # a NaN estimate (f or g not finite) refines nothing; riesz_pv refuses the value
+                    estimates.append(float(np.fmax(*estimate)))
+                    if np.any(estimate > _RESOLUTION_TARGET * mass):
+                        refine.append(piece)
+            self._far_estimate = float(sum(estimates))
+            if not refine:
+                return self._apply(fvals)
+            if any(piece.level >= _MAX_PHI_LEVEL for piece in refine):
+                raise AccuracyError(
+                    f"f is not resolved by the level-{_MAX_PHI_LEVEL} phi rule "
+                    f"(far-piece estimate {self._far_estimate:.2e})",
+                    estimate=float(self._apply(fvals)[-1]),
+                    error_bound=self._far_estimate,
+                )
+            for piece, density in zip(refine, self._densities([piece.ahead()[1] for piece in refine])):
+                piece.refine(density)
+            self._assemble()
 
     def _apply(self, fvals: np.ndarray) -> np.ndarray:
         out = np.zeros(self.epsilons.size)
-        for part, index in self._segments:
-            out[index:] += float(np.dot(self._kernel_weights[part], fvals[part]))
+        for piece, part in zip(self._pieces, self._parts):
+            out[piece.index :] += float(np.dot(self._kernel_weights[part], fvals[part]))
         return out
 
 
@@ -393,7 +577,8 @@ def riesz_pv(
     g'(theta) = 0, R^k f(theta) is b (1 + lambda)**(-k) cos(theta + k pi/2)
     plus the last truncation of g.  b is a central difference of step
     min(smallest radius, theta/2, (pi - theta)/2); its error only leaves an
-    O(eps) tail.  AccuracyError when that tail passes 10 x ``tolerance``.
+    O(eps) tail.  AccuracyError when that tail passes 10 x ``tolerance``, or
+    when f needs the operator's phi pieces past level 7.
 
     A pre-built TruncationOperator amortizes kernel evaluations over several
     functions and carries a custom KernelConfig; it must have been built for
@@ -410,13 +595,14 @@ def riesz_pv(
             f"operator was built for (lambda, k, theta) = ({operator.lam}, {operator.k}, "
             f"{operator.theta}) and its {operator.epsilons.size} radii; the call does not match"
         )
-    h = min(float(operator.epsilons[-1]), 0.5 * theta, 0.5 * (math.pi - theta))
+    h = operator._step
     below, at, above = _evaluate(f, np.array([theta - h, theta, theta + h]))
+    # after the apply: its refinements also update the truncations of 1 and cos
     values = operator.truncated_values(f)
     # an underflowing h or sin theta turns this to inf or NaN, refused below
     with np.errstate(all="ignore"):
-        b = (below - above) / (2.0 * h) / math.sin(theta)
-        tail = values[-2:] - (at - b * math.cos(theta)) * operator._of_one[-2:] - b * operator._of_cos[-2:]
+        a, b = _matched_line(below, at, above, theta, h)
+        tail = values[-2:] - a * operator._of_one[-2:] - b * operator._of_cos[-2:]
         value = float(tail[-1] + b * (1.0 + lam) ** -k * math.cos(theta + 0.5 * k * math.pi))
         residual = float(abs(tail[-2] - tail[-1]))
     # a NaN residual would pass the comparison below; values[-1] sums every panel

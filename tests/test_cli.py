@@ -226,10 +226,11 @@ class TestSubcommands:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # the family's degree-4 function fills the last coefficient at
-            # n-max 4, at each theta: one false tail alarm, printed once
+            # a rule of order 6 cannot integrate a_5 and a_6 at n-max 4, so the
+            # tail check falls back to a_4, which the family's degree-4 function
+            # fills: one alarm at each theta, printed once
             (
-                ("riesz-spectral", "--n-max", "4", "--theta", "1.0", "--theta", "2.0"),
+                ("riesz-spectral", "--n-max", "4", "--quad-order", "6", "--theta", "1.0", "--theta", "2.0"),
                 "coefficient tail |a_4|/||a|| = 4.47e-01",
             ),
             (("variation", "--rho", "1.5", "--theta", "1.0"), "rho = 1.5 is outside the rho > 2 regime"),

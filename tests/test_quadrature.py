@@ -19,6 +19,9 @@ from ultrariesz.quadrature import (
     ConstructionError,
     _MAX_LEVEL,
     _cached_rule,
+    _map_nodes,
+    _ts_new_points,
+    _ts_table,
     gauss_legendre_segment,
     tanh_sinh_segment,
 )
@@ -208,6 +211,31 @@ class TestSegments:
         assert nodes[0] > 0.0 and nodes[-1] < math.pi
         value = float(np.dot(weights, np.sin(nodes)))
         assert value == pytest.approx(2.0, rel=1e-10)
+
+    @pytest.mark.parametrize("theta", [0.3, 1.1, math.pi - 0.3])
+    @pytest.mark.parametrize("level", range(3, 8))
+    def test_level_below_is_the_even_indices(self, theta, level):
+        # on the far pieces of a TruncationOperator: level - 1 is the nodes of
+        # even index at level, at twice their weights, bit for bit, and with
+        # the same endpoint drops; only a node the 1e-300 weight floor cuts
+        # from level may stand alone at level - 1
+        for lo, hi in ((0.0, theta - 0.05), (theta + 0.05, math.pi)):
+            k, side, dist, weight = _ts_table(level)
+            nodes = _map_nodes(lo, hi, side, dist)
+            inside = (nodes > lo) & (nodes < hi)
+            even = inside & (k % 2 == 0)
+            coarse_nodes, coarse_weights = tanh_sinh_segment(lo, hi, level - 1)
+            fine_nodes, fine_weights = tanh_sinh_segment(lo, hi, level)
+            assert np.array_equal(fine_nodes, nodes[inside])
+            shared = np.isin(coarse_nodes, nodes[even])
+            assert np.all(coarse_weights[~shared] <= 2e-300)
+            assert np.array_equal(coarse_nodes[shared], nodes[even])
+            assert np.array_equal(coarse_weights[shared], 2.0 * fine_weights[(k % 2 == 0)[inside]])
+            # the rest of level: the odd rows, as _ts_new_points gives them
+            odd_k, odd_side, odd_dist, odd_weight = _ts_new_points(level)
+            assert np.array_equal(odd_k, k[k % 2 == 1])
+            assert np.array_equal(_map_nodes(lo, hi, odd_side, odd_dist), nodes[k % 2 == 1])
+            assert np.array_equal(odd_weight, weight[k % 2 == 1])
 
     def test_gauss_legendre_segment(self):
         nodes, weights = gauss_legendre_segment(0.0, 1.0, 12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ultrariesz import (
+    AccuracyError,
     SpectralCoefficients,
     TruncationOperator,
     TruncationSchedule,
@@ -210,6 +211,36 @@ class TestRieszSpectral:
         with pytest.warns(UserWarning):
             riesz_spectral(spiky, 1.0, 1, 1.0, 4, rule)
 
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.5])
+    def test_tail_is_judged_past_n_max(self, recwarn, lam):
+        # a_{n_max + 1} and a_{n_max + 2}: an f of exact degree n_max fills
+        # a_{n_max} and is resolved, one of degree n_max + 1 is not
+        rule = build_rule(lam, 32)
+        exact = band_limited(SpectralCoefficients(lam, [0.0, 0.0, 1.0, 0.0, 0.5]))
+        value = riesz_spectral(exact, lam, 2, 1.0, 4, rule)
+        assert not recwarn.list
+        assert value == pytest.approx(riesz_spectral(exact, lam, 2, 1.0, 8, rule), rel=1e-12)
+        for coeffs, index in (([0.0, 0.0, 1.0, 0.0, 0.5, 0.2], 5), ([0.0, 0.0, 1.0, 0.0, 0.5, 0.0, 0.2], 6)):
+            with pytest.warns(UserWarning, match=rf"\|a_{index}\|"):
+                riesz_spectral(band_limited(SpectralCoefficients(lam, coeffs)), lam, 2, 1.0, 4, rule)
+
+    def test_tail_falls_back_to_a_n_max_on_a_short_rule(self):
+        # order 6 < n_max + 3 cannot integrate a_5 and a_6 of a degree-4 f
+        rule = build_rule(1.0, 6)
+        f = band_limited(SpectralCoefficients(1.0, [0.0, 0.0, 1.0, 0.0, 0.5]))
+        with pytest.warns(UserWarning, match=r"\|a_4\|/\|\|a\|\| = 4.47e-01"):
+            riesz_spectral(f, 1.0, 2, 1.0, 4, rule)
+
+    def test_tail_check_leaves_the_value_alone(self):
+        # the two tail coefficients come from their own product: the values
+        # are those recorded while the check read a_n_max, bit for bit
+        rule = build_rule(1.3, 24)
+        f = lambda th: np.exp(np.cos(np.asarray(th)))  # noqa: E731
+        with pytest.warns(UserWarning, match=r"\|a_7\|"):
+            assert riesz_spectral(f, 1.3, 3, 0.9, 6, rule) == 0.13273269966141518
+        g = band_limited(SpectralCoefficients(1.3, [0.2, 0.0, 1.0, -0.4, 0.5]))
+        assert riesz_spectral(g, 1.3, 2, 0.9, 4, rule) == 0.37452430791956803
+
     @pytest.mark.parametrize("lam", [300.0, 1e6, 2.7e16])
     def test_refuses_where_rounding_swamps_the_value(self, lam):
         # the constant's transform is 0; off pi/2 its coefficients' rounding
@@ -257,18 +288,18 @@ class TestTruncated:
         operator = TruncationOperator(1.0, 2, 1.0, TruncationSchedule.geometric().epsilons)
         assert len(calls) == 1
         f = band_limited(SpectralCoefficients(1.0, [0.0, 0.3, 1.0, 0.0, 0.5]))
-        # recorded from the build whose r-rule takes graded Gauss-Legendre
-        # panels above r = 1/2, placed by their distance 1 - r; against the
-        # same operator with long-double kernel values (the same t-rule, the
-        # r-integral converged) these are off by 1.7e-18 to 1.8e-16, the
-        # record before them by 2.6e-16 to 5.7e-15, and the one before that
-        # by 1.1e-16 to 1.1e-14
+        # recorded from the build at tanh-sinh level 3 out to 0 and pi, which
+        # f keeps (one kernel call in all); the level-4 build before it
+        # recorded values 1.8e-14 higher at most.  Against that build with
+        # long-double kernel values (the same t-rule, the r-integral
+        # converged) the level-4 values were off by 1.7e-18 to 1.8e-16
         expected = [
-            0.5573262175454629, 0.5573494358698264, 0.5565472772160066,
-            0.5559511285790725, 0.5556054224959428, 0.5554208086795828,
-            0.5553255802887047, 0.5552772380808172, 0.5552528852697385,
+            0.5573262175454448, 0.5573494358698083, 0.5565472772159885,
+            0.5559511285790544, 0.5556054224959247, 0.5554208086795647,
+            0.5553255802886866, 0.5552772380807991, 0.5552528852697204,
         ]
         values = operator.truncated_values(f)
+        assert len(calls) == 1 and operator.levels == (3, 3)
         assert np.array_equal(values, expected)
         # recorded from the build that made one kernel call per panel, with
         # 24 points per band, level-5 end panels and whole (r, t) grids
@@ -332,6 +363,105 @@ class TestTruncated:
                 TruncationSchedule(np.array(radii))
             with pytest.raises(ValueError, match="kernel guard"):
                 TruncationOperator(1.0, 1, 1.0, radii)
+
+
+#: a Lorentzian of width 0.1 at phi 1.7: no level-3 piece resolves it
+def peak(th):
+    return 1.0 / (1.0 + ((np.asarray(th) - 1.7) / 0.1) ** 2)
+
+
+def _counting_kernel(monkeypatch):
+    """The sizes of the phi arrays of every transforms.riesz_kernel call."""
+    sizes = []
+    riesz_kernel = transforms.riesz_kernel
+
+    def counting(*args, **kwargs):
+        sizes.append(np.size(args[3]))
+        return riesz_kernel(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, "riesz_kernel", counting)
+    return sizes
+
+
+class TestAdaptiveFarPieces:
+    """The tanh-sinh pieces out to 0 and pi build at level 3 and refine per f."""
+
+    @pytest.mark.parametrize("lam, k, theta", [(0.3, 1, 0.7), (1.0, 2, math.pi / 2), (2.5, 3, 2.2), (2.45, 4, 2.64)])
+    def test_polynomial_f_keep_the_level_3_build(self, monkeypatch, lam, k, theta):
+        # criterion 1's family and unit-norm degree 2-4 functions, as the
+        # benchmark draws them; its corner is lambda ~2.45 at theta ~pi - 0.5
+        sizes = _counting_kernel(monkeypatch)
+        operator = TruncationOperator(lam, k, theta, TruncationSchedule.geometric().epsilons)
+        rng = np.random.default_rng(11)
+        family = [[1.0], [0.0, 1.0], [0.0, 0.0, 1.0, 0.0, 0.5]]
+        family += [list(c / np.linalg.norm(c)) for c in (rng.uniform(-1.0, 1.0, d + 1) for d in (2, 3, 4))]
+        for coeffs in family:
+            riesz_pv(band_limited(SpectralCoefficients(lam, coeffs)), lam, k, theta, operator=operator)
+            assert operator.far_estimate < 1e-7
+        assert len(sizes) == 1 and sizes[0] <= 320
+        assert operator.levels == (3, 3)
+
+    def test_refinement_evaluates_the_kernel_at_new_nodes_only(self, monkeypatch):
+        sizes = _counting_kernel(monkeypatch)
+        operator = TruncationOperator(1.0, 1, 1.1, TruncationSchedule.geometric().epsilons)
+        built = operator._nodes.size
+        operator.truncated_values(peak)
+        # the piece toward pi goes up; each level adds its odd indices, about
+        # as many nodes as the piece held
+        assert operator.levels[0] == 3 and operator.levels[1] > 3
+        assert len(sizes) == 1 + operator.levels[1] - 3
+        assert sum(sizes) == operator._nodes.size
+        assert sizes[1] < built
+        # kept for every later f: the same f again calls the kernel no more
+        operator.truncated_values(peak)
+        assert len(sizes) == 1 + operator.levels[1] - 3
+
+    def test_a_refined_piece_holds_a_fresh_build(self, monkeypatch):
+        schedule = TruncationSchedule.geometric().epsilons
+        operator = TruncationOperator(1.0, 1, 1.1, schedule)
+        operator.truncated_values(peak)
+        level = operator.levels[1]
+        monkeypatch.setattr(transforms, "_PHI_LEVEL", level)
+        fresh = TruncationOperator(1.0, 1, 1.1, schedule)
+        refined, built = (next(p for p in op._pieces if p.level is not None and p.hi == math.pi) for op in (operator, fresh))
+        assert built.level == refined.level == level
+        for name in ("k", "nodes", "weights", "density"):
+            assert np.array_equal(getattr(refined, name), getattr(built, name)), name
+        assert np.array_equal(refined.weights * refined.density, built.weights * built.density)
+
+    def test_later_f_are_summed_at_the_refined_level(self):
+        operator = TruncationOperator(1.0, 2, 1.1, TruncationSchedule.geometric().epsilons)
+        f = band_limited(SpectralCoefficients(1.0, [0.0, 0.3, 1.0, 0.0, 0.5]))
+        coarse = operator.truncated_values(f)
+        operator.truncated_values(peak)
+        fine = operator.truncated_values(f)
+        # f was resolved at level 3: the finer sum moves it by far less than
+        # the estimate's target
+        assert operator.levels[1] > 3
+        np.testing.assert_allclose(fine, coarse, rtol=0.0, atol=1e-10)
+
+    def test_a_sliver_piece_without_nodes(self):
+        # theta + eps_3 one rounding below pi: the band from there to pi keeps
+        # no tanh-sinh node, and the apply goes on without it
+        epsilons = TruncationSchedule.geometric().epsilons
+        theta = float(np.nextafter(math.pi - epsilons[3], 0.0))
+        operator = TruncationOperator(1.0, 1, theta, epsilons)
+        assert min(p.nodes.size for p in operator._pieces if p.level is not None) == 0
+        f = band_limited(SpectralCoefficients(1.0, [0.0, 1.0]))
+        spectral = riesz_spectral(f, 1.0, 1, theta, 4, build_rule(1.0, 16))
+        assert riesz_pv(f, 1.0, 1, theta, operator=operator).value == pytest.approx(spectral, abs=1e-9)
+        assert set(operator.levels) == {3}
+
+    def test_past_level_7_raises_with_the_estimate(self):
+        operator = TruncationOperator(1.0, 1, 1.1, TruncationSchedule.geometric().epsilons)
+        spike = lambda th: 1.0 / (1.0 + ((np.asarray(th) - 1.7) / 1e-4) ** 2)  # noqa: E731
+        with pytest.raises(AccuracyError, match="level-7") as caught:
+            operator.truncated_values(spike)
+        assert operator.levels[1] == transforms._MAX_PHI_LEVEL == 7
+        assert caught.value.error_bound == operator.far_estimate > 1e-7
+        # riesz_pv passes it on; the CLI maps it to exit 1
+        with pytest.raises(AccuracyError):
+            riesz_pv(spike, 1.0, 1, 1.1, operator=operator)
 
 
 class TestPVIdentity:
