@@ -367,11 +367,11 @@ class _Piece:
         self._ahead = None
 
     def estimate(self, values: np.ndarray, ahead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Error estimates of the level's sums of the columns of ``values`` (at
-        the nodes; ``ahead`` holds them at the nodes level + 1 adds), and the
-        columns' masses m = sum |w v|.  The columns less the line through their
-        end values tend to 0 at both ends in the tanh-sinh variable, so their
-        sinc interpolant converges; it misses v at the new nodes by r, and the
+        """Error estimates of the level's sums of the rows of ``values`` (at the
+        nodes; ``ahead`` holds them at the nodes level + 1 adds), and the rows'
+        masses m = sum |w v|.  The rows less the line through their end values
+        tend to 0 at both ends in the tanh-sinh variable, so their sinc
+        interpolant converges; it misses v at the new nodes by r, and the
         estimate is _RESOLUTION_SAFETY a**2 / m, a = sum |w r| with w there
         interpolated alike, plus the rounding bound n eps m.  Interpolation on a
         grid reaches about the square root of the grid's quadrature accuracy,
@@ -379,15 +379,15 @@ class _Piece:
         if self.nodes.size < 2:
             # a sliver of a band that ends at 0 or pi, narrower than the
             # rounding of its ends: its sum is the rule's, whatever the level
-            return np.zeros(values.shape[1]), np.zeros(values.shape[1])
+            return np.zeros(len(values)), np.zeros(len(values))
         _, nodes, _, sinc = self.ahead()
         start, stop = self.nodes[0], self.nodes[-1]
-        slope = (values[-1] - values[0]) / (stop - start)
-        line, line_ahead = (values[0] + np.multiply.outer(x - start, slope) for x in (self.nodes, nodes))
-        miss = ahead - line_ahead - sinc @ (values - line)
+        slope = (values[:, -1:] - values[:, :1]) / (stop - start)
+        line, line_ahead = (values[:, :1] + slope * (x - start) for x in (self.nodes, nodes))
+        miss = ahead - line_ahead - (values - line) @ sinc.T
         kernel_weights = self.weights * self.density
-        mass = np.abs(kernel_weights) @ np.abs(values)
-        reach = np.abs(0.5 * (sinc @ kernel_weights)) @ np.abs(miss)
+        mass = np.abs(values) @ np.abs(kernel_weights)
+        reach = np.abs(miss) @ np.abs(0.5 * (sinc @ kernel_weights))
         estimate = _RESOLUTION_SAFETY * reach * reach / mass + self.nodes.size * np.finfo(float).eps * mass
         return np.where(mass > 0.0, estimate, 0.0), mass
 
@@ -493,36 +493,37 @@ class TruncationOperator:
         return np.split(density, np.cumsum([part.size for part in phis])[:-1])
 
     def _assemble(self) -> None:
-        """The pieces' nodes and kernel weights as flat arrays, and the
-        truncations of 1 and cos, which riesz_pv subtracts."""
+        """The pieces' nodes and kernel weights as flat arrays, the truncations
+        of 1 and cos, which riesz_pv subtracts, and the points an apply samples
+        f at: the nodes, then each tanh-sinh piece's next-level nodes, then
+        theta - h, theta and theta + h, with slices of each piece's."""
         self._nodes = np.concatenate([piece.nodes for piece in self._pieces])
         self._kernel_weights = np.concatenate([piece.weights * piece.density for piece in self._pieces])
         ends = np.cumsum([piece.nodes.size for piece in self._pieces]).tolist()
         self._parts = [slice(end - piece.nodes.size, end) for piece, end in zip(self._pieces, ends)]
         self._of_one = self._apply(np.ones_like(self._nodes))
         self._of_cos = self._apply(np.cos(self._nodes))
+        far = [(piece, part) for piece, part in zip(self._pieces, self._parts) if piece.level is not None]
+        ahead = [piece.ahead()[1] for piece, _ in far]
+        ends = (self._nodes.size + np.cumsum([nodes.size for nodes in ahead])).tolist()
+        self._far = [(piece, part, slice(end - nodes.size, end)) for (piece, part), nodes, end in zip(far, ahead, ends)]
+        h = self._step
+        self._probe = np.concatenate([self._nodes, *ahead, [self.theta - h, self.theta, self.theta + h]])
+        self._probe_cos = np.cos(self._probe)
 
     def truncated_values(self, f: Callable) -> np.ndarray:
         """The truncated integral at every schedule radius, largest first, with
         every tanh-sinh piece refined until f and riesz_pv's g resolve on it."""
-        h = self._step
-        matching = np.array([self.theta - h, self.theta, self.theta + h])
         while True:
-            far = [(piece, part) for piece, part in zip(self._pieces, self._parts) if piece.level is not None]
-            ahead = [piece.ahead()[1] for piece, _ in far]
-            sampled = _evaluate(f, np.concatenate([self._nodes, *ahead, matching]))
+            sampled = _evaluate(f, self._probe)
             fvals = sampled[: self._nodes.size]
             estimates, refine = [], []
             with np.errstate(all="ignore"):
-                a, b = _matched_line(*sampled[-3:], self.theta, h)
-                start = self._nodes.size
-                for (piece, part), nodes in zip(far, ahead):
-                    at_nodes, at_ahead = fvals[part], sampled[start : start + nodes.size]
-                    start += nodes.size
-                    # columns f and g = f - a - b cos
-                    values = np.stack([at_nodes, at_nodes - a - b * np.cos(piece.nodes)], axis=1)
-                    ahead_values = np.stack([at_ahead, at_ahead - a - b * np.cos(nodes)], axis=1)
-                    estimate, mass = piece.estimate(values, ahead_values)
+                a, b = _matched_line(*sampled[-3:], self.theta, self._step)
+                # rows f and g = f - a - b cos
+                rows = np.stack([sampled, sampled - a - b * self._probe_cos])
+                for piece, part, ahead in self._far:
+                    estimate, mass = piece.estimate(rows[:, part], rows[:, ahead])
                     # a NaN estimate (f or g not finite) refines nothing; riesz_pv refuses the value
                     estimates.append(float(np.fmax(*estimate)))
                     if np.any(estimate > _RESOLUTION_TARGET * mass):
