@@ -30,6 +30,7 @@ import math
 import sys
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -78,8 +79,8 @@ _FAMILY = {
 }
 _FAMILY_DEGREE = max(len(coeffs) for coeffs in _FAMILY.values()) - 1
 
-#: the rule comes from a dense order x order eigenproblem: O(order**2)
-#: memory and O(order**3) time
+#: the rule's nodes are the singular values of a dense (order/2) x (order/2)
+#: bidiagonal block: O(order**2) memory and O(order**3) time
 _MAX_QUAD_ORDER = 2048
 
 
@@ -135,9 +136,8 @@ class RunConfig:
                 f"field '{_flag('quad_order')}': must lie in "
                 f"(max({_flag('n_max')}, {_FAMILY_DEGREE}) = {degree}, {_MAX_QUAD_ORDER}]"
             )
-        # an extreme lambda overflows the recurrence into a ConstructionError
-        with np.errstate(over="ignore", invalid="ignore"):
-            return build_rule(self.lam, self.quad_order)
+        # an extreme lambda raises ConstructionError (exit 2)
+        return build_rule(self.lam, self.quad_order)
 
 
 #: flags that are not their field's name with "_" -> "-"
@@ -487,6 +487,9 @@ _COMMANDS = {
 }
 
 
+# built once per process (its ~130 add_argument calls cost more than some
+# runs); parse_args fills a fresh namespace on each call
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ultra-riesz",

@@ -2,8 +2,11 @@
 endpoint-singular 1-D integrals.
 
 Two engines are provided.  Gaussian rules for dm_lambda come from the
-Golub-Welsch eigenproblem with the analytically known recurrence
-coefficients of the weight (1 - x**2)**(lambda - 1/2) after x = cos(theta).
+analytically known recurrence coefficients of the weight
+(1 - x**2)**(lambda - 1/2) after x = cos(theta): the weight is even, so the
+nodes are +- the singular values of a half-size bidiagonal block of the
+Jacobi matrix, and the weights are Christoffel numbers summed by the
+three-term recurrence; no eigenvectors are formed.
 Everything with an endpoint singularity (algebraic or logarithmic) goes
 through adaptive tanh-sinh quadrature, which also supplies the fixed node
 sets the kernel integrals build their grids from.
@@ -40,7 +43,9 @@ class QuadratureError(RuntimeError):
 
 
 class ConstructionError(QuadratureError):
-    """Gaussian rule construction failed (eigenproblem did not converge)."""
+    """Gaussian rule construction failed: the singular values did not
+    converge, or the nodes or weights came out non-finite, out of order or
+    off the measure's total mass (as at an extreme lambda)."""
 
 
 class EvaluationError(QuadratureError):
@@ -78,6 +83,9 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ConstructionError("nodes and weights must be 1-D and equally long")
+        # NaN compares false in every check below
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise ConstructionError("nodes and weights must be finite")
         if np.any(np.diff(nodes) <= 0.0):
             raise ConstructionError("nodes must be strictly increasing")
         if nodes[0] <= 0.0 or nodes[-1] >= math.pi:
@@ -93,22 +101,56 @@ class QuadratureRule:
 # cache for the life of the process
 @lru_cache(maxsize=32)
 def _cached_rule(lam: float, order: int) -> QuadratureRule:
-    # Monic recurrence for the weight (1-x^2)^(lam-1/2):
-    # b_k = k (k + 2 lam - 1) / (4 (k + lam) (k + lam - 1)), diagonal zero.
-    k = np.arange(1, order)
-    b = k * (k + 2.0 * lam - 1.0) / (4.0 * (k + lam) * (k + lam - 1.0))
-    jacobi = np.zeros((order, order))
-    off = np.sqrt(b)
-    idx = np.arange(order - 1)
-    jacobi[idx, idx + 1] = off
-    jacobi[idx + 1, idx] = off
+    # Orthonormal recurrence for the weight (1-x^2)^(lam-1/2), diagonal zero:
+    # x p_k = a_{k+1} p_{k+1} + a_k p_{k-1},
+    # a_k**2 = k (k + 2 lam - 1) / (4 (k + lam) (k + lam - 1)).
+    # an extreme lambda overflows or zeroes some a_k; the non-finite nodes or
+    # weights that follow are refused by QuadratureRule
+    with np.errstate(all="ignore"):
+        k = np.arange(1, order + 1)
+        a = np.sqrt(k * (k + 2.0 * lam - 1.0) / (4.0 * (k + lam) * (k + lam - 1.0)))
+        x = _nonnegative_nodes(a[:-1], order)
+        # Christoffel numbers mu_0 / S(x), S = sum_{k<n} p_k(x)**2, and p_n(x)
+        below, prev, cur, total = 0.0, np.zeros_like(x), np.ones_like(x), np.ones_like(x)
+        for above in a[:-1].tolist():
+            prev, cur = cur, (x * cur - below * prev) / above
+            total += cur * cur
+            below = above
+        p_n = (x * cur - below * prev) / a[-1]
+        # one Newton step on p_n, with p_n' = S / (a_n p_{n-1}) by
+        # Christoffel-Darboux.  The Gegenbauer equation gives S'/S =
+        # (2 lam + 1) x / (1 - x**2) at a node: it carries S to the corrected
+        # node, so a node's rounding moves its weight only to second order
+        step = a[-1] * p_n * cur / total
+        total *= 1.0 - (2.0 * lam + 1.0) * x * step / ((1.0 - x) * (1.0 + x))
+        x -= step
+        theta = np.arccos(x)
+        w = total_mass(lam) / total
+    # the weight is even: mirror the nodes below pi/2 (the node at pi/2 of an
+    # odd order is its own mirror)
+    mirror = slice(order % 2, None)
+    nodes = np.concatenate([theta, math.pi - theta[::-1][mirror]])
+    weights = np.concatenate([w, w[::-1][mirror]])
+    return QuadratureRule(nodes=nodes, weights=weights, lam=lam, order=order)
+
+
+def _nonnegative_nodes(off: np.ndarray, order: int) -> np.ndarray:
+    """The nonnegative eigenvalues, descending, of the order x order Jacobi
+    matrix with zero diagonal and off-diagonal ``off``.  With the even rows
+    and columns first it is [[0, B], [B^T, 0]], B the lower-bidiagonal
+    ceil(order/2) x floor(order/2) block of diagonal off[0::2] and
+    subdiagonal off[1::2]: its eigenvalues are +- the singular values of B,
+    and 0 at odd order."""
+    block = np.zeros(((order + 1) // 2, order // 2))
+    diagonal = np.arange(order // 2)
+    block[diagonal, diagonal] = off[0::2]
+    sub = np.arange((order - 1) // 2)
+    block[sub + 1, sub] = off[1::2]
     try:
-        x, vectors = np.linalg.eigh(jacobi)
+        sigma = np.linalg.svd(block, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise ConstructionError(f"eigenproblem failed for lambda={lam}, order={order}") from exc
-    w = total_mass(lam) * vectors[0, :] ** 2
-    theta = np.arccos(np.clip(x, -1.0, 1.0))[::-1]
-    return QuadratureRule(nodes=theta, weights=w[::-1].copy(), lam=lam, order=order)
+        raise ConstructionError(f"singular values failed for order {order}") from exc
+    return np.append(sigma, 0.0) if order % 2 else sigma
 
 
 def build_rule(lam: float, order: int) -> QuadratureRule:

@@ -257,16 +257,33 @@ class TestSubcommands:
         assert out == ""
         assert err.startswith("FAIL:") and err.count("\n") == 1
 
-    def test_kernel_report_independent_of_thread_count(self, capsys, monkeypatch, tmp_path):
+    def test_kernel_report_independent_of_thread_count(self, capsys, tmp_path):
+        # two runs in one process, with another subcommand between them on
+        # the same cached parser and kernel tables, write the same bytes
         reports = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("ULTRA_RIESZ_THREADS", threads)
-            path = tmp_path / f"kernel-{threads}.csv"
+        for run in ("first", "second"):
+            path = tmp_path / f"kernel-{run}.csv"
             code, _, err = run_cli(capsys, "kernel", "--lambda", "0.8", "--k", "3", "--output", str(path))
             assert code == 0, err
             reports.append(path.read_bytes())
+            code, _, err = run_cli(capsys, "kernel", "--lambda", "1.3", "--k", "2", "--theta", "0.7")
+            assert code == 0, err
         assert len(reports[0].splitlines()) == 1 + 380
         assert reports[0] == reports[1]
+
+    def test_repeated_runs_get_their_own_theta_lists(self, capsys):
+        # the parser is built once per process; its appended --theta values
+        # must not carry over from one run to the next
+        for thetas in (["0.9", "1.4"], ["1.1"]):
+            argv = ["riesz-pv", "--k", "1", "--eps-count", "3"]
+            for theta in thetas:
+                argv += ["--theta", theta]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            records = json.loads(out)["records"]
+            # one record per function and theta: 2, then 1, for each function
+            for name in cli._FAMILY:
+                assert [r["theta"] for r in records if r["f"] == name] == [float(t) for t in thetas]
 
     @pytest.mark.parametrize("lam", ["0.3", "2.5"])
     def test_poisson_default_order_meets_its_gate(self, capsys, lam):
