@@ -131,10 +131,16 @@ class KernelConstants:
     beta_k: float
 
 
+def _check_order(k: int) -> int:
+    """k as an int; ValueError unless it is an integer of at least 1."""
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"order must be a positive integer, got {k}")
+    return int(k)
+
+
 def kernel_constants(k: int) -> KernelConstants:
     """gamma_k = 0 (k odd) or (-1)**(k/2) (k even); beta_k = 2 pi (k-1)! gamma_k."""
-    if k < 1:
-        raise ValueError(f"order must be a positive integer, got {k}")
+    _check_order(k)
     if k % 2 == 1:
         gamma = 0.0
     else:
@@ -564,8 +570,7 @@ def kernel_partial(
     """
     lam = validate_lambda(lam)
     config = config or DEFAULT_KERNEL_CONFIG
-    if k < 1:
-        raise ValueError(f"order must be a positive integer, got {k}")
+    _check_order(k)
     if not 0 <= ell <= k:
         raise ValueError(f"derivative order must lie in [0, {k}], got {ell}")
     if not config.min_separation > 0.0:
@@ -647,8 +652,7 @@ def _check_circle(k: int, w: float) -> None:
     """Refusals both circle kernels make: an order below 1, and
     0 < |w| < 1e-6, where the closed forms lose their digits to the pole at
     w = 0 (and w = 5e-324 would divide by zero)."""
-    if k < 1:
-        raise ValueError(f"order must be a positive integer, got {k}")
+    _check_order(k)
     if abs(w) < 1e-6:
         message = f"|w| = {abs(w):.2e} too close to the diagonal; h_limit_even gives H^k's even-order limit"
         raise AccuracyError(message, estimate=math.nan, error_bound=math.inf)
@@ -687,8 +691,7 @@ def m_k_estimate(k: int) -> float:
     """The diagonal constant M_k = lim_{w -> 0} sin(w) R^k(w) of the circle
     kernel: (-1)**((k+1)/2) / pi for odd k and 0 for even k, whatever the
     ultraspherical parameter."""
-    if k < 1:
-        raise ValueError(f"order must be a positive integer, got {k}")
+    _check_order(k)
     return (-1) ** ((k + 1) // 2) / math.pi if k % 2 == 1 else 0.0
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import RIESZ_MIN_SEPARATION, KernelConfig, kernel_constants, poisson_kernel, riesz_kernel
+from .kernels import RIESZ_MIN_SEPARATION, KernelConfig, _check_order, kernel_constants, poisson_kernel, riesz_kernel
 from .quadrature import (
     AccuracyError,
     EvaluationError,
@@ -264,8 +264,7 @@ def riesz_spectral(
     the rule order for an O(1) function, reaches the value past
     _ROUNDING_LIMIT through the modes' multipliers and derivatives at theta
     (lambda 300 at theta 0.7 and k 1, for instance)."""
-    if k < 1:
-        raise ValueError(f"order must be a positive integer, got {k}")
+    _check_order(k)
     # an extreme lambda carries the coefficients and the jets toward the float
     # range; raise FloatingPointError there rather than warn and return inf
     with np.errstate(over="raise", invalid="raise"):
@@ -414,11 +413,12 @@ class TruncationOperator:
     are computed in one kernel call at the resolution ``config`` (each phi a
     sum over its r-nodes of the t-table cached per lambda and k; see
     kernels.kernel_partial), and reused for every function the operator is
-    applied to: at build time 1 and cos, which riesz_pv subtracts, then each f.
+    applied to.
 
     The level-3 pieces resolve the kernel, not every f.  Each apply samples f
-    also at the nodes the next level adds and estimates each tanh-sinh piece's
-    error for f and for g = f - a - b cos, riesz_pv's remainder (see
+    once, also at the nodes the next level adds and at theta and theta +- h,
+    sums f and riesz_pv's remainder g = f - a - b cos (a + b cos matching f and
+    f' at theta), and estimates each tanh-sinh piece's error for both (see
     _Piece.estimate).  A piece whose estimate for either exceeds 1e-7 of its
     mass sum |w v| goes up one level, with kernel values at the new nodes
     only, kept for every later f; an f applied after a refinement is summed at
@@ -439,7 +439,7 @@ class TruncationOperator:
         config: KernelConfig | None = None,
     ):
         self.lam = validate_lambda(lam)
-        self.k = int(k)
+        self.k = _check_order(k)
         self.theta = float(theta)
         self.epsilons = TruncationSchedule(epsilons).epsilons
         self._config = config
@@ -493,16 +493,13 @@ class TruncationOperator:
         return np.split(density, np.cumsum([part.size for part in phis])[:-1])
 
     def _assemble(self) -> None:
-        """The pieces' nodes and kernel weights as flat arrays, the truncations
-        of 1 and cos, which riesz_pv subtracts, and the points an apply samples
-        f at: the nodes, then each tanh-sinh piece's next-level nodes, then
-        theta - h, theta and theta + h, with slices of each piece's."""
+        """The pieces' nodes and kernel weights as flat arrays, and the points an
+        apply samples f at: the nodes, then each tanh-sinh piece's next-level
+        nodes, then theta - h, theta and theta + h, with slices of each piece's."""
         self._nodes = np.concatenate([piece.nodes for piece in self._pieces])
         self._kernel_weights = np.concatenate([piece.weights * piece.density for piece in self._pieces])
         ends = np.cumsum([piece.nodes.size for piece in self._pieces]).tolist()
         self._parts = [slice(end - piece.nodes.size, end) for piece, end in zip(self._pieces, ends)]
-        self._of_one = self._apply(np.ones_like(self._nodes))
-        self._of_cos = self._apply(np.cos(self._nodes))
         far = [(piece, part) for piece, part in zip(self._pieces, self._parts) if piece.level is not None]
         ahead = [piece.ahead()[1] for piece, _ in far]
         ends = (self._nodes.size + np.cumsum([nodes.size for nodes in ahead])).tolist()
@@ -513,7 +510,8 @@ class TruncationOperator:
 
     def truncated_values(self, f: Callable) -> np.ndarray:
         """The truncated integral at every schedule radius, largest first, with
-        every tanh-sinh piece refined until f and riesz_pv's g resolve on it."""
+        every tanh-sinh piece refined until f and riesz_pv's g resolve on it;
+        keeps the last apply's truncations of g, b and f(theta) for riesz_pv."""
         while True:
             sampled = _evaluate(f, self._probe)
             fvals = sampled[: self._nodes.size]
@@ -528,6 +526,8 @@ class TruncationOperator:
                     estimates.append(float(np.fmax(*estimate)))
                     if np.any(estimate > _RESOLUTION_TARGET * mass):
                         refine.append(piece)
+                # an underflowing h or sin theta makes g inf or NaN; riesz_pv refuses it
+                self._remainder = (self._apply(rows[1, : self._nodes.size]), b, float(sampled[-2]))
             self._far_estimate = float(sum(estimates))
             if not refine:
                 return self._apply(fvals)
@@ -596,23 +596,19 @@ def riesz_pv(
             f"operator was built for (lambda, k, theta) = ({operator.lam}, {operator.k}, "
             f"{operator.theta}) and its {operator.epsilons.size} radii; the call does not match"
         )
-    h = operator._step
-    below, at, above = _evaluate(f, np.array([theta - h, theta, theta + h]))
-    # after the apply: its refinements also update the truncations of 1 and cos
     values = operator.truncated_values(f)
+    tail, b, at = operator._remainder
     # an underflowing h or sin theta turns this to inf or NaN, refused below
     with np.errstate(all="ignore"):
-        a, b = _matched_line(below, at, above, theta, h)
-        tail = values[-2:] - a * operator._of_one[-2:] - b * operator._of_cos[-2:]
         value = float(tail[-1] + b * (1.0 + lam) ** -k * math.cos(theta + 0.5 * k * math.pi))
         residual = float(abs(tail[-2] - tail[-1]))
-    # a NaN residual would pass the comparison below; values[-1] sums every panel
+    # a NaN residual would pass the comparison below; tail[-1] sums every panel
     if not (math.isfinite(value) and math.isfinite(residual)):
         raise EvaluationError(f"truncated integrals or the PV value are not finite (value {value}, tail {residual})")
     if residual > 10.0 * tolerance:
         message = f"PV tail estimate {residual:.2e} exceeds 10 x tolerance {tolerance:g}"
         raise AccuracyError(message, estimate=value, error_bound=residual)
-    gamma_term = kernel_constants(k).gamma_k * float(at)
+    gamma_term = kernel_constants(k).gamma_k * at
     return PVResult(
         value=value,
         extrapolated=value - gamma_term,

@@ -52,6 +52,32 @@ class TestConstants:
         with pytest.raises(ValueError):
             h_limit_even(3)
 
+    @pytest.mark.parametrize("k", [2.5, 0])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            kernel_constants,
+            m_k_estimate,
+            lambda k: kernel_partial(1.0, k, 0, 1.2, 0.5),
+            lambda k: riesz_kernel(1.0, k, 1.2, 0.5),
+            lambda k: circle_H(k, 0.7),
+            lambda k: circle_R(k, 1.2, 0.7),
+            lambda k: transforms.riesz_spectral(np.cos, 1.0, k, 1.2, 8, build_rule(1.0, 32)),
+            lambda k: TruncationOperator(1.0, k, 1.2, TruncationSchedule.geometric().epsilons),
+        ],
+        ids=["kernel_constants", "m_k_estimate", "kernel_partial", "riesz_kernel", "circle_H", "circle_R",
+             "riesz_spectral", "TruncationOperator"],
+    )
+    def test_order_must_be_a_positive_integer(self, entry, k):
+        # unchecked, a float order passes as its parity (m_k_estimate(2.5) is
+        # 0) or its floor (TruncationOperator's k), or fails deep inside
+        with pytest.raises(ValueError, match="positive integer"):
+            entry(k)
+
+    def test_numpy_integer_orders(self):
+        assert kernel_constants(np.int64(2)).gamma_k == -1.0
+        assert m_k_estimate(np.int32(3)) == m_k_estimate(3)
+
 
 class TestPoissonKernel:
     def test_r_zero_lambda_half(self):

@@ -529,6 +529,21 @@ class TestPVIdentity:
         )
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.3, 0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_value_is_g_through_the_truncations_of_f_one_and_cos(self, lam, k):
+        # the operator sums g = f - a - b cos directly: the value is the one
+        # the truncations of f, 1 and cos give, to rounding
+        f = band_limited(SpectralCoefficients(lam, [0.0, 0.0, 1.0, 0.0, 0.5]))
+        for theta in (0.7, 2.2):
+            operator = TruncationOperator(lam, k, theta, TruncationSchedule.geometric().epsilons)
+            value = riesz_pv(f, lam, k, theta, operator=operator).value
+            h = operator._step
+            a, b = transforms._matched_line(*f(np.array([theta - h, theta, theta + h])), theta, h)
+            of_f, of_one, of_cos = (operator.truncated_values(v)[-1] for v in (f, np.ones_like, np.cos))
+            jump = b * (1.0 + lam) ** -k * math.cos(theta + 0.5 * k * math.pi)
+            assert abs(value - (of_f - a * of_one - b * of_cos + jump)) <= 1e-13 * (1.0 + abs(value))
+
 
 @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
 @pytest.mark.parametrize("k", range(1, 9))
@@ -674,6 +689,10 @@ class TestSampling:
         operator = TruncationOperator(lam, k, theta, schedule.epsilons)
         counted = CountingCallable(np.cos)
         operator.truncated_values(counted)
+        assert len(counted.args) == 1
+        # riesz_pv reads g's line off the operator's one sampling of f
+        counted = CountingCallable(np.cos)
+        riesz_pv(counted, lam, k, theta, operator=operator)
         assert len(counted.args) == 1
         scalar = lambda th: math.cos(th)  # noqa: E731
         pvs = [riesz_pv(f, lam, k, theta, operator=operator) for f in (scalar, np.cos)]
