@@ -150,7 +150,8 @@ def kernel_constants(k: int) -> KernelConstants:
 
 def h_limit_even(k: int) -> float:
     """lim_{w -> 0+} H^k(w) = (-1)**(k/2) pi Gamma(k) for even k."""
-    if k < 2 or k % 2 != 0:
+    k = _check_order(k)
+    if k % 2 != 0:
         raise ValueError(f"limit exists only for even k >= 2, got {k}")
     return float((-1) ** (k // 2)) * math.pi * math.factorial(k - 1)
 

@@ -25,6 +25,7 @@ from .quadrature import (
     EvaluationError,
     QuadratureRule,
     _evaluate,
+    _gl_base,
     _segment,
     _ts_new_points,
     _ts_table,
@@ -86,10 +87,19 @@ _RESOLUTION_SAFETY = 1e3
 _RESOLUTION_TARGET = 1e-7
 
 #: Gauss-Legendre points of a band between consecutive radii: the fewest n
-#: whose Bernstein-ellipse bound rho**(-2n) is at most _BAND_ERROR, and at
-#: most _MAX_BAND_POINTS
-_BAND_ERROR = 1e-18
+#: whose Bernstein-ellipse bound rho**(-2n) on the kernel is at most
+#: _BAND_ERROR, and at most _MAX_BAND_POINTS.  The bound ignores f, which each
+#: apply checks on the bands instead (see _band_estimates).  A band holds at
+#: least _MIN_BAND_POINTS, so that the coefficients the check reads lie past
+#: the quadratic part of riesz_pv's g
+_BAND_ERROR = 1e-11
 _MAX_BAND_POINTS = 24
+_MIN_BAND_POINTS = 6
+
+#: a band whose f or g is not resolved splits in halves of as many points; a
+#: function that needs more than _MAX_BAND_DEPTH halvings (an 8-point band
+#: then holds 1,024 phi) raises AccuracyError
+_MAX_BAND_DEPTH = 7
 
 #: riesz_spectral refuses a theta where the rounding of an O(1) function's
 #: coefficients reaches the value past this: at large lambda the measure
@@ -324,18 +334,32 @@ def _inside(lo: float, hi: float, k, side, dist, weight) -> tuple[np.ndarray, np
     return k[keep], nodes, weights
 
 
+@lru_cache(maxsize=None)
+def _legendre_analysis(n: int) -> np.ndarray:
+    """The (n x n) matrix that takes values at the n Gauss-Legendre nodes to
+    the discrete Legendre coefficients c_j = (j + 1/2) sum_i w_i P_j(x_i) v_i
+    of their interpolant; read-only because every band of n points shares it."""
+    x, w = _gl_base(n)
+    matrix = (np.arange(n) + 0.5)[:, None] * (np.polynomial.legendre.legvander(x, n - 1) * w[:, None]).T
+    matrix.flags.writeable = False
+    return matrix
+
+
 class _Piece:
     """A phi panel of a TruncationOperator, counted from radius ``index`` on:
     nodes and weights on (lo, hi) and, once the operator fills it in, the
     density sin(phi)**(2 lam) K(theta, phi) at the nodes.  A Gauss-Legendre
-    band has ``level`` None.  A tanh-sinh piece (one that reaches 0 or pi)
+    band has ``level`` None and splits into halves (see halves), ``depth``
+    counting the halvings.  A tanh-sinh piece (one that reaches 0 or pi)
     holds the level-``level`` rule with each node's table index ``k``, and
     refines by the nodes that level + 1 adds, the odd indices: level + 1
     keeps the others at half their weights, bit for bit."""
 
-    def __init__(self, lo: float, hi: float, index: int, nodes: np.ndarray, weights: np.ndarray, level=None, k=None):
+    def __init__(
+        self, lo: float, hi: float, index: int, nodes: np.ndarray, weights: np.ndarray, level=None, k=None, depth=0
+    ):
         self.lo, self.hi, self.index = lo, hi, index
-        self.nodes, self.weights, self.level, self.k = nodes, weights, level, k
+        self.nodes, self.weights, self.level, self.k, self.depth = nodes, weights, level, k, depth
         self.density = np.empty(0)
         self._ahead = None
 
@@ -343,6 +367,16 @@ class _Piece:
     def tanh_sinh(cls, lo: float, hi: float, index: int, level: int) -> "_Piece":
         k, nodes, weights = _inside(lo, hi, *_ts_table(level))
         return cls(lo, hi, index, nodes, weights, level, k)
+
+    @classmethod
+    def band(cls, lo: float, hi: float, index: int, n: int, depth: int = 0) -> "_Piece":
+        return cls(lo, hi, index, *gauss_legendre_segment(lo, hi, n), depth=depth)
+
+    def halves(self) -> tuple["_Piece", "_Piece"]:
+        """The band's two halves, each with as many Gauss-Legendre points."""
+        mid = 0.5 * (self.lo + self.hi)
+        n = self.nodes.size
+        return tuple(_Piece.band(lo, hi, self.index, n, self.depth + 1) for lo, hi in ((self.lo, mid), (mid, self.hi)))
 
     def ahead(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The indices, nodes and weights that level + 1 adds inside (lo, hi), and
@@ -391,6 +425,38 @@ class _Piece:
         return np.where(mass > 0.0, estimate, 0.0), mass
 
 
+def _band_estimates(
+    values: np.ndarray, kernel_weights: np.ndarray, line: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Error estimates of the sums of the rows f and g = f - a - b cos over B
+    bands of n Gauss-Legendre points each, the larger of the two per band,
+    and which bands leave a row unresolved.
+
+    ``values`` is (2, B, n), the rows at the bands' nodes, ``kernel_weights``
+    (B, n) holds |w K| there and ``line`` is |a| + |b|.  A band's sum of K p,
+    p the rows' degree-(n - 1) interpolant, is within the kernel's Bernstein
+    bound, _BAND_ERROR m with m = sum |w K v|, so the sum of K v misses about
+    that plus what p misses of v, which the tail of v's discrete Legendre
+    coefficients, t = max(|c_{n-2}|, |c_{n-1}|), bounds when they decay (the
+    chop of Aurentz and Trefethen, ACM TOMS 2017).  The estimate is
+    t sum |w K| + (_BAND_ERROR + n eps) m, the last term the rounding of the
+    sum.  A row is unresolved when the estimate exceeds _RESOLUTION_TARGET m
+    and t exceeds what rounding leaves in the coefficients: 2n - 1 times a
+    value's rounding, taken as 2 eps times max |f| on the band (plus ``line``
+    for g, whose values are f's less the line's).  An f linear in cos leaves
+    a g of rounding only, and its tail reads up to 0.42 of 2 n eps times
+    that size (4 lambda x 4 k x 7 theta x 3 schedules x 6 such f)."""
+    n = values.shape[-1]
+    eps = np.finfo(float).eps
+    tail = np.abs(values @ _legendre_analysis(n)[-2:].T).max(axis=-1)
+    magnitudes = np.abs(values)
+    mass = (magnitudes * kernel_weights).sum(axis=-1)
+    estimate = tail * kernel_weights.sum(axis=-1) + (_BAND_ERROR + n * eps) * mass
+    rounding = 4 * n * eps * np.add.outer((0.0, line), magnitudes[0].max(axis=-1))
+    unresolved = (estimate > _RESOLUTION_TARGET * mass) & (tail > rounding)
+    return np.fmax(*estimate), unresolved.any(axis=0)
+
+
 def _matched_line(below: float, at: float, above: float, theta: float, h: float) -> tuple[float, float]:
     """a and b of the a + b cos that matches f and f' at theta, given f at
     theta - h, theta and theta + h; f' is their central difference.  An
@@ -407,26 +473,30 @@ class TruncationOperator:
     pieces out to 0 and pi, built at level 3; each schedule step then adds the
     two thin bands between consecutive radii with Gauss-Legendre panels (the
     kernel is analytic there).  Each band gets the fewest points whose
-    Bernstein-ellipse bound, set by its distance to the nearest of theta, 0
-    and pi, is below 1e-18, and at most 24 (see _band_points): 12 at ratio 1/2
-    away from 0 and pi, so the default operator holds ~306 phi.  Kernel values
-    are computed in one kernel call at the resolution ``config`` (each phi a
-    sum over its r-nodes of the t-table cached per lambda and k; see
-    kernels.kernel_partial), and reused for every function the operator is
-    applied to.
+    Bernstein-ellipse bound on the kernel, set by its distance to the nearest
+    of theta, 0 and pi, is below 1e-11, at least 6 and at most 24 (see
+    _band_points): 8 at ratio 1/2 away from 0 and pi, so the default operator
+    holds 242-247 phi.  Kernel values are computed in one kernel call at the
+    resolution ``config`` (each phi a sum over its r-nodes of the t-table
+    cached per lambda and k; see kernels.kernel_partial), and reused for every
+    function the operator is applied to.
 
-    The level-3 pieces resolve the kernel, not every f.  Each apply samples f
-    once, also at the nodes the next level adds and at theta and theta +- h,
-    sums f and riesz_pv's remainder g = f - a - b cos (a + b cos matching f and
-    f' at theta), and estimates each tanh-sinh piece's error for both (see
-    _Piece.estimate).  A piece whose estimate for either exceeds 1e-7 of its
-    mass sum |w v| goes up one level, with kernel values at the new nodes
-    only, kept for every later f; an f applied after a refinement is summed at
-    the finer level.  Past level 7 the apply raises AccuracyError carrying the
-    estimate.  The estimate assumes f bounded at 0 and pi: an f unbounded
-    there is refused.  ``levels`` holds the pieces' levels and
-    ``far_estimate`` the estimate of the last apply.  ``epsilons`` must form a
-    TruncationSchedule.
+    The level-3 pieces and the bands resolve the kernel, not every f.  Each
+    apply samples f once, also at the nodes the next level adds and at theta
+    and theta +- h, sums f and riesz_pv's remainder g = f - a - b cos (a + b
+    cos matching f and f' at theta), and estimates each piece's error for
+    both: a tanh-sinh piece's from the next level's nodes (see
+    _Piece.estimate), a band's from the tail of the Legendre coefficients of
+    its values (see _band_estimates).  A tanh-sinh piece whose estimate for
+    either exceeds 1e-7 of its mass sum |w v| goes up one level, and such a
+    band splits in halves of as many points, with kernel values at the new
+    nodes only, kept for every later f; an f applied after a refinement is
+    summed on the finer pieces.  Past level 7, or past 7 halvings of a band,
+    the apply raises AccuracyError carrying the estimate.  The estimate
+    assumes f bounded at 0 and pi: an f unbounded there is refused.
+    ``levels`` holds the pieces' levels, and ``far_estimate`` and
+    ``band_estimate`` the estimates of the last apply.  ``epsilons`` must form
+    a TruncationSchedule.
     """
 
     def __init__(
@@ -463,7 +533,7 @@ class TruncationOperator:
         self._pieces = [
             _Piece.tanh_sinh(lo, hi, index, _PHI_LEVEL)
             if endpoint
-            else _Piece(lo, hi, index, *gauss_legendre_segment(lo, hi, _band_points(lo, hi, theta)))
+            else _Piece.band(lo, hi, index, max(_band_points(lo, hi, theta), _MIN_BAND_POINTS))
             for lo, hi, index, endpoint in spans
         ]
         # one kernel call over every piece's nodes: the call fetches the t-table
@@ -471,7 +541,7 @@ class TruncationOperator:
         for piece, density in zip(self._pieces, self._densities([piece.nodes for piece in self._pieces])):
             piece.density = density
         self._assemble()
-        self._far_estimate = 0.0
+        self._far_estimate = self._band_estimate = 0.0
 
     @property
     def levels(self) -> tuple[int, ...]:
@@ -483,6 +553,12 @@ class TruncationOperator:
         """The error estimate of those pieces for the last function applied:
         per piece the larger of f's and g's, summed."""
         return self._far_estimate
+
+    @property
+    def band_estimate(self) -> float:
+        """The error estimate of the Gauss-Legendre bands for the last
+        function applied: per band the larger of f's and g's, summed."""
+        return self._band_estimate
 
     def _densities(self, phis: list[np.ndarray]) -> list[np.ndarray]:
         """sin(phi)**(2 lambda) K(theta, phi) on each array of ``phis``, from one
@@ -504,6 +580,15 @@ class TruncationOperator:
         ahead = [piece.ahead()[1] for piece, _ in far]
         ends = (self._nodes.size + np.cumsum([nodes.size for nodes in ahead])).tolist()
         self._far = [(piece, part, slice(end - nodes.size, end)) for (piece, part), nodes, end in zip(far, ahead, ends)]
+        # the bands by their number of points, with each one's node indices as a row
+        groups: dict[int, list[tuple[_Piece, slice]]] = {}
+        for piece, part in zip(self._pieces, self._parts):
+            if piece.level is None:
+                groups.setdefault(piece.nodes.size, []).append((piece, part))
+        self._bands = []
+        for group in groups.values():
+            index = np.array([np.arange(part.start, part.stop) for _, part in group])
+            self._bands.append(([piece for piece, _ in group], index, np.abs(self._kernel_weights[index])))
         h = self._step
         self._probe = np.concatenate([self._nodes, *ahead, [self.theta - h, self.theta, self.theta + h]])
         self._probe_cos = np.cos(self._probe)
@@ -515,7 +600,7 @@ class TruncationOperator:
         while True:
             sampled = _evaluate(f, self._probe)
             fvals = sampled[: self._nodes.size]
-            estimates, refine = [], []
+            estimates, refine, band_estimates, split = [], [], [], []
             with np.errstate(all="ignore"):
                 a, b = _matched_line(*sampled[-3:], self.theta, self._step)
                 # rows f and g = f - a - b cos
@@ -526,10 +611,15 @@ class TruncationOperator:
                     estimates.append(float(np.fmax(*estimate)))
                     if np.any(estimate > _RESOLUTION_TARGET * mass):
                         refine.append(piece)
+                for pieces, index, kernel_weights in self._bands:
+                    estimate, unresolved = _band_estimates(rows[:, index], kernel_weights, abs(a) + abs(b))
+                    band_estimates.append(float(np.sum(estimate)))
+                    split += [piece for piece, flag in zip(pieces, unresolved) if flag]
                 # an underflowing h or sin theta makes g inf or NaN; riesz_pv refuses it
                 self._remainder = (self._apply(rows[1, : self._nodes.size]), b, float(sampled[-2]))
             self._far_estimate = float(sum(estimates))
-            if not refine:
+            self._band_estimate = float(sum(band_estimates))
+            if not refine and not split:
                 return self._apply(fvals)
             if any(piece.level >= _MAX_PHI_LEVEL for piece in refine):
                 raise AccuracyError(
@@ -538,8 +628,21 @@ class TruncationOperator:
                     estimate=float(self._apply(fvals)[-1]),
                     error_bound=self._far_estimate,
                 )
-            for piece, density in zip(refine, self._densities([piece.ahead()[1] for piece in refine])):
+            if any(piece.depth >= _MAX_BAND_DEPTH for piece in split):
+                raise AccuracyError(
+                    f"f is not resolved by bands halved {_MAX_BAND_DEPTH} times "
+                    f"(band estimate {self._band_estimate:.2e})",
+                    estimate=float(self._apply(fvals)[-1]),
+                    error_bound=self._band_estimate,
+                )
+            halves = {piece: piece.halves() for piece in split}
+            bands = [half for pair in halves.values() for half in pair]
+            densities = self._densities([piece.ahead()[1] for piece in refine] + [band.nodes for band in bands])
+            for piece, density in zip(refine, densities):
                 piece.refine(density)
+            for band, density in zip(bands, densities[len(refine) :]):
+                band.density = density
+            self._pieces = [part for piece in self._pieces for part in halves.get(piece, (piece,))]
             self._assemble()
 
     def _apply(self, fvals: np.ndarray) -> np.ndarray:
@@ -579,7 +682,8 @@ def riesz_pv(
     plus the last truncation of g.  b is a central difference of step
     min(smallest radius, theta/2, (pi - theta)/2); its error only leaves an
     O(eps) tail.  AccuracyError when that tail passes 10 x ``tolerance``, or
-    when f needs the operator's phi pieces past level 7.
+    when f needs the operator's phi pieces past level 7 or its bands halved
+    more than 7 times.
 
     A pre-built TruncationOperator amortizes kernel evaluations over several
     functions and carries a custom KernelConfig; it must have been built for

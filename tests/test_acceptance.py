@@ -150,23 +150,28 @@ def test_criterion_1_every_order():
 
 
 def poisson_peak(lam, s, theta0):
-    """f_s = e^(-s lambda) P_lambda(e^(-s), theta0, .), the Poisson-smoothed
-    point mass at theta0: a_n = e^(-s (n + lambda)) phi_n(theta0), through
-    the degree where e^(-s n) falls below 1e-17."""
+    """The coefficients of f_s = e^(-s lambda) P_lambda(e^(-s), theta0, .),
+    the Poisson-smoothed point mass at theta0: a_n = e^(-s (n + lambda))
+    phi_n(theta0), through the degree where e^(-s n) falls below 1e-17."""
     n_max = math.ceil(40.0 / s)
     phi_n = gegenbauer_theta_jets(n_max, lam, theta0, 0)[:, 0] / transforms._norms(lam, n_max)
     return SpectralCoefficients(lam, np.exp(-s * (np.arange(n_max + 1) + lam)) * phi_n)
 
 
-def _far_errors(operator, references, f):
-    """The far pieces' summed error for f and for riesz_pv's g = f - a - b cos,
-    at the operator's levels, against the level-8 sums in ``references``."""
+def _phi_errors(operator, references, f):
+    """The summed error of the far pieces (row 0) and of the bands (row 1)
+    for f and for riesz_pv's g = f - a - b cos (columns), at the operator's
+    levels and over each band's halves if it split, against the level-8 and
+    40-point Gauss-Legendre sums of the pieces as built in ``references``."""
     theta, h = operator.theta, operator._step
     a, b = transforms._matched_line(*f(np.array([theta - h, theta, theta + h])), theta, h)
-    errors = np.zeros(2)
-    for piece, (nodes, kernel_weights) in zip((p for p in operator._pieces if p.level is not None), references):
+    errors = np.zeros((2, 2))
+    for built, nodes, kernel_weights in references:
+        band = built.level is None
+        parts = [p for p in operator._pieces if (p.level is None) == band and built.lo <= p.lo and p.hi <= built.hi]
         for column, v in enumerate((f, lambda x: f(x) - a - b * np.cos(x))):
-            errors[column] += abs(np.dot(piece.weights * piece.density, v(piece.nodes)) - np.dot(kernel_weights, v(nodes)))
+            total = sum(np.dot(p.weights * p.density, v(p.nodes)) for p in parts)
+            errors[int(band), column] += abs(total - np.dot(kernel_weights, v(nodes)))
     return errors
 
 
@@ -174,40 +179,62 @@ def test_criterion_11_peaked_functions():
     """The PV route resolves f, not only the kernel: peaked f_s, s 0.5 to
     0.05, at theta0 - theta 0.15 and 0.6, over criterion 1's (lambda, k).
     Each value lands within 1e-9 of the exact multiplier value, or is
-    refused with AccuracyError; wherever the far pieces stop, their
-    estimate covers their error.  13 radii: at 9, the tail of g alone
-    misses by up to 3.3e-9 at theta0 - theta 0.15 (PVResult.residual says
-    so), and the phi rule is what this criterion measures."""
+    refused with AccuracyError.  f_s with s 0.05 and 0.02 at theta0 - theta
+    0.02 and 0.05 peak inside the Gauss-Legendre bands; there the bands'
+    error for g must stay within 1e-11 and for f within 1e-10 (the bands'
+    kernel sizing, 1e-11 per band, times f(theta) up to ~14), and their
+    values are reported, not gated: at lambda 0.3 they miss by up to 2.2e-8
+    with the bands sized for 1e-18 as well.  Wherever the far pieces and
+    the bands stop, their estimates cover their errors.  13 radii: at 9, the
+    tail of g alone misses by up to 3.3e-9 at theta0 - theta 0.15
+    (PVResult.residual says so), and the phi rule is what this criterion
+    measures."""
     theta = 1.1
     schedule = TruncationSchedule.geometric(0.05, 0.5, 13)
-    worst, worst_case, uncovered, refused, levels = 0.0, None, [], [], set()
+    cases = [(s, gap, True) for s, gap in itertools.product((0.5, 0.2, 0.1, 0.05), (0.15, 0.6))]
+    cases += [(s, gap, False) for s, gap in itertools.product((0.05, 0.02), (0.02, 0.05))]
+    worst, worst_case, inside, inside_case = 0.0, None, 0.0, None
+    band_worst = np.zeros(2)
+    uncovered, refused, levels = [], [], set()
     for lam in LAMBDAS:
         for k in ORDERS:
             operator = TruncationOperator(lam, k, theta, schedule.epsilons)
-            references = []
-            for piece in (p for p in operator._pieces if p.level is not None):
-                nodes, weights = tanh_sinh_segment(piece.lo, piece.hi, 8)
-                references.append((nodes, weights * np.sin(nodes) ** (2.0 * lam) * riesz_kernel(lam, k, theta, nodes)))
-            for s, gap in itertools.product((0.5, 0.2, 0.1, 0.05), (0.15, 0.6)):
+            rules = [
+                transforms.gauss_legendre_segment(p.lo, p.hi, 40)
+                if p.level is None
+                else tanh_sinh_segment(p.lo, p.hi, 8)
+                for p in operator._pieces
+            ]
+            # one kernel call for every reference node
+            densities = operator._densities([nodes for nodes, _ in rules])
+            references = [(p, nodes, weights * d) for p, (nodes, weights), d in zip(operator._pieces, rules, densities)]
+            for s, gap, gated in cases:
                 c = poisson_peak(lam, s, theta + gap)
-                f = band_limited(c)
+                r = math.exp(-s)
+                f = lambda x, r=r, theta0=theta + gap: r**lam * poisson_kernel(lam, r, theta0, x)  # noqa: E731
                 exact = synthesize(fractional_power(c, 0.5 * k), theta, k)
                 try:
                     error = abs(riesz_pv(f, lam, k, theta, operator=operator).value - exact)
-                    estimate = operator.far_estimate
-                except AccuracyError as exc:
+                except AccuracyError:
                     refused.append((lam, k, s, gap))
-                    error, estimate = 0.0, exc.error_bound
-                if error > worst:
+                    error = 0.0
+                if gated and error > worst:
                     worst, worst_case = error, (lam, k, s, gap)
-                if np.any(_far_errors(operator, references, f) > estimate):
+                if not gated and error > inside:
+                    inside, inside_case = error, (lam, k, s, gap)
+                errors = _phi_errors(operator, references, f)
+                if not gated:
+                    band_worst = np.maximum(band_worst, errors[1])
+                if np.any(errors > [[operator.far_estimate], [operator.band_estimate]]):
                     uncovered.append((lam, k, s, gap))
                 levels.update(operator.levels)
     report(
         11,
-        worst <= 1e-9 and not uncovered,
-        f"max |pv - exact| = {worst:.2e} at {worst_case} (tolerance 1e-9); far-piece estimates "
-        f"short of their error: {len(uncovered)}; refused: {len(refused)}; levels reached {sorted(levels)}",
+        worst <= 1e-9 and not uncovered and band_worst[0] <= 1e-10 and band_worst[1] <= 1e-11,
+        f"max |pv - exact| = {worst:.2e} at {worst_case} (tolerance 1e-9); peaks inside the bands: "
+        f"max |pv - exact| = {inside:.2e} at {inside_case} (not gated), band errors of f and g "
+        f"{band_worst[0]:.1e} and {band_worst[1]:.1e} (tolerances 1e-10 and 1e-11); estimates short "
+        f"of their error: {uncovered}; refused: {len(refused)}; levels reached {sorted(levels)}",
     )
 
 

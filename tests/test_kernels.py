@@ -52,11 +52,12 @@ class TestConstants:
         with pytest.raises(ValueError):
             h_limit_even(3)
 
-    @pytest.mark.parametrize("k", [2.5, 0])
+    @pytest.mark.parametrize("k", [2.5, 0, 4.0])
     @pytest.mark.parametrize(
         "entry",
         [
             kernel_constants,
+            h_limit_even,
             m_k_estimate,
             lambda k: kernel_partial(1.0, k, 0, 1.2, 0.5),
             lambda k: riesz_kernel(1.0, k, 1.2, 0.5),
@@ -65,8 +66,8 @@ class TestConstants:
             lambda k: transforms.riesz_spectral(np.cos, 1.0, k, 1.2, 8, build_rule(1.0, 32)),
             lambda k: TruncationOperator(1.0, k, 1.2, TruncationSchedule.geometric().epsilons),
         ],
-        ids=["kernel_constants", "m_k_estimate", "kernel_partial", "riesz_kernel", "circle_H", "circle_R",
-             "riesz_spectral", "TruncationOperator"],
+        ids=["kernel_constants", "h_limit_even", "m_k_estimate", "kernel_partial", "riesz_kernel", "circle_H",
+             "circle_R", "riesz_spectral", "TruncationOperator"],
     )
     def test_order_must_be_a_positive_integer(self, entry, k):
         # unchecked, a float order passes as its parity (m_k_estimate(2.5) is

@@ -291,14 +291,16 @@ class TestTruncated:
         assert len(calls) == 1
         f = band_limited(SpectralCoefficients(1.0, [0.0, 0.3, 1.0, 0.0, 0.5]))
         # recorded from the build at tanh-sinh level 3 out to 0 and pi, which
-        # f keeps (one kernel call in all); the level-4 build before it
-        # recorded values 1.8e-14 higher at most.  Against that build with
-        # long-double kernel values (the same t-rule, the r-integral
-        # converged) the level-4 values were off by 1.7e-18 to 1.8e-16
+        # f keeps (one kernel call in all), with bands sized for 1e-11; the
+        # bands sized for 1e-18 before them recorded values within 1.1e-16,
+        # and the level-4 build before that values 1.8e-14 higher at most.
+        # Against that build with long-double kernel values (the same t-rule,
+        # the r-integral converged) the level-4 values were off by 1.7e-18 to
+        # 1.8e-16
         expected = [
             0.5573262175454448, 0.5573494358698083, 0.5565472772159885,
-            0.5559511285790544, 0.5556054224959247, 0.5554208086795647,
-            0.5553255802886866, 0.5552772380807991, 0.5552528852697204,
+            0.5559511285790544, 0.5556054224959248, 0.5554208086795648,
+            0.5553255802886867, 0.5552772380807991, 0.5552528852697204,
         ]
         values = operator.truncated_values(f)
         assert len(calls) == 1 and operator.levels == (3, 3)
@@ -312,7 +314,7 @@ class TestTruncated:
         ]
         np.testing.assert_allclose(values, untrimmed, rtol=0.0, atol=1e-13)
 
-    def test_default_bands_get_12_points(self, monkeypatch):
+    def test_default_bands_get_8_points(self, monkeypatch):
         counts = []
         segment = transforms.gauss_legendre_segment
 
@@ -325,9 +327,9 @@ class TestTruncated:
         for theta in (0.7, math.pi / 2, 2.2):
             TruncationOperator(1.0, 2, theta, TruncationSchedule.geometric().epsilons)
         # at ratio 1/2 every band sees theta at rho = 3 + sqrt(8), and
-        # rho**-24 ~ 4.6e-19 is the first power below 1e-18
-        assert counts == [12] * 48
-        assert transforms._band_points(1.0, 1.1, 1.2) == 12
+        # rho**-16 ~ 5.6e-13 is the first power below 1e-11 (rho**-14 ~ 1.9e-11)
+        assert counts == [8] * 48
+        assert transforms._band_points(1.0, 1.1, 1.2) == 8
 
     def test_band_points_never_exceed_24(self):
         rng = np.random.default_rng(8)
@@ -356,7 +358,8 @@ class TestTruncated:
 
         monkeypatch.setattr(transforms, "riesz_kernel", recording)
         TruncationOperator(1.0, 2, theta, TruncationSchedule.geometric().epsilons)
-        assert len(sizes) == 1 and sizes[0] <= 430
+        # 242-247 with the bands sized for 1e-11
+        assert len(sizes) == 1 and sizes[0] <= 250
 
     def test_epsilon_guard(self):
         for smallest in (1e-5, 5e-6):
@@ -464,6 +467,71 @@ class TestAdaptiveFarPieces:
         # riesz_pv passes it on; the CLI maps it to exit 1
         with pytest.raises(AccuracyError):
             riesz_pv(spike, 1.0, 1, 1.1, operator=operator)
+
+
+#: a Lorentzian of width 0.01 at phi 1.11: inside the bands of an operator at
+#: theta 1.1, which 8 points a band do not resolve
+def band_peak(th):
+    return 1.0 / (1.0 + ((np.asarray(th) - 1.11) / 0.01) ** 2)
+
+
+class TestBandCheck:
+    """The Gauss-Legendre bands check f and g and split in halves per f."""
+
+    def test_legendre_analysis_inverts_the_legendre_values(self):
+        for n in (1, 6, 8, 24):
+            x, _ = transforms._gl_base(n)
+            values = np.polynomial.legendre.legvander(x, n - 1).T
+            np.testing.assert_allclose(values @ transforms._legendre_analysis(n).T, np.eye(n), atol=1e-13)
+
+    def test_a_peak_inside_the_bands_splits_them(self, monkeypatch):
+        sizes = _counting_kernel(monkeypatch)
+        schedule = TruncationSchedule.geometric().epsilons
+        operator = TruncationOperator(1.0, 1, 1.1, schedule)
+        bands = [(p.lo, p.hi) for p in operator._pieces if p.level is None]
+        built = operator._nodes.size
+        values = operator.truncated_values(band_peak)
+        depth = max(p.depth for p in operator._pieces if p.level is None)
+        assert depth > 0 and operator.levels == (3, 3)
+        # one kernel call per round of halvings, at the halves' nodes only
+        assert len(sizes) == 1 + depth and sum(sizes[1:]) < depth * built
+        # the halves tile the bands as built
+        for lo, hi in bands:
+            parts = sorted((p.lo, p.hi) for p in operator._pieces if p.level is None and lo <= p.lo and p.hi <= hi)
+            assert parts[0][0] == lo and parts[-1][1] == hi
+            assert all(left[1] == right[0] for left, right in zip(parts, parts[1:]))
+        # kept for every later f: the same f again calls the kernel no more
+        np.testing.assert_array_equal(operator.truncated_values(band_peak), values)
+        assert len(sizes) == 1 + depth
+        # against bands of 24 points, checked alike
+        monkeypatch.setattr(transforms, "_MIN_BAND_POINTS", 24)
+        reference = TruncationOperator(1.0, 1, 1.1, schedule).truncated_values(band_peak)
+        np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-11)
+
+    def test_a_half_holds_a_fresh_band(self):
+        operator = TruncationOperator(1.0, 1, 1.1, TruncationSchedule.geometric().epsilons)
+        operator.truncated_values(band_peak)
+        half = next(p for p in operator._pieces if p.level is None and p.depth > 0)
+        fresh = transforms._Piece.band(half.lo, half.hi, half.index, half.nodes.size)
+        assert np.array_equal(half.nodes, fresh.nodes) and np.array_equal(half.weights, fresh.weights)
+        assert np.array_equal(half.density, operator._densities([fresh.nodes])[0])
+
+    @pytest.mark.parametrize("lam, k, theta", [(0.3, 1, 0.7), (1.0, 2, math.pi / 2), (2.5, 3, 2.2), (2.45, 4, 2.64)])
+    def test_f_linear_in_cos_splits_no_band(self, lam, k, theta):
+        # riesz_pv's g is then rounding only, which the check does not chase
+        operator = TruncationOperator(lam, k, theta, TruncationSchedule.geometric().epsilons)
+        for f in (np.cos, lambda x: 3.0 - 2.0 * np.cos(x), band_limited(SpectralCoefficients(lam, [1.0, 1.0]))):
+            riesz_pv(f, lam, k, theta, operator=operator)
+            assert operator.band_estimate < 1e-9
+        assert {p.depth for p in operator._pieces if p.level is None} == {0}
+
+    def test_past_depth_7_raises_with_the_estimate(self):
+        operator = TruncationOperator(1.0, 1, 1.1, TruncationSchedule.geometric().epsilons)
+        spike = lambda th: 1.0 / (1.0 + ((np.asarray(th) - 1.11) / 1e-6) ** 2)  # noqa: E731
+        with pytest.raises(AccuracyError, match="halved 7 times") as caught:
+            operator.truncated_values(spike)
+        assert max(p.depth for p in operator._pieces if p.level is None) == transforms._MAX_BAND_DEPTH == 7
+        assert caught.value.error_bound == operator.band_estimate > 1e-7
 
 
 class TestPVIdentity:
