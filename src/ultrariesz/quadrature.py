@@ -6,10 +6,11 @@ analytically known recurrence coefficients of the weight
 (1 - x**2)**(lambda - 1/2) after x = cos(theta): the weight is even, so the
 nodes are +- the singular values of a half-size bidiagonal block of the
 Jacobi matrix, and the weights are Christoffel numbers summed by the
-three-term recurrence; no eigenvectors are formed.
-Everything with an endpoint singularity (algebraic or logarithmic) goes
-through adaptive tanh-sinh quadrature, which also supplies the fixed node
-sets the kernel integrals build their grids from.
+three-term recurrence; no eigenvectors are formed.  The Riesz operator's
+phi panels take Gauss-Jacobi rules for t**beta on (0, 1) alike, with their
+orthonormal basis.  Everything else with an endpoint singularity (algebraic or logarithmic)
+goes through tanh-sinh quadrature, which also supplies the fixed node sets
+the kernel integrals build their grids from.
 """
 
 from __future__ import annotations
@@ -311,6 +312,46 @@ def _segment(
 @lru_cache(maxsize=None)
 def _gl_base(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
+
+
+# bounded: beta is 2 lambda for the panels that reach 0 or pi, and a caller
+# drawing a fresh lambda per call would otherwise grow the cache
+@lru_cache(maxsize=64)
+def _gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-point Gauss rule on (0, 1) for the weight t**beta, and its
+    orthonormal polynomials q_0 .. q_{n-1} at the nodes (row j holds q_j), so
+    that sum_i w_i q_j q_l = delta_jl and c_j = sum_i w_i q_j(t_i) v_i are the
+    discrete coefficients of v.  The nodes are the eigenvalues of the Jacobi
+    matrix of the weight (Golub and Welsch, Math. Comp. 23, 1969) after one
+    Newton step on q_n; the weights are Christoffel numbers 1 / sum_j q_j**2,
+    summed by the three-term recurrence, as in _cached_rule.  Read-only
+    because every panel of n points shares them."""
+    # rows(t) is q_0 .. q_n at t, from the recurrence t q_j = b_{j+1} q_{j+1}
+    # + a_j q_j + b_j q_{j-1} of the Jacobi polynomials on (0, 1), off = b_1 .. b_n
+    j = np.arange(1, n + 1, dtype=float)
+    two_j = 2.0 * j + beta
+    diag = np.concatenate([[(beta + 1.0) / (beta + 2.0)], 0.5 + 0.5 * beta * beta / (two_j * (two_j + 2.0))])[:n]
+    off = j * (j + beta) / (two_j * np.sqrt((two_j + 1.0) * (two_j - 1.0)))
+
+    def rows(t: np.ndarray) -> np.ndarray:
+        below, prev, cur = 0.0, np.zeros_like(t), np.full_like(t, math.sqrt(beta + 1.0))
+        out = [cur]
+        for a, above in zip(diag.tolist(), off.tolist()):
+            prev, cur = cur, ((t - a) * cur - below * prev) / above
+            out.append(cur)
+            below = above
+        return np.array(out)
+
+    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], -1))
+    q = rows(t)
+    # one Newton step q_n / q_n', with q_n' = S / (b_n q_{n-1}) by
+    # Christoffel-Darboux, S = sum_{j<n} q_j**2
+    t = t - off[-1] * q[n] * q[n - 1] / np.sum(q[:n] ** 2, axis=0)
+    basis = rows(t)[:n]
+    weights = 1.0 / np.sum(basis * basis, axis=0)
+    for array in (t, weights, basis):
+        array.flags.writeable = False
+    return t, weights, basis
 
 
 def gauss_legendre_segment(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,11 +2,13 @@
 powers, and the two routes to the Riesz transform.
 
 The spectral route applies the multiplier (n + lambda)**(-k) and takes k
-theta-derivatives from the recurrence run on derivative vectors.  The integral route truncates the
-singular kernel away from the diagonal on a decreasing schedule of radii,
-applied to f minus the a + b cos (known transform) matching f and f' at
-theta: the remainder's truncations converge like the radius squared, with no
-jump gamma_k.  The two must agree; the test suite holds them to each other.
+theta-derivatives from the recurrence run on derivative vectors.  The
+integral route truncates the singular kernel away from the diagonal on a
+decreasing schedule of radii, on Gauss panels in phi that split where f
+needs it, applied to f minus the a + b cos (known transform) matching f and
+f' at theta: the remainder's truncations converge like the radius squared,
+with no jump gamma_k.  The two must agree; the test suite holds them to each
+other.
 """
 
 from __future__ import annotations
@@ -25,11 +27,7 @@ from .quadrature import (
     EvaluationError,
     QuadratureRule,
     _evaluate,
-    _gl_base,
-    _segment,
-    _ts_new_points,
-    _ts_table,
-    gauss_legendre_segment,
+    _gauss_jacobi,
     total_mass,
 )
 from .special import _norm_sqs, _recurrence, gegenbauer_theta_jets, validate_lambda
@@ -70,35 +68,30 @@ class SpectralCoefficients:
         return self.coeffs.size - 1
 
 
-#: tanh-sinh level at which an operator builds the phi pieces that reach 0
-#: or pi; a function the pieces do not resolve refines them (see _Piece)
-_PHI_LEVEL = 3
-
-#: the finest level a far piece refines to, ~1,230 phi; a function that needs
-#: more raises AccuracyError
-_MAX_PHI_LEVEL = 7
-
-#: a far piece's error estimate for a function v is _RESOLUTION_SAFETY a**2 / m,
-#: where m = sum |w v| over the piece and a = sum |w r| over the next level's
-#: nodes, r the miss there of the level's sinc interpolant of v (see
-#: _Piece.estimate).  The piece refines while the estimate exceeds
-#: _RESOLUTION_TARGET m, that is while a / m exceeds 1e-5
-_RESOLUTION_SAFETY = 1e3
-_RESOLUTION_TARGET = 1e-7
-
-#: Gauss-Legendre points of a band between consecutive radii: the fewest n
-#: whose Bernstein-ellipse bound rho**(-2n) on the kernel is at most
-#: _BAND_ERROR, and at most _MAX_BAND_POINTS.  The bound ignores f, which each
-#: apply checks on the bands instead (see _band_estimates).  A band holds at
-#: least _MIN_BAND_POINTS, so that the coefficients the check reads lie past
-#: the quadratic part of riesz_pv's g
+#: Gauss points of a phi panel: the fewest n whose Bernstein-ellipse bound
+#: rho**(-2n) on the panel's density is at most _BAND_ERROR, and at most
+#: _MAX_BAND_POINTS.  The bound ignores f, which each apply checks on the
+#: panels instead (see TruncationOperator._estimates).  A panel holds at
+#: least _MIN_BAND_POINTS, so that the tail the check reads lies past the
+#: quadratic part of riesz_pv's g, and a degree-4 f reads as resolved on a
+#: panel 0.4 wide
 _BAND_ERROR = 1e-11
 _MAX_BAND_POINTS = 24
-_MIN_BAND_POINTS = 6
+_MIN_BAND_POINTS = 8
 
-#: a band whose f or g is not resolved splits in halves of as many points; a
-#: function that needs more than _MAX_BAND_DEPTH halvings (an 8-point band
-#: then holds 1,024 phi) raises AccuracyError
+#: past the largest radius each panel doubles the distance to theta, but
+#: grows by at most _MAX_OUTER_WIDTH
+_MAX_OUTER_WIDTH = 0.4
+
+#: a panel splits in halves while its estimate for f or g exceeds a share
+#: of its mass m (see TruncationOperator._estimates): _RESOLUTION_TARGET past
+#: the largest radius, where a panel's error shifts every truncation alike, and
+#: _INCREMENT_TARGET between radii, where a band's sum is one increment
+#: T_eps_i - T_eps_(i-1), what riesz_pv's tail and the variation operators
+#: read.  A function that needs more than _MAX_BAND_DEPTH halvings (an
+#: 8-point panel then holds 1,024 phi) raises AccuracyError
+_RESOLUTION_TARGET = 1e-7
+_INCREMENT_TARGET = 1e-10
 _MAX_BAND_DEPTH = 7
 
 #: riesz_spectral refuses a theta where the rounding of an O(1) function's
@@ -311,15 +304,18 @@ def riesz_spectral(
         return _synthesis_sum(c.coeffs * multipliers, derivatives, norms)
 
 
-def _band_points(lo: float, hi: float, theta: float) -> int:
-    """Gauss-Legendre points for the operator's band (lo, hi) at theta.
+def _band_points(lo: float, hi: float, theta: float, end: float | None = None) -> int:
+    """Gauss points for the operator's panel (lo, hi) at theta.
 
-    The kernel times (sin phi)**(2 lam) is analytic off theta, 0 and pi, so
-    the rule's error falls like rho**(-2n), where rho sums the semi-axes of
-    the largest Bernstein ellipse of (lo, hi) that excludes the nearest of
-    the three (Trefethen, SIAM Rev. 2008)."""
+    The panel's density, the kernel times (sin phi)**(2 lam) (over s**(2 lam),
+    s the distance to ``end``, on a panel whose rule carries that weight), is
+    analytic off theta, its mirror images -theta and 2 pi - theta, 0 and pi,
+    ``end`` excepted.  So the rule's error falls like rho**(-2n), where rho
+    sums the semi-axes of the largest Bernstein ellipse of (lo, hi) that
+    excludes the nearest of those points (Trefethen, SIAM Rev. 2008)."""
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    a = max(1.0, min(abs(point - center) for point in (theta, 0.0, math.pi)) / half)
+    points = [point for point in (theta, -theta, 2.0 * math.pi - theta, 0.0, math.pi) if point != end]
+    a = max(1.0, min(abs(point - center) for point in points) / half)
     per_point = 2.0 * math.log(a + math.sqrt(a * a - 1.0))
     needed = -math.log(_BAND_ERROR)
     if per_point * _MAX_BAND_POINTS <= needed:
@@ -327,134 +323,51 @@ def _band_points(lo: float, hi: float, theta: float) -> int:
     return math.ceil(needed / per_point)
 
 
-def _inside(lo: float, hi: float, k, side, dist, weight) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The indices, nodes and weights of the tanh-sinh table rows (k, side,
-    dist, weight) that tanh_sinh_segment keeps on (lo, hi)."""
-    nodes, weights, keep = _segment(lo, hi, side, dist, weight)
-    return k[keep], nodes, weights
-
-
-@lru_cache(maxsize=None)
-def _legendre_analysis(n: int) -> np.ndarray:
-    """The (n x n) matrix that takes values at the n Gauss-Legendre nodes to
-    the discrete Legendre coefficients c_j = (j + 1/2) sum_i w_i P_j(x_i) v_i
-    of their interpolant; read-only because every band of n points shares it."""
-    x, w = _gl_base(n)
-    matrix = (np.arange(n) + 0.5)[:, None] * (np.polynomial.legendre.legvander(x, n - 1) * w[:, None]).T
-    matrix.flags.writeable = False
-    return matrix
+def _outer_edges(start: float, reach: float) -> list[float]:
+    """The panels' edges past the largest radius ``start``, as distances to
+    theta out to ``reach``, that of 0 or pi: each panel doubles the distance,
+    by at most _MAX_OUTER_WIDTH, and one whose next would reach the end
+    reaches it itself."""
+    edges = [start]
+    while edges[-1] < reach:
+        step = min(2.0 * edges[-1], edges[-1] + _MAX_OUTER_WIDTH)
+        edges.append(reach if min(2.0 * step, step + _MAX_OUTER_WIDTH) >= reach else step)
+    return edges
 
 
 class _Piece:
     """A phi panel of a TruncationOperator, counted from radius ``index`` on:
-    nodes and weights on (lo, hi) and, once the operator fills it in, the
-    density sin(phi)**(2 lam) K(theta, phi) at the nodes.  A Gauss-Legendre
-    band has ``level`` None and splits into halves (see halves), ``depth``
-    counting the halvings.  A tanh-sinh piece (one that reaches 0 or pi)
-    holds the level-``level`` rule with each node's table index ``k``, and
-    refines by the nodes that level + 1 adds, the odd indices: level + 1
-    keeps the others at half their weights, bit for bit."""
+    the n-point Gauss rule on (lo, hi) for the weight s**(2 lam), s the
+    distance to ``end`` (0 or pi, where the panel reaches it), or 1, and, once
+    the operator fills it in, the smooth density d at the nodes, the kernel
+    times (sin phi / s)**(2 lam) or (sin phi)**(2 lam).  ``scale`` takes the
+    rule on (0, 1) to the panel, and ``depth`` counts the halvings."""
 
-    def __init__(
-        self, lo: float, hi: float, index: int, nodes: np.ndarray, weights: np.ndarray, level=None, k=None, depth=0
-    ):
-        self.lo, self.hi, self.index = lo, hi, index
-        self.nodes, self.weights, self.level, self.k, self.depth = nodes, weights, level, k, depth
+    def __init__(self, lo: float, hi: float, index: int, n: int, lam: float, end: float | None = None, depth: int = 0):
+        self.lo, self.hi, self.index, self.lam, self.end, self.depth = lo, hi, index, lam, end, depth
+        power = 0.0 if end is None else 2.0 * lam
+        self.rule = _gauss_jacobi(n, power)
+        t, weights, _ = self.rule
+        self.scale = (hi - lo) ** (power + 1.0)
+        self.weights = self.scale * weights
+        s = (hi - lo) * t
+        # the kernel takes phi inside (0, pi): pi - s of a sliver may round to pi
+        self.nodes = np.minimum(hi - s, np.nextafter(math.pi, 0.0)) if end == hi else lo + s
+        # per node, so that each value is what it would be in any other panel;
+        # sin phi is sin s at either end
+        if end is None:
+            self.smooth = np.array([math.sin(x) ** (2.0 * lam) for x in self.nodes])
+        else:
+            self.smooth = np.array([(math.sin(x) / x) ** (2.0 * lam) for x in s])
         self.density = np.empty(0)
-        self._ahead = None
-
-    @classmethod
-    def tanh_sinh(cls, lo: float, hi: float, index: int, level: int) -> "_Piece":
-        k, nodes, weights = _inside(lo, hi, *_ts_table(level))
-        return cls(lo, hi, index, nodes, weights, level, k)
-
-    @classmethod
-    def band(cls, lo: float, hi: float, index: int, n: int, depth: int = 0) -> "_Piece":
-        return cls(lo, hi, index, *gauss_legendre_segment(lo, hi, n), depth=depth)
 
     def halves(self) -> tuple["_Piece", "_Piece"]:
-        """The band's two halves, each with as many Gauss-Legendre points."""
-        mid = 0.5 * (self.lo + self.hi)
-        n = self.nodes.size
-        return tuple(_Piece.band(lo, hi, self.index, n, self.depth + 1) for lo, hi in ((self.lo, mid), (mid, self.hi)))
-
-    def ahead(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The indices, nodes and weights that level + 1 adds inside (lo, hi), and
-        the sinc matrix that interpolates a function on the level's grid (spacing
-        1 in k) at them (k / 2)."""
-        if self._ahead is None:
-            k, nodes, weights = _inside(self.lo, self.hi, *_ts_new_points(self.level + 1))
-            self._ahead = (k, nodes, weights, np.sinc(np.subtract.outer(0.5 * k, self.k)))
-        return self._ahead
-
-    def refine(self, density: np.ndarray) -> None:
-        """Take the piece to level + 1, given the density at the nodes it adds."""
-        k, nodes, weights, _ = self.ahead()
-        merged = np.concatenate([2 * self.k, k])
-        order = np.argsort(merged)
-        self.k = merged[order]
-        self.nodes = np.concatenate([self.nodes, nodes])[order]
-        self.weights = np.concatenate([0.5 * self.weights, weights])[order]
-        self.density = np.concatenate([self.density, density])[order]
-        self.level += 1
-        self._ahead = None
-
-    def estimate(self, values: np.ndarray, ahead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Error estimates of the level's sums of the rows of ``values`` (at the
-        nodes; ``ahead`` holds them at the nodes level + 1 adds), and the rows'
-        masses m = sum |w v|.  The rows less the line through their end values
-        tend to 0 at both ends in the tanh-sinh variable, so their sinc
-        interpolant converges; it misses v at the new nodes by r, and the
-        estimate is _RESOLUTION_SAFETY a**2 / m, a = sum |w r| with w there
-        interpolated alike, plus the rounding bound n eps m.  Interpolation on a
-        grid reaches about the square root of the grid's quadrature accuracy,
-        hence the square; the kernel's own resolution is outside it."""
-        if self.nodes.size < 2:
-            # a sliver of a band that ends at 0 or pi, narrower than the
-            # rounding of its ends: its sum is the rule's, whatever the level
-            return np.zeros(len(values)), np.zeros(len(values))
-        _, nodes, _, sinc = self.ahead()
-        start, stop = self.nodes[0], self.nodes[-1]
-        slope = (values[:, -1:] - values[:, :1]) / (stop - start)
-        line, line_ahead = (values[:, :1] + slope * (x - start) for x in (self.nodes, nodes))
-        miss = ahead - line_ahead - (values - line) @ sinc.T
-        kernel_weights = self.weights * self.density
-        mass = np.abs(values) @ np.abs(kernel_weights)
-        reach = np.abs(miss) @ np.abs(0.5 * (sinc @ kernel_weights))
-        estimate = _RESOLUTION_SAFETY * reach * reach / mass + self.nodes.size * np.finfo(float).eps * mass
-        return np.where(mass > 0.0, estimate, 0.0), mass
-
-
-def _band_estimates(
-    values: np.ndarray, kernel_weights: np.ndarray, line: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Error estimates of the sums of the rows f and g = f - a - b cos over B
-    bands of n Gauss-Legendre points each, the larger of the two per band,
-    and which bands leave a row unresolved.
-
-    ``values`` is (2, B, n), the rows at the bands' nodes, ``kernel_weights``
-    (B, n) holds |w K| there and ``line`` is |a| + |b|.  A band's sum of K p,
-    p the rows' degree-(n - 1) interpolant, is within the kernel's Bernstein
-    bound, _BAND_ERROR m with m = sum |w K v|, so the sum of K v misses about
-    that plus what p misses of v, which the tail of v's discrete Legendre
-    coefficients, t = max(|c_{n-2}|, |c_{n-1}|), bounds when they decay (the
-    chop of Aurentz and Trefethen, ACM TOMS 2017).  The estimate is
-    t sum |w K| + (_BAND_ERROR + n eps) m, the last term the rounding of the
-    sum.  A row is unresolved when the estimate exceeds _RESOLUTION_TARGET m
-    and t exceeds what rounding leaves in the coefficients: 2n - 1 times a
-    value's rounding, taken as 2 eps times max |f| on the band (plus ``line``
-    for g, whose values are f's less the line's).  An f linear in cos leaves
-    a g of rounding only, and its tail reads up to 0.42 of 2 n eps times
-    that size (4 lambda x 4 k x 7 theta x 3 schedules x 6 such f)."""
-    n = values.shape[-1]
-    eps = np.finfo(float).eps
-    tail = np.abs(values @ _legendre_analysis(n)[-2:].T).max(axis=-1)
-    magnitudes = np.abs(values)
-    mass = (magnitudes * kernel_weights).sum(axis=-1)
-    estimate = tail * kernel_weights.sum(axis=-1) + (_BAND_ERROR + n * eps) * mass
-    rounding = 4 * n * eps * np.add.outer((0.0, line), magnitudes[0].max(axis=-1))
-    unresolved = (estimate > _RESOLUTION_TARGET * mass) & (tail > rounding)
-    return np.fmax(*estimate), unresolved.any(axis=0)
+        """The panel's halves, of as many points; the one at ``end`` keeps the weight."""
+        mid, n = 0.5 * (self.lo + self.hi), self.nodes.size
+        return tuple(
+            _Piece(lo, hi, self.index, n, self.lam, self.end if self.end in (lo, hi) else None, self.depth + 1)
+            for lo, hi in ((self.lo, mid), (mid, self.hi))
+        )
 
 
 def _matched_line(below: float, at: float, above: float, theta: float, h: float) -> tuple[float, float]:
@@ -469,34 +382,33 @@ class TruncationOperator:
     """Truncated Riesz integrals at fixed (lambda, k, theta) for a decreasing
     radius schedule.
 
-    The complement of the largest excluded band is integrated with tanh-sinh
-    pieces out to 0 and pi, built at level 3; each schedule step then adds the
-    two thin bands between consecutive radii with Gauss-Legendre panels (the
-    kernel is analytic there).  Each band gets the fewest points whose
-    Bernstein-ellipse bound on the kernel, set by its distance to the nearest
-    of theta, 0 and pi, is below 1e-11, at least 6 and at most 24 (see
-    _band_points): 8 at ratio 1/2 away from 0 and pi, so the default operator
-    holds 242-247 phi.  Kernel values are computed in one kernel call at the
-    resolution ``config`` (each phi a sum over its r-nodes of the t-table
-    cached per lambda and k; see kernels.kernel_partial), and reused for every
-    function the operator is applied to.
+    Every phi panel carries a Gauss rule: one panel each side between
+    consecutive radii, and past the largest radius panels that double the
+    distance to theta, by at most 0.4, out to 0 and pi (see _outer_edges).
+    A panel that reaches 0 or pi carries the Gauss-Jacobi rule for the
+    weight s**(2 lambda), s the distance to that end, the others the
+    Gauss-Legendre rule; the rest of the density is analytic on the panel.
+    Each panel gets the fewest points whose Bernstein-ellipse bound on that
+    rest, set by its distance to the nearest of theta, its mirror images, 0
+    and pi, is below 1e-11, at least 8 and at most 24 (see _band_points): a
+    default operator at theta 0.5 to pi - 0.5 holds 208-220 phi.  Kernel
+    values are computed in one kernel call at the resolution ``config``
+    (each phi a sum over its r-nodes of the t-table cached per lambda and k;
+    see kernels.kernel_partial), and reused for every function the operator
+    is applied to.
 
-    The level-3 pieces and the bands resolve the kernel, not every f.  Each
-    apply samples f once, also at the nodes the next level adds and at theta
-    and theta +- h, sums f and riesz_pv's remainder g = f - a - b cos (a + b
-    cos matching f and f' at theta), and estimates each piece's error for
-    both: a tanh-sinh piece's from the next level's nodes (see
-    _Piece.estimate), a band's from the tail of the Legendre coefficients of
-    its values (see _band_estimates).  A tanh-sinh piece whose estimate for
-    either exceeds 1e-7 of its mass sum |w v| goes up one level, and such a
-    band splits in halves of as many points, with kernel values at the new
-    nodes only, kept for every later f; an f applied after a refinement is
-    summed on the finer pieces.  Past level 7, or past 7 halvings of a band,
-    the apply raises AccuracyError carrying the estimate.  The estimate
-    assumes f bounded at 0 and pi: an f unbounded there is refused.
-    ``levels`` holds the pieces' levels, and ``far_estimate`` and
-    ``band_estimate`` the estimates of the last apply.  ``epsilons`` must form
-    a TruncationSchedule.
+    The panels resolve the kernel, not every f.  Each apply samples f once,
+    at the nodes and at theta and theta +- h, sums f and riesz_pv's
+    remainder g = f - a - b cos (a + b cos matching f and f' at theta), and
+    estimates each panel's error for both from the tails of their
+    coefficients and the density's in the panel's orthonormal basis (see
+    _estimates).  A panel whose estimate for either exceeds 1e-7 of its mass
+    sum |w d v| (1e-10 for a band between radii) splits in halves of as many
+    points, with kernel values at the new nodes only, kept for every later
+    f; an f applied after a split is summed on the halves.  Past 7 halvings
+    the apply raises AccuracyError carrying the estimate, which
+    ``band_estimate`` holds for the last apply.  ``epsilons`` must form a
+    TruncationSchedule.
     """
 
     def __init__(
@@ -514,142 +426,139 @@ class TruncationOperator:
         self.epsilons = TruncationSchedule(epsilons).epsilons
         self._config = config
         theta = self.theta
-        e0 = float(self.epsilons[0])
         self._step = min(float(self.epsilons[-1]), 0.5 * theta, 0.5 * (math.pi - theta))
-        spans: list[tuple[float, float, int, bool]] = []
-        if theta - e0 > 0.0:
-            spans.append((0.0, theta - e0, 0, True))
-        if theta + e0 < math.pi:
-            spans.append((theta + e0, math.pi, 0, True))
-        for i in range(1, self.epsilons.size):
-            hi_r, lo_r = float(self.epsilons[i - 1]), float(self.epsilons[i])
-            lo, hi = theta - hi_r, theta - lo_r
-            if hi > 0.0:
-                spans.append((max(lo, 0.0), hi, i, lo <= 0.0))
-            lo, hi = theta + lo_r, theta + hi_r
-            if lo < math.pi:
-                spans.append((lo, min(hi, math.pi), i, hi >= math.pi))
-        # both rules' nodes are interior, so every node lies inside (0, pi)
-        self._pieces = [
-            _Piece.tanh_sinh(lo, hi, index, _PHI_LEVEL)
-            if endpoint
-            else _Piece.band(lo, hi, index, max(_band_points(lo, hi, theta), _MIN_BAND_POINTS))
-            for lo, hi, index, endpoint in spans
-        ]
-        # one kernel call over every piece's nodes: the call fetches the t-table
+        radii = self.epsilons.tolist()
+        self._pieces = []
+        for side, end in ((-1.0, 0.0), (1.0, math.pi)):
+            reach = abs(end - theta)
+            # (near, far, index): the bands between radii, then the panels past the largest
+            outer = _outer_edges(radii[0], reach)
+            spans = [(near, far, i) for i, (far, near) in enumerate(zip(radii, radii[1:]), 1)]
+            for near, far, index in spans + [(near, far, 0) for near, far in zip(outer, outer[1:])]:
+                if near < reach:
+                    # a panel that reaches the end holds it exactly
+                    at = end if far >= reach else None
+                    lo, hi = sorted((theta + side * near, theta + side * far if at is None else end))
+                    n = max(_band_points(lo, hi, theta, at), _MIN_BAND_POINTS)
+                    self._pieces.append(_Piece(lo, hi, index, n, self.lam, at))
+        # one kernel call over every panel's nodes: the call fetches the t-table
         # of (lambda, k) once and builds the far r-rule once for all of them
-        for piece, density in zip(self._pieces, self._densities([piece.nodes for piece in self._pieces])):
-            piece.density = density
+        self._fill(self._pieces)
         self._assemble()
-        self._far_estimate = self._band_estimate = 0.0
-
-    @property
-    def levels(self) -> tuple[int, ...]:
-        """The tanh-sinh level of each piece that reaches 0 or pi."""
-        return tuple(piece.level for piece in self._pieces if piece.level is not None)
-
-    @property
-    def far_estimate(self) -> float:
-        """The error estimate of those pieces for the last function applied:
-        per piece the larger of f's and g's, summed."""
-        return self._far_estimate
+        self._band_estimate = 0.0
 
     @property
     def band_estimate(self) -> float:
-        """The error estimate of the Gauss-Legendre bands for the last
-        function applied: per band the larger of f's and g's, summed."""
+        """The error estimate of the phi panels for the last function
+        applied: per panel the larger of f's and g's, summed."""
         return self._band_estimate
 
-    def _densities(self, phis: list[np.ndarray]) -> list[np.ndarray]:
-        """sin(phi)**(2 lambda) K(theta, phi) on each array of ``phis``, from one
-        kernel call; each value is what it would be in any other batch."""
-        phi = np.concatenate(phis)
+    def _fill(self, pieces: list[_Piece]) -> None:
+        """Each panel's density at its nodes, from one kernel call; each value
+        is what it would be in any other batch."""
+        phi = np.concatenate([piece.nodes for piece in pieces])
         kernel_vals = riesz_kernel(self.lam, self.k, self.theta, phi, config=self._config)
-        density = np.array([math.sin(p) ** (2.0 * self.lam) for p in phi]) * kernel_vals
-        return np.split(density, np.cumsum([part.size for part in phis])[:-1])
+        for piece, values in zip(pieces, np.split(kernel_vals, np.cumsum([p.nodes.size for p in pieces])[:-1])):
+            piece.density = piece.smooth * values
 
     def _assemble(self) -> None:
-        """The pieces' nodes and kernel weights as flat arrays, and the points an
-        apply samples f at: the nodes, then each tanh-sinh piece's next-level
-        nodes, then theta - h, theta and theta + h, with slices of each piece's."""
+        """The panels' nodes, kernel weights and radius indices as flat
+        arrays, what the check reads of each panel (see _estimates), and the
+        points an apply samples f at: the nodes, then theta - h, theta and
+        theta + h."""
         self._nodes = np.concatenate([piece.nodes for piece in self._pieces])
         self._kernel_weights = np.concatenate([piece.weights * piece.density for piece in self._pieces])
-        ends = np.cumsum([piece.nodes.size for piece in self._pieces]).tolist()
-        self._parts = [slice(end - piece.nodes.size, end) for piece, end in zip(self._pieces, ends)]
-        far = [(piece, part) for piece, part in zip(self._pieces, self._parts) if piece.level is not None]
-        ahead = [piece.ahead()[1] for piece, _ in far]
-        ends = (self._nodes.size + np.cumsum([nodes.size for nodes in ahead])).tolist()
-        self._far = [(piece, part, slice(end - nodes.size, end)) for (piece, part), nodes, end in zip(far, ahead, ends)]
-        # the bands by their number of points, with each one's node indices as a row
-        groups: dict[int, list[tuple[_Piece, slice]]] = {}
-        for piece, part in zip(self._pieces, self._parts):
-            if piece.level is None:
-                groups.setdefault(piece.nodes.size, []).append((piece, part))
-        self._bands = []
-        for group in groups.values():
-            index = np.array([np.arange(part.start, part.stop) for _, part in group])
-            self._bands.append(([piece for piece, _ in group], index, np.abs(self._kernel_weights[index])))
+        sizes = [piece.nodes.size for piece in self._pieces]
+        self._radius = np.repeat([piece.index for piece in self._pieces], sizes)
+        # what the check reads, each panel padded to the most points: the
+        # nodes' indices as rows (the first repeated), the rule's analysis
+        # matrix in the last rows of a square block (0 elsewhere), |w d| with
+        # the rule's weights on (0, 1), and the density's coefficients
+        count, width = len(sizes), max(sizes)
+        self._index = np.repeat(np.cumsum([0] + sizes[:-1]), width).reshape(count, width)
+        self._analysis, self._unit_weights = np.zeros((count, width, width)), np.zeros((count, width))
+        density = np.zeros((count, width))
+        for i, piece in enumerate(self._pieces):
+            n = piece.nodes.size
+            _, weights, basis = piece.rule
+            self._index[i, :n] += np.arange(n)
+            self._analysis[i, width - n :, :n] = basis * weights
+            self._unit_weights[i, :n] = np.abs(weights * piece.density)
+            density[i, :n] = piece.density
+        coeffs = np.matmul(self._analysis, density[..., None])[..., 0]
+        self._density_tail, self._density_norm = np.abs(coeffs[:, -2:]), np.sqrt(np.sum(coeffs * coeffs, axis=-1))
+        self._points = np.array(sizes)
+        # a value's rounding reaches a tail coefficient by the rows' sums of |q_j| w
+        reach = np.abs(self._analysis[:, -2:]).sum(axis=-1).max(axis=-1)
+        self._rounding = 4 * self._points * np.finfo(float).eps * reach
+        self._scale = np.array([piece.scale for piece in self._pieces])
+        self._target = np.array([_INCREMENT_TARGET if piece.index else _RESOLUTION_TARGET for piece in self._pieces])
         h = self._step
-        self._probe = np.concatenate([self._nodes, *ahead, [self.theta - h, self.theta, self.theta + h]])
+        self._probe = np.concatenate([self._nodes, [self.theta - h, self.theta, self.theta + h]])
         self._probe_cos = np.cos(self._probe)
 
     def truncated_values(self, f: Callable) -> np.ndarray:
         """The truncated integral at every schedule radius, largest first, with
-        every tanh-sinh piece refined until f and riesz_pv's g resolve on it;
-        keeps the last apply's truncations of g, b and f(theta) for riesz_pv."""
+        every panel split until f and riesz_pv's g resolve on it; keeps the
+        last apply's truncations of g, b and f(theta) for riesz_pv."""
         while True:
             sampled = _evaluate(f, self._probe)
             fvals = sampled[: self._nodes.size]
-            estimates, refine, band_estimates, split = [], [], [], []
             with np.errstate(all="ignore"):
                 a, b = _matched_line(*sampled[-3:], self.theta, self._step)
                 # rows f and g = f - a - b cos
-                rows = np.stack([sampled, sampled - a - b * self._probe_cos])
-                for piece, part, ahead in self._far:
-                    estimate, mass = piece.estimate(rows[:, part], rows[:, ahead])
-                    # a NaN estimate (f or g not finite) refines nothing; riesz_pv refuses the value
-                    estimates.append(float(np.fmax(*estimate)))
-                    if np.any(estimate > _RESOLUTION_TARGET * mass):
-                        refine.append(piece)
-                for pieces, index, kernel_weights in self._bands:
-                    estimate, unresolved = _band_estimates(rows[:, index], kernel_weights, abs(a) + abs(b))
-                    band_estimates.append(float(np.sum(estimate)))
-                    split += [piece for piece, flag in zip(pieces, unresolved) if flag]
+                rows = np.stack([fvals, fvals - a - b * self._probe_cos[: self._nodes.size]])
+                estimate, mass = self._estimates(rows[:, self._index], abs(a) + abs(b))
+                # a NaN estimate (f or g not finite) splits nothing; riesz_pv refuses the value
+                unresolved = np.any(estimate > self._target * mass, axis=0)
                 # an underflowing h or sin theta makes g inf or NaN; riesz_pv refuses it
-                self._remainder = (self._apply(rows[1, : self._nodes.size]), b, float(sampled[-2]))
-            self._far_estimate = float(sum(estimates))
-            self._band_estimate = float(sum(band_estimates))
-            if not refine and not split:
+                self._remainder = (self._apply(rows[1]), b, float(sampled[-2]))
+            self._band_estimate = float(self._scale @ np.fmax(*estimate))
+            split = [piece for piece, flag in zip(self._pieces, unresolved) if flag]
+            if not split:
                 return self._apply(fvals)
-            if any(piece.level >= _MAX_PHI_LEVEL for piece in refine):
-                raise AccuracyError(
-                    f"f is not resolved by the level-{_MAX_PHI_LEVEL} phi rule "
-                    f"(far-piece estimate {self._far_estimate:.2e})",
-                    estimate=float(self._apply(fvals)[-1]),
-                    error_bound=self._far_estimate,
-                )
             if any(piece.depth >= _MAX_BAND_DEPTH for piece in split):
                 raise AccuracyError(
-                    f"f is not resolved by bands halved {_MAX_BAND_DEPTH} times "
-                    f"(band estimate {self._band_estimate:.2e})",
+                    f"f is not resolved by phi panels halved {_MAX_BAND_DEPTH} times "
+                    f"(panel estimate {self._band_estimate:.2e})",
                     estimate=float(self._apply(fvals)[-1]),
                     error_bound=self._band_estimate,
                 )
             halves = {piece: piece.halves() for piece in split}
-            bands = [half for pair in halves.values() for half in pair]
-            densities = self._densities([piece.ahead()[1] for piece in refine] + [band.nodes for band in bands])
-            for piece, density in zip(refine, densities):
-                piece.refine(density)
-            for band, density in zip(bands, densities[len(refine) :]):
-                band.density = density
+            self._fill([half for pair in halves.values() for half in pair])
             self._pieces = [part for piece in self._pieces for part in halves.get(piece, (piece,))]
             self._assemble()
 
+    def _estimates(self, values: np.ndarray, line: float) -> tuple[np.ndarray, np.ndarray]:
+        """Error estimates of the sums of the rows f and g = f - a - b cos over
+        every panel, in units of the panel's scale, and the rows' masses
+        m = sum |w d v| in the same units.
+
+        ``values`` is (2, panels, points), the rows at the padded nodes, and
+        ``line`` is |a| + |b|.  In a panel's orthonormal basis the rule misses
+        the sum of d v by about what the tails of the coefficients c(v) and
+        c(d), the last two of each, leave out:
+        sum_tail |c_j(v)| |c_j(d)| + t**2 / ||c(v)|| ||c(d)||, t the largest
+        tail coefficient of v (the chop of Aurentz and Trefethen, ACM TOMS
+        2017), plus the kernel's Bernstein bound and the sum's rounding,
+        (_BAND_ERROR + n eps) m.  A tail that rounding alone explains counts
+        as 0: 2n - 1 times a value's rounding, 2 eps max |f| on the panel
+        (plus ``line`` for g, whose values are f's less the line's).  So an f
+        linear in cos, whose g is rounding only, reads as resolved."""
+        coeffs = np.matmul(self._analysis, values[..., None])[..., 0]
+        tail = np.abs(coeffs[..., -2:])
+        tail[tail.max(axis=-1) <= self._rounding * np.add.outer((0.0, line), np.abs(values[0]).max(axis=-1))] = 0.0
+        reach, norm = tail.max(axis=-1), np.sqrt(np.sum(coeffs * coeffs, axis=-1))
+        mass = np.sum(np.abs(values) * self._unit_weights, axis=-1)
+        estimate = np.sum(tail * self._density_tail, axis=-1)
+        estimate += (_BAND_ERROR + self._points * np.finfo(float).eps) * mass
+        # reach <= norm, so a zero norm leaves 0
+        return estimate + reach * reach / np.maximum(norm, np.finfo(float).tiny) * self._density_norm, mass
+
     def _apply(self, fvals: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.epsilons.size)
-        for piece, part in zip(self._pieces, self._parts):
-            out[piece.index :] += float(np.dot(self._kernel_weights[part], fvals[part]))
-        return out
+        """Each radius's sum over the panels counted from it on: the sums per
+        radius index, accumulated from the largest radius in."""
+        return np.cumsum(np.bincount(self._radius, self._kernel_weights * fvals, self.epsilons.size))
 
 
 @dataclass(frozen=True)
@@ -682,8 +591,7 @@ def riesz_pv(
     plus the last truncation of g.  b is a central difference of step
     min(smallest radius, theta/2, (pi - theta)/2); its error only leaves an
     O(eps) tail.  AccuracyError when that tail passes 10 x ``tolerance``, or
-    when f needs the operator's phi pieces past level 7 or its bands halved
-    more than 7 times.
+    when f needs a phi panel of the operator halved more than 7 times.
 
     A pre-built TruncationOperator amortizes kernel evaluations over several
     functions and carries a custom KernelConfig; it must have been built for

@@ -48,7 +48,6 @@ from ultrariesz import (
 from ultrariesz import transforms
 from ultrariesz.faa_di_bruno import coefficients, expansion_eval, sample_points
 from ultrariesz.kernels import DEFAULT_KERNEL_CONFIG
-from ultrariesz.quadrature import tanh_sinh_segment
 from ultrariesz.variation import TruncationTrace, convergence_report
 
 
@@ -159,19 +158,18 @@ def poisson_peak(lam, s, theta0):
 
 
 def _phi_errors(operator, references, f):
-    """The summed error of the far pieces (row 0) and of the bands (row 1)
-    for f and for riesz_pv's g = f - a - b cos (columns), at the operator's
-    levels and over each band's halves if it split, against the level-8 and
-    40-point Gauss-Legendre sums of the pieces as built in ``references``."""
+    """The summed error of the panels past the largest radius (row 0) and of
+    the bands between radii (row 1) for f and for riesz_pv's g = f - a - b
+    cos (columns), over each panel's halves if it split, against the
+    40-point copies of the panels as built in ``references``."""
     theta, h = operator.theta, operator._step
     a, b = transforms._matched_line(*f(np.array([theta - h, theta, theta + h])), theta, h)
     errors = np.zeros((2, 2))
-    for built, nodes, kernel_weights in references:
-        band = built.level is None
-        parts = [p for p in operator._pieces if (p.level is None) == band and built.lo <= p.lo and p.hi <= built.hi]
+    for built in references:
+        parts = [p for p in operator._pieces if built.lo <= p.lo and p.hi <= built.hi]
         for column, v in enumerate((f, lambda x: f(x) - a - b * np.cos(x))):
             total = sum(np.dot(p.weights * p.density, v(p.nodes)) for p in parts)
-            errors[int(band), column] += abs(total - np.dot(kernel_weights, v(nodes)))
+            errors[int(built.index > 0), column] += abs(total - np.dot(built.weights * built.density, v(built.nodes)))
     return errors
 
 
@@ -180,13 +178,13 @@ def test_criterion_11_peaked_functions():
     0.05, at theta0 - theta 0.15 and 0.6, over criterion 1's (lambda, k).
     Each value lands within 1e-9 of the exact multiplier value, or is
     refused with AccuracyError.  f_s with s 0.05 and 0.02 at theta0 - theta
-    0.02 and 0.05 peak inside the Gauss-Legendre bands; there the bands'
-    error for g must stay within 1e-11 and for f within 1e-10 (the bands'
-    kernel sizing, 1e-11 per band, times f(theta) up to ~14), and their
+    0.02 and 0.05 peak inside the bands between radii; there the bands'
+    error for g must stay within 1e-11 and for f within 1e-10 (the panels'
+    kernel sizing, 1e-11 per panel, times f(theta) up to ~14), and their
     values are reported, not gated: at lambda 0.3 they miss by up to 2.2e-8
-    with the bands sized for 1e-18 as well.  Wherever the far pieces and
-    the bands stop, their estimates cover their errors.  13 radii: at 9, the
-    tail of g alone misses by up to 3.3e-9 at theta0 - theta 0.15
+    with the bands sized for 1e-18 as well.  Wherever the panels stop, the
+    operator's estimate covers their error for f and for g.  13 radii: at 9,
+    the tail of g alone misses by up to 3.3e-9 at theta0 - theta 0.15
     (PVResult.residual says so), and the phi rule is what this criterion
     measures."""
     theta = 1.1
@@ -195,19 +193,13 @@ def test_criterion_11_peaked_functions():
     cases += [(s, gap, False) for s, gap in itertools.product((0.05, 0.02), (0.02, 0.05))]
     worst, worst_case, inside, inside_case = 0.0, None, 0.0, None
     band_worst = np.zeros(2)
-    uncovered, refused, levels = [], [], set()
+    uncovered, refused, depth = [], [], 0
     for lam in LAMBDAS:
         for k in ORDERS:
             operator = TruncationOperator(lam, k, theta, schedule.epsilons)
-            rules = [
-                transforms.gauss_legendre_segment(p.lo, p.hi, 40)
-                if p.level is None
-                else tanh_sinh_segment(p.lo, p.hi, 8)
-                for p in operator._pieces
-            ]
+            references = [transforms._Piece(p.lo, p.hi, p.index, 40, lam, p.end) for p in operator._pieces]
             # one kernel call for every reference node
-            densities = operator._densities([nodes for nodes, _ in rules])
-            references = [(p, nodes, weights * d) for p, (nodes, weights), d in zip(operator._pieces, rules, densities)]
+            operator._fill(references)
             for s, gap, gated in cases:
                 c = poisson_peak(lam, s, theta + gap)
                 r = math.exp(-s)
@@ -225,16 +217,16 @@ def test_criterion_11_peaked_functions():
                 errors = _phi_errors(operator, references, f)
                 if not gated:
                     band_worst = np.maximum(band_worst, errors[1])
-                if np.any(errors > [[operator.far_estimate], [operator.band_estimate]]):
+                if np.any(errors.sum(axis=0) > operator.band_estimate):
                     uncovered.append((lam, k, s, gap))
-                levels.update(operator.levels)
+            depth = max(depth, *(p.depth for p in operator._pieces))
     report(
         11,
         worst <= 1e-9 and not uncovered and band_worst[0] <= 1e-10 and band_worst[1] <= 1e-11,
         f"max |pv - exact| = {worst:.2e} at {worst_case} (tolerance 1e-9); peaks inside the bands: "
         f"max |pv - exact| = {inside:.2e} at {inside_case} (not gated), band errors of f and g "
         f"{band_worst[0]:.1e} and {band_worst[1]:.1e} (tolerances 1e-10 and 1e-11); estimates short "
-        f"of their error: {uncovered}; refused: {len(refused)}; levels reached {sorted(levels)}",
+        f"of their error: {uncovered}; refused: {len(refused)}; deepest halving {depth}",
     )
 
 

@@ -19,6 +19,7 @@ from ultrariesz.quadrature import (
     ConstructionError,
     _MAX_LEVEL,
     _cached_rule,
+    _gauss_jacobi,
     _map_nodes,
     _ts_new_points,
     _ts_table,
@@ -295,3 +296,14 @@ class TestSegments:
     def test_gauss_legendre_segment(self):
         nodes, weights = gauss_legendre_segment(0.0, 1.0, 12)
         assert float(np.dot(weights, nodes**7)) == pytest.approx(1 / 8, rel=1e-13)
+
+    @pytest.mark.parametrize("power", [0.0, 0.6, 5.0])
+    def test_gauss_jacobi_is_exact_and_orthonormal(self, power):
+        # the n-point rule for t**power on (0, 1) integrates t**j exactly for
+        # j < 2n, and its basis rows are orthonormal under its own weights
+        for n in (1, 2, 8, 24):
+            t, weights, basis = _gauss_jacobi(n, power)
+            moments = np.array([np.dot(weights, t**j) for j in range(2 * n)])
+            np.testing.assert_allclose(moments, 1.0 / (np.arange(2 * n) + power + 1.0), rtol=2e-14)
+            np.testing.assert_allclose((basis * weights) @ basis.T, np.eye(n), atol=1e-14)
+            assert np.all(np.diff(t) > 0.0) and 0.0 < t[0] and t[-1] < 1.0

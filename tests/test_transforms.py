@@ -290,20 +290,17 @@ class TestTruncated:
         operator = TruncationOperator(1.0, 2, 1.0, TruncationSchedule.geometric().epsilons)
         assert len(calls) == 1
         f = band_limited(SpectralCoefficients(1.0, [0.0, 0.3, 1.0, 0.0, 0.5]))
-        # recorded from the build at tanh-sinh level 3 out to 0 and pi, which
-        # f keeps (one kernel call in all), with bands sized for 1e-11; the
-        # bands sized for 1e-18 before them recorded values within 1.1e-16,
-        # and the level-4 build before that values 1.8e-14 higher at most.
-        # Against that build with long-double kernel values (the same t-rule,
-        # the r-integral converged) the level-4 values were off by 1.7e-18 to
-        # 1.8e-16
+        # recorded from the build with Gauss panels out to 0 and pi, which f
+        # keeps (one kernel call in all), the bands sized for 1e-11; the
+        # build with tanh-sinh pieces out to 0 and pi at level 3 before it
+        # recorded values within 1.9e-14 of these
         expected = [
-            0.5573262175454448, 0.5573494358698083, 0.5565472772159885,
-            0.5559511285790544, 0.5556054224959248, 0.5554208086795648,
-            0.5553255802886867, 0.5552772380807991, 0.5552528852697204,
+            0.5573262175454629, 0.5573494358698263, 0.5565472772160066,
+            0.5559511285790725, 0.5556054224959428, 0.5554208086795828,
+            0.5553255802887047, 0.5552772380808171, 0.5552528852697383,
         ]
         values = operator.truncated_values(f)
-        assert len(calls) == 1 and operator.levels == (3, 3)
+        assert len(calls) == 1 and {piece.depth for piece in operator._pieces} == {0}
         assert np.array_equal(values, expected)
         # recorded from the build that made one kernel call per panel, with
         # 24 points per band, level-5 end panels and whole (r, t) grids
@@ -315,19 +312,13 @@ class TestTruncated:
         np.testing.assert_allclose(values, untrimmed, rtol=0.0, atol=1e-13)
 
     def test_default_bands_get_8_points(self, monkeypatch):
-        counts = []
-        segment = transforms.gauss_legendre_segment
-
-        def recording(lo, hi, n):
-            counts.append(n)
-            return segment(lo, hi, n)
-
         monkeypatch.setattr(transforms, "riesz_kernel", lambda lam, k, theta, phi, *, config=None: np.zeros(np.size(phi)))
-        monkeypatch.setattr(transforms, "gauss_legendre_segment", recording)
+        counts = []
         for theta in (0.7, math.pi / 2, 2.2):
-            TruncationOperator(1.0, 2, theta, TruncationSchedule.geometric().epsilons)
-        # at ratio 1/2 every band sees theta at rho = 3 + sqrt(8), and
-        # rho**-16 ~ 5.6e-13 is the first power below 1e-11 (rho**-14 ~ 1.9e-11)
+            operator = TruncationOperator(1.0, 2, theta, TruncationSchedule.geometric().epsilons)
+            counts += [piece.nodes.size for piece in operator._pieces if piece.index]
+        # at ratio 1/2 every band between radii sees theta at rho = 3 + sqrt(8),
+        # and rho**-16 ~ 5.6e-13 is the first power below 1e-11 (rho**-14 ~ 1.9e-11)
         assert counts == [8] * 48
         assert transforms._band_points(1.0, 1.1, 1.2) == 8
 
@@ -348,6 +339,12 @@ class TestTruncated:
         assert min(counts) == 1 and max(counts) == 24
         assert counts[-2:] == [24, 1]
 
+    def test_end_panels_drop_their_end_from_the_bound(self):
+        # a panel reaching 0 carries the weight s**(2 lambda): its nearest
+        # point is then the mirror image -theta, not 0
+        assert transforms._band_points(0.0, 0.5, 1.0) == 24
+        assert transforms._band_points(0.0, 0.5, 1.0, 0.0) == transforms._band_points(-0.5, 0.0, 1.0, 0.0) < 24
+
     @pytest.mark.parametrize("theta", [0.06, 1.2, math.pi / 2, math.pi - 0.06])
     def test_default_operator_holds_at_most_430_phi(self, monkeypatch, theta):
         sizes = []
@@ -358,8 +355,9 @@ class TestTruncated:
 
         monkeypatch.setattr(transforms, "riesz_kernel", recording)
         TruncationOperator(1.0, 2, theta, TruncationSchedule.geometric().epsilons)
-        # 242-247 with the bands sized for 1e-11
-        assert len(sizes) == 1 and sizes[0] <= 250
+        # 208-211 with Gauss panels out to 0 and pi (242-247 with tanh-sinh
+        # pieces there)
+        assert len(sizes) == 1 and sizes[0] <= 230
 
     def test_epsilon_guard(self):
         for smallest in (1e-5, 5e-6):
@@ -370,9 +368,15 @@ class TestTruncated:
                 TruncationOperator(1.0, 1, 1.0, radii)
 
 
-#: a Lorentzian of width 0.1 at phi 1.7: no level-3 piece resolves it
+#: a Lorentzian of width 0.1 at phi 1.7: the 8-point panels past the largest
+#: radius of an operator at theta 1.1 do not resolve it
 def peak(th):
     return 1.0 / (1.0 + ((np.asarray(th) - 1.7) / 0.1) ** 2)
+
+
+#: a Lorentzian of width 0.05 at phi 3.0, inside the panel that reaches pi
+def end_peak(th):
+    return 1.0 / (1.0 + ((np.asarray(th) - 3.0) / 0.05) ** 2)
 
 
 def _counting_kernel(monkeypatch):
@@ -388,8 +392,14 @@ def _counting_kernel(monkeypatch):
     return sizes
 
 
+def _depth(operator, outer):
+    """The most halvings of the panels past the largest radius (``outer``) or
+    of the bands between radii."""
+    return max(piece.depth for piece in operator._pieces if (piece.index == 0) == outer)
+
+
 class TestAdaptiveFarPieces:
-    """The tanh-sinh pieces out to 0 and pi build at level 3 and refine per f."""
+    """The Gauss panels past the largest radius, out to 0 and pi, split per f."""
 
     @pytest.mark.parametrize("lam, k, theta", [(0.3, 1, 0.7), (1.0, 2, math.pi / 2), (2.5, 3, 2.2), (2.45, 4, 2.64)])
     def test_polynomial_f_keep_the_level_3_build(self, monkeypatch, lam, k, theta):
@@ -402,37 +412,39 @@ class TestAdaptiveFarPieces:
         family += [list(c / np.linalg.norm(c)) for c in (rng.uniform(-1.0, 1.0, d + 1) for d in (2, 3, 4))]
         for coeffs in family:
             riesz_pv(band_limited(SpectralCoefficients(lam, coeffs)), lam, k, theta, operator=operator)
-            assert operator.far_estimate < 1e-7
-        assert len(sizes) == 1 and sizes[0] <= 320
-        assert operator.levels == (3, 3)
+            assert operator.band_estimate < 1e-7
+        assert len(sizes) == 1 and sizes[0] <= 230
+        assert {piece.depth for piece in operator._pieces} == {0}
 
     def test_refinement_evaluates_the_kernel_at_new_nodes_only(self, monkeypatch):
         sizes = _counting_kernel(monkeypatch)
         operator = TruncationOperator(1.0, 1, 1.1, TruncationSchedule.geometric().epsilons)
         built = operator._nodes.size
         operator.truncated_values(peak)
-        # the piece toward pi goes up; each level adds its odd indices, about
-        # as many nodes as the piece held
-        assert operator.levels[0] == 3 and operator.levels[1] > 3
-        assert len(sizes) == 1 + operator.levels[1] - 3
-        assert sum(sizes) == operator._nodes.size
+        # the panels past the largest radius toward pi split; each round of
+        # halvings evaluates the kernel at the halves' nodes only
+        depth = _depth(operator, outer=True)
+        assert depth > 0 and _depth(operator, outer=False) == 0
+        assert len(sizes) == 1 + depth
+        # a split drops the panel's n nodes for its halves' 2n
+        assert operator._nodes.size - built == sum(sizes[1:]) // 2
         assert sizes[1] < built
         # kept for every later f: the same f again calls the kernel no more
         operator.truncated_values(peak)
-        assert len(sizes) == 1 + operator.levels[1] - 3
+        assert len(sizes) == 1 + depth
 
-    def test_a_refined_piece_holds_a_fresh_build(self, monkeypatch):
-        schedule = TruncationSchedule.geometric().epsilons
-        operator = TruncationOperator(1.0, 1, 1.1, schedule)
-        operator.truncated_values(peak)
-        level = operator.levels[1]
-        monkeypatch.setattr(transforms, "_PHI_LEVEL", level)
-        fresh = TruncationOperator(1.0, 1, 1.1, schedule)
-        refined, built = (next(p for p in op._pieces if p.level is not None and p.hi == math.pi) for op in (operator, fresh))
-        assert built.level == refined.level == level
-        for name in ("k", "nodes", "weights", "density"):
-            assert np.array_equal(getattr(refined, name), getattr(built, name)), name
-        assert np.array_equal(refined.weights * refined.density, built.weights * built.density)
+    def test_a_refined_piece_holds_a_fresh_build(self):
+        operator = TruncationOperator(1.0, 1, 1.1, TruncationSchedule.geometric().epsilons)
+        operator.truncated_values(end_peak)
+        halves = [p for p in operator._pieces if p.depth > 0 and p.index == 0]
+        # the half at pi keeps the weight s**(2 lambda), the other is a band
+        assert {p.end for p in halves if p.hi == math.pi} == {math.pi}
+        assert {p.end for p in halves if p.hi < math.pi} == {None}
+        fresh = [transforms._Piece(p.lo, p.hi, p.index, p.nodes.size, 1.0, p.end) for p in halves]
+        operator._fill(fresh)
+        for half, built in zip(halves, fresh):
+            for name in ("nodes", "weights", "density"):
+                assert np.array_equal(getattr(half, name), getattr(built, name)), name
 
     def test_later_f_are_summed_at_the_refined_level(self):
         operator = TruncationOperator(1.0, 2, 1.1, TruncationSchedule.geometric().epsilons)
@@ -440,33 +452,59 @@ class TestAdaptiveFarPieces:
         coarse = operator.truncated_values(f)
         operator.truncated_values(peak)
         fine = operator.truncated_values(f)
-        # f was resolved at level 3: the finer sum moves it by far less than
-        # the estimate's target
-        assert operator.levels[1] > 3
+        # f was resolved as built: the halves move it by far less than the
+        # estimate's target
+        assert _depth(operator, outer=True) > 0
         np.testing.assert_allclose(fine, coarse, rtol=0.0, atol=1e-10)
 
-    def test_a_sliver_piece_without_nodes(self):
-        # theta + eps_3 one rounding below pi: the band from there to pi keeps
-        # no tanh-sinh node, and the apply goes on without it
+    def test_a_sliver_end_panel(self):
+        # theta + eps_3 one rounding below pi: the band from there to pi is a
+        # sliver, whose Gauss-Jacobi nodes sit at pi - s, and the apply goes on
         epsilons = TruncationSchedule.geometric().epsilons
         theta = float(np.nextafter(math.pi - epsilons[3], 0.0))
         operator = TruncationOperator(1.0, 1, theta, epsilons)
-        assert min(p.nodes.size for p in operator._pieces if p.level is not None) == 0
+        sliver = next(p for p in operator._pieces if p.end == math.pi)
+        assert sliver.hi - sliver.lo < 1e-15 and np.all((sliver.lo <= sliver.nodes) & (sliver.nodes <= math.pi))
         f = band_limited(SpectralCoefficients(1.0, [0.0, 1.0]))
         spectral = riesz_spectral(f, 1.0, 1, theta, 4, build_rule(1.0, 16))
         assert riesz_pv(f, 1.0, 1, theta, operator=operator).value == pytest.approx(spectral, abs=1e-9)
-        assert set(operator.levels) == {3}
+        assert {p.depth for p in operator._pieces} == {0}
 
     def test_past_level_7_raises_with_the_estimate(self):
+        # a spike past the largest radius: its panels are halved 7 times,
+        # the most a band between radii gets too
         operator = TruncationOperator(1.0, 1, 1.1, TruncationSchedule.geometric().epsilons)
         spike = lambda th: 1.0 / (1.0 + ((np.asarray(th) - 1.7) / 1e-4) ** 2)  # noqa: E731
-        with pytest.raises(AccuracyError, match="level-7") as caught:
+        with pytest.raises(AccuracyError, match="halved 7 times") as caught:
             operator.truncated_values(spike)
-        assert operator.levels[1] == transforms._MAX_PHI_LEVEL == 7
-        assert caught.value.error_bound == operator.far_estimate > 1e-7
+        assert _depth(operator, outer=True) == transforms._MAX_BAND_DEPTH == 7
+        assert _depth(operator, outer=False) == 0
+        assert caught.value.error_bound == operator.band_estimate > 1e-7
         # riesz_pv passes it on; the CLI maps it to exit 1
         with pytest.raises(AccuracyError):
             riesz_pv(spike, 1.0, 1, 1.1, operator=operator)
+
+    @pytest.mark.parametrize("f", [np.log, lambda x: np.sin(x) ** -0.3], ids=["log", "sin^-0.3"])
+    def test_f_unbounded_at_an_end_is_refused_or_covered(self, f):
+        # the end panels halved 12 times at 40 points, with every other panel
+        # a 40-point copy of its own rule, are the reference
+        operator = TruncationOperator(1.0, 1, 1.1, TruncationSchedule.geometric().epsilons)
+        reference = []
+        for piece in operator._pieces:
+            parts = [transforms._Piece(piece.lo, piece.hi, piece.index, 40, 1.0, piece.end)]
+            for _ in range(12 if piece.end is not None else 0):
+                parts = [half for part in parts for half in (part.halves() if part.end is not None else (part,))]
+            reference += parts
+        operator._fill(reference)
+        exact = np.zeros(operator.epsilons.size)
+        for part in reference:
+            exact[part.index :] += np.dot(part.weights * part.density, f(part.nodes))
+        try:
+            values = operator.truncated_values(f)
+        except AccuracyError as caught:
+            assert caught.error_bound == operator.band_estimate
+            return
+        assert np.max(np.abs(values - exact)) <= operator.band_estimate
 
 
 #: a Lorentzian of width 0.01 at phi 1.11: inside the bands of an operator at
@@ -476,34 +514,37 @@ def band_peak(th):
 
 
 class TestBandCheck:
-    """The Gauss-Legendre bands check f and g and split in halves per f."""
+    """One check, in each panel's orthonormal basis, covers the bands between
+    radii and the panels past the largest: f and g split a panel in halves."""
 
     def test_legendre_analysis_inverts_the_legendre_values(self):
         for n in (1, 6, 8, 24):
-            x, _ = transforms._gl_base(n)
-            values = np.polynomial.legendre.legvander(x, n - 1).T
-            np.testing.assert_allclose(values @ transforms._legendre_analysis(n).T, np.eye(n), atol=1e-13)
+            t, weights, basis = transforms._gauss_jacobi(n, 0.0)
+            values = np.polynomial.legendre.legvander(2.0 * t - 1.0, n - 1).T
+            # the orthonormal basis on (0, 1) is sqrt(2j + 1) P_j(2t - 1)
+            expected = np.diag(1.0 / np.sqrt(2.0 * np.arange(n) + 1.0))
+            np.testing.assert_allclose(values @ (basis * weights).T, expected, atol=1e-13)
 
     def test_a_peak_inside_the_bands_splits_them(self, monkeypatch):
         sizes = _counting_kernel(monkeypatch)
         schedule = TruncationSchedule.geometric().epsilons
         operator = TruncationOperator(1.0, 1, 1.1, schedule)
-        bands = [(p.lo, p.hi) for p in operator._pieces if p.level is None]
+        bands = [(p.lo, p.hi) for p in operator._pieces if p.index]
         built = operator._nodes.size
         values = operator.truncated_values(band_peak)
-        depth = max(p.depth for p in operator._pieces if p.level is None)
-        assert depth > 0 and operator.levels == (3, 3)
+        depth = max(p.depth for p in operator._pieces)
+        assert _depth(operator, outer=False) == depth > 0
         # one kernel call per round of halvings, at the halves' nodes only
         assert len(sizes) == 1 + depth and sum(sizes[1:]) < depth * built
         # the halves tile the bands as built
         for lo, hi in bands:
-            parts = sorted((p.lo, p.hi) for p in operator._pieces if p.level is None and lo <= p.lo and p.hi <= hi)
+            parts = sorted((p.lo, p.hi) for p in operator._pieces if lo <= p.lo and p.hi <= hi)
             assert parts[0][0] == lo and parts[-1][1] == hi
             assert all(left[1] == right[0] for left, right in zip(parts, parts[1:]))
         # kept for every later f: the same f again calls the kernel no more
         np.testing.assert_array_equal(operator.truncated_values(band_peak), values)
         assert len(sizes) == 1 + depth
-        # against bands of 24 points, checked alike
+        # against panels of 24 points, checked alike
         monkeypatch.setattr(transforms, "_MIN_BAND_POINTS", 24)
         reference = TruncationOperator(1.0, 1, 1.1, schedule).truncated_values(band_peak)
         np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-11)
@@ -511,10 +552,11 @@ class TestBandCheck:
     def test_a_half_holds_a_fresh_band(self):
         operator = TruncationOperator(1.0, 1, 1.1, TruncationSchedule.geometric().epsilons)
         operator.truncated_values(band_peak)
-        half = next(p for p in operator._pieces if p.level is None and p.depth > 0)
-        fresh = transforms._Piece.band(half.lo, half.hi, half.index, half.nodes.size)
+        half = next(p for p in operator._pieces if p.index and p.depth > 0)
+        fresh = transforms._Piece(half.lo, half.hi, half.index, half.nodes.size, 1.0)
+        operator._fill([fresh])
         assert np.array_equal(half.nodes, fresh.nodes) and np.array_equal(half.weights, fresh.weights)
-        assert np.array_equal(half.density, operator._densities([fresh.nodes])[0])
+        assert np.array_equal(half.density, fresh.density)
 
     @pytest.mark.parametrize("lam, k, theta", [(0.3, 1, 0.7), (1.0, 2, math.pi / 2), (2.5, 3, 2.2), (2.45, 4, 2.64)])
     def test_f_linear_in_cos_splits_no_band(self, lam, k, theta):
@@ -523,14 +565,40 @@ class TestBandCheck:
         for f in (np.cos, lambda x: 3.0 - 2.0 * np.cos(x), band_limited(SpectralCoefficients(lam, [1.0, 1.0]))):
             riesz_pv(f, lam, k, theta, operator=operator)
             assert operator.band_estimate < 1e-9
-        assert {p.depth for p in operator._pieces if p.level is None} == {0}
+        assert {p.depth for p in operator._pieces} == {0}
+
+    def test_p1_near_zero_is_not_refused(self):
+        # g is rounding only here too; the tanh-sinh pieces out to 0 and pi
+        # chased it and refused f with a far-piece estimate of 1.5e-14
+        epsilons = TruncationSchedule.geometric(0.05, 0.5, 13).epsilons
+        operator = TruncationOperator(0.3, 1, 0.06, epsilons)
+        f = band_limited(SpectralCoefficients(0.3, [0.0, 1.0]))
+        spectral = riesz_spectral(f, 0.3, 1, 0.06, 4, build_rule(0.3, 16))
+        assert riesz_pv(f, 0.3, 1, 0.06, operator=operator).value == pytest.approx(spectral, abs=1e-9)
+
+    @pytest.mark.parametrize("start, ratio, count", [(0.2, 0.5, 6), (0.05, 0.8, 20)])
+    def test_wide_bands_keep_a_polynomial(self, monkeypatch, start, ratio, count):
+        # the CLI's default f at criterion 1's lambda and k on six theta: the
+        # bands read its coefficients' decay, not their tail alone
+        sizes = _counting_kernel(monkeypatch)
+        schedule = TruncationSchedule.geometric(start, ratio, count)
+        split = []
+        for lam in (0.3, 0.5, 1.0, 2.5):
+            f = band_limited(SpectralCoefficients(lam, [0.0, 0.0, 1.0, 0.0, 0.5]))
+            for k in (1, 2, 3, 4):
+                for theta in (0.5, 0.7, 1.2, math.pi / 2, 2.2, 2.6):
+                    sizes.clear()
+                    riesz_pv(f, lam, k, theta, schedule, operator=TruncationOperator(lam, k, theta, schedule.epsilons))
+                    if len(sizes) != 1:
+                        split.append((lam, k, theta))
+        assert split == []
 
     def test_past_depth_7_raises_with_the_estimate(self):
         operator = TruncationOperator(1.0, 1, 1.1, TruncationSchedule.geometric().epsilons)
         spike = lambda th: 1.0 / (1.0 + ((np.asarray(th) - 1.11) / 1e-6) ** 2)  # noqa: E731
         with pytest.raises(AccuracyError, match="halved 7 times") as caught:
             operator.truncated_values(spike)
-        assert max(p.depth for p in operator._pieces if p.level is None) == transforms._MAX_BAND_DEPTH == 7
+        assert _depth(operator, outer=False) == transforms._MAX_BAND_DEPTH == 7
         assert caught.value.error_bound == operator.band_estimate > 1e-7
 
 
