@@ -108,7 +108,7 @@ class RunConfig:
             (math.isfinite(self.lam) and self.lam > 0.0, "lam", "must be positive and finite"),
             (1 <= self.k <= faa_di_bruno.MAX_ORDER, "k", f"must lie in [1, {faa_di_bruno.MAX_ORDER}]"),
             (self.n_max >= 1, "n_max", "must be at least 1"),
-            (self.rho >= 1.0, "rho", "must be at least 1"),
+            (math.isfinite(self.rho) and self.rho >= 1.0, "rho", "must be finite and at least 1"),
             (len(self.thetas) > 0, "thetas", "need at least one evaluation point"),
             (all(0.0 < t < math.pi for t in self.thetas), "thetas", "must lie in (0, pi)"),
             (self.tolerance > 0.0, "tolerance", "must be positive"),

@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .jets import Jet
+from .special import _validate_angle
 
 __all__ = [
     "MAX_ORDER",
@@ -65,8 +66,8 @@ class KernelPoint:
     t: float
 
     def __post_init__(self):
-        if not 0.0 < self.theta < math.pi or not 0.0 < self.phi < math.pi:
-            raise ValueError("theta and phi must lie in (0, pi)")
+        _validate_angle("theta", self.theta)
+        _validate_angle("phi", self.phi)
         if not 0.0 < self.r < 1.0:
             raise ValueError(f"r must lie in (0, 1), got {self.r}")
         if not 0.0 <= self.t <= math.pi:
@@ -148,16 +149,33 @@ def pochhammer_factor(lam: float, s: int) -> float:
     return value
 
 
+# keyed by (ell, lambda): 64 entries hold orders 1..12 at five lambdas, and
+# the bound keeps a caller drawing a fresh lambda per call from growing it
+@lru_cache(maxsize=64)
+def _term_layout(ell: int, lam: float):
+    """Per-s lists of (coefficient, i, j) with the Pochhammer factor folded in
+    (the factor is exactly 1 at lam = 0, the circle case): the table the
+    Riesz kernel sums, and expansion_eval with it."""
+    if ell == 0:
+        return {0: ((1.0, 0, 0),)}
+    table = coefficients(ell)
+    layout: dict[int, list[tuple[float, int, int]]] = {}
+    for (s, i, j), coeff in sorted(table.entries.items()):
+        layout.setdefault(s, []).append((float(coeff) * pochhammer_factor(lam, s), i, j))
+    return {s: tuple(terms) for s, terms in layout.items()}
+
+
 def expansion_eval(ell: int, lam: float, point: KernelPoint) -> float:
     """Evaluate the finite expansion of the ell-th derivative of D_r**-(lam+1):
-    each (s, i, j) term of the table times (lam+1)_s / s!."""
+    each (s, i, j) term of the table times (lam+1)_s / s!, as _term_layout
+    folds them (ell = 0 is D_r**-(lam+1) itself)."""
     if lam < 0.0:
         raise ValueError(f"exponent parameter must be nonnegative, got {lam}")
-    table = coefficients(ell)
     r, a, b, d = point.r, point.a, point.b, point.d_r
     value = 0.0
-    for (s, i, j), coeff in sorted(table.entries.items()):
-        value += float(coeff) * pochhammer_factor(lam, s) * r ** (i + j) * a**i * b**j * d ** -(lam + 1.0 + s)
+    for s, terms in _term_layout(ell, lam).items():
+        for coeff, i, j in terms:
+            value += coeff * r ** (i + j) * a**i * b**j * d ** -(lam + 1.0 + s)
     return value
 
 

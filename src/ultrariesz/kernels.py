@@ -27,17 +27,9 @@ from typing import Literal
 
 import numpy as np
 
-from .faa_di_bruno import coefficients, pochhammer_factor
-from .quadrature import (
-    _MAX_LEVEL,
-    AccuracyError,
-    EvaluationError,
-    _gl_base,
-    _segment,
-    _ts_nodes,
-    tanh_sinh_segment,
-)
-from .special import validate_lambda
+from .faa_di_bruno import _term_layout
+from .quadrature import _MAX_LEVEL, AccuracyError, EvaluationError, _bernstein_points, _gl_base, tanh_sinh_segment
+from .special import _validate_angle, validate_lambda
 
 __all__ = [
     "KernelConfig",
@@ -79,9 +71,9 @@ class KernelConfig:
     count roughly doubles per level.  The r-rule's Gauss-Legendre segments
     above 1/2 are sized by their Bernstein-ellipse bounds, and no level
     refines them.  Both levels must be integers in [1, 12].
-    ``min_separation`` is the smallest |theta - phi| accepted before an
-    AccuracyError.  ``doubled()`` raises both levels by one, the standard
-    self-check.
+    ``min_separation``, positive, is the smallest |theta - phi| accepted
+    before an AccuracyError.  ``doubled()`` raises both levels by one, the
+    standard self-check.
 
     Probed at theta = 1.2 against levels (t, r) = (8, 7), k 1..12 and
     lambda 0.5 and 2.45, the defaults are within 4e-12 relative at
@@ -110,6 +102,8 @@ class KernelConfig:
             level = getattr(self, name)
             if not isinstance(level, (int, np.integer)) or not 1 <= level <= _MAX_LEVEL:
                 raise ValueError(f"{name} must be an integer in [1, {_MAX_LEVEL}], got {level!r}")
+        if not self.min_separation > 0.0:
+            raise ValueError(f"min_separation must be positive, got {self.min_separation}")
 
     def doubled(self) -> "KernelConfig":
         return KernelConfig(
@@ -154,13 +148,6 @@ def h_limit_even(k: int) -> float:
     if k % 2 != 0:
         raise ValueError(f"limit exists only for even k >= 2, got {k}")
     return float((-1) ** (k // 2)) * math.pi * math.factorial(k - 1)
-
-
-def _validate_angle(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 < value < math.pi:
-        raise ValueError(f"{name} must lie in (0, pi), got {value}")
-    return value
 
 
 def region_classify(theta: float, phi: float) -> RegionLabel:
@@ -211,21 +198,6 @@ def poisson_kernel(lam: float, r: float, theta: float, phi: float | np.ndarray) 
     return float(values[0]) if np.ndim(phi) == 0 else values
 
 
-# keyed by (ell, lambda): 64 entries hold orders 1..12 at five lambdas, and
-# the bound keeps a caller drawing a fresh lambda per call from growing it
-@lru_cache(maxsize=64)
-def _term_layout(ell: int, lam: float):
-    """Per-s lists of (coefficient, i, j) with the Pochhammer factor folded in
-    (the factor is exactly 1 at lam = 0, the circle case)."""
-    if ell == 0:
-        return {0: ((1.0, 0, 0),)}
-    table = coefficients(ell)
-    layout: dict[int, list[tuple[float, int, int]]] = {}
-    for (s, i, j), coeff in sorted(table.entries.items()):
-        layout.setdefault(s, []).append((float(coeff) * pochhammer_factor(lam, s), i, j))
-    return {s: tuple(terms) for s, terms in layout.items()}
-
-
 #: the r-rule's segments meet at r = 1 - _FAR_SPLIT and r = 1 - w,
 #: w = min(|theta - phi|, _FAR_SPLIT)
 _FAR_SPLIT = 0.5
@@ -245,22 +217,10 @@ _UPPER_POINTS = 20
 #: (4 minimized the default operator's nodes among 2, 2.5, 3, 4, 6 and 8)
 _GRADING = 4.0
 
-#: target of a graded panel's Bernstein-ellipse bound rho**(-2n)
-_GRADED_ERROR = 1e-18
-
-
-def _graded_points(ratio: float) -> int:
-    """Gauss-Legendre points of a graded panel (1 - ratio d, 1 - d): the fewest
-    n with rho**(-2n) <= _GRADED_ERROR, rho that of the panel's Bernstein
-    ellipse through r = 1.  The nearest singularities exp(+-i w), w <= d,
-    lie on or outside it, and r = 0 farther out (Trefethen, SIAM Rev. 2008)."""
-    a = (ratio + 1.0) / (ratio - 1.0)
-    return math.ceil(-math.log(_GRADED_ERROR) / (2.0 * math.log(a + math.sqrt(a * a - 1.0))))
-
-
-#: Gauss-Legendre points of every graded panel: the count at the steepest
-#: ratio, 19 at _GRADING 4
-_GRADED_POINTS = _graded_points(_GRADING)
+#: Gauss-Legendre points of every graded panel: the Bernstein count for 1e-18
+#: on the steepest, (1 - _GRADING d, 1 - d), whose ellipse through r = 1
+#: excludes exp(+-i w), w <= d, and r = 0; 19 at _GRADING 4
+_GRADED_POINTS = _bernstein_points((_GRADING + 1.0) / (_GRADING - 1.0), 1e-18)
 
 #: phi whose r-node arithmetic is done at once: a block's arrays hold
 #: ~_PHI_BLOCK * 130 nodes per s-row, and its barycentric weights 13 to 22
@@ -293,7 +253,7 @@ def _lower_rule(lam: float, k: int, level: int) -> tuple[np.ndarray, np.ndarray,
     """The r-rules' segment on (0, 1/2), the same for every phi: the
     level-``level`` tanh-sinh nodes r, their 1 - r and node factors
     r**(lam-1) log(1/r)**(k-1) (1 - r**2) times the weight, read-only."""
-    lower, weights, _ = _segment(0.0, _FAR_SPLIT, *_ts_nodes(level))
+    lower, weights = tanh_sinh_segment(0.0, _FAR_SPLIT, level)
     parts = (lower, 1.0 - lower, lower ** (lam - 1.0) * (-np.log(lower)) ** (k - 1) * (1.0 - lower * lower) * weights)
     for part in parts:
         part.flags.writeable = False
@@ -574,8 +534,6 @@ def kernel_partial(
     _check_order(k)
     if not 0 <= ell <= k:
         raise ValueError(f"derivative order must lie in [0, {k}], got {ell}")
-    if not config.min_separation > 0.0:
-        raise ValueError(f"min_separation must be positive, got {config.min_separation}")
     theta = _validate_angle("theta", theta)
     phis = _validate_phis(theta, phi, config.min_separation)
 

@@ -8,9 +8,12 @@ nodes are +- the singular values of a half-size bidiagonal block of the
 Jacobi matrix, and the weights are Christoffel numbers summed by the
 three-term recurrence; no eigenvectors are formed.  The Riesz operator's
 phi panels take Gauss-Jacobi rules for t**beta on (0, 1) alike, with their
-orthonormal basis.  Everything else with an endpoint singularity (algebraic or logarithmic)
-goes through tanh-sinh quadrature, which also supplies the fixed node sets
-the kernel integrals build their grids from.
+orthonormal basis.  Everything else with an endpoint singularity
+(algebraic or logarithmic) goes through tanh-sinh quadrature, which also
+supplies the fixed node sets the kernel integrals build their grids from.
+_bernstein_points sizes every Gauss panel, the kernel's graded r-panels and
+the operator's phi panels alike; tanh_sinh_segment is the one map of the
+tanh-sinh table onto a segment.
 """
 
 from __future__ import annotations
@@ -165,14 +168,23 @@ def build_rule(lam: float, order: int) -> QuadratureRule:
 
 def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
     """Evaluate f on an array in one call, falling back to a loop of scalar
-    calls whose results may be scalars or length-1 arrays."""
+    calls whose results may be scalars or length-1 arrays; ValueError if a
+    scalar call gives more than one value."""
     try:
         y = np.asarray(f(x), dtype=float)
         if y.shape == x.shape:
             return y
     except (TypeError, ValueError):
         pass
-    return np.array([float(np.atleast_1d(f(v))[0]) for v in x])
+    return np.array([_one_value(f(v)) for v in x])
+
+
+def _one_value(y) -> float:
+    """The one value of a scalar or a length-1 array."""
+    values = np.ravel(y)
+    if values.size != 1:
+        raise ValueError(f"f must give one value per point, got shape {np.shape(y)}")
+    return float(values[0])
 
 
 def integrate(rule: QuadratureRule, f: Callable) -> float:
@@ -218,11 +230,6 @@ def _ts_table(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return k[keep], side[keep], dist[keep], weight[keep]
 
 
-def _ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    _, side, dist, weight = _ts_table(level)
-    return side, dist, weight
-
-
 def _ts_new_points(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The rows of _ts_table(level) absent from level - 1: the odd indices.
     Level - 1 holds the even ones at twice their weights, bit for bit."""
@@ -249,8 +256,10 @@ def singular_integrate(
 ) -> float:
     """Integrate f over (lo, hi) by adaptive tanh-sinh quadrature.
 
-    Handles integrands with algebraic-logarithmic singularities at either
-    endpoint.  Convergence is declared at the first level >= 3 whose
+    Handles algebraic-logarithmic singularities at an endpoint that is 0.
+    Nodes within an ulp of any other endpoint, hi included, round onto it,
+    so an f infinite there raises EvaluationError: write f in the distance
+    to that end instead.  Convergence is declared at the first level >= 3 whose
     level-to-level difference is below max(tol, rtol * |integral|);
     otherwise an AccuracyError carrying the best estimate is raised.
     """
@@ -271,7 +280,9 @@ def singular_integrate(
             # an endpoint-rounded node with negligible weight may be dropped
             fatal = bad & (weight >= 1e-250)
             if np.any(fatal):
-                raise EvaluationError(f"integrand is not finite at x={float(x[fatal][0])}")
+                at = float(x[fatal][0])
+                end = ", an end that nodes round onto: write f in the distance to it" if at in (lo, hi) else ""
+                raise EvaluationError(f"integrand is not finite at x={at}{end}")
             y = np.where(bad, 0.0, y)
         total = 0.5 * total + float(y @ weight)
         # level 0 never stops, so its difference from 0 is never read
@@ -295,18 +306,19 @@ def tanh_sinh_segment(lo: float, hi: float, level: int) -> tuple[np.ndarray, np.
     """
     if hi <= lo:
         raise ValueError(f"invalid segment ({lo}, {hi})")
-    return _segment(lo, hi, *_ts_nodes(level))[:2]
-
-
-def _segment(
-    lo: float, hi: float, side: np.ndarray, dist: np.ndarray, weight: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """tanh_sinh_segment's arithmetic on table rows from _ts_nodes or
-    _ts_new_points, and the mask of the rows it keeps: callers that map one
-    level onto many segments fetch the table once."""
+    _, side, dist, weight = _ts_table(level)
     x = _map_nodes(lo, hi, side, dist)
     keep = (x > lo) & (x < hi)
-    return x[keep], 0.5 * (hi - lo) * weight[keep], keep
+    return x[keep], 0.5 * (hi - lo) * weight[keep]
+
+
+def _bernstein_points(a: float, error: float) -> float:
+    """The fewest Gauss points n with rho**(-2n) <= ``error`` (Trefethen, SIAM
+    Rev. 2008), rho = a + sqrt(a**2 - 1) for the Bernstein ellipse whose
+    semi-major axis is a half-widths of the panel; inf for a <= 1."""
+    if a <= 1.0:
+        return math.inf
+    return math.ceil(-math.log(error) / (2.0 * math.log(a + math.sqrt(a * a - 1.0))))
 
 
 @lru_cache(maxsize=None)

@@ -39,6 +39,14 @@ def validate_lambda(lam: float) -> float:
     return lam
 
 
+def _validate_angle(name: str, value: float) -> float:
+    """Check an angle lies in (0, pi) and return it as a float."""
+    value = float(value)
+    if not 0.0 < value < math.pi:
+        raise ValueError(f"{name} must lie in (0, pi), got {value}")
+    return value
+
+
 def beta(x: float, y: float) -> float:
     """Euler Beta function B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y) for x, y > 0."""
     x, y = float(x), float(y)
@@ -93,8 +101,7 @@ def gegenbauer_theta_jets(n_max: int, lam: float, theta: float, order: int) -> n
     lam = validate_lambda(lam)
     if n_max < 0:
         raise ValueError(f"polynomial degree must be nonnegative, got {n_max}")
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie in (0, pi), got {theta}")
+    theta = _validate_angle("theta", theta)
     if order < 0:
         raise ValueError(f"derivative order must be nonnegative, got {order}")
     one = np.zeros(order + 1)

@@ -26,6 +26,7 @@ from .quadrature import (
     AccuracyError,
     EvaluationError,
     QuadratureRule,
+    _bernstein_points,
     _evaluate,
     _gauss_jacobi,
     total_mass,
@@ -188,7 +189,8 @@ def synthesize(c: SpectralCoefficients, theta: float, derivative_order: int = 0)
 
 
 def _synthesis_sum(coeffs: np.ndarray, derivatives: np.ndarray, norms: np.ndarray) -> float:
-    """synthesize's sum, in degree order over the nonzero coefficients."""
+    """synthesize's sum, in degree order over the nonzero coefficients, and
+    band_limited's, whose ``derivatives`` are arrays over theta."""
     total = 0.0
     for coeff, derivative, norm in zip(coeffs, derivatives, norms):
         if coeff == 0.0:
@@ -204,13 +206,8 @@ def band_limited(c: SpectralCoefficients) -> Callable:
 
     def f(theta):
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        x = np.cos(th)
-        out = np.zeros_like(th)
-        polys = _recurrence(c.degree, c.lam, x, np.ones_like(x))
-        for coeff, p, norm in zip(c.coeffs, polys, norms):
-            if coeff == 0.0:
-                continue
-            out += coeff * p / norm
+        polys = _recurrence(c.degree, c.lam, np.cos(th), np.ones_like(th))
+        out = np.zeros_like(th) + _synthesis_sum(c.coeffs, polys, norms)
         return out if np.ndim(theta) else float(out[0])
 
     return f
@@ -312,15 +309,11 @@ def _band_points(lo: float, hi: float, theta: float, end: float | None = None) -
     analytic off theta, its mirror images -theta and 2 pi - theta, 0 and pi,
     ``end`` excepted.  So the rule's error falls like rho**(-2n), where rho
     sums the semi-axes of the largest Bernstein ellipse of (lo, hi) that
-    excludes the nearest of those points (Trefethen, SIAM Rev. 2008)."""
+    excludes the nearest of those points (see quadrature._bernstein_points)."""
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     points = [point for point in (theta, -theta, 2.0 * math.pi - theta, 0.0, math.pi) if point != end]
-    a = max(1.0, min(abs(point - center) for point in points) / half)
-    per_point = 2.0 * math.log(a + math.sqrt(a * a - 1.0))
-    needed = -math.log(_BAND_ERROR)
-    if per_point * _MAX_BAND_POINTS <= needed:
-        return _MAX_BAND_POINTS
-    return math.ceil(needed / per_point)
+    a = min(abs(point - center) for point in points) / half
+    return min(_bernstein_points(a, _BAND_ERROR), _MAX_BAND_POINTS)
 
 
 def _outer_edges(start: float, reach: float) -> list[float]:

@@ -54,7 +54,7 @@ class TruncationTrace:
         object.__setattr__(self, "values", vals)
         if eps.shape != vals.shape or eps.ndim != 1:
             raise ValueError("epsilons and values must be 1-D and equally long")
-        if np.any(np.diff(eps) >= 0.0):
+        if not np.all(np.diff(eps) < 0.0):
             raise ValueError("epsilons must be strictly decreasing")
 
 
@@ -70,7 +70,7 @@ class DyadicBands:
         object.__setattr__(self, "t", t)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("need at least two band edges")
-        if np.any(t <= 0.0) or np.any(np.diff(t) >= 0.0):
+        if not (np.all(t > 0.0) and np.all(np.diff(t) < 0.0)):
             raise ValueError("band edges must be positive and strictly decreasing")
 
     @classmethod
@@ -101,20 +101,23 @@ def rho_variation(trace: TruncationTrace, rho: float = 3.0) -> float:
     programming.
 
     The operator is defined for rho > 2; smaller rho >= 1 is accepted with a
-    warning since the finite-grid value still makes sense.
+    warning since the finite-grid value still makes sense.  The dynamic
+    program runs on the differences over the largest one, so no power of
+    them underflows at a large finite rho.
     """
-    if rho < 1.0:
-        raise ValueError(f"rho must be at least 1, got {rho}")
+    if not (math.isfinite(rho) and rho >= 1.0):
+        raise ValueError(f"rho must be finite and at least 1, got {rho}")
     if rho <= 2.0:
         warnings.warn(f"rho = {rho} is outside the rho > 2 regime", stacklevel=2)
     values = trace.values
     n = values.size
-    if n < 2:
+    scale = float(np.ptp(values)) if n >= 2 else 0.0
+    if scale == 0.0:
         return 0.0
     best = np.zeros(n)
     for i in range(1, n):
-        best[i] = np.max(best[:i] + np.abs(values[i] - values[:i]) ** rho)
-    return float(np.max(best)) ** (1.0 / rho)
+        best[i] = np.max(best[:i] + (np.abs(values[i] - values[:i]) / scale) ** rho)
+    return scale * float(np.max(best)) ** (1.0 / rho)
 
 
 @dataclass(frozen=True)

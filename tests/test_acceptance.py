@@ -382,9 +382,11 @@ def test_criterion_7_variation_machinery():
             rho = 3.0
             dp = rho_variation(trace, rho)
             # enumerate every subsequence; the difference powers are computed
-            # with the same vectorized op the DP uses so that agreement is
-            # bit-exact (addition and max carry no implementation variance)
-            steps = [np.abs(values[i] - values[:i]) ** rho for i in range(n)]
+            # with the same vectorized op the DP uses, on the differences over
+            # the largest one, so that agreement is bit-exact (addition and
+            # max carry no implementation variance)
+            scale = float(np.ptp(values))
+            steps = [(np.abs(values[i] - values[:i]) / scale) ** rho for i in range(n)]
             best = 0.0
             for size in range(2, n + 1):
                 for subset in itertools.combinations(range(n), size):
@@ -392,7 +394,7 @@ def test_criterion_7_variation_machinery():
                     for a, b in zip(subset, subset[1:]):
                         total += steps[b][a]
                     best = max(best, total)
-            if dp != float(best) ** (1.0 / rho):
+            if dp != scale * float(best) ** (1.0 / rho):
                 exact = False
 
     hand = TruncationTrace(

@@ -170,6 +170,7 @@ class TestSubcommands:
             ("riesz-spectral", "--eps-ratio", "0.9999999999", "--eps-count", "1000000000"),
             ("riesz-spectral", "--lambda", "2e13", "--n-max", "25"),
             ("faa-check", "--lambda", "1e5"),
+            ("variation", "--rho", "inf"),
         ],
     )
     def test_config_errors_exit_2_without_traceback(self, capsys, argv):
@@ -452,6 +453,17 @@ class TestVariationReport:
         code, _, err = run_cli(capsys, *argv, "--output", str(base), "--tolerance", repr(worst / 2.0))
         assert code == 1
         assert err.startswith("FAIL: identity error") and err.count("\n") == 1
+
+    def test_large_rho_reports_the_range_of_a_monotone_trace(self, capsys, tmp_path):
+        # every |increment|**rho underflowed at 1000 and 1e6, and the variation read 0.0
+        variations = []
+        for rho in ("3", "1000", "1e6"):
+            base = tmp_path / f"report{rho}"
+            argv = ["variation", "--theta", "1.0", "--eps-count", "6", "--quad-order", "48", "--rho", rho]
+            code, _, err = run_cli(capsys, *argv, "--output", str(base))
+            assert code == 0, err
+            variations.append(json.loads(base.with_suffix(".json").read_text())["per_theta"][0]["variation"])
+        assert variations[0] > 0.0 and variations[1:] == pytest.approx([variations[0]] * 2, rel=1e-12)
 
     def test_theta_order_does_not_change_norms(self, capsys, tmp_path):
         norms = []

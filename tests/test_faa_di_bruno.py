@@ -127,6 +127,10 @@ class TestExpansion:
         assert abs(printed - oracle) > 1e-6 * abs(oracle)
         assert expansion_eval(2, lam, point) == pytest.approx(oracle, rel=1e-10)
 
+    def test_order_zero_is_the_power_itself(self):
+        point = KernelPoint(theta=1.2, phi=0.8, r=0.4, t=1.5)
+        assert expansion_eval(0, 1.0, point) == point.d_r**-2.0
+
     def test_pochhammer_factor_values(self):
         assert pochhammer_factor(0.0, 3) == pytest.approx(1.0)
         assert pochhammer_factor(1.0, 2) == pytest.approx((2.0 * 3.0) / 2.0)

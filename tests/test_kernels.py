@@ -27,8 +27,9 @@ from ultrariesz import (
 )
 from ultrariesz import kernels, transforms
 from ultrariesz.jets import Jet
-from ultrariesz.kernels import DEFAULT_KERNEL_CONFIG, KernelConfig, _t_table, _term_layout
-from ultrariesz.quadrature import _segment, _ts_nodes, gauss_legendre_segment, tanh_sinh_segment
+from ultrariesz.faa_di_bruno import _term_layout
+from ultrariesz.kernels import DEFAULT_KERNEL_CONFIG, KernelConfig, _t_table
+from ultrariesz.quadrature import _bernstein_points, _ts_table, gauss_legendre_segment, tanh_sinh_segment
 
 
 class TestConstants:
@@ -182,6 +183,10 @@ class TestPoissonKernel:
             kernel_partial(lam, 2, 0, 1.2, np.array([0.7, 2.0]))
         # the floor itself is served
         assert poisson_kernel(0.25, 0.5, 1.2, 0.7) > 0.0
+
+
+def test_the_kernel_sums_the_table_expansion_eval_checks():
+    assert kernels._term_layout is _term_layout
 
 
 def test_layout_cache_stays_bounded():
@@ -504,7 +509,7 @@ def _tanh_sinh_r_rules(lam, k, seps, level):
     taken from a rounded r instead, 1 - r moves the rule by ~eps/w relative,
     at any level (5.1e-12 at k 1 and w = 1.01e-5, where levels 6, 7 and 8
     all sit 5.1e-12 to 5.8e-12 off a long-double double sum)."""
-    side, dist, weight = _ts_nodes(level)
+    _, side, dist, weight = _ts_table(level)
     r, one_minus_r, weights = [], [], []
     for w in seps:
         # the segment's ends as distances to r = 1; a node left of its
@@ -573,11 +578,12 @@ class TestGradedRRule:
             riesz_kernel(lam, k, 1.2, _phi_batch(lam, k, 1.2)[0])
         seps, counts = (np.concatenate(parts) for parts in zip(*seen))
         assert counts.sum() <= 0.6 * 275 * counts.size
-        lower = _segment(0.0, 0.5, *_ts_nodes(DEFAULT_KERNEL_CONFIG.r_level))[0].size
+        lower = tanh_sinh_segment(0.0, 0.5, DEFAULT_KERNEL_CONFIG.r_level)[0].size
         graded = counts - lower - kernels._UPPER_POINTS
         panels = np.ceil(np.log(0.5 / seps) / math.log(kernels._GRADING))
         assert np.array_equal(graded, kernels._GRADED_POINTS * panels)
-        assert kernels._GRADED_POINTS == kernels._graded_points(kernels._GRADING) == 19
+        ratio = kernels._GRADING
+        assert kernels._GRADED_POINTS == _bernstein_points((ratio + 1.0) / (ratio - 1.0), 1e-18) == 19
 
     def test_deepest_grading_is_finite_and_batch_independent(self):
         # the relaxed guard of TestDifferentiationUnderIntegral: w down to

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from ultrariesz import (
     singular_integrate,
     total_mass,
 )
+from ultrariesz import transforms
 from ultrariesz.quadrature import (
     ConstructionError,
     _MAX_LEVEL,
+    _bernstein_points,
     _cached_rule,
     _gauss_jacobi,
     _map_nodes,
@@ -152,6 +155,13 @@ class TestIntegrate:
         with pytest.raises(EvaluationError):
             integrate(rule, lambda th: np.full_like(th, np.nan))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 1)])
+    def test_several_values_per_point_are_refused(self, shape):
+        # the scalar fallback once kept the first of them
+        rule = build_rule(1.0, 8)
+        with pytest.raises(ValueError, match=re.escape(f"one value per point, got shape {shape}")):
+            integrate(rule, lambda th: np.ones(shape))
+
 
 class TestSingularIntegrate:
     def test_beta_integral(self):
@@ -184,6 +194,22 @@ class TestSingularIntegrate:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             singular_integrate(lambda r: r, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "f, lo, hi",
+        [
+            (lambda x: (1.0 - x) ** -0.5, 0.0, 1.0),
+            (lambda x: np.log(1.0 - x), 0.0, 1.0),
+            (lambda x: (math.pi - x) ** -0.9, 0.0, math.pi),
+            (lambda x: (x - 1.0) ** -0.5, 1.0, 2.0),
+        ],
+        ids=["hi-sqrt", "hi-log", "pi", "lo-1"],
+    )
+    def test_any_other_end_is_refused_with_the_way_out(self, f, lo, hi):
+        # nodes within an ulp of the end round onto it
+        message = "an end that nodes round onto: write f in the distance to it"
+        with np.errstate(divide="ignore"), pytest.raises(EvaluationError, match=message):
+            singular_integrate(f, lo, hi)
 
 
 #: integrands that converge at different levels (3, 3, 5 and 7): smooth, an
@@ -257,6 +283,20 @@ class TestRuleCache:
             build_rule(float(lam), 4)
         info = _cached_rule.cache_info()
         assert info.maxsize == 32 and info.currsize <= info.maxsize
+
+
+class TestBernsteinPoints:
+    def test_graded_panels_bands_and_no_ellipse(self):
+        # a graded r-panel (1 - 4 d, 1 - d) reaches r = 1 at a = 5/3 half-widths
+        ratio = 4.0
+        assert _bernstein_points((ratio + 1.0) / (ratio - 1.0), 1e-18) == 19
+        # a band (theta + eps/2, theta + eps) between radii of ratio 1/2 lies
+        # 3 half-widths from theta
+        assert _bernstein_points(3.0, 1e-11) == 8
+        assert transforms._band_points(1.0 + 0.05, 1.0 + 0.1, 1.0) == 8
+        # no ellipse excludes a point on the panel or at its end
+        assert _bernstein_points(1.0, 1e-11) == _bernstein_points(0.2, 1e-11) == math.inf
+        assert transforms._band_points(0.0, 0.5, 1.0) == transforms._MAX_BAND_POINTS == 24
 
 
 class TestSegments:

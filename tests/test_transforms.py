@@ -784,6 +784,11 @@ class TestSampling:
     """f is sampled once on the node array, and values match per-node
     loops."""
 
+    def test_several_values_per_point_are_refused(self):
+        # the scalar fallback kept the first of them, and the value read 0.0
+        with pytest.raises(ValueError, match=r"one value per point, got shape \(3,\)"):
+            riesz_pv(lambda th: np.ones(3), 1.0, 1, 1.0)
+
     def test_analyze_calls_a_vectorized_f_once(self):
         rule = build_rule(1.3, 32)
         f = CountingCallable(np.cos)

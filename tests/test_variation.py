@@ -110,6 +110,19 @@ class TestRhoVariation:
         with pytest.raises(ValueError):
             rho_variation(make_trace([0.0, 1.0]), 0.5)
 
+    @pytest.mark.parametrize("rho", [1000.0, 1e6])
+    def test_large_rho_keeps_the_largest_increment(self, rho):
+        # every |difference|**rho underflowed, and the value read 0.0
+        values = [-0.7324, -0.7558, -0.7663, -0.7745]
+        assert rho_variation(make_trace(values), rho) == pytest.approx(0.0421, rel=1e-12)
+        assert rho_variation(make_trace([0.0, 1e-3, 0.0]), rho) == pytest.approx(1e-3 * 2.0 ** (1.0 / rho), rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    def test_a_non_finite_rho_is_refused(self, rho):
+        # rho = inf read 0**0 = 1.0 whatever the trace
+        with pytest.raises(ValueError, match="finite"):
+            rho_variation(make_trace([0.0, 1.0]), rho)
+
     @given(
         st.lists(st.floats(min_value=-10, max_value=10), min_size=2, max_size=10),
         st.floats(min_value=2.1, max_value=6.0),
@@ -133,6 +146,15 @@ class TestTraceValidation:
             TruncationTrace(
                 epsilons=np.array([0.2, 0.1]), values=np.array([1.0]), theta=1.0
             )
+
+    def test_rejects_nan_epsilons(self):
+        with pytest.raises(ValueError, match="decreasing"):
+            TruncationTrace(epsilons=[0.4, math.nan], values=[0.0, 1.0], theta=1.0)
+
+    @pytest.mark.parametrize("edges", [[1.0, math.nan], [math.nan, 0.5], [1.0, 0.5, math.nan]])
+    def test_rejects_nan_band_edges(self, edges):
+        with pytest.raises(ValueError, match="band edges"):
+            DyadicBands(edges)
 
     def test_band_validation(self):
         with pytest.raises(ValueError):
