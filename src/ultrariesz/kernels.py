@@ -5,16 +5,16 @@ The Riesz kernel of order k is assembled from the derivative expansion of
 the Poisson kernel: each admissible index (s, i, j) contributes a 2-D
 integral over (r, t) in (0,1) x (0,pi), discretized with a fixed tanh-sinh
 rule in t (it carries the (sin t)**(2*lambda-1) endpoint singularity) and
-an r-rule in three segments, each for one difficulty: tanh-sinh on
-(0, 1/2), where the r**(lambda-1) log(1/r)**(k-1) singularity sits;
-Gauss-Legendre panels on (1/2, 1 - w), w = min(|theta - phi|, 1/2),
-graded geometrically toward the near-diagonal concentration at
-r = exp(+-i w); and a fixed Gauss-Legendre rule on (1 - w, 1) (see
-_r_rules).  The t-sum depends on phi only through one variable z, so it is
-tabulated once per (lambda, order, t-level, guard) as Chebyshev-point
-values on panels in log(1 + 2 z), and each phi sums over its r-nodes alone
-(see kernel_partial); the Poisson kernel reads the order-0 table at its
-one r.  Each Riesz value comes out the same whichever batch it is computed
+an r-rule in three segments, each for one difficulty: on (0, 1/2), where
+the r**(lambda-1) log(1/r)**(k-1) singularity sits, the Gauss rule of that
+weight (see _lower_rule); Gauss-Legendre panels on (1/2, 1 - w),
+w = min(|theta - phi|, 1/2), graded geometrically toward the near-diagonal
+concentration at r = exp(+-i w); and a fixed Gauss-Legendre rule on
+(1 - w, 1) (see _r_rules).  The t-sum depends on phi only through one
+variable z, so it is tabulated once per (lambda, order, t-level, guard) as
+Chebyshev-point values on panels in log(1 + 2 z), and each phi sums over
+its r-nodes alone (see kernel_partial); the Poisson kernel reads the
+order-0 table at its one r.  Each Riesz value comes out the same whichever batch it is computed
 in, so a batch of phi gives it bit for bit.
 """
 
@@ -28,7 +28,16 @@ from typing import Literal
 import numpy as np
 
 from .faa_di_bruno import _term_layout
-from .quadrature import _MAX_LEVEL, AccuracyError, EvaluationError, _bernstein_points, _gl_base, tanh_sinh_segment
+from .quadrature import (
+    _MAX_LEVEL,
+    AccuracyError,
+    EvaluationError,
+    _bernstein_points,
+    _gauss_from_recurrence,
+    _gl_base,
+    _stieltjes,
+    tanh_sinh_segment,
+)
 from .special import _validate_angle, validate_lambda
 
 __all__ = [
@@ -64,16 +73,16 @@ _quiet_float_range = np.errstate(over="ignore", invalid="ignore", divide="ignore
 class KernelConfig:
     """Quadrature resolution for the 2-D kernel integrals.
 
-    ``t_level`` is the tanh-sinh level of the t-rule.  ``r_level`` is that of
-    the r-rule's singular segment (0, 1/2), which carries the
-    r**(lambda-1) log(1/r)**(k-1) endpoint singularity, at orders k <= 4;
-    orders above 4 take it one level finer (see _FINE_ORDER).  The node
-    count roughly doubles per level.  The r-rule's Gauss-Legendre segments
-    above 1/2 are sized by their Bernstein-ellipse bounds, and no level
-    refines them.  Both levels must be integers in [1, 12].
-    ``min_separation``, positive, is the smallest |theta - phi| accepted
-    before an AccuracyError.  ``doubled()`` raises both levels by one, the
-    standard self-check.
+    ``t_level`` is the tanh-sinh level of the t-rule; its node count roughly
+    doubles per level.  ``r_level`` sets the Gauss points of the r-rule's
+    singular segment (0, 1/2), whose weight carries the
+    r**(lambda-1) log(1/r)**(k-1) endpoint singularity: 4 per level, plus
+    one per two orders above k 4 (see _lower_points), so 14 at k <= 4 and
+    18 at k 12 by default.  The r-rule's Gauss-Legendre segments above 1/2
+    are sized by their Bernstein-ellipse bounds, and no level refines them.
+    Both levels must be integers in [1, 12].  ``min_separation``, positive,
+    is the smallest |theta - phi| accepted before an AccuracyError.
+    ``doubled()`` raises both levels by one, the standard self-check.
 
     Probed at theta = 1.2 against levels (t, r) = (8, 7), k 1..12 and
     lambda 0.5 and 2.45, the defaults are within 4e-12 relative at
@@ -81,10 +90,10 @@ class KernelConfig:
     error at |theta - phi| = 1e-4 (the worse side):
 
         k   lambda 0.5: (5, 3)  (6, 3)    lambda 2.45: (5, 3)  (6, 3)
-        1              1.1e-12  2.7e-16                1.2e-10  2.0e-16
-        4              6.4e-7   4.4e-12                3.1e-5   9.9e-13
-        8              2.7e-6   4.0e-12                1.3e-4   8.7e-12
-        12             8.8e-6   2.2e-11                6.3e-4   4.0e-11
+        1              1.1e-12  4.0e-16                1.2e-10  2.0e-16
+        4              6.4e-7   4.0e-12                3.1e-5   7.8e-13
+        8              2.7e-6   8.0e-12                1.3e-4   2.0e-12
+        12             8.8e-6   2.8e-11                6.3e-4   2.3e-11
 
     The t-rule sets this: (5, 7) errs as (5, 3) does.  ``t_level`` costs only
     the t-table builds, once per (lambda, order, level, guard); the per-phi
@@ -202,10 +211,6 @@ def poisson_kernel(lam: float, r: float, theta: float, phi: float | np.ndarray) 
 #: w = min(|theta - phi|, _FAR_SPLIT)
 _FAR_SPLIT = 0.5
 
-#: orders above this take the r-rule's singular segment one tanh-sinh level
-#: finer than KernelConfig.r_level: its log(1/r)**(k-1) factor needs it
-_FINE_ORDER = 4
-
 #: Gauss-Legendre points of the r-rule on (1 - w, 1): there the integrand's
 #: nearest singularities are r = exp(+-i w), whose Bernstein ellipse about
 #: the segment has rho >= 4.18 for every w (least at w = 1/2), so the rule
@@ -223,9 +228,10 @@ _GRADING = 4.0
 _GRADED_POINTS = _bernstein_points((_GRADING + 1.0) / (_GRADING - 1.0), 1e-18)
 
 #: phi whose r-node arithmetic is done at once: a block's arrays hold
-#: ~_PHI_BLOCK * 130 nodes per s-row, and its barycentric weights 13 to 22
-#: per node.  Four default operator builds peaked at 34 MiB in blocks of 32
-#: phi and at 45 MiB in one block of ~420
+#: ~_PHI_BLOCK * 90 nodes per s-row, and its barycentric weights 13 to 22
+#: per node.  Four default operator builds (k 1-4, ~210 phi each) peaked at
+#: 1.6 MiB of traced arrays in blocks of 32 phi and at 4.5 MiB in one block
+#: per build
 _PHI_BLOCK = 32
 
 #: the t-table is piecewise polynomial in v = log(1 + 2 z), on panels of
@@ -246,34 +252,72 @@ _TABLE_CHUNK = 32
 _LAMBDA_FLOOR = 0.25
 
 
+#: tanh-sinh level of the discretization the singular segment's Gauss rule
+#: is computed from: its 511 nodes give the rule the weight's moments
+#: j < 108 (54 points, the most r_level 12 asks for) within 4e-14 relative
+_STIELTJES_LEVEL = 6
+
+
+def _lower_points(k: int, level: int) -> int:
+    """Gauss points of the r-rule's segment on (0, 1/2) at order k and
+    KernelConfig.r_level ``level``.  The rest of the integrand is analytic on
+    |r| < 1, so the rule errs by ~rho**(-2 n) times the segment's share of
+    the kernel, rho = 3 + sqrt(8) for (0, 1/2); each level adds 4 points, a
+    factor ~1e-6.  The share grows with k, and above k 4 each two orders
+    take one point more: at level 3 that is 14 points at k <= 4 and 18 at
+    k 12.  Against a 40-point rule over a default operator's phi, weighted
+    as the operator weighs them, that is the 1e-16 to 5e-14 floor at every
+    k; 16 points at k 12 leave up to 7e-12."""
+    return 4 * level + 2 + max(0, k - 3) // 2
+
+
 # keyed by (lambda, k, level): the bound keeps a caller drawing a fresh
 # lambda per call from growing the cache
 @lru_cache(maxsize=64)
+@_quiet_float_range
 def _lower_rule(lam: float, k: int, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The r-rules' segment on (0, 1/2), the same for every phi: the
-    level-``level`` tanh-sinh nodes r, their 1 - r and node factors
-    r**(lam-1) log(1/r)**(k-1) (1 - r**2) times the weight, read-only."""
-    lower, weights = tanh_sinh_segment(0.0, _FAR_SPLIT, level)
-    parts = (lower, 1.0 - lower, lower ** (lam - 1.0) * (-np.log(lower)) ** (k - 1) * (1.0 - lower * lower) * weights)
-    for part in parts:
-        part.flags.writeable = False
-    return parts
+    _lower_points(k, level)-point Gauss rule for the weight
+    r**(lam-1) log(1/r)**(k-1), its nodes r, their 1 - r and the node factors
+    (1 - r**2) times the Christoffel weight, read-only.  Its recurrence comes
+    from the Stieltjes procedure on the weight in x = 2 r = u**(1/lam), where
+    r**(lam-1) dr = 2**-lam du / lam leaves the logarithm's the only endpoint
+    singularity, so the level-_STIELTJES_LEVEL tanh-sinh rule in u resolves
+    it.  At k = 1 it is _gauss_jacobi(n, lam - 1) mapped to (0, 1/2).  Raises
+    EvaluationError where lam carries the rule past the float range."""
+    u, u_weights = tanh_sinh_segment(0.0, 1.0, _STIELTJES_LEVEL)
+    log_u = np.log(u)
+    # lam * 2**lam times the weight, log(2 / x)**(k-1), at x = u**(1/lam)
+    x, measure = np.exp(log_u / lam), u_weights * (math.log(2.0) - log_u / lam) ** (k - 1)
+    diag, off = _stieltjes(x, measure, _lower_points(k, level))
+    # a lam that rounds every x to 1 leaves a one-point measure: its
+    # recurrence breaks down, or its nodes coincide
+    if np.all(np.isfinite(diag)) and np.all(np.isfinite(off)) and np.all(off > 0.0):
+        nodes, weights, _ = _gauss_from_recurrence(diag, off, 1.0 / np.sqrt(measure.sum()))
+        if 0.0 < nodes[0] and nodes[-1] < 1.0 and np.all(np.diff(nodes) > 0.0) and np.all(weights > 0.0):
+            lower = 0.5 * nodes
+            parts = (lower, 1.0 - lower, (2.0**-lam / lam) * weights * (1.0 - lower * lower))
+            for part in parts:
+                part.flags.writeable = False
+            return parts
+    raise EvaluationError(f"the r-rule on (0, 1/2) is not finite at lambda {lam}, k {k}")
 
 
 def _r_rules(
     lam: float, k: int, seps: np.ndarray, level: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The r-rules of a block of phi, one per entry w of ``seps``, each in
-    three segments: the level-``level`` tanh-sinh rule on (0, 1/2), the same
-    for every phi (it carries the r**(lam-1) log(1/r)**(k-1) singularity at
-    0); Gauss-Legendre panels on (1/2, 1 - w), graded toward r = 1 with a
-    common ratio of their ends' distances to 1 of at most _GRADING and
-    _GRADED_POINTS nodes each; and _UPPER_POINTS Gauss-Legendre nodes on
+    three segments: the Gauss rule of the weight r**(lam-1) log(1/r)**(k-1)
+    on (0, 1/2), the same for every phi (_lower_rule at KernelConfig.r_level
+    ``level``); Gauss-Legendre panels on (1/2, 1 - w), graded toward r = 1
+    with a common ratio of their ends' distances to 1 of at most _GRADING
+    and _GRADED_POINTS nodes each; and _UPPER_POINTS Gauss-Legendre nodes on
     (1 - w, 1).  Above 1/2 the nodes are placed by their distance 1 - r, so
     log(1/r) and 1 - r**2 keep their digits next to r = 1.  Returns the
     rules' nodes r and 1 - r, concatenated in the order of ``seps``, the
-    node factor r**(lam-1) log(1/r)**(k-1) (1 - r**2) times the weight, and
-    each rule's node count."""
+    node factor r**(lam-1) log(1/r)**(k-1) (1 - r**2) times the weight (the
+    Christoffel weight already holds the first two below 1/2), and each
+    rule's node count."""
     lower, lower_dist, lower_fac = _lower_rule(lam, k, level)
     # graded panel j of a phi spans the distances w g**j .. w g**(j + 1) to
     # r = 1, where g = (1/2 / w)**(1 / panels)
@@ -531,9 +575,10 @@ def kernel_partial(
     """
     lam = validate_lambda(lam)
     config = config or DEFAULT_KERNEL_CONFIG
-    _check_order(k)
-    if not 0 <= ell <= k:
-        raise ValueError(f"derivative order must lie in [0, {k}], got {ell}")
+    k = _check_order(k)
+    if not isinstance(ell, (int, np.integer)) or not 0 <= ell <= k:
+        raise ValueError(f"derivative order must be an integer in [0, {k}], got {ell!r}")
+    ell = int(ell)
     theta = _validate_angle("theta", theta)
     phis = _validate_phis(theta, phi, config.min_separation)
 
@@ -553,14 +598,13 @@ def kernel_partial(
     one_minus_cos_w = np.array([2.0 * math.sin(0.5 * (theta - p)) ** 2 for p in phis])
     sin_w = np.array([math.sin(theta - p) for p in phis])
     seps = np.minimum(np.abs(theta - phis), _FAR_SPLIT)
-    level = config.r_level + (k > _FINE_ORDER)
     coeffs = _expansion(layout, ell, 1.0 - one_minus_cos_w, -sigma, -sin_w, -cos_theta * sin_p)
     fold, fold_at = np.zeros((len(orders), columns)), (rows_of, np.arange(columns))
     values = np.empty(phis.size)
     for start in range(0, phis.size, _PHI_BLOCK):
         block = slice(start, start + _PHI_BLOCK)
         # the block's r-nodes, concatenated phi by phi, and their arithmetic
-        r, dist, r_fac, counts = _r_rules(lam, k, seps[block], level)
+        r, dist, r_fac, counts = _r_rules(lam, k, seps[block], config.r_level)
         delta_r = dist * dist + 2.0 * r * np.repeat(one_minus_cos_w[block], counts)
         q = r / delta_r
         four_sigma = np.repeat(4.0 * sigma[block], counts)

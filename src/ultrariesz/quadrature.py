@@ -7,10 +7,13 @@ analytically known recurrence coefficients of the weight
 nodes are +- the singular values of a half-size bidiagonal block of the
 Jacobi matrix, and the weights are Christoffel numbers summed by the
 three-term recurrence; no eigenvectors are formed.  The Riesz operator's
-phi panels take Gauss-Jacobi rules for t**beta on (0, 1) alike, with their
-orthonormal basis.  Everything else with an endpoint singularity
-(algebraic or logarithmic) goes through tanh-sinh quadrature, which also
-supplies the fixed node sets the kernel integrals build their grids from.
+phi panels take Gauss-Jacobi rules for t**beta on (0, 1), with their
+orthonormal basis, and the Riesz kernel's r-rule on (0, 1/2) the Gauss rule
+of its own weight, whose recurrence _stieltjes draws from a discretized
+measure: both through _gauss_from_recurrence.  Everything else with an
+endpoint singularity (algebraic or logarithmic) goes through tanh-sinh
+quadrature, which also supplies the fixed node sets the kernel integrals
+build their grids from and the discretizations _stieltjes runs on.
 _bernstein_points sizes every Gauss panel, the kernel's graded r-panels and
 the operator's phi panels alike; tanh_sinh_segment is the one map of the
 tanh-sinh table onto a segment.
@@ -259,9 +262,12 @@ def singular_integrate(
     Handles algebraic-logarithmic singularities at an endpoint that is 0.
     Nodes within an ulp of any other endpoint, hi included, round onto it,
     so an f infinite there raises EvaluationError: write f in the distance
-    to that end instead.  Convergence is declared at the first level >= 3 whose
-    level-to-level difference is below max(tol, rtol * |integral|);
-    otherwise an AccuracyError carrying the best estimate is raised.
+    to that end instead.  The rule stops ~1e-83 (hi - lo) short of lo, and
+    the mass below its nearest node is estimated as that node's distance to
+    lo times |f| there.  Convergence is declared at the first level >= 3
+    whose level-to-level difference plus that estimate is below
+    max(tol, rtol * |integral|); otherwise an AccuracyError carrying the
+    best estimate and that sum is raised.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError(f"invalid integration interval ({lo}, {hi})")
@@ -269,8 +275,11 @@ def singular_integrate(
     # weights carry the step h of their own level; rescale the running sum
     # by halving when the level increases.  The level-to-level difference is
     # taken as the error bound (conservative: convergence is faster than
-    # linear once the rule resolves the singularity).
+    # linear once the rule resolves the singularity), plus the tail below
+    # the node nearest lo.  For f ~ x**-a the tail is 1 / (1 - a) times its
+    # estimate: enough to refuse x**-0.9 at tol 1e-9, which loses 5.7e-8
     total = estimate = 0.0
+    nearest, tail = math.inf, 0.0
     for level in range(0, _MAX_LEVEL + 1):
         _, side, dist, weight = _ts_new_points(level)
         x = _map_nodes(lo, hi, side, dist)
@@ -284,9 +293,13 @@ def singular_integrate(
                 end = ", an end that nodes round onto: write f in the distance to it" if at in (lo, hi) else ""
                 raise EvaluationError(f"integrand is not finite at x={at}{end}")
             y = np.where(bad, 0.0, y)
+        # the table runs from its node nearest lo; a finer level may add one nearer
+        if side[0] < 0 and dist[0] < nearest:
+            nearest = float(dist[0])
+            tail = half * nearest * abs(float(y[0]))
         total = 0.5 * total + float(y @ weight)
         # level 0 never stops, so its difference from 0 is never read
-        diff = abs(half * total - estimate)
+        diff = abs(half * total - estimate) + tail
         estimate = half * total
         if level >= 3 and diff <= max(tol, rtol * abs(estimate)):
             return estimate
@@ -333,20 +346,36 @@ def _gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """The n-point Gauss rule on (0, 1) for the weight t**beta, and its
     orthonormal polynomials q_0 .. q_{n-1} at the nodes (row j holds q_j), so
     that sum_i w_i q_j q_l = delta_jl and c_j = sum_i w_i q_j(t_i) v_i are the
-    discrete coefficients of v.  The nodes are the eigenvalues of the Jacobi
-    matrix of the weight (Golub and Welsch, Math. Comp. 23, 1969) after one
-    Newton step on q_n; the weights are Christoffel numbers 1 / sum_j q_j**2,
-    summed by the three-term recurrence, as in _cached_rule.  Read-only
+    discrete coefficients of v; see _gauss_from_recurrence.  Read-only
     because every panel of n points shares them."""
-    # rows(t) is q_0 .. q_n at t, from the recurrence t q_j = b_{j+1} q_{j+1}
-    # + a_j q_j + b_j q_{j-1} of the Jacobi polynomials on (0, 1), off = b_1 .. b_n
+    # the recurrence t q_j = b_{j+1} q_{j+1} + a_j q_j + b_j q_{j-1} of the
+    # Jacobi polynomials on (0, 1), off = b_1 .. b_n
     j = np.arange(1, n + 1, dtype=float)
     two_j = 2.0 * j + beta
     diag = np.concatenate([[(beta + 1.0) / (beta + 2.0)], 0.5 + 0.5 * beta * beta / (two_j * (two_j + 2.0))])[:n]
     off = j * (j + beta) / (two_j * np.sqrt((two_j + 1.0) * (two_j - 1.0)))
+    rule = _gauss_from_recurrence(diag, off, math.sqrt(beta + 1.0))
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
+def _gauss_from_recurrence(
+    diag: np.ndarray, off: np.ndarray, q0: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-point Gauss rule, n = diag.size, of the measure whose orthonormal
+    polynomials satisfy t q_j = b_{j+1} q_{j+1} + a_j q_j + b_j q_{j-1},
+    diag = a_0 .. a_{n-1}, off = b_1 .. b_n, from q_0 = ``q0`` (the mass to
+    the power -1/2); and q_0 .. q_{n-1} at its nodes, row j holding q_j.  The
+    nodes are the eigenvalues of the Jacobi matrix (Golub and Welsch, Math.
+    Comp. 23, 1969) after one Newton step on q_n; the weights are Christoffel
+    numbers 1 / sum_j q_j**2, summed by the three-term recurrence, as in
+    _cached_rule."""
+    n = diag.size
 
     def rows(t: np.ndarray) -> np.ndarray:
-        below, prev, cur = 0.0, np.zeros_like(t), np.full_like(t, math.sqrt(beta + 1.0))
+        # q_0 .. q_n at t
+        below, prev, cur = 0.0, np.zeros_like(t), np.full_like(t, q0)
         out = [cur]
         for a, above in zip(diag.tolist(), off.tolist()):
             prev, cur = cur, ((t - a) * cur - below * prev) / above
@@ -361,9 +390,26 @@ def _gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     t = t - off[-1] * q[n] * q[n - 1] / np.sum(q[:n] ** 2, axis=0)
     basis = rows(t)[:n]
     weights = 1.0 / np.sum(basis * basis, axis=0)
-    for array in (t, weights, basis):
-        array.flags.writeable = False
     return t, weights, basis
+
+
+def _stieltjes(x: np.ndarray, w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The recurrence coefficients diag = a_0 .. a_{n-1} and off = b_1 .. b_n,
+    as _gauss_from_recurrence takes them, of the orthonormal polynomials of
+    the discrete measure sum_i w_i delta(x_i), by the Stieltjes procedure
+    (Gautschi, Orthogonal Polynomials, 2004, section 2.2): from
+    q_0 = (sum w)**-1/2, a_j = sum w x q_j**2 and b_{j+1} q_{j+1} =
+    (x - a_j) q_j - b_j q_{j-1}, b_{j+1} the norm of the right side.  A
+    measure on fewer than n + 1 points gives a b of 0 and non-finite
+    coefficients after it."""
+    diag, off = np.empty(n), np.empty(n)
+    below, prev, cur = 0.0, np.zeros_like(x), np.full_like(x, 1.0 / np.sqrt(w.sum()))
+    for j in range(n):
+        diag[j] = (w * cur) @ (x * cur)
+        nxt = (x - diag[j]) * cur - below * prev
+        off[j] = np.sqrt((w * nxt) @ nxt)
+        below, prev, cur = off[j], cur, nxt / off[j]
+    return diag, off
 
 
 def gauss_legendre_segment(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:

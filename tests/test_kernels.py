@@ -29,7 +29,7 @@ from ultrariesz import kernels, transforms
 from ultrariesz.jets import Jet
 from ultrariesz.faa_di_bruno import _term_layout
 from ultrariesz.kernels import DEFAULT_KERNEL_CONFIG, KernelConfig, _t_table
-from ultrariesz.quadrature import _bernstein_points, _ts_table, gauss_legendre_segment, tanh_sinh_segment
+from ultrariesz.quadrature import _bernstein_points, _gauss_jacobi, _ts_table, gauss_legendre_segment, tanh_sinh_segment
 
 
 class TestConstants:
@@ -260,6 +260,15 @@ class TestRieszKernel:
         with pytest.raises(ValueError, match="min_separation"):
             kernel_partial(1.0, 2, 1, 1.0, 0.5, config=KernelConfig(min_separation=0.0))
 
+    @pytest.mark.parametrize("ell", [1.5, 1.0, np.float64(1.0), "1", None])
+    def test_derivative_order_must_be_an_integer(self, ell):
+        # a float ell once ended in a TypeError inside the term layout
+        with pytest.raises(ValueError, match="derivative order must be an integer"):
+            kernel_partial(1.0, 2, ell, 1.0, 0.5)
+
+    def test_numpy_integer_derivative_order(self):
+        assert kernel_partial(1.0, 2, np.int64(1), 1.0, 0.5) == kernel_partial(1.0, 2, 1, 1.0, 0.5)
+
     def test_array_phi_equals_scalar_loop(self):
         theta = 1.1
         phis = np.array([0.05, 0.4, 1.0, theta - 2e-5, theta + 3e-3, 1.7, 2.9])
@@ -367,12 +376,17 @@ class TestRieszKernel:
         # against plain double sums on the same t-rule, with the r-integral
         # converged (level-8 tanh-sinh, its nodes and weights too in long
         # double) and every cell summed in long double (below).  They were
-        # re-recorded twice, each record closer to the long-double sum than
-        # the one it replaces: when the r-rule took Gauss-Legendre above its
-        # split (k = 3 moved 1.9e-13 relative and kept its record), and when
+        # re-recorded three times, each record closer to the long-double sum
+        # than the one it replaces: when the r-rule took Gauss-Legendre above
+        # its split (k = 3 moved 1.9e-13 relative and kept its record), when
         # its nodes above r = 1/2 came to carry their distance 1 - r, on
         # graded panels (every record moved, to within 2.2e-15 of the sum at
-        # odd k and 9.8e-11 at even k)
+        # odd k and 9.8e-11 at even k), and when the segment on (0, 1/2) took
+        # the Gauss rule of its own weight ((0.3, 2)'s first value moved past
+        # the gate below, from 5.5e-11 to 4.6e-11 relative off the sum).  That
+        # rule also moves (0.3, 4)'s first value past the gate, from 5.8e-12
+        # to 2.0e-11 off the sum, which this rule cannot record (ROADMAP
+        # item 7)
         rerecords = [
             {
                 (0.3, 1): [-16602.501830481833, 16601.440617570406, 1648.7036739358068],
@@ -391,6 +405,9 @@ class TestRieszKernel:
                 (2.45, 2): [3.7970337321809398, 1.107569238341873, 1.1076338293991266],
                 (2.45, 3): [22480.93913072845, -22458.0163862808, -2223.4824151311673],
                 (2.45, 4): [-7.293186345470882, -1.9146037882409814, -1.902317453240319],
+            },
+            {
+                (0.3, 2): [0.6168893609580157, 0.3735600676310831, 0.37354765319912897],
             },
         ]
         long_double = {
@@ -429,24 +446,26 @@ class TestRieszKernel:
 
 def _plain_double_sum(lam, k, ell, theta, phi, config):
     """kernel_partial as the plain double sum over its (r, t) grid: tanh-sinh
-    in t and in r on (0, 1/2), Gauss-Legendre in r on the graded panels of
-    (1/2, 1 - w) and on (1 - w, 1), placed by their distance 1 - r; every
+    in t, the kernel's own Gauss rule in r on (0, 1/2) (its weights carry
+    r**(lam-1) log(1/r)**(k-1)), and Gauss-Legendre in r on the graded panels
+    of (1/2, 1 - w) and on (1 - w, 1), placed by their distance 1 - r; every
     cell's d**-(lam+1+s) with P_s(t) evaluated at the node, nothing
     tabulated or interpolated."""
     t, t_weights = tanh_sinh_segment(0.0, math.pi, config.t_level)
     one_minus_cos_t = 2.0 * np.sin(0.5 * t) ** 2
     t_fac = np.sin(t) ** (2.0 * lam - 1.0) * t_weights
     sep = min(abs(theta - phi), 0.5)
-    lower, lower_weights = tanh_sinh_segment(0.0, 0.5, config.r_level + (k > kernels._FINE_ORDER))
+    lower, _, lower_fac = kernels._lower_rule(lam, k, config.r_level)
     panels = math.ceil(math.log(0.5 / sep) / math.log(kernels._GRADING))
     edges = [sep * (0.5 / sep) ** (j / panels) for j in range(panels)] + [0.5]
     upper = [gauss_legendre_segment(near, far, kernels._GRADED_POINTS) for near, far in zip(edges, edges[1:])]
     upper.append(gauss_legendre_segment(0.0, sep, kernels._UPPER_POINTS))
     dist = np.concatenate([nodes for nodes, _ in upper])
-    r, one_minus_r = np.concatenate([lower, 1.0 - dist]), np.concatenate([1.0 - lower, dist])
-    log_inv_r = np.concatenate([-np.log(lower), -np.log1p(-dist)])
-    r_weights = np.concatenate([lower_weights] + [w for _, w in upper])
-    r_fac = r ** (lam - 1.0) * log_inv_r ** (k - 1) * (one_minus_r * (1.0 + r)) * r_weights
+    r_upper = 1.0 - dist
+    upper_weights = np.concatenate([w for _, w in upper])
+    upper_fac = r_upper ** (lam - 1.0) * (-np.log1p(-dist)) ** (k - 1) * (dist * (1.0 + r_upper)) * upper_weights
+    r, one_minus_r = np.concatenate([lower, r_upper]), np.concatenate([1.0 - lower, dist])
+    r_fac = np.concatenate([lower_fac, upper_fac])
     w = theta - phi
     sigma = math.sin(theta) * math.sin(phi)
     one_minus_cos_w = 2.0 * math.sin(0.5 * w) ** 2
@@ -560,25 +579,29 @@ class TestKernelConfig:
 
 class TestGradedRRule:
     @pytest.mark.parametrize("lam", [0.3, 2.45])
-    def test_default_operators_hold_at_most_165_r_nodes_per_phi(self, monkeypatch, lam):
-        # 0.6 of the ~275 r-nodes per phi of the rule before the graded
-        # panels; each phi's graded segment holds its panels, the fewest
-        # that keep the ratio at most _GRADING, at _GRADED_POINTS apiece:
-        # the Bernstein-ellipse count at that ratio, and no more
+    def test_default_operators_hold_at_most_95_r_nodes_per_phi(self, monkeypatch, lam):
+        # ~89 per phi at k <= 4 and ~93 at k 12, a third of the ~275 of the
+        # rule before the graded panels; each phi's segment on (0, 1/2) holds
+        # _lower_points(k, r_level) Gauss points, and its graded segment its
+        # panels, the fewest that keep the ratio at most _GRADING, at
+        # _GRADED_POINTS apiece: the Bernstein-ellipse count at that ratio,
+        # and no more
         r_rules, seen = kernels._r_rules, []
 
         def recording(lam, k, seps, level):
             assert level == DEFAULT_KERNEL_CONFIG.r_level
             rules = r_rules(lam, k, seps, level)
-            seen.append((seps, rules[3]))
+            seen.append((np.full(seps.size, k), seps, rules[3]))
             return rules
 
         monkeypatch.setattr(kernels, "_r_rules", recording)
-        for k in range(1, 5):
+        for k in (1, 2, 3, 4, 8, 12):
             riesz_kernel(lam, k, 1.2, _phi_batch(lam, k, 1.2)[0])
-        seps, counts = (np.concatenate(parts) for parts in zip(*seen))
-        assert counts.sum() <= 0.6 * 275 * counts.size
-        lower = tanh_sinh_segment(0.0, 0.5, DEFAULT_KERNEL_CONFIG.r_level)[0].size
+        orders, seps, counts = (np.concatenate(parts) for parts in zip(*seen))
+        assert counts[orders <= 4].sum() <= 90 * np.sum(orders <= 4)
+        assert counts.sum() <= 95 * counts.size
+        lower = np.array([kernels._lower_points(int(k), DEFAULT_KERNEL_CONFIG.r_level) for k in orders])
+        assert np.array_equal(lower, np.where(orders <= 4, 14, 14 + (orders - 3) // 2))
         graded = counts - lower - kernels._UPPER_POINTS
         panels = np.ceil(np.log(0.5 / seps) / math.log(kernels._GRADING))
         assert np.array_equal(graded, kernels._GRADED_POINTS * panels)
@@ -598,6 +621,56 @@ class TestGradedRRule:
                 loop = [kernel_partial(0.5, k, ell, theta, float(phi), config=relaxed) for phi in phis]
                 assert np.all(np.isfinite(values)), (k, ell)
                 assert np.array_equal(values, np.array(loop)), (k, ell)
+
+
+def _log_moment(lam, k, j):
+    """int_0^(1/2) r**(lam+j-1) log(1/r)**(k-1) dr = Gamma(k, a ln 2) / a**k,
+    a = lam + j, with Gamma(k, x) = (k-1)! exp(-x) sum_{i<k} x**i / i!."""
+    a = lam + j
+    x = a * math.log(2.0)
+    return math.factorial(k - 1) * math.exp(-x) * sum(x**i / math.factorial(i) for i in range(k)) / a**k
+
+
+class TestLowerRRule:
+    """The r-rule's segment on (0, 1/2): the Gauss rule of the weight
+    r**(lam-1) log(1/r)**(k-1)."""
+
+    @pytest.mark.parametrize("lam", [0.25, 0.3, 1.0, 2.45, 7.5])
+    def test_integrates_the_weight_moments(self, lam):
+        for k in range(1, 13):
+            for level in (1, DEFAULT_KERNEL_CONFIG.r_level, 12):
+                r, one_minus_r, factor = kernels._lower_rule(lam, k, level)
+                n = kernels._lower_points(k, level)
+                assert r.size == n and np.array_equal(one_minus_r, 1.0 - r)
+                assert np.all(np.diff(r) > 0.0) and 0.0 < r[0] and r[-1] < 0.5
+                weights = factor / (1.0 - r * r)
+                for j in range(2 * n):
+                    exact = _log_moment(lam, k, j)
+                    assert abs(weights @ r**j - exact) <= 1e-13 * exact, (k, level, j)
+
+    @pytest.mark.parametrize("lam", [0.25, 0.7, 2.45])
+    def test_order_one_is_the_mapped_gauss_jacobi_rule(self, lam):
+        # r**(lam-1) dr on (0, 1/2) is 2**-lam t**(lam-1) dt at t = 2 r; the
+        # two agree to a few ulps of 1/2 in the nodes, and the weights of the
+        # nodes nearest 0 (where either puts them only to that absolute
+        # accuracy) to 1.5e-13 at 50 points
+        for level in (1, DEFAULT_KERNEL_CONFIG.r_level, 12):
+            r, _, factor = kernels._lower_rule(lam, 1, level)
+            t, weights, _ = _gauss_jacobi(r.size, lam - 1.0)
+            weights = 2.0**-lam * weights
+            np.testing.assert_allclose(r, 0.5 * t, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(factor / (1.0 - r * r), weights, rtol=3e-13, atol=0.0)
+            assert np.sum(np.abs(factor / (1.0 - r * r) - weights)) <= 5e-14 * weights.sum()
+
+    def test_is_read_only_and_cached(self):
+        rule = kernels._lower_rule(1.3, 4, 3)
+        assert kernels._lower_rule(1.3, 4, 3) is rule
+        assert not any(part.flags.writeable for part in rule)
+
+    def test_a_lambda_that_leaves_one_point_raises(self):
+        # x = u**(1/lam) rounds to 1 at every node: a one-point measure
+        with pytest.raises(EvaluationError, match="not finite"):
+            kernels._lower_rule(1e300, 2, 3)
 
 
 #: the default r-rule under a finer t-rule, so that the t-rule's error does

@@ -191,6 +191,20 @@ class TestSingularIntegrate:
         assert info.value.estimate == pytest.approx(exact, rel=1e-8)
         assert info.value.error_bound > 0.0
 
+    def test_mass_below_the_nearest_node_is_refused(self):
+        # the rule stops ~4e-83 short of 0, where x**-0.9 still holds
+        # (4e-83)**0.1 / 0.1 = 5.7e-8 of its mass: the level-to-level
+        # difference alone once passed tol 1e-9 and returned 11.212823474967184,
+        # 5.7e-8 below pi**0.1 / 0.1
+        exact = math.pi**0.1 / 0.1
+        with pytest.raises(AccuracyError) as info:
+            singular_integrate(lambda s: s**-0.9, 0.0, math.pi, tol=1e-9)
+        assert info.value.estimate == pytest.approx(exact, rel=1e-8)
+        assert 1e-9 < info.value.error_bound < exact - info.value.estimate
+        # x**-0.5 there holds 1.3e-41: the estimate does not stop it
+        value = singular_integrate(lambda s: s**-0.5, 0.0, math.pi, tol=1e-9)
+        assert value == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-14)
+
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             singular_integrate(lambda r: r, 1.0, 0.0)
@@ -246,13 +260,14 @@ class TestRowEngine:
         with pytest.raises(AccuracyError, match="did not reach tolerance 1e-10 on") as info:
             singular_integrate(lambda x: 1.0 / x, 0.0, 1.0)
         # the estimate is the finest level's sum, the bound its change from
-        # the level before
+        # the level before plus the mass estimate below the node nearest 0,
+        # x * (1 / x) = 1 there
         sums = []
         for level in (_MAX_LEVEL - 1, _MAX_LEVEL):
             x, w = tanh_sinh_segment(0.0, 1.0, level)
             sums.append(float(np.dot(w, 1.0 / x)))
         assert info.value.estimate == pytest.approx(sums[1], rel=1e-12)
-        assert info.value.error_bound == pytest.approx(abs(sums[1] - sums[0]), rel=1e-9)
+        assert info.value.error_bound == pytest.approx(abs(sums[1] - sums[0]) + 1.0, rel=1e-9)
         assert info.value.error_bound > 1e-10
 
     def test_a_non_finite_row_raises(self):
