@@ -382,11 +382,10 @@ class TestRieszKernel:
         # its nodes above r = 1/2 came to carry their distance 1 - r, on
         # graded panels (every record moved, to within 2.2e-15 of the sum at
         # odd k and 9.8e-11 at even k), and when the segment on (0, 1/2) took
-        # the Gauss rule of its own weight ((0.3, 2)'s first value moved past
-        # the gate below, from 5.5e-11 to 4.6e-11 relative off the sum).  That
-        # rule also moves (0.3, 4)'s first value past the gate, from 5.8e-12
-        # to 2.0e-11 off the sum, which this rule cannot record (ROADMAP
-        # item 7)
+        # the Gauss rule of its own weight at phi 5e-5 or more off the
+        # diagonal ((0.3, 4)'s third value moved past the gate below, from
+        # 1.6e-12 to 8.8e-13 relative off the sum; the phi 2e-5 off keep the
+        # tanh-sinh segment, kernels._NEAR_DIAGONAL)
         rerecords = [
             {
                 (0.3, 1): [-16602.501830481833, 16601.440617570406, 1648.7036739358068],
@@ -407,7 +406,7 @@ class TestRieszKernel:
                 (2.45, 4): [-7.293186345470882, -1.9146037882409814, -1.902317453240319],
             },
             {
-                (0.3, 2): [0.6168893609580157, 0.3735600676310831, 0.37354765319912897],
+                (0.3, 4): [-1.0522926053961528, -0.5656480768924353, -0.565590475658227],
             },
         ]
         long_double = {
@@ -455,7 +454,8 @@ def _plain_double_sum(lam, k, ell, theta, phi, config):
     one_minus_cos_t = 2.0 * np.sin(0.5 * t) ** 2
     t_fac = np.sin(t) ** (2.0 * lam - 1.0) * t_weights
     sep = min(abs(theta - phi), 0.5)
-    lower, _, lower_fac = kernels._lower_rule(lam, k, config.r_level)
+    rule = kernels._near_diagonal_rule if sep < kernels._NEAR_DIAGONAL else kernels._lower_rule
+    lower, _, lower_fac = rule(lam, k, config.r_level)
     panels = math.ceil(math.log(0.5 / sep) / math.log(kernels._GRADING))
     edges = [sep * (0.5 / sep) ** (j / panels) for j in range(panels)] + [0.5]
     upper = [gauss_legendre_segment(near, far, kernels._GRADED_POINTS) for near, far in zip(edges, edges[1:])]
@@ -671,6 +671,17 @@ class TestLowerRRule:
         # x = u**(1/lam) rounds to 1 at every node: a one-point measure
         with pytest.raises(EvaluationError, match="not finite"):
             kernels._lower_rule(1e300, 2, 3)
+
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_phi_next_to_the_diagonal_keep_the_tanh_sinh_segment(self, k):
+        # one level finer above k 4, as the segment was before the Gauss rule
+        seps = np.array([0.3, 2e-5, 1e-3, 4.9e-5])
+        r, _, _, counts = kernels._r_rules(0.3, k, seps, 3)
+        gauss = kernels._lower_rule(0.3, k, 3)[0]
+        tanh_sinh = tanh_sinh_segment(0.0, 0.5, 3 + (k > 4))[0]
+        for start, lower in zip(np.cumsum(counts) - counts, [gauss, tanh_sinh, gauss, tanh_sinh]):
+            assert np.array_equal(r[start : start + lower.size], lower)
+            assert r[start + lower.size] > 0.5
 
 
 #: the default r-rule under a finer t-rule, so that the t-rule's error does
