@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .special import _gamma_half_ratio, validate_lambda
+from .special import _check_integer, _gamma_half_ratio, validate_lambda
 
 __all__ = [
     "QuadratureError",
@@ -164,9 +164,7 @@ def build_rule(lam: float, order: int) -> QuadratureRule:
     """N-point Gaussian rule for dm_lambda, exact for polynomials in
     cos(theta) of degree <= 2N - 1."""
     lam = validate_lambda(lam)
-    if order < 2:
-        raise ValueError(f"rule order must be at least 2, got {order}")
-    return _cached_rule(lam, int(order))
+    return _cached_rule(lam, _check_integer("rule order", order, 2))
 
 
 def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from .quadrature import (
     _gauss_jacobi,
     total_mass,
 )
-from .special import _norm_sqs, _recurrence, gegenbauer_theta_jets, validate_lambda
+from .special import _check_integer, _norm_sqs, _polynomial_rows, gegenbauer_theta_jets, validate_lambda
 
 __all__ = [
     "SpectralCoefficients",
@@ -155,15 +155,23 @@ def _analyze(
 ) -> tuple[SpectralCoefficients, np.ndarray]:
     """analyze, and the ``extra`` coefficients past n_max from a product of
     their own, so that a_0 .. a_n_max are analyze's bit for bit."""
-    lam = validate_lambda(lam)
+    lam = _check_rule(lam, rule)
+    n_max = _check_integer("degree", n_max)
     if rule.order < n_max + 1:
         raise ValueError(f"rule order {rule.order} too low for degree {n_max}")
     # norms first: they overflow (OverflowError) before the recurrence would
     norms = _norms(lam, n_max + extra)
-    x = np.cos(rule.nodes)
-    basis = np.array(list(_recurrence(n_max + extra, lam, x, np.ones_like(x)))) / norms[:, None]
+    basis = _polynomial_rows(n_max + extra, lam, np.cos(rule.nodes)) / norms[:, None]
     weighted = rule.weights * _evaluate(f, rule.nodes)
     return SpectralCoefficients(lam=lam, coeffs=basis[: n_max + 1] @ weighted), basis[n_max + 1 :] @ weighted
+
+
+def _check_rule(lam: float, rule: QuadratureRule) -> float:
+    """lam, validated; ValueError unless ``rule`` is built for it."""
+    lam = validate_lambda(lam)
+    if rule.lam != lam:
+        raise ValueError(f"the rule is built for lambda {rule.lam}, not {lam}")
+    return lam
 
 
 # bounded like the rule cache; read-only because every caller shares it
@@ -182,8 +190,6 @@ def _norms(lam: float, n_max: int) -> np.ndarray:
 def synthesize(c: SpectralCoefficients, theta: float, derivative_order: int = 0) -> float:
     """Sum of c_n times the derivative_order-th theta-derivative of the
     normalized eigenfunction, from one array recurrence of theta-jets."""
-    if derivative_order < 0:
-        raise ValueError(f"derivative order must be nonnegative, got {derivative_order}")
     derivatives = gegenbauer_theta_jets(c.degree, c.lam, theta, derivative_order)[:, derivative_order]
     return _synthesis_sum(c.coeffs, derivatives, _norms(c.lam, c.degree))
 
@@ -206,7 +212,7 @@ def band_limited(c: SpectralCoefficients) -> Callable:
 
     def f(theta):
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        polys = _recurrence(c.degree, c.lam, np.cos(th), np.ones_like(th))
+        polys = _polynomial_rows(c.degree, c.lam, np.cos(th))
         out = np.zeros_like(th) + _synthesis_sum(c.coeffs, polys, norms)
         return out if np.ndim(theta) else float(out[0])
 
@@ -215,7 +221,7 @@ def band_limited(c: SpectralCoefficients) -> Callable:
 
 def poisson_coefficients(c: SpectralCoefficients, t: float) -> SpectralCoefficients:
     """Apply the Poisson multiplier exp(-t (n + lambda)) on coefficients."""
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError(f"time must be positive, got {t}")
     n = np.arange(c.degree + 1)
     return SpectralCoefficients(lam=c.lam, coeffs=c.coeffs * np.exp(-t * (n + c.lam)))
@@ -236,8 +242,8 @@ def _poisson_via_kernel_each(
     fs: Sequence[Callable], lam: float, t: float, theta: float, rule: QuadratureRule
 ) -> list[float]:
     """poisson_via_kernel for every f in ``fs``, from one kernel row."""
-    lam = validate_lambda(lam)
-    if t <= 0.0:
+    lam = _check_rule(lam, rule)
+    if not t > 0.0:
         raise ValueError(f"time must be positive, got {t}")
     r = math.exp(-t)
     kernel_vals = poisson_kernel(lam, r, theta, rule.nodes)
@@ -247,7 +253,7 @@ def _poisson_via_kernel_each(
 def fractional_power(c: SpectralCoefficients, alpha: float) -> SpectralCoefficients:
     """Negative fractional power of the Sturm-Liouville operator:
     multiplier (n + lambda)**(-2*alpha)."""
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError(f"exponent must be positive, got {alpha}")
     n = np.arange(c.degree + 1)
     return SpectralCoefficients(lam=c.lam, coeffs=c.coeffs * (n + c.lam) ** (-2.0 * alpha))

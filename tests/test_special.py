@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from ultrariesz import (
 )
 from ultrariesz import special
 from ultrariesz.jets import Jet
-from ultrariesz.special import _cos_leibniz
+from ultrariesz.special import _cos_leibniz, _polynomial_rows, _recurrence
 
 
 def _jet_object_recurrence(n_max, lam, theta, order):
@@ -57,6 +59,8 @@ class TestGegenbauerEval:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             gegenbauer_eval(3, 1.0, 1.1)
+        with pytest.raises(ValueError, match="outside"):
+            gegenbauer_eval(3, 1.0, np.array([0.5, math.nan]))
         with pytest.raises(ValueError):
             gegenbauer_eval(3, -1.0, 0.5)
         with pytest.raises(ValueError):
@@ -152,6 +156,147 @@ class TestThetaJets:
     def test_negative_degree_raises(self):
         with pytest.raises(ValueError, match="degree"):
             gegenbauer_theta_jets(-1, 1.0, 1.0, 2)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: gegenbauer_eval(2.5, 1.0, 0.3), "polynomial degree"),
+            (lambda: gegenbauer_eval(np.float64(2.0), 1.0, 0.3), "polynomial degree"),
+            (lambda: gegenbauer_theta_jets(3.0, 1.0, 1.0, 1), "polynomial degree"),
+            (lambda: gegenbauer_theta_jets(3, 1.0, 1.0, 1.5), "derivative order"),
+            (lambda: norm_sq(1.5, 1.0), "polynomial degree"),
+            (lambda: build_rule(1.3, 2.5), "rule order"),
+            (lambda: build_rule(1.3, 1), "rule order"),
+        ],
+    )
+    def test_a_non_integer_degree_or_order_is_refused_by_name(self, call, name):
+        # these once ended in a TypeError from range, or built an order-2 rule through int()
+        with pytest.raises(ValueError, match=name):
+            call()
+
+    def test_numpy_integer_degree_and_order(self):
+        assert gegenbauer_eval(np.int64(3), 0.7, 0.3) == gegenbauer_eval(3, 0.7, 0.3)
+        jets = gegenbauer_theta_jets(np.int64(3), 0.7, 1.0, np.int32(2))
+        assert np.array_equal(jets, gegenbauer_theta_jets(3, 0.7, 1.0, 2))
+        assert build_rule(1.3, np.int64(8)) is build_rule(1.3, 8)
+
+
+def _plain_values(n_max, lam, x):
+    """P_0 .. P_n_max at x from one fresh run of the recurrence."""
+    return np.array(list(_recurrence(n_max, lam, x, np.ones_like(x))))
+
+
+def _plain_jets(n_max, lam, theta, order):
+    """gegenbauer_theta_jets' rows from one fresh run of the recurrence."""
+    one = np.zeros(order + 1)
+    one[0] = 1.0
+    return np.array(list(_recurrence(n_max, lam, _cos_leibniz(theta, order), one, np.matmul)))
+
+
+@pytest.fixture
+def empty_memo():
+    special._clear_memo()
+    yield special._memo
+    # the running count is the kept tables' size: no update was lost
+    assert special._memo_floats == sum(table.size for table in special._memo.values())
+    special._clear_memo()
+
+
+class TestRecurrenceMemo:
+    @pytest.mark.parametrize("degrees", [(4, 30), (30, 4), (1, 2, 17), (0, 9, 3, 40)])
+    def test_prefix_and_extension_are_a_fresh_run_bit_for_bit(self, empty_memo, degrees):
+        x = np.cos(build_rule(1.3, 64).nodes)
+        for n in degrees:
+            assert np.array_equal(_polynomial_rows(n, 1.3, x), _plain_values(n, 1.3, x))
+            assert np.array_equal(gegenbauer_theta_jets(n, 1.3, 0.7, 5), _plain_jets(n, 1.3, 0.7, 5))
+            assert gegenbauer_eval(n, 1.3, 0.2) == _plain_values(n, 1.3, np.array(0.2))[-1]
+        assert max(table.shape[0] for table in empty_memo.values()) == max(degrees) + 1
+
+    def test_rows_are_read_only(self, empty_memo):
+        x = np.linspace(-0.9, 0.9, 5)
+        for rows in (_polynomial_rows(6, 0.8, x), gegenbauer_theta_jets(6, 0.8, 1.0, 2), gegenbauer_eval(6, 0.8, x)):
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0] = 0.0
+        assert not any(table.flags.writeable for table in empty_memo.values())
+        # a later extension leaves what a caller holds as it was
+        held = gegenbauer_theta_jets(6, 0.8, 1.0, 2).copy()
+        gegenbauer_theta_jets(20, 0.8, 1.0, 2)
+        assert np.array_equal(gegenbauer_theta_jets(6, 0.8, 1.0, 2), held)
+
+    def test_stays_bounded(self, empty_memo):
+        for i in range(3 * special._MEMO_TABLES):
+            gegenbauer_theta_jets(8, 1.0 + i, 0.7, 2)
+            gegenbauer_eval(3, 1.0, np.linspace(-0.5, 0.5, 7) + 1e-3 * i)
+            assert len(empty_memo) <= special._MEMO_TABLES
+        # the most recent are kept
+        assert (1.0 + 3 * special._MEMO_TABLES - 1, 0.7, 2) in empty_memo
+        # tables that fit alone but not together push the oldest out
+        points = special._MEMO_ENTRIES // 8
+        for i in range(4):
+            gegenbauer_eval(2, 1.0, np.linspace(-0.5, 0.5, points) + 1e-3 * i)
+            assert sum(table.size for table in empty_memo.values()) <= special._MEMO_ENTRIES
+        assert len(empty_memo) == 2
+
+    def test_a_table_past_the_size_cap_is_not_kept(self, empty_memo):
+        x = np.cos(np.linspace(0.1, 3.0, special._MEMO_ENTRIES // 4 + 1))
+        rows = _polynomial_rows(3, 0.7, x)
+        assert rows.shape == (4, x.size) and not empty_memo
+        assert np.array_equal(rows, _plain_values(3, 0.7, x))
+        # nor is its extension of a kept table
+        small = _polynomial_rows(1, 0.7, x[:100])
+        assert np.array_equal(_polynomial_rows(special._MEMO_ENTRIES // 100, 0.7, x[:100])[:2], small)
+        assert [table.shape for table in empty_memo.values()] == [(2, 100)]
+
+    def test_a_non_finite_table_is_not_kept(self, empty_memo):
+        # so that a caller raising on overflow meets it as in a fresh run
+        x = np.array([0.3, 0.9])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(gegenbauer_eval(40, 1e20, x)).all()
+        assert not empty_memo
+        with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
+            gegenbauer_eval(40, 1e20, x)
+
+    def test_a_points_key_tells_shapes_apart(self, empty_memo):
+        x = np.linspace(-0.5, 0.5, 6)
+        flat = gegenbauer_eval(4, 1.1, x)
+        square = gegenbauer_eval(4, 1.1, x.reshape(2, 3))
+        assert square.shape == (2, 3) and np.array_equal(square.ravel(), flat)
+
+    def test_concurrent_callers_get_the_serial_values(self, empty_memo):
+        x = np.cos(build_rule(0.9, 64).nodes)
+        # each caller reads its degrees in its own order: prefixes, extensions
+        # and builds of one key race
+        orders = [(5, 30, 12), (30, 5, 12), (12, 30, 5), (12, 5, 30)]
+
+        def work(degrees):
+            return [(_polynomial_rows(n, 0.9, x), gegenbauer_theta_jets(n, 0.9, 1.2, 3)) for n in degrees]
+
+        serial = {n: (_plain_values(n, 0.9, x), _plain_jets(n, 0.9, 1.2, 3)) for n in orders[0]}
+        results: dict[int, list] = {}
+
+        def call(slot):
+            results[slot] = work(orders[slot])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                special._clear_memo()
+                results.clear()
+                callers = [threading.Thread(target=call, args=(slot,)) for slot in range(4)]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=120)
+                assert not any(caller.is_alive() for caller in callers)
+                assert sorted(results) == [0, 1, 2, 3]
+                for slot, values in results.items():
+                    for n, (rows, jets) in zip(orders[slot], values):
+                        assert np.array_equal(rows, serial[n][0])
+                        assert np.array_equal(jets, serial[n][1])
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestNorms:

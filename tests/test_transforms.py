@@ -25,7 +25,7 @@ from ultrariesz import (
     singular_integrate,
     synthesize,
 )
-from ultrariesz import transforms
+from ultrariesz import special, transforms
 
 
 def normalized_eigenfunction(n, lam):
@@ -69,6 +69,24 @@ class TestAnalyze:
         rule = build_rule(1.0, 8)
         with pytest.raises(ValueError):
             analyze(lambda th: th, 1.0, 10, rule)
+
+    def test_a_non_integer_degree_is_refused(self):
+        # it once ended in a TypeError from range
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            analyze(np.cos, 1.0, 1.5, build_rule(1.0, 8))
+
+    def test_a_rule_for_another_lambda_is_refused(self):
+        # riesz_spectral(np.cos, 2.0, 1, 1.0, 4, build_rule(1.3, 16)) once
+        # returned -0.6635 against -sin(1)/3, and poisson_via_kernel 0.1767
+        # against 0.1206
+        with pytest.raises(ValueError, match="built for lambda 1.3, not 2.0"):
+            analyze(np.cos, 2.0, 4, build_rule(1.3, 16))
+        with pytest.raises(ValueError, match="built for lambda 1.3, not 2.0"):
+            riesz_spectral(np.cos, 2.0, 1, 1.0, 4, build_rule(1.3, 16))
+        with pytest.raises(ValueError, match="built for lambda 1.3, not 2.0"):
+            poisson_via_kernel(np.cos, 2.0, 0.5, 1.0, build_rule(1.3, 64))
+        value = riesz_spectral(np.cos, 2.0, 1, 1.0, 4, build_rule(2.0, 16))
+        assert value == pytest.approx(-math.sin(1.0) / 3.0, rel=1e-12)
 
 
 class TestSynthesize:
@@ -152,9 +170,13 @@ class TestPoisson:
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
     def test_time_validation(self):
+        # a NaN time once gave NaN coefficients
         c = SpectralCoefficients(1.0, [1.0])
-        with pytest.raises(ValueError):
-            poisson_coefficients(c, 0.0)
+        for t in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="time must be positive"):
+                poisson_coefficients(c, t)
+            with pytest.raises(ValueError, match="time must be positive"):
+                poisson_via_kernel(np.cos, 1.0, t, 1.0, build_rule(1.0, 8))
 
 
 class TestFractionalPower:
@@ -184,8 +206,10 @@ class TestFractionalPower:
             assert value == pytest.approx(mu ** (-2 * alpha), rel=1e-10)
 
     def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            fractional_power(SpectralCoefficients(1.0, [1.0]), 0.0)
+        # a NaN exponent once gave NaN coefficients
+        for alpha in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="exponent must be positive"):
+                fractional_power(SpectralCoefficients(1.0, [1.0]), alpha)
 
 
 class TestRieszSpectral:
@@ -253,6 +277,48 @@ class TestRieszSpectral:
             riesz_spectral(f, lam, 1, 0.7, 16, rule)
         # at pi/2, where the measure sits, the value stays good
         assert riesz_spectral(f, lam, 1, math.pi / 2, 16, rule) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestRecurrenceMemo:
+    """The spectral route reads its Gegenbauer rows from special's memo: each
+    value is what it is with the memo cleared, bit for bit."""
+
+    @staticmethod
+    def _values(lam, coeffs, theta):
+        c = SpectralCoefficients(lam, coeffs)
+        f = band_limited(c)
+        rule = build_rule(lam, 64)
+        values = [riesz_spectral(f, lam, k, theta, c.degree + 4, rule) for k in range(1, 7)]
+        values += [synthesize(fractional_power(c, 0.5 * k), theta, k) for k in range(1, 7)]
+        values += [poisson_spectral(c, t, theta) for t in (0.1, 1.0)]
+        values += [poisson_via_kernel(f, lam, t, theta, build_rule(lam, 128)) for t in (0.1, 1.0)]
+        return np.concatenate([values, f(rule.nodes), [f(theta)], analyze(f, lam, c.degree + 2, rule).coeffs])
+
+    @pytest.mark.parametrize("lam, degree, theta", [(0.3, 8, 0.4), (1.3, 16, 1.9), (2.45, 24, 2.9)])
+    def test_values_with_the_memo_warm_and_cleared(self, lam, degree, theta):
+        coeffs = np.sin(np.arange(degree + 1) + lam)
+        special._clear_memo()
+        cold = self._values(lam, coeffs, theta)
+        warm = self._values(lam, coeffs, theta)
+        special._clear_memo()
+        assert np.array_equal(warm, cold)
+        assert np.array_equal(self._values(lam, coeffs, theta), cold)
+
+    def test_one_value_table_and_one_jet_table_per_key(self, monkeypatch):
+        # k 1..6 at one (lambda, rule, theta): the rule's points are read from
+        # one table by analyze and by f, and each k's jets from one table
+        runs = []
+        recurrence = special._recurrence
+
+        def counted(*args, **kwargs):
+            runs.append(args[4] if len(args) > 4 else np.multiply)
+            return recurrence(*args, **kwargs)
+
+        monkeypatch.setattr(special, "_recurrence", counted)
+        special._clear_memo()
+        self._values(1.1, np.cos(np.arange(13)), 0.8)
+        assert runs.count(np.multiply) == 3  # the order-64 and order-128 rules' points, and theta
+        assert runs.count(np.matmul) == 7  # the jets of orders 0..6
 
 
 class TestTruncated:
