@@ -13,12 +13,14 @@ differentiation is done anywhere.
 ``_recurrence`` is the one body of the recurrence, and ``_rows`` its one
 memo: the rows P_0 .. P_n at a point array, keyed by (lambda, the points),
 and the theta-jets, keyed by (lambda, theta, order).  A lower degree reads
-a prefix of a kept table and a higher one extends it from its last two rows
-through ``_recurrence``, so every row is bit for bit what a fresh run
-gives.  The rows are read-only.  The memo keeps at most _MEMO_TABLES tables,
-dropping the least recently read first, and at most _MEMO_ENTRIES floats
-(2 MiB) in all; a larger table, or one with a non-finite entry, is computed
-and not kept.
+a prefix of a kept table; a higher one reruns the recurrence fresh and the
+longer table is kept, so every row is bit for bit what a fresh run gives.
+Kept tables are read-only; gegenbauer_theta_jets returns a copy, and
+gegenbauer_eval does not use the memo.  The memo keeps at most
+_MEMO_TABLES tables, dropping the least recently read first, and at most
+_MEMO_ENTRIES floats (2 MiB) in all, the bytes of a points key counted
+with its table; a larger table, or one with a non-finite entry, is
+computed and not kept.
 """
 
 from __future__ import annotations
@@ -75,25 +77,20 @@ def _check_integer(name: str, value, least: int = 0) -> int:
     return int(value)
 
 
-def _recurrence(n_max: int, lam: float, x, one, times=np.multiply, start=None):
+def _recurrence(n_max: int, lam: float, x, one, times=np.multiply):
     """Yield P_0(x), ..., P_{n_max}(x) by the three-term recurrence
     ``m*P_m = 2*(m+lam-1)*x*P_{m-1} - (m+2*lam-2)*P_{m-2}``.
 
     ``x`` is a float array and ``one`` the matching P_0, multiplied
     elementwise; or ``x`` is the Leibniz matrix of cos(theta),
     ``one`` the derivative vector (1, 0, ..., 0) and ``times`` matmul.
-    ``start``, (m, P_{m-1}, P_m) of an earlier run with m >= 1, continues
-    that run: it yields P_{m+1}, ..., P_{n_max} only.
     """
-    if start is None:
-        yield one
-        if n_max < 1:
-            return
-        m, p_prev, p = 1, one, times(2.0 * lam * x, one)
-        yield p
-    else:
-        m, p_prev, p = start
-    for m in range(m + 1, n_max + 1):
+    yield one
+    if n_max < 1:
+        return
+    p_prev, p = one, times(2.0 * lam * x, one)
+    yield p
+    for m in range(2, n_max + 1):
         p, p_prev = (times(2.0 * (m + lam - 1.0) * x, p) - (m + 2.0 * lam - 2.0) * p_prev) / m, p
         yield p
 
@@ -115,6 +112,11 @@ def _clear_memo() -> None:
         _memo_floats = 0
 
 
+def _footprint(key: tuple, table: np.ndarray) -> int:
+    """Floats a kept table holds: its own, and the points' bytes in its key."""
+    return table.size + sum(len(part) // 8 for part in key if isinstance(part, bytes))
+
+
 def _keep(key: tuple, table: np.ndarray) -> None:
     """Keep ``table`` under ``key``, unless a longer table is kept there, and
     drop the least recently read tables past the memo's bounds."""
@@ -122,60 +124,72 @@ def _keep(key: tuple, table: np.ndarray) -> None:
     with _memo_lock:
         held = _memo.pop(key, None)
         if held is not None:
-            _memo_floats -= held.size
+            _memo_floats -= _footprint(key, held)
             if held.shape[0] > table.shape[0]:
                 table = held
         _memo[key] = table
-        _memo_floats += table.size
+        _memo_floats += _footprint(key, table)
         while len(_memo) > _MEMO_TABLES or _memo_floats > _MEMO_ENTRIES:
-            _memo_floats -= _memo.popitem(last=False)[1].size
+            _memo_floats -= _footprint(*_memo.popitem(last=False))
+
+
+def _kept(key: tuple, n_max: int) -> np.ndarray | None:
+    """The first n_max + 1 rows of the table kept under ``key``, if it has
+    that many; None otherwise."""
+    with _memo_lock:
+        table = _memo.get(key)
+        if table is not None:
+            _memo.move_to_end(key)
+    return table[: n_max + 1] if table is not None and table.shape[0] > n_max else None
 
 
 def _rows(key: tuple, n_max: int, lam: float, operands) -> np.ndarray:
     """The read-only rows P_0 .. P_{n_max} of the recurrence that
     ``operands()`` sets up, as (x, one, times) for _recurrence, kept under
-    ``key``.  A kept table of as many rows or more gives a prefix; a shorter
-    one of two rows or more is extended from its last two.  Tables are built
-    outside the lock, so a concurrent caller may build one twice; the longer
-    is kept."""
-    with _memo_lock:
-        table = _memo.get(key)
-        if table is not None:
-            _memo.move_to_end(key)
-    if table is not None and table.shape[0] > n_max:
-        return table[: n_max + 1]
-    x, one, times = operands()
-    if table is None or table.shape[0] < 2:
-        table = np.array(list(_recurrence(n_max, lam, x, one, times)))
-    else:
-        # copies: each row enters the recurrence as a fresh array, as in a fresh run
-        m = table.shape[0] - 1
-        start = (m, table[m - 1].copy(), table[m].copy())
-        table = np.concatenate([table, np.array(list(_recurrence(n_max, lam, x, one, times, start)))])
+    ``key``: a prefix of a kept table of as many rows or more, else one fresh
+    run.  Tables are built outside the lock, so a concurrent caller may build
+    one twice; the longer is kept."""
+    table = _kept(key, n_max)
+    if table is not None:
+        return table
+    table = np.array(list(_recurrence(n_max, lam, *operands())))
     table.flags.writeable = False
     # a non-finite table is not kept, so each call meets the recurrence's
     # overflow as a fresh run does (a warning, or the caller's errstate)
-    if table.size <= _MEMO_ENTRIES and np.isfinite(table).all():
+    if _footprint(key, table) <= _MEMO_ENTRIES and np.isfinite(table).all():
         _keep(key, table)
     return table
 
 
+def _points_key(lam: float, x: np.ndarray) -> tuple:
+    """The memo's key of the rows at a float array x."""
+    return lam, x.shape, x.tobytes()
+
+
 def _polynomial_rows(n_max: int, lam: float, x: np.ndarray) -> np.ndarray:
     """The read-only rows P_0(x) .. P_{n_max}(x), shape (n_max + 1, *x.shape),
-    of a float array x, from the memo."""
-    return _rows((lam, x.shape, x.tobytes()), n_max, lam, lambda: (x, np.ones_like(x), np.multiply))
+    of a float array x, from the memo; for points that are read again, such
+    as a rule's nodes."""
+    return _rows(_points_key(lam, x), n_max, lam, lambda: (x, np.ones_like(x), np.multiply))
+
+
+def _polynomial_rows_if_kept(n_max: int, lam: float, x: np.ndarray):
+    """The rows P_0(x) .. P_{n_max}(x): the memo's if it keeps them, else a
+    fresh run of the recurrence that is not kept."""
+    table = _kept(_points_key(lam, x), n_max)
+    return _recurrence(n_max, lam, x, np.ones_like(x)) if table is None else table
 
 
 def gegenbauer_eval(n: int, lam: float, x):
-    """Evaluate the degree-n ultraspherical polynomial at x (scalar or
-    array); an array result is read-only."""
+    """Evaluate the degree-n ultraspherical polynomial at x (scalar or array)."""
     lam = validate_lambda(lam)
     n = _check_integer("polynomial degree", n)
     x_arr = np.asarray(x, dtype=float)
     # written so that a NaN argument fails it
     if not np.all(np.abs(x_arr) <= 1.0 + _X_DOMAIN_SLACK):
         raise ValueError("argument outside [-1, 1]")
-    p = _polynomial_rows(n, lam, x_arr)[n]
+    for p in _recurrence(n, lam, x_arr, np.ones_like(x_arr)):
+        pass
     return p if x_arr.ndim else float(p)
 
 
@@ -190,8 +204,8 @@ def _cos_leibniz(theta: float, order: int) -> np.ndarray:
 
 def gegenbauer_theta_jets(n_max: int, lam: float, theta: float, order: int) -> np.ndarray:
     """Row n: P_n(cos(theta)) and its first ``order`` theta-derivatives, for
-    n = 0..n_max; one matrix-vector product per degree of the recurrence.
-    The array is read-only: it is the memo's."""
+    n = 0..n_max; one matrix-vector product per degree of the recurrence,
+    or a copy of the memo's rows."""
     lam = validate_lambda(lam)
     n_max = _check_integer("polynomial degree", n_max)
     theta = _validate_angle("theta", theta)
@@ -202,7 +216,7 @@ def gegenbauer_theta_jets(n_max: int, lam: float, theta: float, order: int) -> n
         one[0] = 1.0
         return _cos_leibniz(theta, order), one, np.matmul
 
-    return _rows((lam, theta, order), n_max, lam, operands)
+    return _rows((lam, theta, order), n_max, lam, operands).copy()
 
 
 #: from this lambda on, _gamma_half_ratio sums its asymptotic series: the

@@ -31,7 +31,14 @@ from .quadrature import (
     _gauss_jacobi,
     total_mass,
 )
-from .special import _check_integer, _norm_sqs, _polynomial_rows, gegenbauer_theta_jets, validate_lambda
+from .special import (
+    _check_integer,
+    _norm_sqs,
+    _polynomial_rows,
+    _polynomial_rows_if_kept,
+    gegenbauer_theta_jets,
+    validate_lambda,
+)
 
 __all__ = [
     "SpectralCoefficients",
@@ -212,7 +219,9 @@ def band_limited(c: SpectralCoefficients) -> Callable:
 
     def f(theta):
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        polys = _polynomial_rows(c.degree, c.lam, np.cos(th))
+        # reads the rows analyze keeps at a rule's nodes, and keeps none: most
+        # other points, such as a truncation operator's probes, come once
+        polys = _polynomial_rows_if_kept(c.degree, c.lam, np.cos(th))
         out = np.zeros_like(th) + _synthesis_sum(c.coeffs, polys, norms)
         return out if np.ndim(theta) else float(out[0])
 

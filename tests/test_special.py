@@ -16,7 +16,7 @@ from ultrariesz import (
 )
 from ultrariesz import special
 from ultrariesz.jets import Jet
-from ultrariesz.special import _cos_leibniz, _polynomial_rows, _recurrence
+from ultrariesz.special import _cos_leibniz, _polynomial_rows, _polynomial_rows_if_kept, _recurrence
 
 
 def _jet_object_recurrence(n_max, lam, theta, order):
@@ -197,53 +197,87 @@ def _plain_jets(n_max, lam, theta, order):
 def empty_memo():
     special._clear_memo()
     yield special._memo
-    # the running count is the kept tables' size: no update was lost
-    assert special._memo_floats == sum(table.size for table in special._memo.values())
+    # the running count is the kept tables' footprint: no update was lost
+    assert special._memo_floats == sum(special._footprint(*item) for item in special._memo.items())
     special._clear_memo()
 
 
 class TestRecurrenceMemo:
     @pytest.mark.parametrize("degrees", [(4, 30), (30, 4), (1, 2, 17), (0, 9, 3, 40)])
-    def test_prefix_and_extension_are_a_fresh_run_bit_for_bit(self, empty_memo, degrees):
+    def test_prefix_and_rerun_are_a_fresh_run_bit_for_bit(self, empty_memo, degrees):
         x = np.cos(build_rule(1.3, 64).nodes)
         for n in degrees:
             assert np.array_equal(_polynomial_rows(n, 1.3, x), _plain_values(n, 1.3, x))
             assert np.array_equal(gegenbauer_theta_jets(n, 1.3, 0.7, 5), _plain_jets(n, 1.3, 0.7, 5))
-            assert gegenbauer_eval(n, 1.3, 0.2) == _plain_values(n, 1.3, np.array(0.2))[-1]
-        assert max(table.shape[0] for table in empty_memo.values()) == max(degrees) + 1
+        # the longer table is kept, one per key
+        assert [table.shape[0] for table in empty_memo.values()] == [max(degrees) + 1] * 2
 
-    def test_rows_are_read_only(self, empty_memo):
+    def test_a_shorter_table_never_replaces_a_longer_one(self, empty_memo):
+        # as when two callers race to build one key
+        x = np.linspace(-0.5, 0.5, 4)
+        key, long = special._points_key(0.7, x), _plain_values(9, 0.7, x)
+        special._keep(key, long)
+        special._keep(key, _plain_values(3, 0.7, x))
+        assert empty_memo[key] is long
+
+    def test_kept_tables_are_read_only_and_results_writable(self, empty_memo):
         x = np.linspace(-0.9, 0.9, 5)
-        for rows in (_polynomial_rows(6, 0.8, x), gegenbauer_theta_jets(6, 0.8, 1.0, 2), gegenbauer_eval(6, 0.8, x)):
-            assert not rows.flags.writeable
-            with pytest.raises(ValueError):
-                rows[0] = 0.0
+        rows = _polynomial_rows(6, 0.8, x)
+        with pytest.raises(ValueError):
+            rows[0] = 0.0
         assert not any(table.flags.writeable for table in empty_memo.values())
-        # a later extension leaves what a caller holds as it was
-        held = gegenbauer_theta_jets(6, 0.8, 1.0, 2).copy()
-        gegenbauer_theta_jets(20, 0.8, 1.0, 2)
+        # the public functions hand out arrays of their own
+        jets, values = gegenbauer_theta_jets(6, 0.8, 1.0, 2), gegenbauer_eval(6, 0.8, x)
+        held = jets.copy()
+        jets *= 2.0
+        values[0] = 0.0
         assert np.array_equal(gegenbauer_theta_jets(6, 0.8, 1.0, 2), held)
+        assert np.array_equal(gegenbauer_eval(6, 0.8, x), rows[6])
+
+    def test_gegenbauer_eval_keeps_nothing(self, empty_memo):
+        gegenbauer_eval(5, 1.1, np.linspace(-0.5, 0.5, 7))
+        gegenbauer_eval(5, 1.1, 0.3)
+        assert not empty_memo
+
+    def test_rows_if_kept_read_the_memo_and_keep_nothing(self, empty_memo):
+        x = np.cos(build_rule(1.3, 64).nodes)
+        for n in (3, 9):
+            assert np.array_equal(list(_polynomial_rows_if_kept(n, 1.3, x)), _plain_values(n, 1.3, x))
+        assert not empty_memo
+        kept = _polynomial_rows(6, 1.3, x)
+        assert np.shares_memory(_polynomial_rows_if_kept(4, 1.3, x), kept)
+        assert np.array_equal(list(_polynomial_rows_if_kept(9, 1.3, x)), _plain_values(9, 1.3, x))
+        assert [table.shape[0] for table in empty_memo.values()] == [7]
 
     def test_stays_bounded(self, empty_memo):
         for i in range(3 * special._MEMO_TABLES):
             gegenbauer_theta_jets(8, 1.0 + i, 0.7, 2)
-            gegenbauer_eval(3, 1.0, np.linspace(-0.5, 0.5, 7) + 1e-3 * i)
+            _polynomial_rows(3, 1.0, np.linspace(-0.5, 0.5, 7) + 1e-3 * i)
             assert len(empty_memo) <= special._MEMO_TABLES
         # the most recent are kept
         assert (1.0 + 3 * special._MEMO_TABLES - 1, 0.7, 2) in empty_memo
-        # tables that fit alone but not together push the oldest out
+        # tables that fit alone but not together push the oldest out; a points
+        # key counts as one more row
         points = special._MEMO_ENTRIES // 8
         for i in range(4):
-            gegenbauer_eval(2, 1.0, np.linspace(-0.5, 0.5, points) + 1e-3 * i)
-            assert sum(table.size for table in empty_memo.values()) <= special._MEMO_ENTRIES
+            _polynomial_rows(2, 1.0, np.linspace(-0.5, 0.5, points) + 1e-3 * i)
+            assert special._memo_floats <= special._MEMO_ENTRIES
         assert len(empty_memo) == 2
+        assert special._memo_floats == 2 * 4 * points
 
     def test_a_table_past_the_size_cap_is_not_kept(self, empty_memo):
         x = np.cos(np.linspace(0.1, 3.0, special._MEMO_ENTRIES // 4 + 1))
         rows = _polynomial_rows(3, 0.7, x)
         assert rows.shape == (4, x.size) and not empty_memo
         assert np.array_equal(rows, _plain_values(3, 0.7, x))
-        # nor is its extension of a kept table
+        # its points key counts: three rows and the key fill the cap
+        x = x[: special._MEMO_ENTRIES // 4]
+        _polynomial_rows(2, 0.7, x)
+        assert special._memo_floats == special._MEMO_ENTRIES
+        special._clear_memo()
+        _polynomial_rows(3, 0.7, x)
+        assert not empty_memo
+        # nor is a longer rerun of a kept table
         small = _polynomial_rows(1, 0.7, x[:100])
         assert np.array_equal(_polynomial_rows(special._MEMO_ENTRIES // 100, 0.7, x[:100])[:2], small)
         assert [table.shape for table in empty_memo.values()] == [(2, 100)]
@@ -252,20 +286,21 @@ class TestRecurrenceMemo:
         # so that a caller raising on overflow meets it as in a fresh run
         x = np.array([0.3, 0.9])
         with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.isfinite(gegenbauer_eval(40, 1e20, x)).all()
+            assert not np.isfinite(_polynomial_rows(40, 1e20, x)).all()
         assert not empty_memo
         with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
-            gegenbauer_eval(40, 1e20, x)
+            _polynomial_rows(40, 1e20, x)
 
     def test_a_points_key_tells_shapes_apart(self, empty_memo):
         x = np.linspace(-0.5, 0.5, 6)
-        flat = gegenbauer_eval(4, 1.1, x)
-        square = gegenbauer_eval(4, 1.1, x.reshape(2, 3))
-        assert square.shape == (2, 3) and np.array_equal(square.ravel(), flat)
+        flat = _polynomial_rows(4, 1.1, x)
+        square = _polynomial_rows(4, 1.1, x.reshape(2, 3))
+        assert square.shape == (5, 2, 3) and np.array_equal(square.reshape(5, 6), flat)
+        assert len(empty_memo) == 2
 
     def test_concurrent_callers_get_the_serial_values(self, empty_memo):
         x = np.cos(build_rule(0.9, 64).nodes)
-        # each caller reads its degrees in its own order: prefixes, extensions
+        # each caller reads its degrees in its own order: prefixes, reruns
         # and builds of one key race
         orders = [(5, 30, 12), (30, 5, 12), (12, 30, 5), (12, 5, 30)]
 

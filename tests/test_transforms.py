@@ -304,9 +304,10 @@ class TestRecurrenceMemo:
         assert np.array_equal(warm, cold)
         assert np.array_equal(self._values(lam, coeffs, theta), cold)
 
-    def test_one_value_table_and_one_jet_table_per_key(self, monkeypatch):
+    def test_one_value_table_per_rule_and_one_jet_table_per_key(self, monkeypatch):
         # k 1..6 at one (lambda, rule, theta): the rule's points are read from
-        # one table by analyze and by f, and each k's jets from one table
+        # the one table analyze keeps, by analyze and by f, and each k's jets
+        # from one table; f keeps no table of its own
         runs = []
         recurrence = special._recurrence
 
@@ -317,7 +318,8 @@ class TestRecurrenceMemo:
         monkeypatch.setattr(special, "_recurrence", counted)
         special._clear_memo()
         self._values(1.1, np.cos(np.arange(13)), 0.8)
-        assert runs.count(np.multiply) == 3  # the order-64 and order-128 rules' points, and theta
+        # the order-64 rule's points once, the order-128 rule's at each t, and theta
+        assert runs.count(np.multiply) == 4
         assert runs.count(np.matmul) == 7  # the jets of orders 0..6
 
 
