@@ -94,6 +94,10 @@ class RunConfig:
     k: int = 1
     n_max: int = 16
     quad_order: int = 128
+    # ratio 1/2 on 9 radii, not the library's 1/4 on 5: the reports (the
+    # variation trace reads T f at every radius) stay as they were; at 1/4,
+    # compare --lambda 2.45 --k 12 reads a tail of 1.04e-7, past 10 x a 1e-8
+    # tolerance; and --eps-count 13 would reach inside the kernel guard
     eps_start: float = 0.05
     eps_ratio: float = 0.5
     eps_count: int = 9

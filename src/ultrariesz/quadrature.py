@@ -138,6 +138,8 @@ def _cached_rule(lam: float, order: int) -> QuadratureRule:
     mirror = slice(order % 2, None)
     nodes = np.concatenate([theta, math.pi - theta[::-1][mirror]])
     weights = np.concatenate([w, w[::-1][mirror]])
+    # read-only: every later call of this (lambda, order) returns these arrays
+    nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(nodes=nodes, weights=weights, lam=lam, order=order)
 
 

@@ -139,9 +139,18 @@ class TruncationSchedule:
             )
 
     @classmethod
-    def geometric(cls, start: float = 0.05, ratio: float = 0.5, count: int = 9) -> "TruncationSchedule":
+    def geometric(cls, start: float = 0.05, ratio: float = 0.25, count: int = 5) -> "TruncationSchedule":
+        """``count`` radii start * ratio**i.  The default spans 0.05 to
+        0.05/256, as ratio 1/2 on 9 radii does, with the same first and last
+        radius.  riesz_pv reads only the last two; the others are edges of
+        the bands between them, whose Gauss points buy distance to theta: a
+        band (e/4, e) sees theta at Bernstein rho = 3 and takes 12 points
+        for 1e-11 (3**-24), a factor 4 of distance, where a band (e/2, e)
+        at rho = 3 + sqrt(8) takes 8 points for a factor 2.  So the default
+        operator holds 96 band phi instead of 128."""
         if not 0.0 < ratio < 1.0:
             raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
+        count = _check_integer("radius count", count, 2)
         # checked before the radii are allocated
         if count > _MAX_RADII:
             raise ValueError(f"a schedule holds at most {_MAX_RADII} radii, got {count}")
@@ -399,7 +408,8 @@ class TruncationOperator:
     Each panel gets the fewest points whose Bernstein-ellipse bound on that
     rest, set by its distance to the nearest of theta, its mirror images, 0
     and pi, is below 1e-11, at least 8 and at most 24 (see _band_points): a
-    default operator at theta 0.5 to pi - 0.5 holds 208-220 phi.  Kernel
+    default operator at theta 0.5 to pi - 0.5 holds 176-188 phi, 96 of them
+    on its 8 bands between radii.  Kernel
     values are computed in one kernel call at the resolution ``config``
     (each phi a sum over its r-nodes of the t-table cached per lambda and k;
     see kernels.kernel_partial), and reused for every function the operator
@@ -574,7 +584,10 @@ class PVResult:
     """R^k f(theta) as ``value``, the jump gamma_k f(theta) as ``gamma_term``,
     the principal-value integral value - gamma_term as ``extrapolated``, T_eps f
     at ``epsilons`` as ``truncated``, and as ``residual`` the tail estimate (not
-    a bound) |T g(eps_{n-1}) - T g(eps_n)| of riesz_pv's g."""
+    a bound) |T g(eps_{n-1}) - T g(eps_n)| of riesz_pv's g.  It reads the last
+    step of the schedule, so at ratio 1/4 it is some 8-9 times what ratio 1/2
+    reads at the same smallest radius, where the tail rises above rounding:
+    more conservative, for the same value."""
 
     value: float
     extrapolated: float
@@ -604,7 +617,10 @@ def riesz_pv(
     A pre-built TruncationOperator amortizes kernel evaluations over several
     functions and carries a custom KernelConfig; it must have been built for
     the same (lambda, k, theta) and, when ``schedule`` is given, its radii.
-    Without either, the schedule is TruncationSchedule.geometric().
+    Without either, the schedule is TruncationSchedule.geometric(): radii
+    0.05 to 0.05/256 at ratio 1/4, whose last value is that of ratio 1/2 on 9
+    radii to rounding, and whose tail difference over the wider last step
+    reads larger (see PVResult).
     """
     if operator is None:
         schedule = schedule or TruncationSchedule.geometric()

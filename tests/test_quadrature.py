@@ -299,6 +299,21 @@ class TestRuleCache:
         info = _cached_rule.cache_info()
         assert info.maxsize == 32 and info.currsize <= info.maxsize
 
+    def test_cached_rule_is_read_only(self):
+        rule = build_rule(1.3, 8)
+        node, weight = float(rule.nodes[0]), float(rule.weights[0])
+        with pytest.raises(ValueError, match="read-only"):
+            rule.nodes[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            rule.weights[0] = 0.5
+        fresh = build_rule(1.3, 8)
+        assert fresh.nodes[0] == node and fresh.weights[0] == weight
+
+    def test_caller_arrays_stay_writable(self):
+        nodes, weights = np.array([1.0, 2.0]), np.full(2, 0.5 * total_mass(1.0))
+        QuadratureRule(nodes=nodes, weights=weights, lam=1.0, order=2)
+        assert nodes.flags.writeable and weights.flags.writeable
+
 
 class TestBernsteinPoints:
     def test_graded_panels_bands_and_no_ellipse(self):

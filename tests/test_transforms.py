@@ -355,7 +355,8 @@ class TestTruncated:
             return riesz_kernel(*args, **kwargs)
 
         monkeypatch.setattr(transforms, "riesz_kernel", counting)
-        operator = TruncationOperator(1.0, 2, 1.0, TruncationSchedule.geometric().epsilons)
+        # the records are T f at every radius of ratio 1/2 on 9 radii
+        operator = TruncationOperator(1.0, 2, 1.0, TruncationSchedule.geometric(0.05, 0.5, 9).epsilons)
         assert len(calls) == 1
         f = band_limited(SpectralCoefficients(1.0, [0.0, 0.3, 1.0, 0.0, 0.5]))
         # recorded from the build with Gauss panels out to 0 and pi, which f
@@ -381,16 +382,31 @@ class TestTruncated:
         ]
         np.testing.assert_allclose(values, untrimmed, rtol=0.0, atol=1e-13)
 
-    def test_default_bands_get_8_points(self, monkeypatch):
+    def test_ratio_half_bands_get_8_points(self, monkeypatch):
         monkeypatch.setattr(transforms, "riesz_kernel", lambda lam, k, theta, phi, *, config=None: np.zeros(np.size(phi)))
         counts = []
         for theta in (0.7, math.pi / 2, 2.2):
-            operator = TruncationOperator(1.0, 2, theta, TruncationSchedule.geometric().epsilons)
+            operator = TruncationOperator(1.0, 2, theta, TruncationSchedule.geometric(0.05, 0.5, 9).epsilons)
             counts += [piece.nodes.size for piece in operator._pieces if piece.index]
         # at ratio 1/2 every band between radii sees theta at rho = 3 + sqrt(8),
         # and rho**-16 ~ 5.6e-13 is the first power below 1e-11 (rho**-14 ~ 1.9e-11)
         assert counts == [8] * 48
         assert transforms._band_points(1.0, 1.1, 1.2) == 8
+
+    def test_default_bands_get_12_points(self, monkeypatch):
+        monkeypatch.setattr(transforms, "riesz_kernel", lambda lam, k, theta, phi, *, config=None: np.zeros(np.size(phi)))
+        counts, sizes = [], []
+        for theta in (0.7, math.pi / 2, 2.2):
+            operator = TruncationOperator(1.0, 2, theta, TruncationSchedule.geometric().epsilons)
+            counts += [piece.nodes.size for piece in operator._pieces if piece.index]
+            sizes.append(sum(piece.nodes.size for piece in operator._pieces))
+        # at ratio 1/4 every band between radii sees theta at rho = 3, and
+        # 3**-24 ~ 3.5e-12 is the first power below 1e-11 (3**-22 ~ 3.2e-11)
+        assert counts == [12] * 24
+        assert max(sizes) <= 187
+        assert transforms._band_points(1.0, 1.3, 1.4) == 12
+        # the same span of radii as ratio 1/2 on 9 radii, to the last bit
+        assert TruncationSchedule.geometric().epsilons[-1] == TruncationSchedule.geometric(0.05, 0.5, 9).epsilons[-1]
 
     def test_band_points_never_exceed_24(self):
         rng = np.random.default_rng(8)
@@ -808,6 +824,14 @@ class TestSchedule:
     def test_geometric_constructor(self):
         schedule = TruncationSchedule.geometric(0.2, 0.5, 4)
         np.testing.assert_allclose(schedule.epsilons, [0.2, 0.1, 0.05, 0.025])
+
+    @pytest.mark.parametrize("count", [2.5, 3.0])
+    def test_geometric_refuses_a_non_integer_count(self, count):
+        with pytest.raises(ValueError, match="radius count must be an integer"):
+            TruncationSchedule.geometric(0.05, 0.5, count)
+
+    def test_geometric_takes_a_numpy_integer_count(self):
+        assert TruncationSchedule.geometric(0.05, 0.5, np.int64(4)).epsilons.size == 4
 
 
 class TestLinearity:
