@@ -28,8 +28,8 @@ for theta, phi in ((1.0, 1.0), (0.4, 2.0), (1.2, 0.3), (2.4, 2.5), (2.8, 0.9)):
 
 print("\nreflection parity of the kernel, R(pi-theta, pi-phi) = (-1)^k R(theta, phi):")
 for k in (1, 2):
-    a = riesz_kernel(0.7, k, 1.1, 0.6)
-    b = riesz_kernel(0.7, k, math.pi - 1.1, math.pi - 0.6)
+    # theta as an array pairs with phi entry by entry: both points in one call
+    a, b = riesz_kernel(0.7, k, np.array([1.1, math.pi - 1.1]), np.array([0.6, math.pi - 0.6]))
     print(f"  k={k}: {a:+.10f} vs {(-1) ** k * b:+.10f}")
 
 print("\nenvelope ratios |K - leading| / envelope stay bounded per region:")

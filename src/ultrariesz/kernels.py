@@ -15,8 +15,8 @@ concentration at r = exp(+-i w); and a fixed Gauss-Legendre rule on
 variable z, so it is tabulated once per (lambda, order, t-level, guard) as
 Chebyshev-point values on panels in log(1 + 2 z), and each phi sums over
 its r-nodes alone (see kernel_partial); the Poisson kernel reads the
-order-0 table at its one r.  Each Riesz value comes out the same whichever batch it is computed
-in, so a batch of phi gives it bit for bit.
+order-0 table at its one r.  Each value comes out the same whichever batch it is computed
+in, so a batch of phi, or of (theta, phi) pairs, gives it bit for bit.
 """
 
 from __future__ import annotations
@@ -182,7 +182,9 @@ def region_classify(theta: float, phi: float) -> RegionLabel:
 
 
 @_quiet_float_range
-def poisson_kernel(lam: float, r: float, theta: float, phi: float | np.ndarray) -> float | np.ndarray:
+def poisson_kernel(
+    lam: float, r: float, theta: float | np.ndarray, phi: float | np.ndarray
+) -> float | np.ndarray:
     """P_lambda(r, theta, phi), the ultraspherical Poisson kernel:
     (lam/pi) (1 - r**2) times the t-integral of (sin t)**(2 lam - 1) times
     (Delta_r + cross (1 - cos t))**-(lam + 1), cross = 2 r sin(theta) sin(phi),
@@ -191,22 +193,23 @@ def poisson_kernel(lam: float, r: float, theta: float, phi: float | np.ndarray) 
     table reaches guard 1 - r, past every v of the call as Delta_r >= (1 - r)**2.
 
     ``phi`` may be a scalar (returns a float) or a 1-D array (returns an
-    array); lam below _LAMBDA_FLOOR raises AccuracyError, and a value that is
-    not finite raises EvaluationError.
+    array), and ``theta`` a scalar or a 1-D array of the same length as
+    ``phi``, each (theta_i, phi_i) one pair; see _angles.  lam below
+    _LAMBDA_FLOOR raises AccuracyError, and a value that is not finite
+    raises EvaluationError.
     """
     lam = validate_lambda(lam)
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
-    theta = _validate_angle("theta", theta)
-    phis = _phi_array(phi)
+    theta, phis = _angles(theta, phi)
     table = _t_table(lam, 0, DEFAULT_KERNEL_CONFIG.t_level, 1.0 - r)
     delta_r = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * (theta - phis)) ** 2
-    cross = 2.0 * r * (math.sin(theta) * np.sin(phis))
+    cross = 2.0 * r * (_each(math.sin, theta) * np.sin(phis))
     _, n, panels = table.shape
     panel, x = _locate(np.log1p(2.0 * cross / delta_r), panels)
     t_sum = _read(table, panel, _lagrange(n, x))[0]
     values = lam / math.pi * (1.0 - r * r) / delta_r * np.power(delta_r + 2.0 * cross, -lam) * t_sum
-    _check_finite(values, phis, f"lambda {lam}, r {r}, theta {theta}")
+    _check_finite(values, theta, phis, f"lambda {lam}, r {r}")
     return float(values[0]) if np.ndim(phi) == 0 else values
 
 
@@ -390,31 +393,60 @@ def _r_rules(
     return r, one_minus_r, r_fac, sizes + _GRADED_POINTS * panels + _UPPER_POINTS
 
 
-def _phi_array(phi) -> np.ndarray:
-    """phi as a 1-D float array, every entry inside (0, pi)."""
-    phis = np.atleast_1d(np.asarray(phi, dtype=float))
-    if phis.ndim != 1:
-        raise ValueError(f"phi must be a scalar or a 1-D array, got shape {phis.shape}")
-    outside = ~((phis > 0.0) & (phis < math.pi))
+def _angle_array(name: str, angle) -> np.ndarray:
+    """``angle`` as a 1-D float array, every entry inside (0, pi)."""
+    angles = np.atleast_1d(np.asarray(angle, dtype=float))
+    if angles.ndim != 1:
+        raise ValueError(f"{name} must be a scalar or a 1-D array, got shape {angles.shape}")
+    outside = ~((angles > 0.0) & (angles < math.pi))
     if np.any(outside):
-        raise ValueError(f"phi must lie in (0, pi), got {phis[outside][0]}")
-    return phis
+        raise ValueError(f"{name} must lie in (0, pi), got {angles[outside][0]}")
+    return angles
 
 
-def _validate_phis(theta: float, phi, min_separation: float) -> np.ndarray:
-    """phi as a 1-D float array, every entry off the diagonal guard."""
-    phis = _phi_array(phi)
+def _angles(theta, phi) -> tuple[float | np.ndarray, np.ndarray]:
+    """theta and phi of a kernel call: phi as a 1-D float array, and theta
+    as a float, or, given as an array, as a float array of phi's shape,
+    paired with phi entry by entry.  Every angle inside (0, pi)."""
+    phis = _angle_array("phi", phi)
+    if np.ndim(theta) == 0:
+        return _validate_angle("theta", theta), phis
+    thetas = _angle_array("theta", theta)
+    if thetas.shape != np.shape(phi):
+        raise ValueError(
+            f"a theta array pairs with a phi array of its shape, got {thetas.shape} and {np.shape(phi)}"
+        )
+    return thetas, phis
+
+
+def _each(fn, theta: float | np.ndarray) -> float | np.ndarray:
+    """fn at a float theta, or at each entry of a theta array: math.* per
+    pair, not numpy over the batch, so a pair's value does not depend on
+    the batch around it."""
+    return fn(theta) if isinstance(theta, float) else np.array([fn(t) for t in theta.tolist()])
+
+
+def _pair_at(theta: float | np.ndarray, phis: np.ndarray, index: int) -> tuple[float, float]:
+    """The (theta, phi) of entry ``index`` of a kernel call, as plain floats."""
+    return float(np.broadcast_to(theta, phis.shape)[index]), float(phis[index])
+
+
+def _separations(theta: float | np.ndarray, phis: np.ndarray, min_separation: float) -> np.ndarray:
+    """|theta - phi| of every pair, each off the diagonal guard; a refusal
+    names its first offending pair."""
     sep = np.abs(theta - phis)
     if np.any(sep == 0.0):
-        raise ValueError("kernel is singular on the diagonal theta = phi")
+        pair = _pair_at(theta, phis, int(np.argmin(sep)))
+        raise ValueError(f"kernel is singular on the diagonal theta = phi, at (theta, phi) = {pair}")
     if np.any(sep < min_separation):
+        bad = int(np.argmax(sep < min_separation))
         raise AccuracyError(
-            f"|theta - phi| = {sep.min():.3e} is below the separation guard "
-            f"{min_separation:.1e}",
+            f"|theta - phi| = {sep[bad]:.3e} at (theta, phi) = {_pair_at(theta, phis, bad)} "
+            f"is below the separation guard {min_separation:.1e}",
             estimate=math.nan,
             error_bound=math.inf,
         )
-    return phis
+    return sep
 
 
 def _pairs(ell: int) -> list[tuple[int, int]]:
@@ -545,12 +577,14 @@ def _read(table: np.ndarray, panel: np.ndarray, weights: np.ndarray) -> np.ndarr
     return gathered.sum(axis=1)
 
 
-def _check_finite(values: np.ndarray, phis: np.ndarray, context: str) -> None:
-    """Raise EvaluationError naming the first kernel value that is not finite."""
+def _check_finite(values: np.ndarray, theta: float | np.ndarray, phis: np.ndarray, context: str) -> None:
+    """Raise EvaluationError naming the first kernel value that is not
+    finite and its pair, on one line."""
     if not np.all(np.isfinite(values)):
         bad = int(np.argmin(np.isfinite(values)))
+        theta_bad, phi_bad = _pair_at(theta, phis, bad)
         raise EvaluationError(
-            f"kernel value {values[bad]} at phi = {float(phis[bad])} is not finite ({context})"
+            f"kernel value {values[bad]} at phi = {phi_bad} is not finite ({context}, theta {theta_bad})"
         )
 
 
@@ -582,7 +616,7 @@ def kernel_partial(
     lam: float,
     k: int,
     ell: int,
-    theta: float,
+    theta: float | np.ndarray,
     phi: float | np.ndarray,
     *,
     config: KernelConfig | None = None,
@@ -591,27 +625,31 @@ def kernel_partial(
     under the order-k subordination integral.  ell = k gives the Riesz kernel.
 
     ``phi`` may be a scalar (returns a float) or a 1-D array (returns an
-    array of the same length); every entry must clear the diagonal guard,
-    lam below _LAMBDA_FLOOR raises AccuracyError, and a value that is not
-    finite raises EvaluationError.
+    array of the same length).  ``theta`` may be a scalar, or a 1-D array of
+    the same length as ``phi``: then each (theta_i, phi_i) is one pair, so
+    one call evaluates a whole table of the kernel.  Every pair must clear
+    the diagonal guard, lam below _LAMBDA_FLOOR raises AccuracyError, and a
+    value that is not finite raises EvaluationError; each refusal names its
+    first offending pair.
 
     The 2-D (r, t) sum is taken in two stages.  On the grid,
     D = Delta_r (1 + z u) with z = 2 sigma r / Delta_r and u = 1 - cos t, and
     P_s(t) is a polynomial in u of degree at most s, so every t-sum is a
     combination of the one-variable sums Phi_{m,s}(z) that _t_table
-    tabulates once per (lambda, ell, t_level, min_separation).  Each phi then
+    tabulates once per (lambda, ell, t_level, min_separation).  Each pair then
     expands its P_s in powers of u (coefficients p_{s,m}) and sums over the
     r-nodes alone:
 
         prefactor * sum_r r_fac sum_{s,m} p_{s,m} r**s Delta_r**-(lam+1+s) Phi_{m,s}(z_r),
 
     with Phi read off the table by barycentric interpolation in
-    v = log(1 + 2 z).  The phi are taken in blocks of _PHI_BLOCK: a block's
+    v = log(1 + 2 z).  The pairs are taken in blocks of _PHI_BLOCK: a block's
     r-rules (see _r_rules) and the arithmetic of their nodes (Delta_r, the
     panel and local coordinate of v, the r-weights folded into the
     barycentric weights, the powers of q) run once on the nodes of the
-    whole block, node by node; each phi then folds its table, reads it and
-    sums.  So a batch gives its entries bit for bit as scalar calls would.
+    whole block, node by node; each pair then folds its table, reads it and
+    sums.  So a batch gives its entries bit for bit as scalar calls would,
+    whatever theta they pair with.
     """
     lam = validate_lambda(lam)
     config = config or DEFAULT_KERNEL_CONFIG
@@ -619,31 +657,31 @@ def kernel_partial(
     if not isinstance(ell, (int, np.integer)) or not 0 <= ell <= k:
         raise ValueError(f"derivative order must be an integer in [0, {k}], got {ell!r}")
     ell = int(ell)
-    theta = _validate_angle("theta", theta)
-    phis = _validate_phis(theta, phi, config.min_separation)
+    theta, phis = _angles(theta, phi)
+    seps = np.minimum(_separations(theta, phis, config.min_separation), _FAR_SPLIT)
 
     layout = _term_layout(ell, lam)
     table = _t_table(lam, ell, config.t_level, config.min_separation)
     columns, n, panels = table.shape
-    # (s, m) columns -> the s-rows of each phi's folded table
+    # (s, m) columns -> the s-rows of each pair's folded table
     orders = sorted(layout)
     rows_of = np.array([orders.index(s) for s, _ in _pairs(ell)])
     flat = table.reshape(columns, n * panels)
     prefactor = lam / (math.pi * math.gamma(k))
-    sin_theta, cos_theta = math.sin(theta), math.cos(theta)
-    # math.* per phi, not numpy over the batch, so a phi's trig does not
+    sin_theta, cos_theta = _each(math.sin, theta), _each(math.cos, theta)
+    # math.* per pair, not numpy over the batch, so a pair's trig does not
     # depend on the batch around it
-    sin_p = np.array([math.sin(p) for p in phis])
+    sin_p = np.array([math.sin(p) for p in phis.tolist()])
     sigma = sin_theta * sin_p
-    one_minus_cos_w = np.array([2.0 * math.sin(0.5 * (theta - p)) ** 2 for p in phis])
-    sin_w = np.array([math.sin(theta - p) for p in phis])
-    seps = np.minimum(np.abs(theta - phis), _FAR_SPLIT)
+    w = (theta - phis).tolist()
+    one_minus_cos_w = np.array([2.0 * math.sin(0.5 * d) ** 2 for d in w])
+    sin_w = np.array([math.sin(d) for d in w])
     coeffs = _expansion(layout, ell, 1.0 - one_minus_cos_w, -sigma, -sin_w, -cos_theta * sin_p)
     fold, fold_at = np.zeros((len(orders), columns)), (rows_of, np.arange(columns))
     values = np.empty(phis.size)
     for start in range(0, phis.size, _PHI_BLOCK):
         block = slice(start, start + _PHI_BLOCK)
-        # the block's r-nodes, concatenated phi by phi, and their arithmetic
+        # the block's r-nodes, concatenated pair by pair, and their arithmetic
         r, dist, r_fac, counts = _r_rules(lam, k, seps[block], config.r_level)
         delta_r = dist * dist + 2.0 * r * np.repeat(one_minus_cos_w[block], counts)
         q = r / delta_r
@@ -662,24 +700,25 @@ def kernel_partial(
             np.multiply(q_pow[row - 1], q, out=q_pow[row])
         ends = np.cumsum(counts)
         for index, lo, hi in zip(range(start, start + counts.size), ends - counts, ends):
-            # the phi's table: sum_m p_{s,m} (1 + 2z)**lam Phi_{m,s}, one row per s
+            # the pair's table: sum_m p_{s,m} (1 + 2z)**lam Phi_{m,s}, one row per s
             fold[fold_at] = coeffs[index]
             t_sums = _read((fold @ flat).reshape(len(orders), n, panels), panel[lo:hi], weights[:, lo:hi])
             values[index] = prefactor * float((t_sums * q_pow[:, lo:hi]).sum())
-    _check_finite(values, phis, f"lambda {lam}, k {k}, theta {theta}")
+    _check_finite(values, theta, phis, f"lambda {lam}, k {k}")
     return float(values[0]) if np.ndim(phi) == 0 else values
 
 
 def riesz_kernel(
     lam: float,
     k: int,
-    theta: float,
+    theta: float | np.ndarray,
     phi: float | np.ndarray,
     *,
     config: KernelConfig | None = None,
 ) -> float | np.ndarray:
     """R_lambda^k(theta, phi), the order-k Riesz transform kernel; ``phi``
-    may be a scalar or a 1-D array, as in kernel_partial.
+    may be a scalar or a 1-D array, and ``theta`` a scalar or a 1-D array
+    paired with ``phi`` entry by entry, as in kernel_partial.
 
     Refuses |theta - phi| < RIESZ_MIN_SEPARATION: the truncated integrals
     never need values closer to the diagonal than the smallest truncation

@@ -253,19 +253,24 @@ def poisson_spectral(c: SpectralCoefficients, t: float, theta: float) -> float:
 def poisson_via_kernel(f: Callable, lam: float, t: float, theta: float, rule: QuadratureRule) -> float:
     """Poisson semigroup at time t through the kernel integral
     r**lam * P_lambda(r, theta, .) against dm_lambda, with r = exp(-t)."""
-    return _poisson_via_kernel_each((f,), lam, t, theta, rule)[0]
+    return _poisson_via_kernel_each((f,), lam, t, [theta], rule)[0][0]
 
 
 def _poisson_via_kernel_each(
-    fs: Sequence[Callable], lam: float, t: float, theta: float, rule: QuadratureRule
-) -> list[float]:
-    """poisson_via_kernel for every f in ``fs``, from one kernel row."""
+    fs: Sequence[Callable], lam: float, t: float, thetas: Sequence[float], rule: QuadratureRule
+) -> list[list[float]]:
+    """poisson_via_kernel at every theta in ``thetas`` (the outer list) for
+    every f in ``fs``, from one kernel call: at the rule's nodes for one
+    theta, else over every (theta, node) pair."""
     lam = _check_rule(lam, rule)
     if not t > 0.0:
         raise ValueError(f"time must be positive, got {t}")
     r = math.exp(-t)
-    kernel_vals = poisson_kernel(lam, r, theta, rule.nodes)
-    return [r**lam * float(np.dot(rule.weights, kernel_vals * _evaluate(f, rule.nodes))) for f in fs]
+    nodes, count = rule.nodes, len(thetas)
+    pairs = (thetas[0], nodes) if count == 1 else (np.repeat(thetas, nodes.size), np.tile(nodes, count))
+    kernel_rows = poisson_kernel(lam, r, *pairs).reshape(count, nodes.size)
+    samples = [_evaluate(f, nodes) for f in fs]
+    return [[r**lam * float(np.dot(rule.weights, row * f_values)) for f_values in samples] for row in kernel_rows]
 
 
 def fractional_power(c: SpectralCoefficients, alpha: float) -> SpectralCoefficients:

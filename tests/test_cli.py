@@ -11,6 +11,7 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,10 @@ from ultrariesz import (
     TruncationOperator,
     band_limited,
     build_rule,
+    envelope_residual,
     poisson_via_kernel,
+    region_classify,
+    riesz_kernel,
     transforms,
     validate_lambda,
 )
@@ -298,16 +302,21 @@ class TestSubcommands:
         poisson_kernel = transforms.poisson_kernel
 
         def counting(lam, r, theta, phi):
-            calls.append((r, theta))
+            calls.append((r, tuple(theta), tuple(phi)))
             return poisson_kernel(lam, r, theta, phi)
 
         monkeypatch.setattr(transforms, "poisson_kernel", counting)
         code, out, err = run_cli(capsys, "poisson", "--lambda", "0.8")
         assert code == 0, err
-        # 2 times x 3 theta, each row applied to the 3 family functions
-        assert len(calls) == len(set(calls)) == 6
         monkeypatch.undo()
         rule = build_rule(0.8, RunConfig().quad_order)
+        # one call per time, over every (theta, node) pair of the 3 theta,
+        # each row applied to the 3 family functions
+        thetas = RunConfig().thetas
+        assert [r for r, _, _ in calls] == [math.exp(-0.1), math.exp(-1.0)]
+        for _, theta, phi in calls:
+            assert theta == tuple(np.repeat(thetas, rule.nodes.size))
+            assert phi == tuple(np.tile(rule.nodes, len(thetas)))
         family = {"e0": [1.0], "e1": [0.0, 1.0], "e2+0.5e4": [0.0, 0.0, 1.0, 0.0, 0.5]}
         lines = out.strip().splitlines()[1:]
         assert len(lines) == 18
@@ -396,6 +405,36 @@ class TestSubcommands:
         )
         assert code == 0
         assert len(builds) == 2
+
+    @pytest.mark.parametrize("command, pairs", [("kernel", 20 * 19), ("variation", 6 * 5)])
+    def test_kernel_sweep_is_one_kernel_call(self, capsys, monkeypatch, command, pairs):
+        # the 20 x 20 sweep of kernel and the 6 x 6 envelope grid of the
+        # variation summary, off the diagonal, each as one paired call
+        calls = []
+        kernel_partial = cli.kernel_partial
+
+        def counting(lam, k, ell, theta, phi, **kwargs):
+            calls.append((k, ell, np.shape(theta), np.shape(phi)))
+            return kernel_partial(lam, k, ell, theta, phi, **kwargs)
+
+        monkeypatch.setattr(cli, "kernel_partial", counting)
+        code, _, err = run_cli(capsys, command, "--lambda", "1.3", "--k", "2", "--theta", "1.0", "--eps-count", "4")
+        assert code == 0, err
+        assert calls == [(2, 2, (pairs,), (pairs,))]
+
+    @pytest.mark.parametrize("lam, k", [(1.3, 2), (0.3, 4)])
+    def test_kernel_report_equals_per_theta_scalar_calls(self, capsys, lam, k):
+        code, out, err = run_cli(capsys, "kernel", "--lambda", str(lam), "--k", str(k))
+        assert code == 0, err
+        grid = np.linspace(0.15, math.pi - 0.15, 20)
+        lines = ["theta,phi,region,value,envelope_ratio"]
+        for theta in grid.tolist():
+            phis = grid[grid != theta]
+            for phi, value in zip(phis.tolist(), riesz_kernel(lam, k, theta, phis).tolist()):
+                ratio = envelope_residual(lam, k, theta, phi)
+                fields = [cli._FMT % v for v in (theta, phi)] + [region_classify(theta, phi)]
+                lines.append(",".join(fields + [cli._FMT % value, cli._FMT % ratio]))
+        assert out == "\n".join(lines) + "\n"
 
 
 class TestVariationReport:

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import warnings
@@ -921,6 +922,85 @@ def _circle_H_reference(k, w):
             lambda r: 2.0 * (math.cos(w) - r) / ((1.0 - r) ** 2 + 2.0 * r * one_minus_cos_w), w
         )
     return _circle_integral(k, w, k - 1)
+
+
+def _paired_batch(seed, count):
+    """``count`` (theta, phi) pairs in (0.05, pi - 0.05) at least 1e-3 apart,
+    the fourth 2e-5 off the diagonal (inside kernels._NEAR_DIAGONAL)."""
+    rng = np.random.default_rng(seed)
+    thetas, phis = rng.uniform(0.05, math.pi - 0.05, (2, count))
+    phis = np.where(np.abs(thetas - phis) < 1e-3, phis + 2e-3, phis)
+    phis[3] = thetas[3] + 2e-5
+    return thetas, phis
+
+
+class TestPairedTheta:
+    @pytest.mark.parametrize("lam", [0.3, 2.45])
+    @pytest.mark.parametrize("k", [1, 2, 4, 12])
+    def test_pairs_equal_scalar_theta_calls(self, lam, k):
+        # three blocks of kernels._PHI_BLOCK, each pair among pairs of other theta
+        thetas, phis = _paired_batch(k, 2 * kernels._PHI_BLOCK + 7)
+        assert np.abs(thetas - phis).min() < kernels._NEAR_DIAGONAL
+        values = riesz_kernel(lam, k, thetas, phis)
+        loop = [riesz_kernel(lam, k, float(theta), float(phi)) for theta, phi in zip(thetas, phis)]
+        assert values.shape == phis.shape
+        assert np.array_equal(values, np.array(loop))
+
+    def test_kernel_partial_pairs_at_every_derivative_order(self):
+        thetas, phis = _paired_batch(7, kernels._PHI_BLOCK + 3)
+        for ell in (0, 1, 3):
+            values = kernel_partial(0.8, 3, ell, thetas, phis)
+            loop = [kernel_partial(0.8, 3, ell, float(t), float(p)) for t, p in zip(thetas, phis)]
+            assert np.array_equal(values, np.array(loop)), ell
+
+    def test_poisson_pairs_equal_scalar_theta_rows(self):
+        nodes = build_rule(1.3, 64).nodes
+        thetas = (0.6, 1.6, 2.6)
+        for r in (math.exp(-0.1), math.exp(-1.0)):
+            rows = poisson_kernel(1.3, r, np.repeat(thetas, nodes.size), np.tile(nodes, 3)).reshape(3, nodes.size)
+            for theta, row in zip(thetas, rows):
+                assert np.array_equal(row, poisson_kernel(1.3, r, theta, nodes))
+        one_pair = poisson_kernel(1.3, 0.5, np.array([1.2]), np.array([0.7]))
+        assert one_pair.tolist() == [poisson_kernel(1.3, 0.5, 1.2, 0.7)]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda theta, phi: riesz_kernel(1.0, 2, theta, phi),
+            lambda theta, phi: kernel_partial(1.0, 2, 1, theta, phi),
+            lambda theta, phi: poisson_kernel(1.0, 0.5, theta, phi),
+        ],
+        ids=["riesz_kernel", "kernel_partial", "poisson_kernel"],
+    )
+    def test_theta_array_must_match_phi(self, call):
+        with pytest.raises(ValueError, match="theta array"):
+            call(np.array([1.0, 2.0, 2.5]), np.array([0.5, 1.5]))
+        with pytest.raises(ValueError, match="theta array"):
+            call(np.array([1.0]), 0.5)
+        with pytest.raises(ValueError, match="theta must lie in"):
+            call(np.array([1.0, math.pi]), np.array([0.5, 1.5]))
+        with pytest.raises(ValueError, match="1-D"):
+            call(np.full((2, 2), 1.0), np.full((2, 2), 0.5))
+
+    def test_guards_name_the_offending_pair_on_one_line(self):
+        thetas = np.array([0.4, 1.3, 2.0, 2.7])
+        with pytest.raises(ValueError, match="diagonal") as raised:
+            riesz_kernel(1.0, 2, thetas, np.array([0.9, 1.3, 2.5, 1.0]))
+        assert "(theta, phi) = (1.3, 1.3)" in str(raised.value) and "\n" not in str(raised.value)
+        with pytest.raises(AccuracyError) as raised:
+            riesz_kernel(1.0, 2, thetas, np.array([0.9, 1.8, 2.0 + 5e-6, 1.0]))
+        assert f"(theta, phi) = (2.0, {2.0 + 5e-6})" in str(raised.value) and "\n" not in str(raised.value)
+        # lambda 200 carries the sums past the float range at (1.3, 1.5) but
+        # not at (0.4, 0.9): the message names that pair, as plain floats
+        phis = np.array([0.9, 1.5, 2.5, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError) as raised:
+                riesz_kernel(200.0, 1, thetas, phis)
+        pattern = r"kernel value (nan|-?inf) at phi = (\S+) is not finite \(lambda 200.0, k 1, theta (\S+)\)"
+        found = re.fullmatch(pattern, str(raised.value))
+        assert found, str(raised.value)
+        assert (float(found[3]), float(found[2])) == (1.3, 1.5)
 
 
 def _circle_R_reference(k, w):
