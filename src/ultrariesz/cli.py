@@ -282,16 +282,14 @@ def cmd_poisson(config: RunConfig) -> int:
     family = sorted(_default_family(config.lam).items())
     functions = [band_limited(coeffs) for _, coeffs in family]
     # one kernel call per t over every (theta, node) pair, its rows
-    # integrated at their first use against every function
-    kernel_sides: dict[float, list[list[float]]] = {}
+    # integrated against every function
+    kernel_sides = {t: _poisson_via_kernel_each(functions, config.lam, t, config.thetas, rule) for t in (0.1, 1.0)}
     rows = []
     worst = 0.0
     for index, (name, coeffs) in enumerate(family):
         for t in (0.1, 1.0):
             for column, theta in enumerate(config.thetas):
                 spectral = poisson_spectral(coeffs, t, theta)
-                if t not in kernel_sides:
-                    kernel_sides[t] = _poisson_via_kernel_each(functions, config.lam, t, config.thetas, rule)
                 kernel = kernel_sides[t][column][index]
                 err = abs(spectral - kernel)
                 worst = max(worst, err)

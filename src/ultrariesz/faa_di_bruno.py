@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .jets import Jet
-from .special import _validate_angle
+from .special import _check_integer, _validate_angle
 
 __all__ = [
     "MAX_ORDER",
@@ -113,11 +113,11 @@ def _partition_vectors(ell: int):
     yield from rec(0, ell, [])
 
 
-@lru_cache(maxsize=None)
+# typed: True and 2.0 hash as 1 and 2, and must reach the check, not their entries
+@lru_cache(maxsize=None, typed=True)
 def coefficients(ell: int) -> FaaTable:
     """Exact rational coefficient table for derivative order ``ell``."""
-    if not 1 <= ell <= MAX_ORDER:
-        raise ValueError(f"derivative order must lie in [1, {MAX_ORDER}], got {ell}")
+    ell = _check_integer("derivative order", ell, 1, MAX_ORDER)
     entries: dict[tuple[int, int, int], Fraction] = {}
     fact = [math.factorial(m) for m in range(ell + 1)]
     for ks in _partition_vectors(ell):
@@ -181,8 +181,7 @@ def expansion_eval(ell: int, lam: float, point: KernelPoint) -> float:
 
 def jet_oracle(ell: int, lam: float, point: KernelPoint) -> float:
     """ell-th theta-derivative of D_r**-(lam+1) by jet arithmetic alone."""
-    if ell < 0:
-        raise ValueError(f"derivative order must be nonnegative, got {ell}")
+    ell = _check_integer("derivative order", ell)
     if lam < 0.0:
         raise ValueError(f"exponent parameter must be nonnegative, got {lam}")
     theta = Jet.variable(point.theta, ell)
@@ -197,7 +196,7 @@ def sample_points(count: int, seed: int = 1729) -> list[KernelPoint]:
     """Deterministic pseudo-random kernel points for checks and reports."""
     rng = np.random.default_rng(seed)
     points = []
-    for _ in range(count):
+    for _ in range(_check_integer("point count", count)):
         points.append(
             KernelPoint(
                 theta=float(rng.uniform(0.2, math.pi - 0.2)),

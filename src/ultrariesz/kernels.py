@@ -39,7 +39,7 @@ from .quadrature import (
     _stieltjes,
     tanh_sinh_segment,
 )
-from .special import _validate_angle, validate_lambda
+from .special import _check_integer, _validate_angle, validate_lambda
 
 __all__ = [
     "KernelConfig",
@@ -111,9 +111,7 @@ class KernelConfig:
         # before any rule or table is built: a level past the range would
         # otherwise quietly give another kernel, or allocate without bound
         for name in ("t_level", "r_level"):
-            level = getattr(self, name)
-            if not isinstance(level, (int, np.integer)) or not 1 <= level <= _MAX_LEVEL:
-                raise ValueError(f"{name} must be an integer in [1, {_MAX_LEVEL}], got {level!r}")
+            _check_integer(name, getattr(self, name), 1, _MAX_LEVEL)
         if not self.min_separation > 0.0:
             raise ValueError(f"min_separation must be positive, got {self.min_separation}")
 
@@ -137,16 +135,9 @@ class KernelConstants:
     beta_k: float
 
 
-def _check_order(k: int) -> int:
-    """k as an int; ValueError unless it is an integer of at least 1."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"order must be a positive integer, got {k}")
-    return int(k)
-
-
 def kernel_constants(k: int) -> KernelConstants:
     """gamma_k = 0 (k odd) or (-1)**(k/2) (k even); beta_k = 2 pi (k-1)! gamma_k."""
-    _check_order(k)
+    k = _check_integer("order", k, 1)
     if k % 2 == 1:
         gamma = 0.0
     else:
@@ -156,7 +147,7 @@ def kernel_constants(k: int) -> KernelConstants:
 
 def h_limit_even(k: int) -> float:
     """lim_{w -> 0+} H^k(w) = (-1)**(k/2) pi Gamma(k) for even k."""
-    k = _check_order(k)
+    k = _check_integer("order", k, 1)
     if k % 2 != 0:
         raise ValueError(f"limit exists only for even k >= 2, got {k}")
     return float((-1) ** (k // 2)) * math.pi * math.factorial(k - 1)
@@ -183,7 +174,7 @@ def region_classify(theta: float, phi: float) -> RegionLabel:
 
 @_quiet_float_range
 def poisson_kernel(
-    lam: float, r: float, theta: float | np.ndarray, phi: float | np.ndarray
+    lam: float, r: float, theta: np.typing.ArrayLike, phi: np.typing.ArrayLike
 ) -> float | np.ndarray:
     """P_lambda(r, theta, phi), the ultraspherical Poisson kernel:
     (lam/pi) (1 - r**2) times the t-integral of (sin t)**(2 lam - 1) times
@@ -193,23 +184,23 @@ def poisson_kernel(
     table reaches guard 1 - r, past every v of the call as Delta_r >= (1 - r)**2.
 
     ``phi`` may be a scalar (returns a float) or a 1-D array (returns an
-    array), and ``theta`` a scalar or a 1-D array of the same length as
-    ``phi``, each (theta_i, phi_i) one pair; see _angles.  lam below
-    _LAMBDA_FLOOR raises AccuracyError, and a value that is not finite
-    raises EvaluationError.
+    array), and ``theta`` a scalar, paired with every phi, or a 1-D array
+    of the same length as ``phi``, each (theta_i, phi_i) one pair; see
+    _angles.  lam below _LAMBDA_FLOOR raises AccuracyError, and a value that
+    is not finite raises EvaluationError.
     """
     lam = validate_lambda(lam)
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
-    theta, phis = _angles(theta, phi)
+    thetas, phis = _angles(theta, phi)
     table = _t_table(lam, 0, DEFAULT_KERNEL_CONFIG.t_level, 1.0 - r)
-    delta_r = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * (theta - phis)) ** 2
-    cross = 2.0 * r * (_each(math.sin, theta) * np.sin(phis))
+    delta_r = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * (thetas - phis)) ** 2
+    cross = 2.0 * r * (_each(math.sin, thetas) * np.sin(phis))
     _, n, panels = table.shape
     panel, x = _locate(np.log1p(2.0 * cross / delta_r), panels)
     t_sum = _read(table, panel, _lagrange(n, x))[0]
     values = lam / math.pi * (1.0 - r * r) / delta_r * np.power(delta_r + 2.0 * cross, -lam) * t_sum
-    _check_finite(values, theta, phis, f"lambda {lam}, r {r}")
+    _check_finite(values, thetas, phis, f"lambda {lam}, r {r}")
     return float(values[0]) if np.ndim(phi) == 0 else values
 
 
@@ -404,13 +395,13 @@ def _angle_array(name: str, angle) -> np.ndarray:
     return angles
 
 
-def _angles(theta, phi) -> tuple[float | np.ndarray, np.ndarray]:
-    """theta and phi of a kernel call: phi as a 1-D float array, and theta
-    as a float, or, given as an array, as a float array of phi's shape,
-    paired with phi entry by entry.  Every angle inside (0, pi)."""
+def _angles(theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """theta and phi of a kernel call as 1-D float arrays of one shape,
+    paired entry by entry: a scalar theta is repeated once per phi, an array
+    must have phi's shape.  Every angle inside (0, pi)."""
     phis = _angle_array("phi", phi)
     if np.ndim(theta) == 0:
-        return _validate_angle("theta", theta), phis
+        return np.full(phis.shape, _validate_angle("theta", theta)), phis
     thetas = _angle_array("theta", theta)
     if thetas.shape != np.shape(phi):
         raise ValueError(
@@ -419,29 +410,24 @@ def _angles(theta, phi) -> tuple[float | np.ndarray, np.ndarray]:
     return thetas, phis
 
 
-def _each(fn, theta: float | np.ndarray) -> float | np.ndarray:
-    """fn at a float theta, or at each entry of a theta array: math.* per
-    pair, not numpy over the batch, so a pair's value does not depend on
-    the batch around it."""
-    return fn(theta) if isinstance(theta, float) else np.array([fn(t) for t in theta.tolist()])
+def _each(fn, angles: np.ndarray) -> np.ndarray:
+    """fn at each entry of a 1-D array: math.* per pair, not numpy over the
+    batch, so a pair's value does not depend on the batch around it."""
+    return np.array([fn(angle) for angle in angles.tolist()])
 
 
-def _pair_at(theta: float | np.ndarray, phis: np.ndarray, index: int) -> tuple[float, float]:
-    """The (theta, phi) of entry ``index`` of a kernel call, as plain floats."""
-    return float(np.broadcast_to(theta, phis.shape)[index]), float(phis[index])
-
-
-def _separations(theta: float | np.ndarray, phis: np.ndarray, min_separation: float) -> np.ndarray:
+def _separations(thetas: np.ndarray, phis: np.ndarray, min_separation: float) -> np.ndarray:
     """|theta - phi| of every pair, each off the diagonal guard; a refusal
     names its first offending pair."""
-    sep = np.abs(theta - phis)
-    if np.any(sep == 0.0):
-        pair = _pair_at(theta, phis, int(np.argmin(sep)))
-        raise ValueError(f"kernel is singular on the diagonal theta = phi, at (theta, phi) = {pair}")
+    sep = np.abs(thetas - phis)
     if np.any(sep < min_separation):
-        bad = int(np.argmax(sep < min_separation))
+        # the first pair on the diagonal, else the first inside the guard
+        bad = int(np.argmin(sep) if np.any(sep == 0.0) else np.argmax(sep < min_separation))
+        pair = (float(thetas[bad]), float(phis[bad]))
+        if sep[bad] == 0.0:
+            raise ValueError(f"kernel is singular on the diagonal theta = phi, at (theta, phi) = {pair}")
         raise AccuracyError(
-            f"|theta - phi| = {sep[bad]:.3e} at (theta, phi) = {_pair_at(theta, phis, bad)} "
+            f"|theta - phi| = {sep[bad]:.3e} at (theta, phi) = {pair} "
             f"is below the separation guard {min_separation:.1e}",
             estimate=math.nan,
             error_bound=math.inf,
@@ -577,12 +563,12 @@ def _read(table: np.ndarray, panel: np.ndarray, weights: np.ndarray) -> np.ndarr
     return gathered.sum(axis=1)
 
 
-def _check_finite(values: np.ndarray, theta: float | np.ndarray, phis: np.ndarray, context: str) -> None:
+def _check_finite(values: np.ndarray, thetas: np.ndarray, phis: np.ndarray, context: str) -> None:
     """Raise EvaluationError naming the first kernel value that is not
     finite and its pair, on one line."""
     if not np.all(np.isfinite(values)):
         bad = int(np.argmin(np.isfinite(values)))
-        theta_bad, phi_bad = _pair_at(theta, phis, bad)
+        theta_bad, phi_bad = float(thetas[bad]), float(phis[bad])
         raise EvaluationError(
             f"kernel value {values[bad]} at phi = {phi_bad} is not finite ({context}, theta {theta_bad})"
         )
@@ -616,8 +602,8 @@ def kernel_partial(
     lam: float,
     k: int,
     ell: int,
-    theta: float | np.ndarray,
-    phi: float | np.ndarray,
+    theta: np.typing.ArrayLike,
+    phi: np.typing.ArrayLike,
     *,
     config: KernelConfig | None = None,
 ) -> float | np.ndarray:
@@ -625,12 +611,12 @@ def kernel_partial(
     under the order-k subordination integral.  ell = k gives the Riesz kernel.
 
     ``phi`` may be a scalar (returns a float) or a 1-D array (returns an
-    array of the same length).  ``theta`` may be a scalar, or a 1-D array of
-    the same length as ``phi``: then each (theta_i, phi_i) is one pair, so
-    one call evaluates a whole table of the kernel.  Every pair must clear
-    the diagonal guard, lam below _LAMBDA_FLOOR raises AccuracyError, and a
-    value that is not finite raises EvaluationError; each refusal names its
-    first offending pair.
+    array of the same length).  ``theta`` may be a 1-D array of the same
+    length as ``phi``: each (theta_i, phi_i) is one pair, so one call
+    evaluates a whole table of the kernel; a scalar theta is the paired call
+    with theta repeated.  Every pair must clear the diagonal guard, lam
+    below _LAMBDA_FLOOR raises AccuracyError, and a value that is not finite
+    raises EvaluationError; each refusal names its first offending pair.
 
     The 2-D (r, t) sum is taken in two stages.  On the grid,
     D = Delta_r (1 + z u) with z = 2 sigma r / Delta_r and u = 1 - cos t, and
@@ -653,12 +639,10 @@ def kernel_partial(
     """
     lam = validate_lambda(lam)
     config = config or DEFAULT_KERNEL_CONFIG
-    k = _check_order(k)
-    if not isinstance(ell, (int, np.integer)) or not 0 <= ell <= k:
-        raise ValueError(f"derivative order must be an integer in [0, {k}], got {ell!r}")
-    ell = int(ell)
-    theta, phis = _angles(theta, phi)
-    seps = np.minimum(_separations(theta, phis, config.min_separation), _FAR_SPLIT)
+    k = _check_integer("order", k, 1)
+    ell = _check_integer("derivative order", ell, 0, k)
+    thetas, phis = _angles(theta, phi)
+    seps = np.minimum(_separations(thetas, phis, config.min_separation), _FAR_SPLIT)
 
     layout = _term_layout(ell, lam)
     table = _t_table(lam, ell, config.t_level, config.min_separation)
@@ -668,14 +652,11 @@ def kernel_partial(
     rows_of = np.array([orders.index(s) for s, _ in _pairs(ell)])
     flat = table.reshape(columns, n * panels)
     prefactor = lam / (math.pi * math.gamma(k))
-    sin_theta, cos_theta = _each(math.sin, theta), _each(math.cos, theta)
-    # math.* per pair, not numpy over the batch, so a pair's trig does not
-    # depend on the batch around it
-    sin_p = np.array([math.sin(p) for p in phis.tolist()])
+    sin_theta, cos_theta, sin_p = _each(math.sin, thetas), _each(math.cos, thetas), _each(math.sin, phis)
     sigma = sin_theta * sin_p
-    w = (theta - phis).tolist()
-    one_minus_cos_w = np.array([2.0 * math.sin(0.5 * d) ** 2 for d in w])
-    sin_w = np.array([math.sin(d) for d in w])
+    w = thetas - phis
+    one_minus_cos_w = _each(lambda d: 2.0 * math.sin(0.5 * d) ** 2, w)
+    sin_w = _each(math.sin, w)
     coeffs = _expansion(layout, ell, 1.0 - one_minus_cos_w, -sigma, -sin_w, -cos_theta * sin_p)
     fold, fold_at = np.zeros((len(orders), columns)), (rows_of, np.arange(columns))
     values = np.empty(phis.size)
@@ -704,15 +685,15 @@ def kernel_partial(
             fold[fold_at] = coeffs[index]
             t_sums = _read((fold @ flat).reshape(len(orders), n, panels), panel[lo:hi], weights[:, lo:hi])
             values[index] = prefactor * float((t_sums * q_pow[:, lo:hi]).sum())
-    _check_finite(values, theta, phis, f"lambda {lam}, k {k}")
+    _check_finite(values, thetas, phis, f"lambda {lam}, k {k}")
     return float(values[0]) if np.ndim(phi) == 0 else values
 
 
 def riesz_kernel(
     lam: float,
     k: int,
-    theta: float | np.ndarray,
-    phi: float | np.ndarray,
+    theta: np.typing.ArrayLike,
+    phi: np.typing.ArrayLike,
     *,
     config: KernelConfig | None = None,
 ) -> float | np.ndarray:
@@ -734,7 +715,7 @@ def _check_circle(k: int, w: float) -> None:
     """Refusals both circle kernels make: an order below 1, and
     0 < |w| < 1e-6, where the closed forms lose their digits to the pole at
     w = 0 (and w = 5e-324 would divide by zero)."""
-    _check_order(k)
+    _check_integer("order", k, 1)
     if abs(w) < 1e-6:
         message = f"|w| = {abs(w):.2e} too close to the diagonal; h_limit_even gives H^k's even-order limit"
         raise AccuracyError(message, estimate=math.nan, error_bound=math.inf)
@@ -773,7 +754,7 @@ def m_k_estimate(k: int) -> float:
     """The diagonal constant M_k = lim_{w -> 0} sin(w) R^k(w) of the circle
     kernel: (-1)**((k+1)/2) / pi for odd k and 0 for even k, whatever the
     ultraspherical parameter."""
-    _check_order(k)
+    _check_integer("order", k, 1)
     return (-1) ** ((k + 1) // 2) / math.pi if k % 2 == 1 else 0.0
 
 

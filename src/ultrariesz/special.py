@@ -69,12 +69,20 @@ def beta(x: float, y: float) -> float:
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
-def _check_integer(name: str, value, least: int = 0) -> int:
-    """value as an int; ValueError naming it unless it is an integer of at
-    least ``least``."""
-    if not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value}")
-    return int(value)
+def _check_integer(name: str, value, least: int = 0, most: int | None = None) -> int:
+    """value as an int; ValueError naming it unless it is an integer, a
+    Python or numpy one but not a bool, in [least, most] (no upper bound
+    when ``most`` is None)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if least <= value and (most is None or value <= most):
+            return int(value)
+    if most is not None:
+        span = f"an integer in [{least}, {most}]"
+    elif least == 1:
+        span = "a positive integer"
+    else:
+        span = f"an integer of at least {least}"
+    raise ValueError(f"{name} must be {span}, got {value!r}")
 
 
 def _recurrence(n_max: int, lam: float, x, one, times=np.multiply):

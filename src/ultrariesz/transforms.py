@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import RIESZ_MIN_SEPARATION, KernelConfig, _check_order, kernel_constants, poisson_kernel, riesz_kernel
+from .kernels import RIESZ_MIN_SEPARATION, KernelConfig, kernel_constants, poisson_kernel, riesz_kernel
 from .quadrature import (
     AccuracyError,
     EvaluationError,
@@ -36,6 +36,7 @@ from .special import (
     _norm_sqs,
     _polynomial_rows,
     _polynomial_rows_if_kept,
+    _validate_angle,
     gegenbauer_theta_jets,
     validate_lambda,
 )
@@ -293,7 +294,7 @@ def riesz_spectral(
     the rule order for an O(1) function, reaches the value past
     _ROUNDING_LIMIT through the modes' multipliers and derivatives at theta
     (lambda 300 at theta 0.7 and k 1, for instance)."""
-    _check_order(k)
+    _check_integer("order", k, 1)
     # an extreme lambda carries the coefficients and the jets toward the float
     # range; raise FloatingPointError there rather than warn and return inf
     with np.errstate(over="raise", invalid="raise"):
@@ -444,8 +445,9 @@ class TruncationOperator:
         config: KernelConfig | None = None,
     ):
         self.lam = validate_lambda(lam)
-        self.k = _check_order(k)
-        self.theta = float(theta)
+        self.k = _check_integer("order", k, 1)
+        # before any panel is built: their edges assume theta inside (0, pi)
+        self.theta = _validate_angle("theta", theta)
         self.epsilons = TruncationSchedule(epsilons).epsilons
         self._config = config
         theta = self.theta
@@ -618,6 +620,7 @@ def riesz_pv(
     min(smallest radius, theta/2, (pi - theta)/2); its error only leaves an
     O(eps) tail.  AccuracyError when that tail passes 10 x ``tolerance``, or
     when f needs a phi panel of the operator halved more than 7 times.
+    ``tolerance`` must be positive; inf turns the tail check off.
 
     A pre-built TruncationOperator amortizes kernel evaluations over several
     functions and carries a custom KernelConfig; it must have been built for
@@ -627,6 +630,9 @@ def riesz_pv(
     radii to rounding, and whose tail difference over the wider last step
     reads larger (see PVResult).
     """
+    # a NaN tolerance would pass every tail, a negative one refuse every tail
+    if not tolerance > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
     if operator is None:
         schedule = schedule or TruncationSchedule.geometric()
         operator = TruncationOperator(lam, k, theta, schedule.epsilons)

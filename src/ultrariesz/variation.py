@@ -19,9 +19,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .quadrature import QuadratureRule, _evaluate
+from .special import _check_integer
 from .transforms import (
     SpectralCoefficients,
-    TruncationOperator,
     TruncationSchedule,
     band_limited,
     riesz_pv,
@@ -75,7 +75,7 @@ class DyadicBands:
 
     @classmethod
     def dyadic(cls, t0: float = 1.0, count: int = 16) -> "DyadicBands":
-        return cls(t0 * 0.5 ** np.arange(count))
+        return cls(t0 * 0.5 ** np.arange(_check_integer("edge count", count, 2)))
 
 
 def oscillation(trace: TruncationTrace, bands: DyadicBands) -> float:
@@ -186,8 +186,7 @@ def convergence_report(
     thetas = np.asarray(thetas, dtype=float)
     records = []
     for theta in thetas:
-        operator = TruncationOperator(lam, k, float(theta), schedule.epsilons)
-        pv = riesz_pv(func, lam, k, float(theta), operator=operator)
+        pv = riesz_pv(func, lam, k, float(theta), schedule)
         trace = TruncationTrace(epsilons=schedule.epsilons, values=pv.truncated, theta=float(theta))
         spectral = riesz_spectral(func, lam, k, float(theta), n_max, rule)
         records.append(

@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 
 from ultrariesz import (
+    DyadicBands,
+    KernelConfig,
+    KernelPoint,
     beta,
     build_rule,
+    coefficients,
     gegenbauer_eval,
     gegenbauer_theta_jets,
     integrate,
+    jet_oracle,
+    kernel_constants,
     norm_sq,
+    sample_points,
     total_mass,
 )
 from ultrariesz import special
@@ -179,6 +186,40 @@ class TestThetaJets:
         jets = gegenbauer_theta_jets(np.int64(3), 0.7, 1.0, np.int32(2))
         assert np.array_equal(jets, gegenbauer_theta_jets(3, 0.7, 1.0, 2))
         assert build_rule(1.3, np.int64(8)) is build_rule(1.3, 8)
+
+
+_POINT = KernelPoint(theta=1.1, phi=0.5, r=0.7, t=2.0)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: coefficients(2.0), "derivative order"),
+        (lambda: coefficients(True), "derivative order"),
+        (lambda: DyadicBands.dyadic(1.0, 2.5), "edge count"),
+        (lambda: sample_points(2.5), "point count"),
+        (lambda: jet_oracle(2.5, 1.0, _POINT), "derivative order"),
+        (lambda: KernelConfig(t_level=True), "t_level"),
+        (lambda: kernel_constants(True), "order"),
+    ],
+    ids=["coefficients-float", "coefficients-bool", "dyadic", "sample_points", "jet_oracle", "t_level",
+         "kernel_constants"],
+)
+def test_integer_arguments_refuse_floats_and_bools_by_name(call, name):
+    # these once died in a TypeError deep inside, or took True as 1 (a table
+    # with ell=True) and 2.5 as three band edges
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        call()
+
+
+def test_integer_arguments_take_numpy_integers():
+    assert coefficients(np.int64(3)) == coefficients(3)
+    assert coefficients(np.int64(3)).ell == 3
+    assert np.array_equal(DyadicBands.dyadic(1.0, np.int64(4)).t, DyadicBands.dyadic(1.0, 4).t)
+    assert sample_points(np.int64(2)) == sample_points(2)
+    assert jet_oracle(np.int64(2), 1.0, _POINT) == jet_oracle(2, 1.0, _POINT)
+    assert KernelConfig(t_level=np.int64(5)) == KernelConfig()
+    assert kernel_constants(np.int64(2)) == kernel_constants(2)
 
 
 def _plain_values(n_max, lam, x):

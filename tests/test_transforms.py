@@ -5,12 +5,14 @@ import pytest
 
 from ultrariesz import (
     AccuracyError,
+    DyadicBands,
     SpectralCoefficients,
     TruncationOperator,
     TruncationSchedule,
     analyze,
     band_limited,
     build_rule,
+    convergence_report,
     fractional_power,
     gegenbauer_eval,
     integrate,
@@ -804,6 +806,40 @@ class TestOperatorBinding:
         schedule = TruncationSchedule.geometric(0.05, 0.5, count)
         with pytest.raises(ValueError, match="operator was built"):
             riesz_pv(self.f, lam, k, theta, schedule, operator=operator)
+
+
+class TestArgumentChecks:
+    f = staticmethod(band_limited(SpectralCoefficients(1.0, [0.0, 0.0, 1.0, 0.0, 0.5])))
+    schedule = TruncationSchedule.geometric()
+
+    @pytest.mark.parametrize("theta", [math.nan, 3.5])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda f, theta, schedule: TruncationOperator(1.0, 2, theta, schedule.epsilons),
+            lambda f, theta, schedule: riesz_pv(f, 1.0, 2, theta, schedule),
+            lambda f, theta, schedule: convergence_report(
+                f, 1.0, 2, [theta], schedule, DyadicBands.dyadic(0.1, 8), 3.0, build_rule(1.0, 32)
+            ),
+        ],
+        ids=["TruncationOperator", "riesz_pv", "convergence_report"],
+    )
+    def test_theta_outside_zero_pi_is_refused_by_name(self, entry, theta):
+        # the panels once met it first: NaN built none ("need at least one
+        # array to concatenate"), and 3.5 put a node past pi ("phi must lie ...")
+        with pytest.raises(ValueError, match="theta must lie in"):
+            entry(self.f, theta, self.schedule)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0, 0.0])
+    def test_riesz_pv_refuses_a_tolerance_that_is_not_positive(self, tolerance):
+        # NaN once turned the tail check off (residual > 10 * nan is False),
+        # and -1 raised an AccuracyError on a resolved tail
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            riesz_pv(self.f, 1.0, 2, 1.2, tolerance=tolerance)
+
+    def test_riesz_pv_takes_an_infinite_tolerance(self):
+        # the CLI's --tolerance inf reaches riesz_pv
+        assert riesz_pv(self.f, 1.0, 2, 1.2, tolerance=math.inf).value == riesz_pv(self.f, 1.0, 2, 1.2).value
 
 
 class TestSchedule:
