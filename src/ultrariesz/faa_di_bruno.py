@@ -143,6 +143,9 @@ def coefficients(ell: int) -> FaaTable:
 
 def pochhammer_factor(lam: float, s: int) -> float:
     """(lam+1)_s / s!, the per-term exponent correction; equals 1 at lam = 0."""
+    s = _check_integer("s", s)
+    if not math.isfinite(lam):
+        raise ValueError(f"exponent parameter must be finite, got {lam}")
     value = 1.0
     for m in range(s):
         value *= (lam + 1.0 + m) / (m + 1.0)
@@ -169,7 +172,8 @@ def expansion_eval(ell: int, lam: float, point: KernelPoint) -> float:
     """Evaluate the finite expansion of the ell-th derivative of D_r**-(lam+1):
     each (s, i, j) term of the table times (lam+1)_s / s!, as _term_layout
     folds them (ell = 0 is D_r**-(lam+1) itself)."""
-    if lam < 0.0:
+    ell = _check_integer("derivative order", ell, 0, MAX_ORDER)
+    if not lam >= 0.0:
         raise ValueError(f"exponent parameter must be nonnegative, got {lam}")
     r, a, b, d = point.r, point.a, point.b, point.d_r
     value = 0.0
@@ -182,7 +186,7 @@ def expansion_eval(ell: int, lam: float, point: KernelPoint) -> float:
 def jet_oracle(ell: int, lam: float, point: KernelPoint) -> float:
     """ell-th theta-derivative of D_r**-(lam+1) by jet arithmetic alone."""
     ell = _check_integer("derivative order", ell)
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError(f"exponent parameter must be nonnegative, got {lam}")
     theta = Jet.variable(point.theta, ell)
     a = theta.cos() * math.cos(point.phi) + theta.sin() * (

@@ -7,16 +7,16 @@ integral over (r, t) in (0,1) x (0,pi), discretized with a fixed tanh-sinh
 rule in t (it carries the (sin t)**(2*lambda-1) endpoint singularity) and
 an r-rule in three segments, each for one difficulty: on (0, 1/2), where
 the r**(lambda-1) log(1/r)**(k-1) singularity sits, the Gauss rule of that
-weight (see _lower_rule; phi within _NEAR_DIAGONAL of theta keep a
-tanh-sinh rule there); Gauss-Legendre panels on (1/2, 1 - w),
-w = min(|theta - phi|, 1/2), graded geometrically toward the near-diagonal
-concentration at r = exp(+-i w); and a fixed Gauss-Legendre rule on
-(1 - w, 1) (see _r_rules).  The t-sum depends on phi only through one
-variable z, so it is tabulated once per (lambda, order, t-level, guard) as
-Chebyshev-point values on panels in log(1 + 2 z), and each phi sums over
+weight, the same for every phi (see _lower_rule); Gauss-Legendre panels on
+(1/2, 1 - w), w = min(|theta - phi|, 1/2), graded geometrically toward the
+near-diagonal concentration at r = exp(+-i w); and a fixed Gauss-Legendre
+rule on (1 - w, 1) (see _r_rules).  The t-sum depends on phi only through
+one variable z, so it is tabulated once per (lambda, order, t-level, guard)
+as Chebyshev-point values on panels in log(1 + 2 z), and each phi sums over
 its r-nodes alone (see kernel_partial); the Poisson kernel reads the
-order-0 table at its one r.  Each value comes out the same whichever batch it is computed
-in, so a batch of phi, or of (theta, phi) pairs, gives it bit for bit.
+order-0 table at its one r.  Each value comes out the same whichever batch
+it is computed in, so a batch of phi, or of (theta, phi) pairs, gives it
+bit for bit.
 """
 
 from __future__ import annotations
@@ -79,10 +79,8 @@ class KernelConfig:
     singular segment (0, 1/2), whose weight carries the
     r**(lambda-1) log(1/r)**(k-1) endpoint singularity: 4 per level, plus
     one per two orders above k 4 (see _lower_points), so 14 at k <= 4 and
-    18 at k 12 by default; it is also the level of the tanh-sinh rule that
-    takes their place for phi within _NEAR_DIAGONAL of theta.  The r-rule's
-    Gauss-Legendre segments above 1/2 are sized by their Bernstein-ellipse
-    bounds, and no level refines them.
+    18 at k 12 by default.  The r-rule's Gauss-Legendre segments above 1/2
+    are sized by their Bernstein-ellipse bounds, and no level refines them.
     Both levels must be integers in [1, 12].  ``min_separation``, positive,
     is the smallest |theta - phi| accepted before an AccuracyError.
     ``doubled()`` raises both levels by one, the standard self-check.
@@ -300,57 +298,22 @@ def _lower_rule(lam: float, k: int, level: int) -> tuple[np.ndarray, np.ndarray,
     raise EvaluationError(f"the r-rule on (0, 1/2) is not finite at lambda {lam}, k {k}")
 
 
-#: phi closer to theta than this keep the tanh-sinh rule on (0, 1/2) that
-#: the r-rule took before its Gauss rule (see _near_diagonal_rule), so their
-#: values stay bit for bit what they were.  There the even-order kernel
-#: cancels terms ~1e5 times itself, which double rounding resolves to ~2e-11
-#: only, and the Gauss rule's other nodes move (lambda 0.3, k 4)'s value
-#: 2e-5 off the diagonal by 1.5e-11 relative, past the 1e-12 records of
-#: test_operator_node_values.  No operator of the default schedule has such
-#: phi: theirs stay at least 1.95e-4 from theta
-_NEAR_DIAGONAL = 5e-5
-
-
-# keyed by (lambda, k, level), as _lower_rule
-@lru_cache(maxsize=64)
-def _near_diagonal_rule(lam: float, k: int, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The r-rules' segment on (0, 1/2) for phi within _NEAR_DIAGONAL of
-    theta: the tanh-sinh nodes r at ``level``, one level finer above k 4
-    for the log(1/r)**(k-1) factor, their 1 - r and the node factors
-    r**(lam-1) log(1/r)**(k-1) (1 - r**2) times the weight, read-only."""
-    lower, weights = tanh_sinh_segment(0.0, _FAR_SPLIT, level + (k > 4))
-    parts = (lower, 1.0 - lower, lower ** (lam - 1.0) * (-np.log(lower)) ** (k - 1) * (1.0 - lower * lower) * weights)
-    for part in parts:
-        part.flags.writeable = False
-    return parts
-
-
 def _r_rules(
     lam: float, k: int, seps: np.ndarray, level: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The r-rules of a block of phi, one per entry w of ``seps``, each in
     three segments: the Gauss rule of the weight r**(lam-1) log(1/r)**(k-1)
     on (0, 1/2), the same for every phi (_lower_rule at KernelConfig.r_level
-    ``level``; a phi within _NEAR_DIAGONAL of theta takes
-    _near_diagonal_rule there); Gauss-Legendre panels on (1/2, 1 - w),
-    graded toward r = 1 with a common ratio of their ends' distances to 1
-    of at most _GRADING and _GRADED_POINTS nodes each; and _UPPER_POINTS
-    Gauss-Legendre nodes on (1 - w, 1).  Above 1/2 the nodes are placed by
-    their distance 1 - r, so log(1/r) and 1 - r**2 keep their digits next
-    to r = 1.  Returns the rules' nodes r and 1 - r, concatenated in the
-    order of ``seps``, the node factor r**(lam-1) log(1/r)**(k-1) (1 - r**2)
-    times the weight (the Christoffel weight already holds the first two
-    below 1/2 on the Gauss rule), and each rule's node count."""
-    # the segments on (0, 1/2): the Gauss rule, and the tanh-sinh rule if a
-    # phi is within _NEAR_DIAGONAL of theta
-    near = seps < _NEAR_DIAGONAL
-    rules = [_lower_rule(lam, k, level)]
-    if near.any():
-        rules.append(_near_diagonal_rule(lam, k, level))
-    lower, lower_dist, lower_fac = (np.concatenate(parts) for parts in zip(*rules))
-    pick = near.astype(np.intp)
-    sizes = np.array([rule[0].size for rule in rules])[pick]
-    starts = np.array([0, rules[0][0].size])[pick]
+    ``level``); Gauss-Legendre panels on (1/2, 1 - w), graded toward r = 1
+    with a common ratio of their ends' distances to 1 of at most _GRADING
+    and _GRADED_POINTS nodes each; and _UPPER_POINTS Gauss-Legendre nodes on
+    (1 - w, 1).  Above 1/2 the nodes are placed by their distance 1 - r, so
+    log(1/r) and 1 - r**2 keep their digits next to r = 1.  Returns the
+    rules' nodes r and 1 - r, concatenated in the order of ``seps``, the
+    node factor r**(lam-1) log(1/r)**(k-1) (1 - r**2) times the weight (the
+    Christoffel weight already holds the first two below 1/2), and each
+    rule's node count."""
+    lower, lower_dist, lower_fac = _lower_rule(lam, k, level)
     # graded panel j of a phi spans the distances w g**j .. w g**(j + 1) to
     # r = 1, where g = (1/2 / w)**(1 / panels)
     span = np.log(_FAR_SPLIT / seps)
@@ -372,16 +335,14 @@ def _r_rules(
     # each phi's nodes together, in the order of seps: lower, graded, upper
     phi = np.arange(seps.size)
     owner = np.concatenate(
-        [np.repeat(phi, sizes), np.repeat(of_panel, _GRADED_POINTS), np.repeat(phi, _UPPER_POINTS)]
+        [np.repeat(phi, lower.size), np.repeat(of_panel, _GRADED_POINTS), np.repeat(phi, _UPPER_POINTS)]
     )
-    # each phi's segment on (0, 1/2) runs from its rule's start in lower
-    lower_source = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
-    source = np.concatenate([lower_source, lower.size + np.arange(dist.size)])
+    source = np.concatenate([np.tile(np.arange(lower.size), seps.size), lower.size + np.arange(dist.size)])
     source = source[np.argsort(owner, kind="stable")]
     r = np.concatenate([lower, r_upper])[source]
     one_minus_r = np.concatenate([lower_dist, dist])[source]
     r_fac = np.concatenate([lower_fac, upper_fac])[source]
-    return r, one_minus_r, r_fac, sizes + _GRADED_POINTS * panels + _UPPER_POINTS
+    return r, one_minus_r, r_fac, lower.size + _GRADED_POINTS * panels + _UPPER_POINTS
 
 
 def _angle_array(name: str, angle) -> np.ndarray:
@@ -742,6 +703,8 @@ def circle_R(k: int, theta: float, phi: float) -> float:
     function's) and the constant -(-1)**(k/2) / (2 pi) for even k, whose
     jump gamma_k is kernel_constants'."""
     w = float(theta) - float(phi)
+    if not math.isfinite(w):
+        raise ValueError(f"w = theta - phi must be finite, got {w}")
     if w == 0.0:
         raise ValueError("kernel is singular on the diagonal theta = phi")
     _check_circle(k, w)

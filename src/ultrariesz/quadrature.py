@@ -8,9 +8,10 @@ nodes are +- the singular values of a half-size bidiagonal block of the
 Jacobi matrix, and the weights are Christoffel numbers summed by the
 three-term recurrence; no eigenvectors are formed.  The Riesz operator's
 phi panels take Gauss-Jacobi rules for t**beta on (0, 1), with their
-orthonormal basis, and the Riesz kernel's r-rule on (0, 1/2) the Gauss rule
+orthonormal basis, the Gauss-Legendre rules are those at beta = 0 mapped
+to (-1, 1), and the Riesz kernel's r-rule on (0, 1/2) takes the Gauss rule
 of its own weight, whose recurrence _stieltjes draws from a discretized
-measure: both through _gauss_from_recurrence.  Everything else with an
+measure: all through _gauss_from_recurrence.  Everything else with an
 endpoint singularity (algebraic or logarithmic) goes through tanh-sinh
 quadrature, which also supplies the fixed node sets the kernel integrals
 build their grids from and the discretizations _stieltjes runs on.
@@ -336,7 +337,12 @@ def _bernstein_points(a: float, error: float) -> float:
 
 @lru_cache(maxsize=None)
 def _gl_base(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+    """The n-point Gauss-Legendre rule on (-1, 1): _gauss_jacobi(n, 0) on
+    (0, 1), mapped; read-only."""
+    t, w, _ = _gauss_jacobi(n, 0.0)
+    nodes, weights = 2.0 * t - 1.0, 2.0 * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 # bounded: beta is 2 lambda for the panels that reach 0 or pi, and a caller

@@ -135,6 +135,28 @@ class TestExpansion:
         assert pochhammer_factor(0.0, 3) == pytest.approx(1.0)
         assert pochhammer_factor(1.0, 2) == pytest.approx((2.0 * 3.0) / 2.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda point: jet_oracle(2, math.nan, point),
+            lambda point: expansion_eval(2, math.nan, point),
+            # the term layout's cache once keyed True and 1.0 as order 1
+            lambda point: (expansion_eval(1, 1.0, point), expansion_eval(True, 1.0, point)),
+            lambda point: (expansion_eval(1, 1.0, point), expansion_eval(1.0, 1.0, point)),
+            lambda point: pochhammer_factor(1.0, -1),
+            lambda point: pochhammer_factor(1.0, 2.5),
+            lambda point: pochhammer_factor(1.0, True),
+            lambda point: pochhammer_factor(math.nan, 2),
+        ],
+        ids=["jet_oracle-nan", "expansion_eval-nan", "expansion_eval-bool", "expansion_eval-float",
+             "pochhammer-negative", "pochhammer-float", "pochhammer-bool", "pochhammer-nan"],
+    )
+    def test_arguments_are_refused_by_name(self, call):
+        # each of these returned a value (nan, or order 1's, or 1.0) or
+        # raised TypeError
+        with pytest.raises(ValueError, match="exponent parameter|derivative order|s must be"):
+            call(sample_points(1)[0])
+
     def test_reflection_parity(self):
         # reflecting both angles flips the sign of b and hence multiplies
         # each (s, i, j) term by (-1)^j; the jet oracle must track it

@@ -1,8 +1,10 @@
+import json
 import math
 import re
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,79 @@ from ultrariesz.jets import Jet
 from ultrariesz.faa_di_bruno import _term_layout
 from ultrariesz.kernels import DEFAULT_KERNEL_CONFIG, KernelConfig, _t_table
 from ultrariesz.quadrature import _bernstein_points, _gauss_jacobi, _ts_table, gauss_legendre_segment, tanh_sinh_segment
+
+#: long-double sums of the kernel at _NODE_THETA and the first three
+#: _NODE_PHIS, written by tests/data/make_kernel_reference.py
+_REFERENCE = Path(__file__).parent / "data" / "kernel_reference.json"
+
+#: the points of test_operator_node_values: besides 2e-5 off the diagonal
+#: on either side, nodes of the theta = 1.2 operator of the default schedule
+#: as it was built with 24 points per band: three band nodes, three far
+#: nodes, and two each near 0 and near pi
+_NODE_THETA = 1.2
+_NODE_PHIS = np.array([
+    1.19998, 1.2000199999999999, 1.200201340375781,
+    1.1900277535391448, 1.23988898584342, 1.1393365253394676,
+    0.4908096590329119, 2.2884123778056136, 0.0008888299585738009,
+    1.1572160658991341e-08, 3.1407085198314006, 3.1415926430684378,
+])
+
+#: riesz_kernel at (_NODE_THETA, _NODE_PHIS) per (lambda, k).  The last nine
+#: of each row were recorded with whole (r, t) grids, before each phi's grid
+#: was trimmed to the cells that carry mass; the first three when every phi
+#: took the Gauss rule of its own weight on (0, 1/2) and the package's
+#: Gauss-Legendre rule above it, within 1.1e-15 (odd k) and 1.7e-11 (even k)
+#: relative of _REFERENCE
+_NODE_RECORDS = {
+    (0.3, 1): [
+        -16602.5018305018, 16601.440617590375, 1648.7036739360985,
+        -33.58945007882067, 8.097323283469098, -5.707523865598425,
+        -0.7046784415765862, 0.28679859023457166, -0.5909922816392994,
+        -0.5909919710429982, 0.22026900010843256, 0.2202689439215337,
+    ],
+    (0.3, 2): [
+        0.6168893609468988, 0.3735600676255247, 0.37354765319808675,
+        0.6164469844726833, 0.37161651928784517, 0.6142798138054159,
+        0.5956995473005189, 0.33961963685539004, 0.5916577332653816,
+        0.5916577201190668, 0.33263463878756044, 0.33263463147452454,
+    ],
+    (0.3, 3): [
+        16603.162361384744, -16600.779924990005, -1648.2214045113858,
+        33.75363256430613, -7.978811503762476, 5.683536773302964,
+        0.2821990619067571, -0.1080039554881594, 0.11834298125463145,
+        0.11834251581300645, -0.019938239969912872, -0.01993816222345657,
+    ],
+    (0.3, 4): [
+        -1.0522926054109754, -0.5656480769072578, -0.565590475658227,
+        -1.0405540309569032, -0.5462551002567175, -0.9824868680547134,
+        -0.48806891293344556, -0.2309721653903535, -0.3813625630500093,
+        -0.3813622164919528, -0.16359450181996668, -0.16359443158306158,
+    ],
+    (2.45, 1): [
+        -22474.175803648093, 22464.773380107854, 2228.2754037195596,
+        -47.08656601381439, 9.764494496114251, -8.615236299584971,
+        -0.9567187480207814, 0.0951588233578648, -0.7484091650160286,
+        -0.7484085931472784, 0.05452873413257176, 0.05452870330236807,
+    ],
+    (2.45, 2): [
+        3.7970337321695915, 1.1075692383305247, 1.107633829396999,
+        3.7461099029009013, 0.9890522000006219, 3.5018449065452044,
+        1.9739434796424635, 0.16260791847450734, 1.7442495639452373,
+        1.7442488629806447, 0.11105330335159794, 0.11105325919277226,
+    ],
+    (2.45, 3): [
+        22480.939130728482, -22458.01638628081, -2223.48241513117,
+        48.280811069841825, -8.835186507568883, 7.67546414796446,
+        -2.236086202638253, 0.14967332001463257, -2.400309228343029,
+        -2.40030956247695, 0.13486906295197237, 0.1348690416113663,
+    ],
+    (2.45, 4): [
+        -7.293186345486013, -1.914603788248547, -1.9023174532422107,
+        -6.99150246439664, -1.6008979330179083, -5.640446486295127,
+        1.5024622373667442, 0.08448070619827731, 2.3047926100150855,
+        2.304794908341411, 0.125093748664147, 0.12509377270325242,
+    ],
+}
 
 
 class TestConstants:
@@ -309,129 +384,33 @@ class TestRieszKernel:
             assert riesz_kernel(lam, k, theta, phi) == pytest.approx(expected, rel=1e-11, abs=0.0)
 
     def test_operator_node_values(self):
-        # recorded with whole (r, t) grids, before each phi's grid was
-        # trimmed to the cells that carry mass.  Besides 2e-5 off the
-        # diagonal on either side, the phi are nodes of the theta = 1.2
-        # operator of the default schedule as it was built then (24 points
-        # per band): three band nodes, three far nodes, and two each near 0
-        # and near pi
-        theta = 1.2
-        phis = np.array([
-            1.19998, 1.2000199999999999, 1.200201340375781,
-            1.1900277535391448, 1.23988898584342, 1.1393365253394676,
-            0.4908096590329119, 2.2884123778056136, 0.0008888299585738009,
-            1.1572160658991341e-08, 3.1407085198314006, 3.1415926430684378,
-        ])
-        recorded = {
-            (0.3, 1): [
-                -16602.501830462297, 16601.440617550874, 1648.7036739357702,
-                -33.58945007882067, 8.097323283469098, -5.707523865598425,
-                -0.7046784415765862, 0.28679859023457166, -0.5909922816392994,
-                -0.5909919710429982, 0.22026900010843256, 0.2202689439215337,
-            ],
-            (0.3, 2): [
-                0.6168893142062128, 0.3735600208742858, 0.3735476528169173,
-                0.6164469844726833, 0.37161651928784517, 0.6142798138054159,
-                0.5956995473005189, 0.33961963685539004, 0.5916577332653816,
-                0.5916577201190668, 0.33263463878756044, 0.33263463147452454,
-            ],
-            (0.3, 3): [
-                16603.162361402417, -16600.779925007682, -1648.221404511418,
-                33.75363256430613, -7.978811503762476, 5.683536773302964,
-                0.2821990619067571, -0.1080039554881594, 0.11834298125463145,
-                0.11834251581300645, -0.019938239969912872, -0.01993816222345657,
-            ],
-            (0.3, 4): [
-                -1.0522925803522312, -0.5656480518325766, -0.565590475239805,
-                -1.0405540309569032, -0.5462551002567175, -0.9824868680547134,
-                -0.48806891293344556, -0.2309721653903535, -0.3813625630500093,
-                -0.3813622164919528, -0.16359450181996668, -0.16359443158306158,
-            ],
-            (2.45, 1): [
-                -22474.175803585418, 22464.7733800452, 2228.275403719112,
-                -47.08656601381439, 9.764494496114251, -8.615236299584971,
-                -0.9567187480207814, 0.0951588233578648, -0.7484091650160286,
-                -0.7484085931472784, 0.05452873413257176, 0.05452870330236807,
-            ],
-            (2.45, 2): [
-                3.797033638571693, 1.1075691447450386, 1.1076338288833931,
-                3.7461099029009013, 0.9890522000006219, 3.5018449065452044,
-                1.9739434796424635, 0.16260791847450734, 1.7442495639452373,
-                1.7442488629806447, 0.11105330335159794, 0.11105325919277226,
-            ],
-            (2.45, 3): [
-                22480.939130734816, -22458.01638628718, -2223.482415131205,
-                48.280811069841825, -8.835186507568883, 7.67546414796446,
-                -2.236086202638253, 0.14967332001463257, -2.400309228343029,
-                -2.40030956247695, 0.13486906295197237, 0.1348690416113663,
-            ],
-            (2.45, 4): [
-                -7.293185572292321, -1.9146030151669207, -1.902317452672705,
-                -6.99150246439664, -1.6008979330179083, -5.640446486295127,
-                1.5024622373667442, 0.08448070619827731, 2.3047926100150855,
-                2.304794908341411, 0.125093748664147, 0.12509377270325242,
-            ],
-        }
-        # at the three phi within 2.1e-4 of theta the kernel cancels terms
-        # far larger than itself at even k, so the records there are measured
-        # against plain double sums on the same t-rule, with the r-integral
-        # converged (level-8 tanh-sinh, its nodes and weights too in long
-        # double) and every cell summed in long double (below).  They were
-        # re-recorded three times, each record closer to the long-double sum
-        # than the one it replaces: when the r-rule took Gauss-Legendre above
-        # its split (k = 3 moved 1.9e-13 relative and kept its record), when
-        # its nodes above r = 1/2 came to carry their distance 1 - r, on
-        # graded panels (every record moved, to within 2.2e-15 of the sum at
-        # odd k and 9.8e-11 at even k), and when the segment on (0, 1/2) took
-        # the Gauss rule of its own weight at phi 5e-5 or more off the
-        # diagonal ((0.3, 4)'s third value moved past the gate below, from
-        # 1.6e-12 to 8.8e-13 relative off the sum; the phi 2e-5 off keep the
-        # tanh-sinh segment, kernels._NEAR_DIAGONAL)
-        rerecords = [
-            {
-                (0.3, 1): [-16602.501830481833, 16601.440617570406, 1648.7036739358068],
-                (0.3, 2): [0.6168893350502099, 0.37356004172327734, 0.37354765294170456],
-                (0.3, 4): [-1.052292607856681, -0.5656480793307299, -0.5655904753701154],
-                (2.45, 1): [-22474.175803611884, 22464.773380071645, 2228.2754037191644],
-                (2.45, 2): [3.797033666791198, 1.1075691729521313, 1.1076338290522898],
-                (2.45, 4): [-7.293185609531771, -1.9146030523699615, -1.9023174528478521],
-            },
-            {
-                (0.3, 1): [-16602.501830501802, 16601.44061759038, 1648.7036739360992],
-                (0.3, 2): [0.6168893609635742, 0.3735600676310831, 0.37354765319912897],
-                (0.3, 3): [16603.162361384737, -16600.779924989994, -1648.2214045113844],
-                (0.3, 4): [-1.0522926053961528, -0.5656480768924353, -0.5655904756568374],
-                (2.45, 1): [-22474.175803648097, 22464.77338010786, 2228.2754037195605],
-                (2.45, 2): [3.7970337321809398, 1.107569238341873, 1.1076338293991266],
-                (2.45, 3): [22480.93913072845, -22458.0163862808, -2223.4824151311673],
-                (2.45, 4): [-7.293186345470882, -1.9146037882409814, -1.902317453240319],
-            },
-            {
-                (0.3, 4): [-1.0522926053961528, -0.5656480768924353, -0.565590475658227],
-            },
-        ]
-        long_double = {
-            (0.3, 1): [-16602.501830501773, 16601.440617590346, 1648.7036739360983],
-            (0.3, 2): [0.6168893609298525, 0.3735600675945565, 0.3735476531975565],
-            (0.3, 3): [16603.162361384755, -16600.779924990024, -1648.2214045113865],
-            (0.3, 4): [-1.052292605390039, -0.565648076869939, -0.5655904756577295],
-            (2.45, 1): [-22474.175803648053, 22464.773380107814, 2228.2754037195587],
-            (2.45, 2): [3.7970337321327694, 1.1075692382859856, 1.1076338293971153],
-            (2.45, 3): [22480.939130728482, -22458.016386280826, -2223.482415131168],
-            (2.45, 4): [-7.293186345481904, -1.91460378823768, -1.9023174532420675],
-        }
-        for rerecorded in rerecords:
-            for (lam, k), near in rerecorded.items():
-                old, exact = np.array(recorded[(lam, k)][:3]), np.array(long_double[(lam, k)])
-                assert np.all(np.abs(np.array(near) - exact) <= np.abs(old - exact)), (lam, k)
-                recorded[(lam, k)] = near + recorded[(lam, k)][3:]
-        for (lam, k), exact in long_double.items():
-            floor = 3e-15 if k % 2 else 1e-10
-            np.testing.assert_allclose(recorded[(lam, k)][:3], exact, rtol=floor, atol=0.0)
-        for (lam, k), expected in recorded.items():
-            values = riesz_kernel(lam, k, theta, phis)
+        # the records against the kernel; the three phi within 2.1e-4 of
+        # theta also against the long-double sums of
+        # tests/data/kernel_reference.json, which resolve them to ~1e-14
+        # where the double kernel cancels terms ~1e5 times itself at even k
+        worst = {0: 0.0, 1: 0.0}
+        for row in json.loads(_REFERENCE.read_text())["values"]:
+            lam, k, exact = row["lambda"], row["k"], np.array(row["values"])
+            error = np.abs(np.array(_NODE_RECORDS[(lam, k)][:3]) - exact) / np.abs(exact)
+            assert np.all(error <= (3e-15 if k % 2 else 1e-10)), (lam, k, error)
+            worst[k % 2] = max(worst[k % 2], float(error.max()))
+        # never less accurate, per parity, than the records these replaced:
+        # 1.534e-15 at odd k and 2.573e-11 at even k off the reference
+        assert worst[1] <= 1.534e-15 and worst[0] <= 2.573e-11, worst
+        for (lam, k), expected in _NODE_RECORDS.items():
+            values = riesz_kernel(lam, k, _NODE_THETA, _NODE_PHIS)
             scale = max(abs(v) for v in expected)
             np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12 * scale, err_msg=f"{lam}, {k}")
+
+    def test_reference_holds_the_node_points(self):
+        # a reference summed on another t-rule, or at other points, would
+        # gate the records against values of another discretization
+        document = json.loads(_REFERENCE.read_text())
+        assert document["t_level"] == DEFAULT_KERNEL_CONFIG.t_level
+        assert document["theta"] == _NODE_THETA
+        assert document["phi"] == _NODE_PHIS[:3].tolist()
+        assert [(row["lambda"], row["k"]) for row in document["values"]] == list(_NODE_RECORDS)
+        assert all(len(row["values"]) == 3 for row in document["values"])
 
     def test_array_guards_check_every_entry(self):
         with pytest.raises(ValueError, match="diagonal"):
@@ -455,8 +434,7 @@ def _plain_double_sum(lam, k, ell, theta, phi, config):
     one_minus_cos_t = 2.0 * np.sin(0.5 * t) ** 2
     t_fac = np.sin(t) ** (2.0 * lam - 1.0) * t_weights
     sep = min(abs(theta - phi), 0.5)
-    rule = kernels._near_diagonal_rule if sep < kernels._NEAR_DIAGONAL else kernels._lower_rule
-    lower, _, lower_fac = rule(lam, k, config.r_level)
+    lower, _, lower_fac = kernels._lower_rule(lam, k, config.r_level)
     panels = math.ceil(math.log(0.5 / sep) / math.log(kernels._GRADING))
     edges = [sep * (0.5 / sep) ** (j / panels) for j in range(panels)] + [0.5]
     upper = [gauss_legendre_segment(near, far, kernels._GRADED_POINTS) for near, far in zip(edges, edges[1:])]
@@ -672,17 +650,6 @@ class TestLowerRRule:
         # x = u**(1/lam) rounds to 1 at every node: a one-point measure
         with pytest.raises(EvaluationError, match="not finite"):
             kernels._lower_rule(1e300, 2, 3)
-
-    @pytest.mark.parametrize("k", [2, 8])
-    def test_phi_next_to_the_diagonal_keep_the_tanh_sinh_segment(self, k):
-        # one level finer above k 4, as the segment was before the Gauss rule
-        seps = np.array([0.3, 2e-5, 1e-3, 4.9e-5])
-        r, _, _, counts = kernels._r_rules(0.3, k, seps, 3)
-        gauss = kernels._lower_rule(0.3, k, 3)[0]
-        tanh_sinh = tanh_sinh_segment(0.0, 0.5, 3 + (k > 4))[0]
-        for start, lower in zip(np.cumsum(counts) - counts, [gauss, tanh_sinh, gauss, tanh_sinh]):
-            assert np.array_equal(r[start : start + lower.size], lower)
-            assert r[start + lower.size] > 0.5
 
 
 #: the default r-rule under a finer t-rule, so that the t-rule's error does
@@ -926,7 +893,7 @@ def _circle_H_reference(k, w):
 
 def _paired_batch(seed, count):
     """``count`` (theta, phi) pairs in (0.05, pi - 0.05) at least 1e-3 apart,
-    the fourth 2e-5 off the diagonal (inside kernels._NEAR_DIAGONAL)."""
+    the fourth 2e-5 off the diagonal."""
     rng = np.random.default_rng(seed)
     thetas, phis = rng.uniform(0.05, math.pi - 0.05, (2, count))
     phis = np.where(np.abs(thetas - phis) < 1e-3, phis + 2e-3, phis)
@@ -940,7 +907,6 @@ class TestPairedTheta:
     def test_pairs_equal_scalar_theta_calls(self, lam, k):
         # three blocks of kernels._PHI_BLOCK, each pair among pairs of other theta
         thetas, phis = _paired_batch(k, 2 * kernels._PHI_BLOCK + 7)
-        assert np.abs(thetas - phis).min() < kernels._NEAR_DIAGONAL
         values = riesz_kernel(lam, k, thetas, phis)
         loop = [riesz_kernel(lam, k, float(theta), float(phi)) for theta, phi in zip(thetas, phis)]
         assert values.shape == phis.shape
@@ -1054,6 +1020,14 @@ class TestCircleKernels:
             circle_H(1, 5e-324)
         with pytest.raises(AccuracyError):
             circle_R(1, 5e-324, 0.0)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("theta, phi", [(math.nan, 0.5), (1.0, math.inf), (math.inf, math.inf)])
+    def test_circle_r_refuses_a_w_that_is_not_finite(self, k, theta, phi):
+        # such a w gave nan at odd k and the constant at even k, where
+        # circle_H refuses it
+        with pytest.raises(ValueError, match="w = theta - phi must be finite"):
+            circle_R(k, theta, phi)
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_closed_forms_match_the_subordination_integrals(self, k):
