@@ -166,8 +166,12 @@ _CONFIG_KEYS = {
 
 def load_config_file(path: str) -> dict:
     """Parse a `key = value` file with # comments into config field values."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the config file: {exc}") from exc
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -553,7 +557,9 @@ def _run(args: argparse.Namespace) -> int:
             if flag_value is not None:
                 values[f.name] = flag_value
         return _COMMANDS[args.command](RunConfig(**values).validate())
-    except ConfigError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
+        # a ValueError is the library refusing an argument, an OSError a
+        # report that cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except (ConstructionError, EvaluationError, OverflowError, FloatingPointError) as exc:

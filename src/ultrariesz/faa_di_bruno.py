@@ -2,16 +2,18 @@
 
 With a = cos(theta - phi) - sigma (1 - cos t), b = da/dtheta and
 D_r = 1 - 2 r a + r**2, the l-th theta-derivative of D_r**-(lam+1) is a
-finite sum of terms c * r**(i+j) * a**i * b**j * D_r**-(lam+1+s).  The
-integer-indexed coefficient table is computed here in exact rational
-arithmetic by enumerating derivative partitions; an independent jet-based
-differentiator of the same quantity serves as the oracle.
+finite sum of terms c * r**(i+j) * a**i * b**j * D_r**-(lam+1+s).  As
+a' = b, b' = -a and D_r' = -2 r b, one theta-derivative sends the term at
+(s, i, j) to i c at (s, i-1, j+1), -j c at (s, i+1, j-1) and
+2 (lam+1+s) c at (s+1, i, j+1).  The table is built here by that step,
+order by order; its entries are integers, kept exact (as Fractions in a
+FaaTable).  An independent jet-based differentiator serves as the oracle.
 
-The printed table carries no dependence on the exponent parameter: it is
-exact for lam = 0 and acquires a per-term Pochhammer factor
-(lam+1)_s / s! otherwise.  Only the corrected form is evaluated here; the
-test suite fails loudly if it ever disagrees with the jet oracle, and
-keeps the paper's uncorrected reading as a check that it does not.
+The table is the lam = 0 one, whose D_r step carries 2 (1+s): a term at
+s took the D_r steps at 0, ..., s-1, so at lam it carries the Pochhammer
+factor (lam+1)_s / s! on top, which the paper's printed table lacks.
+Only the corrected form is evaluated; the tests fail loudly if it ever
+disagrees with the jet oracle, and check that the printed reading does.
 """
 
 from __future__ import annotations
@@ -98,45 +100,24 @@ class KernelPoint:
         return self.delta_r + 2.0 * self.r * self.sigma * (1.0 - math.cos(self.t))
 
 
-def _partition_vectors(ell: int):
-    """All (k_1, ..., k_ell) >= 0 with sum r*k_r = ell, lexicographically."""
-
-    def rec(position: int, remaining: int, prefix: list[int]):
-        if position == ell:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        r = position + 1
-        for count in range(remaining // r + 1):
-            yield from rec(position + 1, remaining - r * count, prefix + [count])
-
-    yield from rec(0, ell, [])
+@lru_cache(maxsize=None)
+def _table(ell: int) -> dict[tuple[int, int, int], int]:
+    """Order ell's lam = 0 entries, by one step from order ell - 1's."""
+    if ell == 0:
+        return {(0, 0, 0): 1}
+    entries: dict[tuple[int, int, int], int] = {}
+    for (s, i, j), c in _table(ell - 1).items():
+        for key, factor in (((s, i - 1, j + 1), i), ((s, i + 1, j - 1), -j), ((s + 1, i, j + 1), 2 * (s + 1))):
+            entries[key] = entries.get(key, 0) + factor * c
+    return {key: entries[key] for key in sorted(entries) if entries[key]}
 
 
 # typed: True and 2.0 hash as 1 and 2, and must reach the check, not their entries
 @lru_cache(maxsize=None, typed=True)
 def coefficients(ell: int) -> FaaTable:
-    """Exact rational coefficient table for derivative order ``ell``."""
+    """Exact rational lam = 0 coefficient table for derivative order ``ell``."""
     ell = _check_integer("derivative order", ell, 1, MAX_ORDER)
-    entries: dict[tuple[int, int, int], Fraction] = {}
-    fact = [math.factorial(m) for m in range(ell + 1)]
-    for ks in _partition_vectors(ell):
-        s = sum(ks)
-        i = sum(ks[r - 1] for r in range(2, ell + 1, 2))
-        j = sum(ks[r - 1] for r in range(1, ell + 1, 2))
-        alpha = sum((r - 1) * (ks[2 * r - 2] + ks[2 * r - 1]) for r in range(2, ell // 2 + 1))
-        if ell % 2 == 1:
-            alpha += (ell - 1) * ks[ell - 1] // 2
-        denom = 1
-        for r, k_r in enumerate(ks, start=1):
-            denom *= fact[k_r] * fact[r] ** k_r
-        term = Fraction(
-            (-1) ** ((s + j + alpha) % 2) * 2**s * fact[ell] * fact[s], denom
-        )
-        key = (s, i, j)
-        entries[key] = entries.get(key, Fraction(0)) + term
-    entries = {key: value for key, value in entries.items() if value != 0}
-    table = FaaTable(ell=ell, entries=entries)
+    table = FaaTable(ell=ell, entries={key: Fraction(c) for key, c in _table(ell).items()})
     assert table.support_ok()
     return table
 
@@ -159,11 +140,9 @@ def _term_layout(ell: int, lam: float):
     """Per-s lists of (coefficient, i, j) with the Pochhammer factor folded in
     (the factor is exactly 1 at lam = 0, the circle case): the table the
     Riesz kernel sums, and expansion_eval with it."""
-    if ell == 0:
-        return {0: ((1.0, 0, 0),)}
-    table = coefficients(ell)
+    _check_integer("derivative order", ell, 0, MAX_ORDER)  # the kernel's cap on k
     layout: dict[int, list[tuple[float, int, int]]] = {}
-    for (s, i, j), coeff in sorted(table.entries.items()):
+    for (s, i, j), coeff in _table(ell).items():
         layout.setdefault(s, []).append((float(coeff) * pochhammer_factor(lam, s), i, j))
     return {s: tuple(terms) for s, terms in layout.items()}
 

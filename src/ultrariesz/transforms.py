@@ -432,7 +432,7 @@ class TruncationOperator:
     f; an f applied after a split is summed on the halves.  Past 7 halvings
     the apply raises AccuracyError carrying the estimate, which
     ``band_estimate`` holds for the last apply.  ``epsilons`` must form a
-    TruncationSchedule.
+    TruncationSchedule whose smallest radius is below max(theta, pi - theta).
     """
 
     def __init__(
@@ -451,7 +451,13 @@ class TruncationOperator:
         self.epsilons = TruncationSchedule(epsilons).epsilons
         self._config = config
         theta = self.theta
-        self._step = min(float(self.epsilons[-1]), 0.5 * theta, 0.5 * (math.pi - theta))
+        smallest, reach = float(self.epsilons[-1]), max(theta, math.pi - theta)
+        if smallest >= reach:
+            raise ValueError(
+                f"the smallest radius {smallest!r} leaves no phi in (0, pi) at theta = {theta!r}: "
+                f"it is at least max(theta, pi - theta) = {reach!r}"
+            )
+        self._step = min(smallest, 0.5 * theta, 0.5 * (math.pi - theta))
         radii = self.epsilons.tolist()
         self._pieces = []
         for side, end in ((-1.0, 0.0), (1.0, math.pi)):

@@ -183,6 +183,28 @@ class TestSubcommands:
         assert out == ""
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("coeffs", "--config", "{tmp}/missing.cfg"),
+            ("coeffs", "--config", "{tmp}"),
+            ("coeffs", "--config", "{tmp}/latin1.cfg"),
+            ("coeffs", "--output", "{tmp}/missing/coeffs.csv"),
+            ("variation", "--theta", "1.0", "--eps-count", "3", "--output", "{tmp}/missing/report"),
+            ("riesz-pv", "--theta", "1.5707963267948966", "--eps-start", "3.0", "--eps-ratio", "0.6", "--eps-count", "2"),
+        ],
+        ids=["config-missing", "config-directory", "config-not-utf8", "coeffs-output-missing-dir",
+             "variation-output-missing-dir", "riesz-pv-no-phi"],
+    )
+    def test_file_and_schedule_errors_exit_2_without_traceback(self, capsys, tmp_path, argv):
+        # each of these ended in a traceback (FileNotFoundError,
+        # IsADirectoryError, UnicodeDecodeError, numpy's concatenate)
+        (tmp_path / "latin1.cfg").write_bytes(b"lambda = 1.0  # caf\xe9\n")
+        code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("lam", ["2.7e16", "1e12", "300"])
     def test_spectral_route_refuses_a_lambda_it_cannot_carry(self, capsys, lam):
         # the constant's transform came back as -3.5e167 at 2.7e16, with exit 0

@@ -15,6 +15,42 @@ from ultrariesz import (
 from ultrariesz.faa_di_bruno import MAX_ORDER
 
 
+def _partition_vectors(ell: int):
+    """All (k_1, ..., k_ell) >= 0 with sum r*k_r = ell, lexicographically."""
+
+    def rec(position: int, remaining: int, prefix: list[int]):
+        if position == ell:
+            if remaining == 0:
+                yield tuple(prefix)
+            return
+        r = position + 1
+        for count in range(remaining // r + 1):
+            yield from rec(position + 1, remaining - r * count, prefix + [count])
+
+    yield from rec(0, ell, [])
+
+
+def _printed_table(ell: int) -> dict[tuple[int, int, int], Fraction]:
+    """The paper's printed partition form of the order-ell table: one term
+    per partition of ell (k_r parts of size r), with its sign parity and
+    factorials, summed by (s, i, j)."""
+    entries: dict[tuple[int, int, int], Fraction] = {}
+    fact = [math.factorial(m) for m in range(ell + 1)]
+    for ks in _partition_vectors(ell):
+        s = sum(ks)
+        i = sum(ks[r - 1] for r in range(2, ell + 1, 2))
+        j = sum(ks[r - 1] for r in range(1, ell + 1, 2))
+        alpha = sum((r - 1) * (ks[2 * r - 2] + ks[2 * r - 1]) for r in range(2, ell // 2 + 1))
+        if ell % 2 == 1:
+            alpha += (ell - 1) * ks[ell - 1] // 2
+        denom = 1
+        for r, k_r in enumerate(ks, start=1):
+            denom *= fact[k_r] * fact[r] ** k_r
+        term = Fraction((-1) ** ((s + j + alpha) % 2) * 2**s * fact[ell] * fact[s], denom)
+        entries[(s, i, j)] = entries.get((s, i, j), Fraction(0)) + term
+    return {key: value for key, value in entries.items() if value != 0}
+
+
 class TestCoefficients:
     def test_order_one(self):
         table = coefficients(1)
@@ -36,9 +72,17 @@ class TestCoefficients:
                 assert j >= 2 * s - ell
                 assert i + j == s
 
+    @pytest.mark.parametrize("ell", range(1, MAX_ORDER + 1))
+    def test_equals_the_printed_partition_formula(self, ell):
+        # the order-by-order step against the paper's partition form, exactly
+        table = coefficients(ell).entries
+        assert table == _printed_table(ell)
+        assert all(isinstance(coeff, Fraction) for coeff in table.values())
+        assert list(table) == sorted(table)
+
     def test_rational_exactness(self):
         # every coefficient of D_r^(-1) derivatives is an even integer
-        for ell in range(1, 7):
+        for ell in range(1, MAX_ORDER + 1):
             for coeff in coefficients(ell).entries.values():
                 assert coeff.denominator == 1
                 assert coeff.numerator % 2 == 0

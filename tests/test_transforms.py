@@ -456,6 +456,19 @@ class TestTruncated:
             with pytest.raises(ValueError, match="kernel guard"):
                 TruncationOperator(1.0, 1, 1.0, radii)
 
+    @pytest.mark.parametrize("theta, radii", [(math.pi / 2, [3.0, 2.0]), (1.0, [3.0, 2.25])])
+    def test_a_schedule_that_leaves_no_phi_is_refused(self, theta, radii):
+        # every truncation would be 0; the build raised numpy's "need at
+        # least one array to concatenate"
+        with pytest.raises(ValueError, match=r"smallest radius .* max\(theta, pi - theta\)"):
+            TruncationOperator(1.0, 1, theta, radii)
+
+    def test_a_schedule_past_one_end_only_still_builds(self):
+        # past 0 at theta 0.3, not past pi: the panels lie on the pi side
+        operator = TruncationOperator(1.0, 1, 0.3, [3.0, 2.0])
+        assert operator._pieces and all(piece.lo > 0.3 for piece in operator._pieces)
+        assert np.all(np.isfinite(operator.truncated_values(np.cos)))
+
 
 #: a Lorentzian of width 0.1 at phi 1.7: the 8-point panels past the largest
 #: radius of an operator at theta 1.1 do not resolve it
