@@ -12,9 +12,13 @@ weight, the same for every phi (see _lower_rule); Gauss-Legendre panels on
 near-diagonal concentration at r = exp(+-i w); and a fixed Gauss-Legendre
 rule on (1 - w, 1) (see _r_rules).  The t-sum depends on phi only through
 one variable z, so it is tabulated once per (lambda, order, t-level, guard)
-as Chebyshev-point values on panels in log(1 + 2 z), and each phi sums over
-its r-nodes alone (see kernel_partial); the Poisson kernel reads the
-order-0 table at its one r.  Each value comes out the same whichever batch
+as Chebyshev-point values on panels in v = log(1 + 2 z), and each phi sums
+over its r-nodes alone; the Poisson kernel reads the order-0 table at its
+one r.  Past the first panel the table's columns also carry the powers of
+q = r / Delta_r that the sum weighs them by, as expm1(v)**(s - s0) (see
+_t_table), so each (theta, phi) pair reads one row of the table there and a
+block of pairs is summed by array contractions, with no loop over its
+pairs (see kernel_partial).  Each value comes out the same whichever batch
 it is computed in, so a batch of phi, or of (theta, phi) pairs, gives it
 bit for bit.
 """
@@ -222,11 +226,11 @@ _GRADING = 4.0
 #: excludes exp(+-i w), w <= d, and r = 0; 19 at _GRADING 4
 _GRADED_POINTS = _bernstein_points((_GRADING + 1.0) / (_GRADING - 1.0), 1e-18)
 
-#: phi whose r-node arithmetic is done at once: a block's arrays hold
-#: ~_PHI_BLOCK * 90 nodes per s-row, and its barycentric weights 13 to 22
-#: per node.  Four default operator builds (k 1-4, ~210 phi each) peaked at
-#: 1.6 MiB of traced arrays in blocks of 32 phi and at 4.5 MiB in one block
-#: per build
+#: phi whose r-nodes are summed at once: a block's arrays hold
+#: ~_PHI_BLOCK * 90 nodes, each with its barycentric weights and its table
+#: row, 13 to 22 values apiece.  One kernel call over a default operator's
+#: phi (178 at theta 1.2) at each k 1-4 peaked at 1.8 MiB of traced arrays
+#: in blocks of 32 phi and at 7.0 MiB in one block; at k 12, 3.3 and 11.3 MiB
 _PHI_BLOCK = 32
 
 #: the t-table is piecewise polynomial in v = log(1 + 2 z), on panels of
@@ -428,16 +432,22 @@ def _panel_nodes(ell: int) -> int:
 def _t_table(lam: float, ell: int, t_level: int, min_separation: float) -> np.ndarray:
     """Values, shape (pairs, _panel_nodes(ell), panels), of
     (1 + 2 z)**lam Phi_{m,s}(z) at the first-kind Chebyshev points of each
-    v-panel, where
+    v-panel, times expm1(v)**(s - s0) = (2 z)**(s - s0) on every panel but
+    the first, where
 
         Phi_{m,s}(z) = sum_t w_t (sin t)**(2 lam - 1) u_t**m (1 + z u_t)**-(lam + 1 + s),
 
     u = 1 - cos t, summed over the level-``t_level`` tanh-sinh rule on
-    (0, pi), for the (s, m) of _pairs(ell).  The panels reach
-    v = log(1 + 1/sin(g/2)**2), g = min_separation: past every
-    2 z = 4 sigma r / Delta_r that a phi off the guard can meet, since
-    Delta_r / r >= 4 sin(w/2)**2 and sigma <= 1; a nearer guard only
-    appends panels.  Raises AccuracyError for lam below _LAMBDA_FLOOR."""
+    (0, pi), for the (s, m) of _pairs(ell), and s0 the lowest s there.  So
+    kernel_partial reads one folded row per pair past v = _PANEL_WIDTH (see
+    there); on the first panel the factor would magnify the interpolation
+    error by (expm1(_PANEL_WIDTH) / expm1(v))**(s - s0), and it is left out.
+    The panels reach v = log(1 + 1/sin(g/2)**2), g = min_separation: past
+    every 2 z = 4 sigma r / Delta_r that a phi off the guard can meet, since
+    Delta_r / r >= 4 sin(w/2)**2 and sigma <= 1; a nearer guard only appends
+    panels.  Raises AccuracyError for lam below _LAMBDA_FLOOR, and ValueError
+    naming the least guard that keeps the table finite where the factor
+    (2 z)**(s - s0) carries finite values past the float range."""
     if lam < _LAMBDA_FLOOR:
         message = f"lambda {lam} is below {_LAMBDA_FLOOR}, where the t-rule loses the mass at pi"
         raise AccuracyError(message, estimate=math.nan, error_bound=math.inf)
@@ -452,7 +462,8 @@ def _t_table(lam: float, ell: int, t_level: int, min_separation: float) -> np.nd
     n = _panel_nodes(ell)
     points = _chebyshev(n)[0][:, 0]
     v = ((np.arange(panels)[:, None] + 0.5 * (points + 1.0)) * _PANEL_WIDTH).ravel()
-    z = 0.5 * np.expm1(v)
+    lift = np.expm1(v)
+    z = 0.5 * lift
     # every chunk full, the last one padded with its final z: a row's product
     # then has one shape wherever the table ends, so each row is what it is in
     # a table of any reach
@@ -469,6 +480,27 @@ def _t_table(lam: float, ell: int, t_level: int, min_separation: float) -> np.nd
             if (s, 0) in pairs:
                 col = pairs.index((s, 0))
                 values[rows, col : col + s + 1] = term @ u_pow[:, : s + 1]
+    # the rows past the first panel, times (2 z)**(s - s0) column by column
+    lifted, grow = values[n : v.size], np.ones(v.size - n)
+    finite = np.isfinite(lifted)
+    for s in range(pairs[0][0] + 1, pairs[-1][0] + 1):
+        grow *= lift[n:]
+        col = pairs.index((s, 0))
+        lifted[:, col : col + s + 1] *= grow[:, None]
+    # a lambda that carries the plain values, or the second panel's, past
+    # the float range is the kernels' to report (see _quiet_float_range):
+    # every guard's table holds that panel.  Further out the overflow is the
+    # guard's
+    overflow = (finite & ~np.isfinite(lifted))[n:].any(axis=1)
+    if overflow.any():
+        # the first panel that overflows; a guard whose table ends before it,
+        # with a quarter panel to spare, keeps every value finite
+        panel = 2 + int(np.argmax(overflow)) // n
+        least = 2.0 * math.asin(np.expm1((panel - 0.25) * _PANEL_WIDTH) ** -0.5)
+        raise ValueError(
+            f"min_separation {min_separation:.3g} carries the order-{ell} t-table past the float "
+            f"range at lambda {lam}: it must be at least {least:.3g}"
+        )
     table = np.ascontiguousarray(values[: v.size].T.reshape(len(pairs), panels, n).transpose(0, 2, 1))
     table.setflags(write=False)
     return table
@@ -558,6 +590,14 @@ def _expansion(layout, ell: int, a0, a1, b0, b1) -> np.ndarray:
     return out
 
 
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    """x**0 .. x**(count - 1), one row each, by repeated multiplication."""
+    out = np.ones((count, x.size))
+    for j in range(1, count):
+        np.multiply(out[j - 1], x, out=out[j])
+    return out
+
+
 @_quiet_float_range
 def kernel_partial(
     lam: float,
@@ -587,16 +627,25 @@ def kernel_partial(
     expands its P_s in powers of u (coefficients p_{s,m}) and sums over the
     r-nodes alone:
 
-        prefactor * sum_r r_fac sum_{s,m} p_{s,m} r**s Delta_r**-(lam+1+s) Phi_{m,s}(z_r),
+        prefactor * sum_r r_fac sum_{s,m} p_{s,m} q**s Delta_r**-(lam+1) Phi_{m,s}(z_r),
 
-    with Phi read off the table by barycentric interpolation in
-    v = log(1 + 2 z).  The pairs are taken in blocks of _PHI_BLOCK: a block's
-    r-rules (see _r_rules) and the arithmetic of their nodes (Delta_r, the
-    panel and local coordinate of v, the r-weights folded into the
-    barycentric weights, the powers of q) run once on the nodes of the
-    whole block, node by node; each pair then folds its table, reads it and
-    sums.  So a batch gives its entries bit for bit as scalar calls would,
-    whatever theta they pair with.
+    q = r / Delta_r, with Phi read off the table by barycentric interpolation
+    in v = log(1 + 2 z) = log1p(4 sigma q).  Past the table's first panel its
+    columns carry expm1(v)**(s - s0) = (4 sigma q)**(s - s0), s0 the lowest s,
+    so there a node reads one row: its pair's p_{s,m} (4 sigma)**-(s - s0)
+    folded over the columns.  A node on the first panel, where that factor
+    would magnify the interpolation error, reads the plain values times its
+    own p_{s,m} q**(s - s0).  The pairs are taken in blocks of _PHI_BLOCK,
+    and a block runs as arrays, with no loop over its pairs: the r-rules (see
+    _r_rules), the arithmetic of their nodes (Delta_r, the panel and local
+    coordinate of v, the r-weights folded into the barycentric weights), the
+    fold of the pairs with a node past the first panel (only those, so a
+    pair near phi = 0 or pi, whose (4 sigma)**-1 may overflow, never folds),
+    every node's row and its interpolation, and each pair's sum over its
+    nodes.  Every contraction is np.einsum's, not BLAS: an entry accumulates
+    its own terms in a fixed order, whatever the shape around it.  So a batch
+    gives its entries bit for bit as scalar calls would, whatever theta they
+    pair with.
     """
     lam = validate_lambda(lam)
     config = config or DEFAULT_KERNEL_CONFIG
@@ -608,44 +657,51 @@ def kernel_partial(
     layout = _term_layout(ell, lam)
     table = _t_table(lam, ell, config.t_level, config.min_separation)
     columns, n, panels = table.shape
-    # (s, m) columns -> the s-rows of each pair's folded table
-    orders = sorted(layout)
-    rows_of = np.array([orders.index(s) for s, _ in _pairs(ell)])
-    flat = table.reshape(columns, n * panels)
+    # panel-major: a run of panels in one piece, n values each
+    by_panel = np.ascontiguousarray(table.transpose(0, 2, 1)).reshape(columns, panels * n)
+    pairs = _pairs(ell)
+    # each column's power of q past the lowest order s0, and the orders s0 .. ell
+    exponent = np.array([s for s, _ in pairs]) - pairs[0][0]
+    orders = exponent[-1] + 1
     prefactor = lam / (math.pi * math.gamma(k))
     sin_theta, cos_theta, sin_p = _each(math.sin, thetas), _each(math.cos, thetas), _each(math.sin, phis)
     sigma = sin_theta * sin_p
     w = thetas - phis
     one_minus_cos_w = _each(lambda d: 2.0 * math.sin(0.5 * d) ** 2, w)
     sin_w = _each(math.sin, w)
-    coeffs = _expansion(layout, ell, 1.0 - one_minus_cos_w, -sigma, -sin_w, -cos_theta * sin_p)
-    fold, fold_at = np.zeros((len(orders), columns)), (rows_of, np.arange(columns))
+    # a column's coefficients for every pair in one piece
+    coeffs = np.ascontiguousarray(_expansion(layout, ell, 1.0 - one_minus_cos_w, -sigma, -sin_w, -cos_theta * sin_p).T)
     values = np.empty(phis.size)
     for start in range(0, phis.size, _PHI_BLOCK):
         block = slice(start, start + _PHI_BLOCK)
         # the block's r-nodes, concatenated pair by pair, and their arithmetic
         r, dist, r_fac, counts = _r_rules(lam, k, seps[block], config.r_level)
+        owner = np.repeat(np.arange(counts.size), counts)
         delta_r = dist * dist + 2.0 * r * np.repeat(one_minus_cos_w[block], counts)
         q = r / delta_r
         four_sigma = np.repeat(4.0 * sigma[block], counts)
         panel, x = _locate(np.log1p(four_sigma * q), panels)
-        # r_fac r**s Delta_r**-(lam+1+s) (1 + 2z)**-lam at the first s, folded
-        # into the interpolation weights, and q**row for the rows above it;
-        # Delta_r (1 + 2z) = Delta_r + 4 sigma r stays O(1) near the diagonal
+        # r_fac q**s0 Delta_r**-(lam+1) (1 + 2z)**-lam, folded into the
+        # interpolation weights; Delta_r (1 + 2z) = Delta_r + 4 sigma r stays
+        # O(1) near the diagonal
         base = r_fac / delta_r * np.power(delta_r + four_sigma * r, -lam)
-        if orders[0]:
+        if pairs[0][0]:
             base *= q
-        weights = _lagrange(n, x, base)
-        q_pow = np.empty((len(orders), r.size))
-        q_pow[0] = 1.0
-        for row in range(1, len(orders)):
-            np.multiply(q_pow[row - 1], q, out=q_pow[row])
-        ends = np.cumsum(counts)
-        for index, lo, hi in zip(range(start, start + counts.size), ends - counts, ends):
-            # the pair's table: sum_m p_{s,m} (1 + 2z)**lam Phi_{m,s}, one row per s
-            fold[fold_at] = coeffs[index]
-            t_sums = _read((fold @ flat).reshape(len(orders), n, panels), panel[lo:hi], weights[:, lo:hi])
-            values[index] = prefactor * float((t_sums * q_pow[:, lo:hi]).sum())
+        near = panel == 0
+        folds = np.bincount(owner[~near], minlength=counts.size) > 0
+        reach = int(panel.max())
+        # the rows the nodes read, n values each: every first-panel node's
+        # own, then one per (folding pair, panel 1 .. reach)
+        first = int(near.sum())
+        rows = np.empty((n, first + folds.sum() * reach))
+        own = coeffs[:, block][:, owner[near]] * _powers(q[near], orders)[exponent]
+        rows[:, :first] = np.einsum("cv,ci->iv", own, by_panel[:, :n])
+        scaled = coeffs[:, block][:, folds] * _powers(1.0 / (4.0 * sigma[block][folds]), orders)[exponent]
+        folded = np.einsum("cb,cx->bx", scaled, by_panel[:, n : (reach + 1) * n])
+        rows[:, first:] = folded.reshape(-1, n).T
+        at = np.where(near, np.cumsum(near) - 1, first + (np.cumsum(folds) - 1)[owner] * reach + panel - 1)
+        terms = np.einsum("iv,iv->v", np.take(rows, at, axis=1), _lagrange(n, x, base))
+        values[block] = prefactor * np.add.reduceat(terms, np.cumsum(counts) - counts)
     _check_finite(values, thetas, phis, f"lambda {lam}, k {k}")
     return float(values[0]) if np.ndim(phi) == 0 else values
 

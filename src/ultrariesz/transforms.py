@@ -517,7 +517,9 @@ class TruncationOperator:
             self._unit_weights[i, :n] = np.abs(weights * piece.density)
             density[i, :n] = piece.density
         coeffs = np.matmul(self._analysis, density[..., None])[..., 0]
-        self._density_tail, self._density_norm = np.abs(coeffs[:, -2:]), np.sqrt(np.sum(coeffs * coeffs, axis=-1))
+        # hypot, not the root of a sum of squares: an extreme lambda's density
+        # squares past the float range
+        self._density_tail, self._density_norm = np.abs(coeffs[:, -2:]), np.hypot.reduce(coeffs, axis=-1)
         self._points = np.array(sizes)
         # a value's rounding reaches a tail coefficient by the rows' sums of |q_j| w
         reach = np.abs(self._analysis[:, -2:]).sum(axis=-1).max(axis=-1)
@@ -579,7 +581,7 @@ class TruncationOperator:
         coeffs = np.matmul(self._analysis, values[..., None])[..., 0]
         tail = np.abs(coeffs[..., -2:])
         tail[tail.max(axis=-1) <= self._rounding * np.add.outer((0.0, line), np.abs(values[0]).max(axis=-1))] = 0.0
-        reach, norm = tail.max(axis=-1), np.sqrt(np.sum(coeffs * coeffs, axis=-1))
+        reach, norm = tail.max(axis=-1), np.hypot.reduce(coeffs, axis=-1)
         mass = np.sum(np.abs(values) * self._unit_weights, axis=-1)
         estimate = np.sum(tail * self._density_tail, axis=-1)
         estimate += (_BAND_ERROR + self._points * np.finfo(float).eps) * mass

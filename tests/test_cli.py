@@ -702,6 +702,8 @@ class TestExitCodeContract:
     @example("variation", 1.0, 1, [1.0], 3, 16, 1.5)
     # a falling --theta list: the trapezoid steps between the theta are negative
     @example("variation", 1.0, 1, [2.2, 0.7], 3, 16, 3.0)
+    # lambda 85's density squares past the float range in the panels' norms
+    @example("compare", 85.0, 1, [0.125], 3, 1, 1.0)
     def test_report_commands_exit_0_1_or_2_without_warnings(self, command, lam, k, thetas, count, n_max, rho):
         # 3-4 radii and 1-2 theta keep each example cheap
         argv = [command, f"--lambda={lam!r}", f"--k={k}", f"--eps-count={count}", f"--n-max={n_max}", f"--rho={rho!r}"]

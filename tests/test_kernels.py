@@ -55,7 +55,10 @@ _NODE_PHIS = np.array([
 #: was trimmed to the cells that carry mass; the first three when every phi
 #: took the Gauss rule of its own weight on (0, 1/2) and the package's
 #: Gauss-Legendre rule above it, within 1.1e-15 (odd k) and 1.7e-11 (even k)
-#: relative of _REFERENCE
+#: relative of _REFERENCE; of those, the ones that moved past 1e-12 of their
+#: row's scale, the first three at (0.3, 2) and (0.3, 4), the first at
+#: (2.45, 2) and the first two at (2.45, 4), when the t-table's columns took
+#: the powers of q past its first panel, within 1.9e-11 of _REFERENCE
 _NODE_RECORDS = {
     (0.3, 1): [
         -16602.5018305018, 16601.440617590375, 1648.7036739360985,
@@ -64,7 +67,7 @@ _NODE_RECORDS = {
         -0.5909919710429982, 0.22026900010843256, 0.2202689439215337,
     ],
     (0.3, 2): [
-        0.6168893609468988, 0.3735600676255247, 0.37354765319808675,
+        0.6168893609451873, 0.3735600676207303, 0.37354765319683275,
         0.6164469844726833, 0.37161651928784517, 0.6142798138054159,
         0.5956995473005189, 0.33961963685539004, 0.5916577332653816,
         0.5916577201190668, 0.33263463878756044, 0.33263463147452454,
@@ -76,7 +79,7 @@ _NODE_RECORDS = {
         0.11834251581300645, -0.019938239969912872, -0.01993816222345657,
     ],
     (0.3, 4): [
-        -1.0522926054109754, -0.5656480769072578, -0.565590475658227,
+        -1.052292605431569, -0.5656480769061586, -0.5655904756561183,
         -1.0405540309569032, -0.5462551002567175, -0.9824868680547134,
         -0.48806891293344556, -0.2309721653903535, -0.3813625630500093,
         -0.3813622164919528, -0.16359450181996668, -0.16359443158306158,
@@ -88,7 +91,7 @@ _NODE_RECORDS = {
         -0.7484085931472784, 0.05452873413257176, 0.05452870330236807,
     ],
     (2.45, 2): [
-        3.7970337321695915, 1.1075692383305247, 1.107633829396999,
+        3.797033732163597, 1.1075692383305247, 1.107633829396999,
         3.7461099029009013, 0.9890522000006219, 3.5018449065452044,
         1.9739434796424635, 0.16260791847450734, 1.7442495639452373,
         1.7442488629806447, 0.11105330335159794, 0.11105325919277226,
@@ -100,7 +103,7 @@ _NODE_RECORDS = {
         -2.40030956247695, 0.13486906295197237, 0.1348690416113663,
     ],
     (2.45, 4): [
-        -7.293186345486013, -1.914603788248547, -1.9023174532422107,
+        -7.293186345527685, -1.9146037882642524, -1.9023174532422107,
         -6.99150246439664, -1.6008979330179083, -5.640446486295127,
         1.5024622373667442, 0.08448070619827731, 2.3047926100150855,
         2.304794908341411, 0.125093748664147, 0.12509377270325242,
@@ -498,6 +501,114 @@ class TestTabulatedKernel:
             kernel_partial(float(lam), 1, 1, 1.2, 0.7, config=KernelConfig(3, 3))
         info = kernels._t_table.cache_info()
         assert info.currsize <= info.maxsize
+
+
+#: riesz_kernel(1.3, k, theta, phi) per (k, theta) at _SMALL_SIGMA_PHIS,
+#: recorded from the kernel that read one table row per order s at every node
+#: and took q**(s - s0) at the node, before the factor moved into the table
+_SMALL_SIGMA_RECORDS = {
+    (1, 0.02): [
+        -1850466.176740393, -1847508.2291717392, -1847508.2262203265, -1847508.2262203249, -1847508.2262203249,
+    ],
+    (1, 0.7): [-5.162107319719998, -5.162107319719994, -5.162107319719994, 0.05006453196031696],
+    (3, 0.02): [
+        -2945390.8008865844, -2956025.387527039, -2956025.3981494354, -2956025.3981494363, -2956025.3981494363,
+    ],
+    (3, 0.7): [-8.203525062738379, -8.203525062738372, -8.203525062738372, 0.06762168005368356],
+    (12, 0.02): [
+        102010.17296906908, 101220.2671737645, 101220.26638861313, 101220.26638886258, 101220.26638886258,
+    ],
+    (12, 0.7): [0.4409166428839496, 0.44091664288413496, 0.44091664288413496, -0.0017354443099862307],
+}
+
+_SMALL_SIGMA_PHIS = {0.02: [1e-3, 1e-6, 1e-10, 1e-100, 1e-300], 0.7: [1e-8, 1e-100, 1e-300, math.pi - 1e-12]}
+
+
+def _node_panels(lam, k, theta, phis):
+    """The t-table panel of every r-node of each (theta, phi) pair, one array per pair."""
+    phis = np.asarray(phis, dtype=float)
+    r, dist, _, counts = kernels._r_rules(lam, k, np.minimum(np.abs(theta - phis), 0.5), DEFAULT_KERNEL_CONFIG.r_level)
+    owner = np.repeat(np.arange(phis.size), counts)
+    q = r / (dist * dist + 2.0 * r * (2.0 * np.sin(0.5 * (theta - phis)) ** 2)[owner])
+    v = np.log1p(4.0 * math.sin(theta) * np.sin(phis)[owner] * q)
+    panels = (v / kernels._PANEL_WIDTH).astype(int)
+    return [panels[owner == i] for i in range(phis.size)]
+
+
+class TestAbsorbedTable:
+    """Past the first panel the t-table holds expm1(v)**(s - s0) in its
+    columns, and each pair folds its coefficients into one row there; the
+    first panel keeps the plain values."""
+
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    def test_small_sigma_stays_finite_and_matches_the_records(self, k):
+        # (4 sigma)**-(s - s0) overflows at phi 1e-100 and below: such a pair
+        # has no node past the first panel and never reaches the folded rows.
+        # At k 12 near phi = 0 the double sums themselves sit up to 4.4e-12
+        # of the row's scale off a long-double sum of the same discretization
+        # (this kernel 3.4e-12), so their gap there is held to 4e-12
+        tolerance = 4e-12 if k == 12 else 1e-12
+        for theta, phis in _SMALL_SIGMA_PHIS.items():
+            expected = np.array(_SMALL_SIGMA_RECORDS[(k, theta)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = riesz_kernel(1.3, k, theta, np.array(phis))
+            assert np.all(np.isfinite(values)), (k, theta)
+            scale = np.max(np.abs(expected))
+            np.testing.assert_allclose(values, expected, rtol=0.0, atol=tolerance * scale, err_msg=f"{k}, {theta}")
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8, 12])
+    def test_nodes_on_both_sides_of_the_first_panel_match_the_plain_double_sum(self, k):
+        # on the first panel expm1(v)**(s - s0) would magnify the
+        # interpolation error by (expm1(1/2) / expm1(v))**(s - s0); phi 0.09
+        # keeps every node there, and the rest straddle v = 1/2, phi 0.1 by
+        # a few nodes
+        theta, phis = 0.7, [0.09, 0.1, 0.12, 0.2, 0.4, 0.75, 1.6]
+        panels = _node_panels(1.3, k, theta, phis)
+        assert panels[0].max() == 0
+        assert all(part.min() == 0 and part.max() >= 1 for part in panels[1:])
+        values = kernel_partial(1.3, k, k, theta, np.array(phis))
+        plain = np.array([_plain_double_sum(1.3, k, k, theta, phi, DEFAULT_KERNEL_CONFIG) for phi in phis])
+        np.testing.assert_allclose(values, plain, rtol=1e-13 if k <= 4 else 1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    def test_a_block_of_first_panel_and_folded_pairs_equals_scalar_calls(self, k):
+        # pairs whose nodes all sit on the first panel, some with a sigma that
+        # overflows (4 sigma)**-(s - s0), among pairs that fold
+        thetas = np.array([0.7, 0.7, 0.02, 1.2, 0.7, 2.9, 0.02, 1.2, 0.7, math.pi - 0.02])
+        phis = np.array([1e-300, 0.4, 1e-6, 1.2 + 3e-5, 0.09, 2.91, 0.5, 1e-100, math.pi - 1e-12, math.pi - 1e-15])
+        reaches = [part.max() for theta, phi in zip(thetas, phis) for part in _node_panels(1.3, k, theta, [phi])]
+        assert 0 < sum(reach == 0 for reach in reaches) < len(reaches)
+        for ell in sorted({0, 1, k}):
+            values = kernel_partial(1.3, k, ell, thetas, phis)
+            loop = [kernel_partial(1.3, k, ell, float(t), float(p)) for t, p in zip(thetas, phis)]
+            assert np.all(np.isfinite(values)), (k, ell)
+            assert np.array_equal(values, np.array(loop)), (k, ell)
+
+    def test_order_12_at_guard_1e_12_is_finite(self):
+        # the table's last column reaches ~1e272 there
+        relaxed = KernelConfig(min_separation=1e-12)
+        theta = 1.2
+        phis = theta + np.array([-1.5e-12, 2e-12, 1e-9, -1e-5, 0.3, -1.0])
+        for lam in (0.3, 1.3, 2.45):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = kernel_partial(lam, 12, 12, theta, phis, config=relaxed)
+            assert np.all(np.isfinite(values)), lam
+            assert np.array_equal(values, [kernel_partial(lam, 12, 12, theta, float(p), config=relaxed) for p in phis])
+        assert np.all(np.isfinite(_t_table(1.3, 12, DEFAULT_KERNEL_CONFIG.t_level, 1e-12)))
+
+    @pytest.mark.parametrize("guard", [1e-15, 1e-20, 1e-300])
+    def test_a_guard_past_the_table_range_is_refused_by_its_limit(self, guard):
+        with pytest.raises(ValueError, match="order-12 t-table past the float range") as raised:
+            kernel_partial(1.3, 12, 12, 1.2, np.array([0.5, 2.0]), config=KernelConfig(min_separation=guard))
+        least = float(re.search(r"must be at least (\S+)$", str(raised.value))[1])
+        assert 1e-14 < least < 1e-13
+        # the named guard is accepted, and order 1, which folds no power of
+        # q into its table, takes any guard
+        edge = KernelConfig(min_separation=least)
+        assert np.all(np.isfinite(kernel_partial(1.3, 12, 12, 1.2, np.array([0.5, 1.2 + 2.0 * least]), config=edge)))
+        assert np.isfinite(kernel_partial(1.3, 1, 1, 1.2, 0.5, config=KernelConfig(min_separation=guard)))
 
 
 def _tanh_sinh_r_rules(lam, k, seps, level):
