@@ -266,12 +266,10 @@ def _kernel_rows(config: RunConfig, thetas: np.ndarray, phis: np.ndarray) -> lis
     # which is riesz_kernel's; called by that name, because perfbench's
     # traced run reads the theta of every riesz_kernel call as one float
     values = kernel_partial(config.lam, config.k, config.k, thetas, phis)
-    rows = []
-    for theta, phi, value in zip(thetas.tolist(), phis.tolist(), values.tolist()):
-        region = region_classify(theta, phi)
-        ratio = _envelope_ratio(config.lam, config.k, theta, phi, value, region)
-        rows.append([theta, phi, region, value, ratio])
-    return rows
+    regions = region_classify(thetas, phis)
+    ratios = _envelope_ratio(config.lam, config.k, thetas, phis, values, regions)
+    columns = (thetas, phis, regions, values, ratios)
+    return [list(row) for row in zip(*(column.tolist() for column in columns))]
 
 
 def cmd_kernel(config: RunConfig) -> int:

@@ -18,9 +18,12 @@ one r.  Past the first panel the table's columns also carry the powers of
 q = r / Delta_r that the sum weighs them by, as expm1(v)**(s - s0) (see
 _t_table), so each (theta, phi) pair reads one row of the table there and a
 block of pairs is summed by array contractions, with no loop over its
-pairs (see kernel_partial).  Each value comes out the same whichever batch
-it is computed in, so a batch of phi, or of (theta, phi) pairs, gives it
-bit for bit.
+pairs (see kernel_partial).  The kernels, regions and envelopes take paired
+(theta, phi) arrays (see _angles), and a value comes out bit for bit the
+same in any batch: elementwise ufuncs work entry by entry (np.sin and np.cos
+round as math.sin and math.cos, np.float_power as Python's **, where
+np.power need not), so only the reductions and contractions keep fixed
+shapes: np.einsum's, the panels' sums and np.add.reduceat's.
 """
 
 from __future__ import annotations
@@ -155,23 +158,20 @@ def h_limit_even(k: int) -> float:
     return float((-1) ** (k // 2)) * math.pi * math.factorial(k - 1)
 
 
-def region_classify(theta: float, phi: float) -> RegionLabel:
+def region_classify(theta: np.typing.ArrayLike, phi: np.typing.ArrayLike) -> RegionLabel | np.ndarray:
     """Place (theta, phi) in the off-diagonal partition of (0, pi)^2.
 
     For theta <= pi/2 the wedge phi > 3*theta/2 is A1, phi < theta/2 is A3
     and the band between is A2; the right half of the square is classified
     through the symmetry (theta, phi) -> (pi - theta, pi - phi), which maps
-    each region onto itself.
+    each region onto itself.  (theta, phi) pair as in the kernels (see
+    _angles): a scalar phi returns one label, an array one per pair.
     """
-    theta = _validate_angle("theta", theta)
-    phi = _validate_angle("phi", phi)
-    if theta > 0.5 * math.pi:
-        theta, phi = math.pi - theta, math.pi - phi
-    if phi > 1.5 * theta:
-        return "A1"
-    if phi < 0.5 * theta:
-        return "A3"
-    return "A2"
+    thetas, phis = _angles(theta, phi)
+    mirror = thetas > 0.5 * math.pi
+    thetas, phis = np.where(mirror, math.pi - thetas, thetas), np.where(mirror, math.pi - phis, phis)
+    labels = np.where(phis > 1.5 * thetas, "A1", np.where(phis < 0.5 * thetas, "A3", "A2"))
+    return str(labels[0]) if np.ndim(phi) == 0 else labels
 
 
 @_quiet_float_range
@@ -197,7 +197,7 @@ def poisson_kernel(
     thetas, phis = _angles(theta, phi)
     table = _t_table(lam, 0, DEFAULT_KERNEL_CONFIG.t_level, 1.0 - r)
     delta_r = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * (thetas - phis)) ** 2
-    cross = 2.0 * r * (_each(math.sin, thetas) * np.sin(phis))
+    cross = 2.0 * r * (np.sin(thetas) * np.sin(phis))
     _, n, panels = table.shape
     panel, x = _locate(np.log1p(2.0 * cross / delta_r), panels)
     t_sum = _read(table, panel, _lagrange(n, x))[0]
@@ -373,12 +373,6 @@ def _angles(theta, phi) -> tuple[np.ndarray, np.ndarray]:
             f"a theta array pairs with a phi array of its shape, got {thetas.shape} and {np.shape(phi)}"
         )
     return thetas, phis
-
-
-def _each(fn, angles: np.ndarray) -> np.ndarray:
-    """fn at each entry of a 1-D array: math.* per pair, not numpy over the
-    batch, so a pair's value does not depend on the batch around it."""
-    return np.array([fn(angle) for angle in angles.tolist()])
 
 
 def _separations(thetas: np.ndarray, phis: np.ndarray, min_separation: float) -> np.ndarray:
@@ -643,9 +637,9 @@ def kernel_partial(
     pair near phi = 0 or pi, whose (4 sigma)**-1 may overflow, never folds),
     every node's row and its interpolation, and each pair's sum over its
     nodes.  Every contraction is np.einsum's, not BLAS: an entry accumulates
-    its own terms in a fixed order, whatever the shape around it.  So a batch
-    gives its entries bit for bit as scalar calls would, whatever theta they
-    pair with.
+    its own terms in a fixed order, whatever the shape around it, and the
+    rest is elementwise.  So a batch gives its entries bit for bit as scalar
+    calls would, whatever theta they pair with.
     """
     lam = validate_lambda(lam)
     config = config or DEFAULT_KERNEL_CONFIG
@@ -664,11 +658,11 @@ def kernel_partial(
     exponent = np.array([s for s, _ in pairs]) - pairs[0][0]
     orders = exponent[-1] + 1
     prefactor = lam / (math.pi * math.gamma(k))
-    sin_theta, cos_theta, sin_p = _each(math.sin, thetas), _each(math.cos, thetas), _each(math.sin, phis)
+    sin_theta, cos_theta, sin_p = np.sin(thetas), np.cos(thetas), np.sin(phis)
     sigma = sin_theta * sin_p
     w = thetas - phis
-    one_minus_cos_w = _each(lambda d: 2.0 * math.sin(0.5 * d) ** 2, w)
-    sin_w = _each(math.sin, w)
+    one_minus_cos_w = 2.0 * np.float_power(np.sin(0.5 * w), 2)
+    sin_w = np.sin(w)
     # a column's coefficients for every pair in one piece
     coeffs = np.ascontiguousarray(_expansion(layout, ell, 1.0 - one_minus_cos_w, -sigma, -sin_w, -cos_theta * sin_p).T)
     values = np.empty(phis.size)
@@ -780,12 +774,13 @@ def m_k_estimate(k: int) -> float:
 def envelope_residual(
     lam: float,
     k: int,
-    theta: float,
-    phi: float,
+    theta: np.typing.ArrayLike,
+    phi: np.typing.ArrayLike,
     *,
     config: KernelConfig | None = None,
-) -> float:
-    """|riesz_kernel - leading diagonal term| over the region's envelope.
+) -> float | np.ndarray:
+    """|riesz_kernel - leading diagonal term| over the region's envelope,
+    at (theta, phi) paired as in riesz_kernel.
 
     The leading term M_k / ((sin theta sin phi)**lam sin(theta - phi)) is
     subtracted only in the near-diagonal region A2 (it vanishes there for
@@ -798,20 +793,19 @@ def envelope_residual(
 
 
 def _envelope_ratio(
-    lam: float, k: int, theta: float, phi: float, value: float, region: RegionLabel
-) -> float:
-    """envelope_residual's arithmetic on an already computed kernel value
-    at (theta, phi), which lies in ``region``."""
-    sigma = math.sin(theta) * math.sin(phi)
-    if region == "A2":
-        lead = m_k_estimate(k) / (sigma**lam * math.sin(theta - phi))
-        envelope = math.sin(phi) ** -(2.0 * lam + 1.0) * (
-            1.0 + math.sqrt(math.sin(phi) / abs(theta - phi))
-        )
-    elif region == "A1":
-        lead = 0.0
-        envelope = math.sin(phi) ** -(2.0 * lam + 1.0)
-    else:
-        lead = 0.0
-        envelope = math.sin(theta) ** -(2.0 * lam + 1.0)
-    return abs(value - lead) / envelope
+    lam: float, k: int, theta: np.typing.ArrayLike, phi: np.typing.ArrayLike,
+    value: np.typing.ArrayLike, region: RegionLabel | np.ndarray,
+) -> float | np.ndarray:
+    """envelope_residual's arithmetic on already computed kernel values at
+    the pairs (theta, phi), which lie in the regions ``region``."""
+    thetas, phis = _angles(theta, phi)
+    sin_theta, sin_phi, w = np.sin(thetas), np.sin(phis), thetas - phis
+    region = np.broadcast_to(region, phis.shape)
+    near = region == "A2"
+    # A1 and A3 subtract nothing and widen nothing
+    lead = np.zeros(phis.shape)
+    lead[near] = m_k_estimate(k) / (np.float_power(sin_theta[near] * sin_phi[near], lam) * np.sin(w[near]))
+    widen = np.where(near, 1.0 + np.sqrt(sin_phi / np.abs(w)), 1.0)
+    envelope = np.float_power(np.where(region == "A3", sin_theta, sin_phi), -(2.0 * lam + 1.0)) * widen
+    ratio = np.abs(value - lead) / envelope
+    return float(ratio[0]) if np.ndim(phi) == 0 else ratio

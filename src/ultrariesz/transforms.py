@@ -277,8 +277,8 @@ def _poisson_via_kernel_each(
 def fractional_power(c: SpectralCoefficients, alpha: float) -> SpectralCoefficients:
     """Negative fractional power of the Sturm-Liouville operator:
     multiplier (n + lambda)**(-2*alpha)."""
-    if not alpha > 0.0:
-        raise ValueError(f"exponent must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"exponent must be positive and finite, got {alpha}")
     n = np.arange(c.degree + 1)
     return SpectralCoefficients(lam=c.lam, coeffs=c.coeffs * (n + c.lam) ** (-2.0 * alpha))
 
@@ -376,12 +376,10 @@ class _Piece:
         s = (hi - lo) * t
         # the kernel takes phi inside (0, pi): pi - s of a sliver may round to pi
         self.nodes = np.minimum(hi - s, np.nextafter(math.pi, 0.0)) if end == hi else lo + s
-        # per node, so that each value is what it would be in any other panel;
-        # sin phi is sin s at either end
-        if end is None:
-            self.smooth = np.array([math.sin(x) ** (2.0 * lam) for x in self.nodes])
-        else:
-            self.smooth = np.array([(math.sin(x) / x) ** (2.0 * lam) for x in s])
+        # sin phi is sin s at either end; elementwise, so each value is what
+        # it would be in any other panel (see kernels)
+        base = np.sin(self.nodes) if end is None else np.sin(s) / s
+        self.smooth = np.float_power(base, 2.0 * lam)
         self.density = np.empty(0)
 
     def halves(self) -> tuple["_Piece", "_Piece"]:

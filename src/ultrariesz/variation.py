@@ -54,8 +54,11 @@ class TruncationTrace:
         object.__setattr__(self, "values", vals)
         if eps.shape != vals.shape or eps.ndim != 1:
             raise ValueError("epsilons and values must be 1-D and equally long")
-        if not np.all(np.diff(eps) < 0.0):
-            raise ValueError("epsilons must be strictly decreasing")
+        # finite first: the differences of infinite radii are NaN
+        if not (np.all(np.isfinite(eps)) and np.all(np.diff(eps) < 0.0)):
+            raise ValueError("epsilons must be finite and strictly decreasing")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("values must be finite")
 
 
 @dataclass(frozen=True)
@@ -70,12 +73,17 @@ class DyadicBands:
         object.__setattr__(self, "t", t)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("need at least two band edges")
-        if not (np.all(t > 0.0) and np.all(np.diff(t) < 0.0)):
-            raise ValueError("band edges must be positive and strictly decreasing")
+        if not (np.all(np.isfinite(t)) and np.all(t > 0.0) and np.all(np.diff(t) < 0.0)):
+            raise ValueError("band edges must be finite, positive and strictly decreasing")
 
     @classmethod
     def dyadic(cls, t0: float = 1.0, count: int = 16) -> "DyadicBands":
-        return cls(t0 * 0.5 ** np.arange(_check_integer("edge count", count, 2)))
+        count = _check_integer("edge count", count, 2)
+        # before the edges are allocated: any count past ~1075 underflows
+        last = t0 * 0.5 ** (count - 1)
+        if not (math.isfinite(t0) and last > 0.0):
+            raise ValueError(f"band edges must be finite and positive: t0 {t0!r} gives a last edge of {last!r}")
+        return cls(t0 * 0.5 ** np.arange(count))
 
 
 def oscillation(trace: TruncationTrace, bands: DyadicBands) -> float:

@@ -1209,6 +1209,67 @@ class TestRegions:
             assert region_classify(float(theta), float(theta)) == "A2"
 
 
+#: pairs of a 10-point grid off the diagonal, which meet all three regions
+#: on both halves of the square
+_REGION_GRID = np.linspace(0.15, math.pi - 0.15, 10)
+_REGION_THETAS, _REGION_PHIS = np.repeat(_REGION_GRID, 10), np.tile(_REGION_GRID, 10)
+_REGION_OFF = _REGION_THETAS != _REGION_PHIS
+_REGION_THETAS, _REGION_PHIS = _REGION_THETAS[_REGION_OFF], _REGION_PHIS[_REGION_OFF]
+
+
+def _envelope_by_math(lam, k, theta, phi, value, region):
+    """The envelope ratio of one pair in math.* and Python's **."""
+    if region == "A2":
+        lead = m_k_estimate(k) / ((math.sin(theta) * math.sin(phi)) ** lam * math.sin(theta - phi))
+        widen = 1.0 + math.sqrt(math.sin(phi) / abs(theta - phi))
+        return abs(value - lead) / (math.sin(phi) ** -(2.0 * lam + 1.0) * widen)
+    return abs(value) / (math.sin(phi if region == "A1" else theta) ** -(2.0 * lam + 1.0))
+
+
+class TestPairedRegionsAndEnvelopes:
+    """region_classify, _envelope_ratio and envelope_residual on paired
+    arrays: each entry the scalar call's, bit for bit."""
+
+    def test_regions(self):
+        labels = region_classify(_REGION_THETAS, _REGION_PHIS)
+        scalar = [region_classify(t, p) for t, p in zip(_REGION_THETAS.tolist(), _REGION_PHIS.tolist())]
+        assert labels.tolist() == scalar
+        for half in (_REGION_THETAS < 0.5 * math.pi, _REGION_THETAS > 0.5 * math.pi):
+            assert set(labels[half].tolist()) == {"A1", "A2", "A3"}
+        # a scalar theta pairs with every phi
+        assert region_classify(1.2, _REGION_GRID).tolist() == [region_classify(1.2, p) for p in _REGION_GRID.tolist()]
+
+    @pytest.mark.parametrize("lam, k", [(0.3, 1), (1.3, 2), (2.45, 3)])
+    def test_envelopes(self, lam, k):
+        thetas, phis = _REGION_THETAS, _REGION_PHIS
+        pairs = list(zip(thetas.tolist(), phis.tolist()))
+        values = riesz_kernel(lam, k, thetas, phis)
+        labels = region_classify(thetas, phis)
+        ratios = kernels._envelope_ratio(lam, k, thetas, phis, values, labels)
+        scalar = [
+            kernels._envelope_ratio(lam, k, t, p, v, label)
+            for (t, p), v, label in zip(pairs, values.tolist(), labels.tolist())
+        ]
+        assert ratios.tobytes() == np.array(scalar).tobytes()
+        residuals = envelope_residual(lam, k, thetas, phis)
+        assert residuals.tobytes() == np.array([envelope_residual(lam, k, t, p) for t, p in pairs]).tobytes()
+        assert residuals.tobytes() == ratios.tobytes()
+        row = envelope_residual(lam, k, 1.2, _REGION_GRID)
+        assert row.tobytes() == np.array([envelope_residual(lam, k, 1.2, p) for p in _REGION_GRID.tolist()]).tobytes()
+
+    @pytest.mark.parametrize("lam, k", [(0.3, 1), (1.3, 2), (2.45, 3)])
+    def test_envelope_arithmetic_is_the_math_one(self, lam, k):
+        # every power is np.float_power's, which rounds as ** does where
+        # np.power need not; the values stand in for the kernel's
+        rng = np.random.default_rng(5)
+        thetas, phis = rng.uniform(0.05, math.pi - 0.05, (2, 500))
+        values = rng.normal(size=500)
+        labels = region_classify(thetas, phis)
+        ratios = kernels._envelope_ratio(lam, k, thetas, phis, values, labels)
+        rows = zip(thetas.tolist(), phis.tolist(), values.tolist(), labels.tolist())
+        assert ratios.tobytes() == np.array([_envelope_by_math(lam, k, *row) for row in rows]).tobytes()
+
+
 class TestEnvelopeResidual:
     def test_a2_even_k_finite(self):
         # even k: the diagonal constant vanishes, ratio must stay finite

@@ -207,9 +207,10 @@ class TestFractionalPower:
             ) / math.gamma(2 * alpha)
             assert value == pytest.approx(mu ** (-2 * alpha), rel=1e-10)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_alpha_validation(self):
-        # a NaN exponent once gave NaN coefficients
-        for alpha in (0.0, -0.5, math.nan):
+        # a NaN exponent once gave NaN coefficients, and inf gave [inf, 0.]
+        for alpha in (0.0, -0.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="exponent must be positive"):
                 fractional_power(SpectralCoefficients(1.0, [1.0]), alpha)
 
@@ -470,6 +471,23 @@ class TestTruncated:
         operator = TruncationOperator(1.0, 1, 0.3, [3.0, 2.0])
         assert operator._pieces and all(piece.lo > 0.3 for piece in operator._pieces)
         assert np.all(np.isfinite(operator.truncated_values(np.cos)))
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 2.45])
+    def test_density_factor_is_the_per_node_power(self, lam):
+        # np.float_power rounds as Python's ** does, where np.power need not:
+        # each panel's factor is its nodes' scalar values bit for bit
+        operator = TruncationOperator(lam, 2, 0.5, TruncationSchedule.geometric().epsilons)
+        ends = set()
+        for piece in operator._pieces:
+            if piece.end is None:
+                expected = [math.sin(x) ** (2.0 * lam) for x in piece.nodes.tolist()]
+            else:
+                # the distances to the end the panel reaches, as the panel forms them
+                s = (piece.hi - piece.lo) * piece.rule[0]
+                expected = [(math.sin(x) / x) ** (2.0 * lam) for x in s.tolist()]
+                ends.add(piece.end)
+            assert piece.smooth.tobytes() == np.array(expected).tobytes()
+        assert ends == {0.0, math.pi}
 
 
 #: a Lorentzian of width 0.1 at phi 1.7: the 8-point panels past the largest

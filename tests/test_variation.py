@@ -156,11 +156,44 @@ class TestTraceValidation:
         with pytest.raises(ValueError, match="band edges"):
             DyadicBands(edges)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("edges", [[math.inf, 1.0], [1.0, -math.inf], [math.inf, math.inf]])
+    def test_rejects_infinite_band_edges(self, edges):
+        # an infinite first edge was accepted, and two warned in np.diff
+        with pytest.raises(ValueError, match="band edges must be finite"):
+            DyadicBands(edges)
+
     def test_band_validation(self):
         with pytest.raises(ValueError):
             DyadicBands(np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
             DyadicBands(np.array([1.0]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("field, epsilons, values", [
+        ("epsilons", [math.inf, 0.2], [1.0, 2.0]),
+        ("epsilons", [math.inf, math.inf], [1.0, 2.0]),
+        ("values", [0.4, 0.2], [math.nan, 2.0]),
+        ("values", [0.4, 0.2], [1.0, -math.inf]),
+    ])
+    def test_rejects_non_finite_traces_by_field(self, field, epsilons, values):
+        # an infinite radius was accepted, and a NaN or infinite value made
+        # rho_variation return nan or warn of an invalid divide
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TruncationTrace(epsilons=epsilons, values=values, theta=1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t0, count, last", [
+        (math.inf, 4, "inf"), (math.nan, 4, "nan"), (1.0, 1076, "0.0"), (0.25, 1074, "0.0"),
+    ])
+    def test_dyadic_refuses_edges_that_are_not_finite_and_positive(self, t0, count, last):
+        # inf - inf warned in np.diff; past 1075 edges the last underflowed
+        # to 0, and every edge was allocated before that was refused
+        with pytest.raises(ValueError, match=f"gives a last edge of {last}$"):
+            DyadicBands.dyadic(t0, count)
+
+    def test_dyadic_keeps_the_last_positive_edge(self):
+        assert DyadicBands.dyadic(1.0, 1075).t[-1] == 2.0**-1074
 
 
 class TestConvergenceReport:
