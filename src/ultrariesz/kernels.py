@@ -7,14 +7,18 @@ integral over (r, t) in (0,1) x (0,pi), discretized with a fixed tanh-sinh
 rule in t (it carries the (sin t)**(2*lambda-1) endpoint singularity) and
 an r-rule in three segments, each for one difficulty: on (0, 1/2), where
 the r**(lambda-1) log(1/r)**(k-1) singularity sits, the Gauss rule of that
-weight, the same for every phi (see _lower_rule); Gauss-Legendre panels on
-(1/2, 1 - w), w = min(|theta - phi|, 1/2), graded geometrically toward the
-near-diagonal concentration at r = exp(+-i w); and a fixed Gauss-Legendre
-rule on (1 - w, 1) (see _r_rules).  The t-sum depends on phi only through
-one variable z, so it is tabulated once per (lambda, order, t-level, guard)
-as Chebyshev-point values on panels in v = log(1 + 2 z), and each phi sums
-over its r-nodes alone; the Poisson kernel reads the order-0 table at its
-one r.  Past the first panel the table's columns also carry the powers of
+weight, the same for every phi (see _lower_rule); Gauss-Legendre panels in
+s = log(1 - r) on (1/2, 1 - w), w = min(|theta - phi|, 1/2), on one fixed
+grid of width log 4, which resolves the near-diagonal concentration at
+r = exp(+-i w) at every scale of w; and a fixed Gauss-Legendre rule on
+(1 - w, 1) (see _r_rules).  The first segment and the grid's full panels
+are built once per (lambda, k, r-level, guard), and a phi computes only
+its partial panel next to 1 - w and its rule on (1 - w, 1).  The t-sum
+depends on phi only through one variable z, so it is tabulated once per
+(lambda, order, t-level, guard) as Chebyshev-point values on panels in
+v = log(1 + 2 z), and each phi sums over its r-nodes alone; the Poisson
+kernel reads the order-0 table at its one r.  Past the first panel the
+table's columns also carry the powers of
 q = r / Delta_r that the sum weighs them by, as expm1(v)**(s - s0) (see
 _t_table), so each (theta, phi) pair reads one row of the table there and a
 block of pairs is summed by array contractions, with no loop over its
@@ -86,8 +90,10 @@ class KernelConfig:
     singular segment (0, 1/2), whose weight carries the
     r**(lambda-1) log(1/r)**(k-1) endpoint singularity: 4 per level, plus
     one per two orders above k 4 (see _lower_points), so 14 at k <= 4 and
-    18 at k 12 by default.  The r-rule's Gauss-Legendre segments above 1/2
-    are sized by their Bernstein-ellipse bounds, and no level refines them.
+    18 at k 12 by default.  Above 1/2 the r-rule's Gauss-Legendre panels, 16
+    points each on a fixed grid in log(1 - r), and its 20 points on
+    (1 - w, 1) are sized by their Bernstein-ellipse bounds, and no level
+    refines them.
     Both levels must be integers in [1, 12].  ``min_separation``, positive,
     is the smallest |theta - phi| accepted before an AccuracyError.
     ``doubled()`` raises both levels by one, the standard self-check.
@@ -216,21 +222,29 @@ _FAR_SPLIT = 0.5
 #: errs by ~rho**(-2 * _UPPER_POINTS) < 1e-24
 _UPPER_POINTS = 20
 
-#: the r-rule's graded segment (1/2, 1 - w) is cut into the fewest panels
-#: whose ends' distances to r = 1 grow by a common ratio of at most _GRADING
-#: (4 minimized the default operator's nodes among 2, 2.5, 3, 4, 6 and 8)
+#: the r-rule's segment (1/2, 1 - w) lies on one fixed grid of panels in
+#: s = log(1 - r), of width log(_GRADING): their edges sit at the distances
+#: _FAR_SPLIT / _GRADING**j to r = 1, each a power of two, so a panel's nodes
+#: are the first panel's scaled exactly (see _graded_prefix).  _full_panels
+#: and _graded_prefix step the edges' binary exponents by 2: 4 = 2**2
 _GRADING = 4.0
 
-#: Gauss-Legendre points of every graded panel: the Bernstein count for 1e-18
-#: on the steepest, (1 - _GRADING d, 1 - d), whose ellipse through r = 1
-#: excludes exp(+-i w), w <= d, and r = 0; 19 at _GRADING 4
-_GRADED_POINTS = _bernstein_points((_GRADING + 1.0) / (_GRADING - 1.0), 1e-18)
+#: Gauss-Legendre points of every log panel: the Bernstein count for 1e-18
+#: at the nearer singularity.  r = 0 (s = 0) lies log(_GRADING) / 2, a
+#: half-width, past the first panel, so 2 half-widths from its centre: 16;
+#: the zeros of Delta_r, at 1 - r = +-i w, lie pi/2 off the real s-axis: 14.
+#: A partial panel is narrower, which moves both further out
+_GRADED_POINTS = max(
+    _bernstein_points(2.0, 1e-18),
+    _bernstein_points(math.hypot(1.0, math.pi / math.log(_GRADING)), 1e-18),
+)
 
 #: phi whose r-nodes are summed at once: a block's arrays hold
-#: ~_PHI_BLOCK * 90 nodes, each with its barycentric weights and its table
-#: row, 13 to 22 values apiece.  One kernel call over a default operator's
-#: phi (178 at theta 1.2) at each k 1-4 peaked at 1.8 MiB of traced arrays
-#: in blocks of 32 phi and at 7.0 MiB in one block; at k 12, 3.3 and 11.3 MiB
+#: ~_PHI_BLOCK * 80 nodes, each with its barycentric weights and its table
+#: row, 13 to 22 values apiece (the r-rules, 3 values a node, are built for
+#: the whole call: one _r_rules call per block cost ~10% of a call).  One kernel call over a default operator's
+#: phi (178 at theta 1.2) at each k 1-4 peaked at 1.9 MiB of traced arrays
+#: in blocks of 32 phi and at 6.5 MiB in one block; at k 12, 3.4 and 10.7 MiB
 _PHI_BLOCK = 32
 
 #: the t-table is piecewise polynomial in v = log(1 + 2 z), on panels of
@@ -302,51 +316,92 @@ def _lower_rule(lam: float, k: int, level: int) -> tuple[np.ndarray, np.ndarray,
     raise EvaluationError(f"the r-rule on (0, 1/2) is not finite at lambda {lam}, k {k}")
 
 
+def _full_panels(seps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each w of ``seps``, none above _FAR_SPLIT: the number of fixed
+    grid panels that lie whole in (w, _FAR_SPLIT) as distances to r = 1,
+    floor(log(_FAR_SPLIT / w) / log(_GRADING)), and the edge where they end,
+    the first at or above w.  Exact, from w's binary exponent."""
+    # w / _FAR_SPLIT = m 2**e, m in [1/2, 1); the edges are 4**-j there
+    mantissa, exponent = np.frexp(seps / _FAR_SPLIT)
+    full = ((mantissa == 0.5) - exponent) // 2
+    return full, np.ldexp(_FAR_SPLIT, -2 * full)
+
+
+def _upper_factors(lam: float, k: int, dist: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r = 1 - dist of r-nodes above 1/2, placed by their distance ``dist``
+    to r = 1, and their node factors r**(lam-1) log(1/r)**(k-1) (1 - r**2)
+    times ``weights``, each from dist without cancellation."""
+    r = 1.0 - dist
+    return r, r ** (lam - 1.0) * (-np.log1p(-dist)) ** (k - 1) * (dist * (1.0 + r)) * weights
+
+
+# keyed by (lambda, k, level, guard), as _lower_rule and _t_table are: the
+# bound keeps fresh lambdas from growing the cache
+@lru_cache(maxsize=64)
+@_quiet_float_range
+def _graded_prefix(lam: float, k: int, level: int, guard: float) -> np.ndarray:
+    """The part of the r-rules that no phi computes: _lower_rule's segment on
+    (0, 1/2), then the full grid panels of (1/2, 1 - w) from r = 1/2 inward,
+    _GRADED_POINTS Gauss-Legendre nodes in s = log(1 - r) each, as many as
+    the guard's smallest w takes (see _full_panels).  Rows r, 1 - r and the
+    node factors, read-only; a phi's rule starts with the lower segment and
+    its own full panels, a prefix of these."""
+    panels = int(_full_panels(np.array([min(guard, _FAR_SPLIT)]))[0][0])
+    nodes, weights = _gl_base(_GRADED_POINTS)
+    # panel j is panel 0 scaled by _GRADING**-j, exactly: 1 - r =
+    # _FAR_SPLIT * _GRADING**((x - 1) / 2) at its node x, and dr = (1 - r) ds
+    first = _FAR_SPLIT * np.exp(0.5 * math.log(_GRADING) * (nodes - 1.0))
+    scale = -2 * np.arange(panels)[:, None]
+    dist = np.ldexp(first, scale).ravel()
+    r, fac = _upper_factors(lam, k, dist, np.ldexp(0.5 * math.log(_GRADING) * weights * first, scale).ravel())
+    prefix = np.concatenate([_lower_rule(lam, k, level), (r, dist, fac)], axis=1)
+    prefix.flags.writeable = False
+    return prefix
+
+
 def _r_rules(
-    lam: float, k: int, seps: np.ndarray, level: int
+    lam: float, k: int, seps: np.ndarray, level: int, guard: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The r-rules of a block of phi, one per entry w of ``seps``, each in
-    three segments: the Gauss rule of the weight r**(lam-1) log(1/r)**(k-1)
-    on (0, 1/2), the same for every phi (_lower_rule at KernelConfig.r_level
-    ``level``); Gauss-Legendre panels on (1/2, 1 - w), graded toward r = 1
-    with a common ratio of their ends' distances to 1 of at most _GRADING
-    and _GRADED_POINTS nodes each; and _UPPER_POINTS Gauss-Legendre nodes on
-    (1 - w, 1).  Above 1/2 the nodes are placed by their distance 1 - r, so
-    log(1/r) and 1 - r**2 keep their digits next to r = 1.  Returns the
-    rules' nodes r and 1 - r, concatenated in the order of ``seps``, the
-    node factor r**(lam-1) log(1/r)**(k-1) (1 - r**2) times the weight (the
-    Christoffel weight already holds the first two below 1/2), and each
-    rule's node count."""
-    lower, lower_dist, lower_fac = _lower_rule(lam, k, level)
-    # graded panel j of a phi spans the distances w g**j .. w g**(j + 1) to
-    # r = 1, where g = (1/2 / w)**(1 / panels)
-    span = np.log(_FAR_SPLIT / seps)
-    panels = np.ceil(span / math.log(_GRADING)).astype(np.intp)
-    of_panel = np.repeat(np.arange(seps.size), panels)
-    j = np.arange(of_panel.size) - np.repeat(np.cumsum(panels) - panels, panels)
-    step = span[of_panel] / panels[of_panel]
-    near = seps[of_panel] * np.exp(step * j)
-    far = np.where(j + 1 < panels[of_panel], seps[of_panel] * np.exp(step * (j + 1)), _FAR_SPLIT)
+    """The r-rules of a call's phi, one per entry w of ``seps`` (each at
+    least min(``guard``, _FAR_SPLIT)), each in three segments: the Gauss rule
+    of the weight r**(lam-1) log(1/r)**(k-1) on (0, 1/2) (_lower_rule at
+    KernelConfig.r_level ``level``); Gauss-Legendre panels in s = log(1 - r)
+    on (1/2, 1 - w), the full panels of a fixed grid of ratio _GRADING in
+    1 - r and one partial panel from 1 - w to the grid's first edge above it
+    (none where w is an edge), _GRADED_POINTS nodes each; and _UPPER_POINTS
+    Gauss-Legendre nodes on (1 - w, 1).  The lower segment and the full
+    panels are copied from _graded_prefix, so only the partial panel and
+    (1 - w, 1) are computed per phi.  Above 1/2 the nodes are placed by their
+    distance 1 - r, so log(1/r) and 1 - r**2 keep their digits next to
+    r = 1.  Returns the rules' nodes r and 1 - r, concatenated in the order
+    of ``seps``, the node factor r**(lam-1) log(1/r)**(k-1) (1 - r**2) times
+    the weight (the Christoffel weight already holds the first two below
+    1/2), and each rule's node count."""
+    full, edge = _full_panels(seps)
+    partial = edge > seps
+    heads = _lower_points(k, level) + _GRADED_POINTS * full
+    counts = heads + _GRADED_POINTS * partial + _UPPER_POINTS
+    # each phi's own nodes, in its order: the partial panel from w to the
+    # edge in s (dropped where it is empty), then (1 - w, 1)
     gl_nodes, gl_weights = _gl_base(_GRADED_POINTS)
     up_nodes, up_weights = _gl_base(_UPPER_POINTS)
-    half, up_half = (0.5 * (far - near))[:, None], (0.5 * seps)[:, None]
-    dist = np.concatenate(
-        [((0.5 * (near + far))[:, None] + half * gl_nodes).ravel(), (up_half * (1.0 - up_nodes)).ravel()]
-    )
-    weights = np.concatenate([(half * gl_weights).ravel(), (up_half * up_weights).ravel()])
-    r_upper = 1.0 - dist
-    upper_fac = r_upper ** (lam - 1.0) * (-np.log1p(-dist)) ** (k - 1) * (dist * (1.0 + r_upper)) * weights
-    # each phi's nodes together, in the order of seps: lower, graded, upper
-    phi = np.arange(seps.size)
-    owner = np.concatenate(
-        [np.repeat(phi, lower.size), np.repeat(of_panel, _GRADED_POINTS), np.repeat(phi, _UPPER_POINTS)]
-    )
-    source = np.concatenate([np.tile(np.arange(lower.size), seps.size), lower.size + np.arange(dist.size)])
-    source = source[np.argsort(owner, kind="stable")]
-    r = np.concatenate([lower, r_upper])[source]
-    one_minus_r = np.concatenate([lower_dist, dist])[source]
-    r_fac = np.concatenate([lower_fac, upper_fac])[source]
-    return r, one_minus_r, r_fac, lower.size + _GRADED_POINTS * panels + _UPPER_POINTS
+    w = seps[:, None]
+    half = 0.5 * np.log(edge[:, None] / w)
+    part = w * np.exp(half * (1.0 + gl_nodes))
+    kept = np.arange(_GRADED_POINTS + _UPPER_POINTS) >= _GRADED_POINTS * ~partial[:, None]
+    dist = np.concatenate([part, 0.5 * w * (1.0 - up_nodes)], axis=1)[kept]
+    weights = np.concatenate([half * gl_weights * part, 0.5 * w * up_weights], axis=1)[kept]
+    r, fac = _upper_factors(lam, k, dist, weights)
+    # every phi's prefix copied to its offset, its own nodes after it
+    offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    shared = offset < np.repeat(heads, counts)
+    copied, own = offset[shared], ~shared
+    rules = np.empty((3, offset.size))
+    # row by row: numpy's 2-D masked assignment is slower than three 1-D ones
+    for rule, cached, computed in zip(rules, _graded_prefix(lam, k, level, guard), (r, dist, fac)):
+        rule[shared] = cached[copied]
+        rule[own] = computed
+    return (*rules, counts)
 
 
 def _angle_array(name: str, angle) -> np.ndarray:
@@ -629,11 +684,12 @@ def kernel_partial(
     so there a node reads one row: its pair's p_{s,m} (4 sigma)**-(s - s0)
     folded over the columns.  A node on the first panel, where that factor
     would magnify the interpolation error, reads the plain values times its
-    own p_{s,m} q**(s - s0).  The pairs are taken in blocks of _PHI_BLOCK,
-    and a block runs as arrays, with no loop over its pairs: the r-rules (see
-    _r_rules), the arithmetic of their nodes (Delta_r, the panel and local
-    coordinate of v, the r-weights folded into the barycentric weights), the
-    fold of the pairs with a node past the first panel (only those, so a
+    own p_{s,m} q**(s - s0).  Every pair's r-rule is built in one call (see
+    _r_rules); the pairs are then taken in blocks of _PHI_BLOCK, and a block
+    runs as arrays, with no loop over its pairs: the arithmetic of its
+    r-nodes (Delta_r, the panel and local coordinate of v, the r-weights
+    folded into the barycentric weights), the fold of the pairs with a node
+    past the first panel (only those, so a
     pair near phi = 0 or pi, whose (4 sigma)**-1 may overflow, never folds),
     every node's row and its interpolation, and each pair's sum over its
     nodes.  Every contraction is np.einsum's, not BLAS: an entry accumulates
@@ -666,10 +722,14 @@ def kernel_partial(
     # a column's coefficients for every pair in one piece
     coeffs = np.ascontiguousarray(_expansion(layout, ell, 1.0 - one_minus_cos_w, -sigma, -sin_w, -cos_theta * sin_p).T)
     values = np.empty(phis.size)
+    # every pair's r-rule in one call, its nodes concatenated pair by pair
+    r_all, dist_all, fac_all, counts_all = _r_rules(lam, k, seps, config.r_level, config.min_separation)
+    ends = np.cumsum(counts_all)
     for start in range(0, phis.size, _PHI_BLOCK):
         block = slice(start, start + _PHI_BLOCK)
-        # the block's r-nodes, concatenated pair by pair, and their arithmetic
-        r, dist, r_fac, counts = _r_rules(lam, k, seps[block], config.r_level)
+        # the block's r-nodes and their arithmetic
+        nodes = slice(ends[start] - counts_all[start], ends[block][-1])
+        r, dist, r_fac, counts = r_all[nodes], dist_all[nodes], fac_all[nodes], counts_all[block]
         owner = np.repeat(np.arange(counts.size), counts)
         delta_r = dist * dist + 2.0 * r * np.repeat(one_minus_cos_w[block], counts)
         q = r / delta_r

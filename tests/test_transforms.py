@@ -365,16 +365,18 @@ class TestTruncated:
         # recorded from the build with Gauss panels out to 0 and pi, which f
         # keeps (one kernel call in all), the bands sized for 1e-11, the
         # kernel's r-rule on (0, 1/2) the Gauss rule of its own weight, and
-        # its Gauss-Legendre rules above 1/2 from _gauss_jacobi, and its
-        # t-table's columns past the first panel carrying the powers of q;
-        # the records before those powers were one ulp above these (2.0e-16
-        # relative), those before that Gauss-Legendre source within 2.2e-16
-        # of them, and the build with tanh-sinh pieces out to 0 and pi at
+        # its Gauss-Legendre rules above 1/2 from _gauss_jacobi, its
+        # t-table's columns past the first panel carrying the powers of q,
+        # and its r-rule above 1/2 on the fixed grid of panels in
+        # log(1 - r); the records before that grid were one ulp below these
+        # (2.0e-16 relative), those before the powers of q one ulp above
+        # those, those before that Gauss-Legendre source within 2.2e-16 of
+        # them, and the build with tanh-sinh pieces out to 0 and pi at
         # level 3 before them recorded values within 1.9e-14
         expected = [
-            0.5573262175454626, 0.5573494358698262, 0.5565472772160065,
-            0.5559511285790724, 0.5556054224959427, 0.5554208086795828,
-            0.5553255802887047, 0.5552772380808171, 0.5552528852697384,
+            0.5573262175454627, 0.5573494358698263, 0.5565472772160066,
+            0.5559511285790725, 0.5556054224959428, 0.5554208086795829,
+            0.5553255802887048, 0.5552772380808172, 0.5552528852697385,
         ]
         values = operator.truncated_values(f)
         assert len(calls) == 1 and {piece.depth for piece in operator._pieces} == {0}
