@@ -17,23 +17,23 @@ its partial panel next to 1 - w and its rule on (1 - w, 1).  The t-sum
 depends on phi only through one variable z, so it is tabulated once per
 (lambda, order, t-level, guard) as Chebyshev-point values on panels in
 v = log(1 + 2 z), and each phi sums over its r-nodes alone; the Poisson
-kernel reads the order-0 table at its one r.  Past the first panel the
-table's columns also carry the powers of
-q = r / Delta_r that the sum weighs them by, as expm1(v)**(s - s0) (see
-_t_table), so each (theta, phi) pair reads one row of the table there and a
-block of pairs is summed by array contractions, with no loop over its
-pairs (see kernel_partial).  The kernels, regions and envelopes take paired
+kernel reads the order-0 table at its one r by the same barycentric read
+(see _interpolate).  Past the first panel the table's columns also carry
+the powers of q = r / Delta_r that the sum weighs them by, as
+expm1(v)**(s - s0) (see _t_table), so each (theta, phi) pair reads one row
+of the table there and a block of pairs is summed by array contractions,
+with no loop over its pairs (see kernel_partial).  The kernels, regions and envelopes take paired
 (theta, phi) arrays (see _angles), and a value comes out bit for bit the
 same in any batch: elementwise ufuncs work entry by entry (np.sin and np.cos
 round as math.sin and math.cos, np.float_power as Python's **, where
 np.power need not), so only the reductions and contractions keep fixed
-shapes: np.einsum's, the panels' sums and np.add.reduceat's.
+shapes: np.einsum's, _lagrange's weight sums and np.add.reduceat's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Literal
 
@@ -127,11 +127,7 @@ class KernelConfig:
             raise ValueError(f"min_separation must be positive, got {self.min_separation}")
 
     def doubled(self) -> "KernelConfig":
-        return KernelConfig(
-            t_level=self.t_level + 1,
-            r_level=self.r_level + 1,
-            min_separation=self.min_separation,
-        )
+        return replace(self, t_level=self.t_level + 1, r_level=self.r_level + 1)
 
 
 DEFAULT_KERNEL_CONFIG = KernelConfig()
@@ -188,8 +184,9 @@ def poisson_kernel(
     (lam/pi) (1 - r**2) times the t-integral of (sin t)**(2 lam - 1) times
     (Delta_r + cross (1 - cos t))**-(lam + 1), cross = 2 r sin(theta) sin(phi),
     evaluated as (lam/pi) (1 - r**2) Delta_r**-1 (Delta_r + 2 cross)**-lam T(v)
-    with T the order-0 _t_table read at v = log(1 + 2 cross / Delta_r).  The
-    table reaches guard 1 - r, past every v of the call as Delta_r >= (1 - r)**2.
+    with T the order-0 _t_table read at v = log(1 + 2 cross / Delta_r) by
+    _interpolate, as kernel_partial reads its rows.  The table reaches guard
+    1 - r, past every v of the call as Delta_r >= (1 - r)**2.
 
     ``phi`` may be a scalar (returns a float) or a 1-D array (returns an
     array), and ``theta`` a scalar, paired with every phi, or a 1-D array
@@ -204,9 +201,8 @@ def poisson_kernel(
     table = _t_table(lam, 0, DEFAULT_KERNEL_CONFIG.t_level, 1.0 - r)
     delta_r = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * (thetas - phis)) ** 2
     cross = 2.0 * r * (np.sin(thetas) * np.sin(phis))
-    _, n, panels = table.shape
-    panel, x = _locate(np.log1p(2.0 * cross / delta_r), panels)
-    t_sum = _read(table, panel, _lagrange(n, x))[0]
+    panel, x = _locate(np.log1p(2.0 * cross / delta_r), table.shape[1])
+    t_sum = _interpolate(table[0].T, panel, x)
     values = lam / math.pi * (1.0 - r * r) / delta_r * np.power(delta_r + 2.0 * cross, -lam) * t_sum
     _check_finite(values, thetas, phis, f"lambda {lam}, r {r}")
     return float(values[0]) if np.ndim(phi) == 0 else values
@@ -479,7 +475,7 @@ def _panel_nodes(ell: int) -> int:
 @lru_cache(maxsize=32)
 @_quiet_float_range
 def _t_table(lam: float, ell: int, t_level: int, min_separation: float) -> np.ndarray:
-    """Values, shape (pairs, _panel_nodes(ell), panels), of
+    """Values, shape (pairs, panels, _panel_nodes(ell)), of
     (1 + 2 z)**lam Phi_{m,s}(z) at the first-kind Chebyshev points of each
     v-panel, times expm1(v)**(s - s0) = (2 z)**(s - s0) on every panel but
     the first, where
@@ -550,7 +546,7 @@ def _t_table(lam: float, ell: int, t_level: int, min_separation: float) -> np.nd
             f"min_separation {min_separation:.3g} carries the order-{ell} t-table past the float "
             f"range at lambda {lam}: it must be at least {least:.3g}"
         )
-    table = np.ascontiguousarray(values[: v.size].T.reshape(len(pairs), panels, n).transpose(0, 2, 1))
+    table = np.ascontiguousarray(values[: v.size].T).reshape(len(pairs), panels, n)
     table.setflags(write=False)
     return table
 
@@ -596,13 +592,12 @@ def _lagrange(n: int, x: np.ndarray, scale: float | np.ndarray = 1.0) -> np.ndar
     return lagrange
 
 
-def _read(table: np.ndarray, panel: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Every row of ``table``, laid out as _t_table's, read at the panels
-    ``panel`` (see _locate): each panel's n values weighed by the columns of
-    ``weights`` (from _lagrange) and summed, shape (rows, panel.size)."""
-    gathered = np.take(table, panel, axis=2)
-    gathered *= weights
-    return gathered.sum(axis=1)
+def _interpolate(rows: np.ndarray, at: np.ndarray, x: np.ndarray, scale: float | np.ndarray = 1.0) -> np.ndarray:
+    """Both kernels' barycentric read (Berrut and Trefethen, SIAM Rev. 46,
+    2004): column at[v] of ``rows``, a panel's n Chebyshev-point values, at
+    the local coordinate x[v] (see _locate), times scale[v].  np.einsum sums
+    an entry's n terms in order, so it is the same in any batch."""
+    return np.einsum("iv,iv->v", np.take(rows, at, axis=1), _lagrange(rows.shape[0], x, scale))
 
 
 def _check_finite(values: np.ndarray, thetas: np.ndarray, phis: np.ndarray, context: str) -> None:
@@ -618,24 +613,24 @@ def _check_finite(values: np.ndarray, thetas: np.ndarray, phis: np.ndarray, cont
 
 def _expansion(layout, ell: int, a0, a1, b0, b1) -> np.ndarray:
     """Coefficients of u**m in P_s(u) = sum over the order-s terms of
-    coefficient * a**i * b**j, with a = a0 + a1 u and b = b0 + b1 u, in the
-    column order of _pairs(ell), for every entry of the 1-D arrays a0 .. b1.
-    Elementwise arithmetic only, so each row is what it would be alone."""
+    coefficient * a**i * b**j, with a = a0 + a1 u and b = b0 + b1 u, a row per
+    column of _pairs(ell), for every entry of the 1-D arrays a0 .. b1.
+    Elementwise arithmetic only, so each entry is what it would be alone."""
     top = max(layout)
-    a_pow, b_pow = [np.ones((a0.size, 1))], [np.ones((b0.size, 1))]
+    a_pow, b_pow = [np.ones((1, a0.size))], [np.ones((1, b0.size))]
     for powers, c0, c1 in ((a_pow, a0, a1), (b_pow, b0, b1)):
         for _ in range(top):
             prev = powers[-1]
-            nxt = np.zeros((prev.shape[0], prev.shape[1] + 1))
-            nxt[:, :-1] += prev * c0[:, None]
-            nxt[:, 1:] += prev * c1[:, None]
+            nxt = np.zeros((prev.shape[0] + 1, prev.shape[1]))
+            nxt[:-1] += prev * c0
+            nxt[1:] += prev * c1
             powers.append(nxt)
-    out = np.zeros((a0.size, len(_pairs(ell))))
+    out = np.zeros((len(_pairs(ell)), a0.size))
     for s, terms in layout.items():
         col = _pairs(ell).index((s, 0))
         for coeff, i, j in terms:
             for m in range(i + 1):
-                out[:, col + m : col + m + j + 1] += (coeff * a_pow[i][:, m : m + 1]) * b_pow[j]
+                out[col + m : col + m + j + 1] += (coeff * a_pow[i][m : m + 1]) * b_pow[j]
     return out
 
 
@@ -706,9 +701,9 @@ def kernel_partial(
 
     layout = _term_layout(ell, lam)
     table = _t_table(lam, ell, config.t_level, config.min_separation)
-    columns, n, panels = table.shape
-    # panel-major: a run of panels in one piece, n values each
-    by_panel = np.ascontiguousarray(table.transpose(0, 2, 1)).reshape(columns, panels * n)
+    columns, panels, n = table.shape
+    # a view: each column's panels in one run, n values each
+    by_panel = table.reshape(columns, panels * n)
     pairs = _pairs(ell)
     # each column's power of q past the lowest order s0, and the orders s0 .. ell
     exponent = np.array([s for s, _ in pairs]) - pairs[0][0]
@@ -720,7 +715,7 @@ def kernel_partial(
     one_minus_cos_w = 2.0 * np.float_power(np.sin(0.5 * w), 2)
     sin_w = np.sin(w)
     # a column's coefficients for every pair in one piece
-    coeffs = np.ascontiguousarray(_expansion(layout, ell, 1.0 - one_minus_cos_w, -sigma, -sin_w, -cos_theta * sin_p).T)
+    coeffs = _expansion(layout, ell, 1.0 - one_minus_cos_w, -sigma, -sin_w, -cos_theta * sin_p)
     values = np.empty(phis.size)
     # every pair's r-rule in one call, its nodes concatenated pair by pair
     r_all, dist_all, fac_all, counts_all = _r_rules(lam, k, seps, config.r_level, config.min_separation)
@@ -754,7 +749,7 @@ def kernel_partial(
         folded = np.einsum("cb,cx->bx", scaled, by_panel[:, n : (reach + 1) * n])
         rows[:, first:] = folded.reshape(-1, n).T
         at = np.where(near, np.cumsum(near) - 1, first + (np.cumsum(folds) - 1)[owner] * reach + panel - 1)
-        terms = np.einsum("iv,iv->v", np.take(rows, at, axis=1), _lagrange(n, x, base))
+        terms = _interpolate(rows, at, x, base)
         values[block] = prefactor * np.add.reduceat(terms, np.cumsum(counts) - counts)
     _check_finite(values, thetas, phis, f"lambda {lam}, k {k}")
     return float(values[0]) if np.ndim(phi) == 0 else values
@@ -778,7 +773,7 @@ def riesz_kernel(
     """
     config = config or DEFAULT_KERNEL_CONFIG
     if config.min_separation < RIESZ_MIN_SEPARATION:
-        config = KernelConfig(config.t_level, config.r_level, RIESZ_MIN_SEPARATION)
+        config = replace(config, min_separation=RIESZ_MIN_SEPARATION)
     return kernel_partial(lam, k, k, theta, phi, config=config)
 
 

@@ -261,14 +261,13 @@ def _poisson_via_kernel_each(
     fs: Sequence[Callable], lam: float, t: float, thetas: Sequence[float], rule: QuadratureRule
 ) -> list[list[float]]:
     """poisson_via_kernel at every theta in ``thetas`` (the outer list) for
-    every f in ``fs``, from one kernel call: at the rule's nodes for one
-    theta, else over every (theta, node) pair."""
+    every f in ``fs``, from one kernel call over every (theta, node) pair."""
     lam = _check_rule(lam, rule)
     if not t > 0.0:
         raise ValueError(f"time must be positive, got {t}")
     r = math.exp(-t)
     nodes, count = rule.nodes, len(thetas)
-    pairs = (thetas[0], nodes) if count == 1 else (np.repeat(thetas, nodes.size), np.tile(nodes, count))
+    pairs = np.repeat(thetas, nodes.size), np.tile(nodes, count)
     kernel_rows = poisson_kernel(lam, r, *pairs).reshape(count, nodes.size)
     samples = [_evaluate(f, nodes) for f in fs]
     return [[r**lam * float(np.dot(rule.weights, row * f_values)) for f_values in samples] for row in kernel_rows]

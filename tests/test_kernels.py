@@ -199,16 +199,13 @@ class TestPoissonKernel:
 
     @pytest.mark.parametrize("lam", [0.3, 1.0, 2.45])
     def test_array_phi_matches_the_scalar_loop(self, lam):
-        # each entry reads the order-0 t-table on its own, but numpy sums a
-        # lone phi's barycentric terms pairwise and a batch's in order, so
-        # only the summation order may differ
         nodes = build_rule(lam, 128).nodes
         for t in (0.1, 1.0):
             r = math.exp(-t)
             for theta in (0.6, 1.6, 2.6):
                 batch = poisson_kernel(lam, r, theta, nodes)
                 loop = np.array([poisson_kernel(lam, r, theta, float(phi)) for phi in nodes])
-                np.testing.assert_allclose(batch, loop, rtol=1e-14, atol=0.0)
+                assert np.array_equal(batch, loop), (t, theta)
 
     def test_scalar_phi_returns_a_float(self):
         value = poisson_kernel(1.0, 0.5, 1.2, 0.7)
@@ -253,8 +250,8 @@ class TestPoissonKernel:
         full = _t_table(lam, 0, DEFAULT_KERNEL_CONFIG.t_level, 1e-9)
         for guard in (1.0, 0.5, 1.0 - math.exp(-0.1), 0.1, 0.01, 1.0 - math.exp(-1e-3)):
             table = _t_table(lam, 0, DEFAULT_KERNEL_CONFIG.t_level, guard)
-            assert table.shape[2] < full.shape[2]
-            assert np.array_equal(table, full[:, :, : table.shape[2]]), guard
+            assert table.shape[1] < full.shape[1]
+            assert np.array_equal(table, full[:, : table.shape[1]]), guard
 
     @pytest.mark.parametrize("lam", [0.2, 0.05, 1e-3])
     def test_lambda_below_the_t_table_floor_raises(self, lam):
@@ -493,19 +490,18 @@ class TestTabulatedKernel:
         # sum infinite; _lagrange then weighs the node alone, times its
         # scale.  The kernels call it under their float policy, which
         # silences that division
-        table = np.random.default_rng(2).standard_normal((2, 13, 3))
+        rows = np.random.default_rng(2).standard_normal((13, 3))
         points = kernels._chebyshev(13)[0][:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            weights = kernels._lagrange(13, np.array([points[3], 0.1, points[12]]))
-            lone = kernels._lagrange(13, np.array([points[5]]))
-            scaled = kernels._lagrange(13, np.array([0.1, points[7]]), np.array([2.0, 3.0]))
-        values = kernels._read(table, np.array([0, 1, 2]), weights)
-        assert np.array_equal(values[:, 0], table[:, 3, 0])
-        assert np.array_equal(values[:, 2], table[:, 12, 2])
-        assert np.all(np.isfinite(values[:, 1]))
-        assert np.array_equal(kernels._read(table, np.array([1]), lone)[:, 0], table[:, 5, 1])
-        assert np.array_equal(scaled[:, 1], 3.0 * (np.arange(13) == 7))
-        assert np.array_equal(scaled[:, 0], 2.0 * weights[:, 1])
+            values = kernels._interpolate(rows, np.array([0, 1, 2]), np.array([points[3], 0.1, points[12]]))
+            lone = kernels._interpolate(rows, np.array([1]), np.array([points[5]]))
+            scaled = kernels._interpolate(rows, np.array([1, 2]), np.array([0.1, points[7]]), np.array([2.0, 3.0]))
+        assert values[0] == rows[3, 0]
+        assert values[2] == rows[12, 2]
+        assert np.isfinite(values[1])
+        assert lone[0] == rows[5, 1]
+        assert scaled[1] == 3.0 * rows[7, 2]
+        assert scaled[0] == 2.0 * values[1]
 
     def test_table_cache_stays_bounded(self):
         for lam in np.linspace(0.31, 2.4, 40):

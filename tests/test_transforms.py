@@ -972,12 +972,15 @@ class TestSampling:
         calls = []
 
         def counting(lam, r, theta, phi):
-            calls.append(phi)
+            calls.append((theta, phi))
             return poisson_kernel(lam, r, theta, phi)
 
         monkeypatch.setattr(transforms, "poisson_kernel", counting)
         poisson_via_kernel(np.cos, 0.8, 0.5, 1.1, rule)
-        assert len(calls) == 1 and calls[0] is rule.nodes
+        # one paired call: theta repeated once per node of the rule
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][0], np.full(rule.nodes.size, 1.1))
+        assert np.array_equal(calls[0][1], rule.nodes)
 
     def test_scalar_only_callable(self):
         rule = build_rule(1.0, 32)
