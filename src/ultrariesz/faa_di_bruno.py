@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .jets import Jet
-from .special import _check_integer, _validate_angle
+from .special import MAX_ORDER, _check_integer, _validate_angle
 
 __all__ = [
     "MAX_ORDER",
@@ -38,8 +38,6 @@ __all__ = [
     "expansion_eval",
     "sample_points",
 ]
-
-MAX_ORDER = 12
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,16 @@ r = exp(+-i w) at every scale of w; and a fixed Gauss-Legendre rule on
 are built once per (lambda, k, r-level, guard), and a phi computes only
 its partial panel next to 1 - w and its rule on (1 - w, 1).  The t-sum
 depends on phi only through one variable z, so it is tabulated once per
-(lambda, order, t-level, guard) as Chebyshev-point values on panels in
-v = log(1 + 2 z), and each phi sums over its r-nodes alone; the Poisson
-kernel reads the order-0 table at its one r by the same barycentric read
-(see _interpolate).  Past the first panel the table's columns also carry
-the powers of q = r / Delta_r that the sum weighs them by, as
-expm1(v)**(s - s0) (see _t_table), so each (theta, phi) pair reads one row
-of the table there and a block of pairs is summed by array contractions,
-with no loop over its pairs (see kernel_partial).  The kernels, regions and envelopes take paired
+(lambda, order, t-level) as Chebyshev-point values on panels in
+v = log(1 + 2 z), out to the farthest guard asked for so far, whose first
+panels serve every nearer guard (see _reach_table), and each phi sums over
+its r-nodes alone; the Poisson kernel reads the order-0 table at its one r
+by the same barycentric read (see _interpolate).  Past the first panel the
+table's columns also carry the powers of q = r / Delta_r that the sum
+weighs them by, as expm1(v)**(s - s0) (see _build_t_table), so each
+(theta, phi) pair reads one row of the table there and a block of pairs
+is summed by array contractions, with no loop over its pairs (see
+kernel_partial).  The kernels, regions and envelopes take paired
 (theta, phi) arrays (see _angles), and a value comes out bit for bit the
 same in any batch: elementwise ufuncs work entry by entry (np.sin and np.cos
 round as math.sin and math.cos, np.float_power as Python's **, where
@@ -33,6 +35,8 @@ shapes: np.einsum's, _lagrange's weight sums and np.add.reduceat's.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Literal
@@ -331,8 +335,8 @@ def _upper_factors(lam: float, k: int, dist: np.ndarray, weights: np.ndarray) ->
     return r, r ** (lam - 1.0) * (-np.log1p(-dist)) ** (k - 1) * (dist * (1.0 + r)) * weights
 
 
-# keyed by (lambda, k, level, guard), as _lower_rule and _t_table are: the
-# bound keeps fresh lambdas from growing the cache
+# keyed by (lambda, k, level, guard), as _lower_rule is by (lambda, k,
+# level): the bound keeps fresh lambdas from growing the cache
 @lru_cache(maxsize=64)
 @_quiet_float_range
 def _graded_prefix(lam: float, k: int, level: int, guard: float) -> np.ndarray:
@@ -469,12 +473,60 @@ def _panel_nodes(ell: int) -> int:
     return n
 
 
-# keyed by (lambda, ell, t_level, min_separation), the Poisson kernel's at ell 0
-# and guard 1 - r; an order-4 table at the default guard is ~90 KiB, an order-12
-# one ~0.8 MiB, and the bound keeps fresh lambdas or r from growing the cache
-@lru_cache(maxsize=32)
+#: the t-tables held, one per (lambda, ell, t_level) at the farthest reach
+#: asked for so far, at most _T_TABLES of them, the least recently read
+#: dropped first: an order-4 table at the default guard is ~90 KiB, an
+#: order-12 one ~0.8 MiB, and the bound keeps fresh lambdas from growing the
+#: store.  The Poisson kernel's are at ell 0, guard 1 - r
+_T_TABLES = 32
+_t_tables: OrderedDict = OrderedDict()
+_t_tables_lock = threading.Lock()
+
+
+def _t_panels(guard: float) -> int:
+    """The t-table panels that reach v = log(1 + 1/sin(g/2)**2), g = guard:
+    past every 2 z = 4 sigma r / Delta_r that a phi off the guard can meet,
+    since Delta_r / r >= 4 sin(w/2)**2 and sigma <= 1."""
+    half_gap = math.sin(0.5 * min(guard, math.pi))
+    v_max = math.log1p(half_gap**2) - 2.0 * math.log(half_gap)
+    return max(1, math.ceil(v_max / _PANEL_WIDTH))
+
+
+def _reach_table(lam: float, ell: int, t_level: int, guard: float) -> tuple[np.ndarray, int]:
+    """The held t-table of (lam, ell, t_level), whole, and the panels of it
+    that ``guard`` reads (see _t_panels): panels sit at fixed v and every row
+    is what it is in a table of any reach, so a nearer guard reads a prefix
+    of a farther guard's table, bit for bit, with no copy.  A guard past the
+    held reach builds its table (see _build_t_table), which is held in its
+    place; a refusal leaves the held one serving.  Tables are built outside
+    the lock, so concurrent callers may build one twice; the farther is held."""
+    key, panels = (lam, ell, t_level), _t_panels(guard)
+    with _t_tables_lock:
+        table = _t_tables.get(key)
+        if table is not None:
+            _t_tables.move_to_end(key)
+    if table is None or table.shape[1] < panels:
+        table = _build_t_table(lam, ell, t_level, guard)
+        with _t_tables_lock:
+            held = _t_tables.get(key)
+            if held is not None and held.shape[1] > table.shape[1]:
+                table = held
+            _t_tables[key] = table
+            _t_tables.move_to_end(key)
+            while len(_t_tables) > _T_TABLES:
+                _t_tables.popitem(last=False)
+    return table, panels
+
+
+def _t_table(lam: float, ell: int, t_level: int, guard: float) -> np.ndarray:
+    """The t-table of (lam, ell, t_level) at ``guard``'s reach: the first
+    _t_panels(guard) panels of the held table (see _reach_table), a view."""
+    table, panels = _reach_table(lam, ell, t_level, guard)
+    return table[:, :panels]
+
+
 @_quiet_float_range
-def _t_table(lam: float, ell: int, t_level: int, min_separation: float) -> np.ndarray:
+def _build_t_table(lam: float, ell: int, t_level: int, min_separation: float) -> np.ndarray:
     """Values, shape (pairs, panels, _panel_nodes(ell)), of
     (1 + 2 z)**lam Phi_{m,s}(z) at the first-kind Chebyshev points of each
     v-panel, times expm1(v)**(s - s0) = (2 z)**(s - s0) on every panel but
@@ -487,12 +539,10 @@ def _t_table(lam: float, ell: int, t_level: int, min_separation: float) -> np.nd
     kernel_partial reads one folded row per pair past v = _PANEL_WIDTH (see
     there); on the first panel the factor would magnify the interpolation
     error by (expm1(_PANEL_WIDTH) / expm1(v))**(s - s0), and it is left out.
-    The panels reach v = log(1 + 1/sin(g/2)**2), g = min_separation: past
-    every 2 z = 4 sigma r / Delta_r that a phi off the guard can meet, since
-    Delta_r / r >= 4 sin(w/2)**2 and sigma <= 1; a nearer guard only appends
-    panels.  Raises AccuracyError for lam below _LAMBDA_FLOOR, and ValueError
-    naming the least guard that keeps the table finite where the factor
-    (2 z)**(s - s0) carries finite values past the float range."""
+    The panels reach min_separation (see _t_panels); a nearer guard only
+    appends panels.  Raises AccuracyError for lam below _LAMBDA_FLOOR, and
+    ValueError naming the least guard that keeps the table finite where the
+    factor (2 z)**(s - s0) carries finite values past the float range."""
     if lam < _LAMBDA_FLOOR:
         message = f"lambda {lam} is below {_LAMBDA_FLOOR}, where the t-rule loses the mass at pi"
         raise AccuracyError(message, estimate=math.nan, error_bound=math.inf)
@@ -501,9 +551,7 @@ def _t_table(lam: float, ell: int, t_level: int, min_separation: float) -> np.nd
     t_fac = np.sin(t_nodes) ** (2.0 * lam - 1.0) * t_weights
     pairs = _pairs(ell)
     u_pow = t_fac[:, None] * u[:, None] ** np.arange(pairs[-1][0] + 1)
-    half_gap = math.sin(0.5 * min(min_separation, math.pi))
-    v_max = math.log1p(half_gap**2) - 2.0 * math.log(half_gap)
-    panels = max(1, math.ceil(v_max / _PANEL_WIDTH))
+    panels = _t_panels(min_separation)
     n = _panel_nodes(ell)
     points = _chebyshev(n)[0][:, 0]
     v = ((np.arange(panels)[:, None] + 0.5 * (points + 1.0)) * _PANEL_WIDTH).ravel()
@@ -666,10 +714,11 @@ def kernel_partial(
     The 2-D (r, t) sum is taken in two stages.  On the grid,
     D = Delta_r (1 + z u) with z = 2 sigma r / Delta_r and u = 1 - cos t, and
     P_s(t) is a polynomial in u of degree at most s, so every t-sum is a
-    combination of the one-variable sums Phi_{m,s}(z) that _t_table
-    tabulates once per (lambda, ell, t_level, min_separation).  Each pair then
-    expands its P_s in powers of u (coefficients p_{s,m}) and sums over the
-    r-nodes alone:
+    combination of the one-variable sums Phi_{m,s}(z) that _build_t_table
+    tabulates once per (lambda, ell, t_level), out to the farthest
+    min_separation asked for so far, whose first panels serve every nearer
+    one (see _reach_table).  Each pair then expands its P_s in powers of u
+    (coefficients p_{s,m}) and sums over the r-nodes alone:
 
         prefactor * sum_r r_fac sum_{s,m} p_{s,m} q**s Delta_r**-(lam+1) Phi_{m,s}(z_r),
 
@@ -700,10 +749,11 @@ def kernel_partial(
     seps = np.minimum(_separations(thetas, phis, config.min_separation), _FAR_SPLIT)
 
     layout = _term_layout(ell, lam)
-    table = _t_table(lam, ell, config.t_level, config.min_separation)
-    columns, panels, n = table.shape
-    # a view: each column's panels in one run, n values each
-    by_panel = table.reshape(columns, panels * n)
+    table, panels = _reach_table(lam, ell, config.t_level, config.min_separation)
+    columns, held, n = table.shape
+    # a view of the whole held table, each column's panels in one run, n
+    # values each; the nodes read only the guard's panels
+    by_panel = table.reshape(columns, held * n)
     pairs = _pairs(ell)
     # each column's power of q past the lowest order s0, and the orders s0 .. ell
     exponent = np.array([s for s, _ in pairs]) - pairs[0][0]

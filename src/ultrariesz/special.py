@@ -12,11 +12,14 @@ differentiation is done anywhere.
 
 ``_recurrence`` is the one body of the recurrence, and ``_rows`` its one
 memo: the rows P_0 .. P_n at a point array, keyed by (lambda, the points),
-and the theta-jets, keyed by (lambda, theta, order).  A lower degree reads
-a prefix of a kept table; a higher one reruns the recurrence fresh and the
-longer table is kept, so every row is bit for bit what a fresh run gives.
-Kept tables are read-only; gegenbauer_theta_jets returns a copy, and
-gegenbauer_eval does not use the memo.  The memo keeps at most
+and the theta-jets, keyed by (lambda, theta) and built at the order cap
+MAX_ORDER, so that every lower order, 0 included, reads a column prefix of
+one table (an order past the cap is built at that order, its own key).  A
+lower degree reads a prefix of a kept table; a higher one reruns the
+recurrence fresh and the longer table is kept, so every row is bit for bit
+what a fresh run gives, whatever was asked before.  Kept tables are
+read-only; gegenbauer_theta_jets returns a copy, and gegenbauer_eval does
+not use the memo.  The memo keeps at most
 _MEMO_TABLES tables, dropping the least recently read first, and at most
 _MEMO_ENTRIES floats (2 MiB) in all, the bytes of a points key counted
 with its table; a larger table, or one with a non-finite entry, is
@@ -43,6 +46,10 @@ __all__ = [
 
 #: slack allowed on |x| <= 1 to absorb cos/arccos roundoff
 _X_DOMAIN_SLACK = 1e-12
+
+#: the package's cap on derivative orders (the kernels' k, the Faa di Bruno
+#: tables), and the order every theta-jet table is built at
+MAX_ORDER = 12
 
 
 def validate_lambda(lam: float) -> float:
@@ -212,19 +219,33 @@ def _cos_leibniz(theta: float, order: int) -> np.ndarray:
 
 def gegenbauer_theta_jets(n_max: int, lam: float, theta: float, order: int) -> np.ndarray:
     """Row n: P_n(cos(theta)) and its first ``order`` theta-derivatives, for
-    n = 0..n_max; one matrix-vector product per degree of the recurrence,
-    or a copy of the memo's rows."""
+    n = 0..n_max; a copy of the first order + 1 columns of the memo's jets
+    at the order cap, or at ``order`` past it, one matrix-vector product per
+    degree of the recurrence.  Where the cap's table leaves the float range,
+    the columns asked for are run alone, unkept, as the caller's float
+    policy meets them."""
     lam = validate_lambda(lam)
     n_max = _check_integer("polynomial degree", n_max)
     theta = _validate_angle("theta", theta)
     order = _check_integer("derivative order", order)
+    width = max(order, MAX_ORDER)
+    key = (lam, theta, width)
 
-    def operands():
-        one = np.zeros(order + 1)
+    def operands(columns=width):
+        one = np.zeros(columns + 1)
         one[0] = 1.0
-        return _cos_leibniz(theta, order), one, np.matmul
+        return _cos_leibniz(theta, columns), one, np.matmul
 
-    return _rows((lam, theta, order), n_max, lam, operands).copy()
+    # a kept table is finite
+    table = _kept(key, n_max)
+    if table is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = _rows(key, n_max, lam, operands)
+        if not np.isfinite(table).all():
+            # the higher columns may overflow first, and the matrix's zeros
+            # turn them into NaN in the lower ones
+            return np.array(list(_recurrence(n_max, lam, *operands(order))))
+    return table[:, : order + 1].copy()
 
 
 #: from this lambda on, _gamma_half_ratio sums its asymptotic series: the

@@ -254,21 +254,27 @@ def poisson_spectral(c: SpectralCoefficients, t: float, theta: float) -> float:
 def poisson_via_kernel(f: Callable, lam: float, t: float, theta: float, rule: QuadratureRule) -> float:
     """Poisson semigroup at time t through the kernel integral
     r**lam * P_lambda(r, theta, .) against dm_lambda, with r = exp(-t)."""
-    return _poisson_via_kernel_each((f,), lam, t, [theta], rule)[0][0]
+    return _poisson_via_kernel_each((f,), lam, t, theta, rule)[0][0]
 
 
 def _poisson_via_kernel_each(
-    fs: Sequence[Callable], lam: float, t: float, thetas: Sequence[float], rule: QuadratureRule
+    fs: Sequence[Callable], lam: float, t: float, thetas: Sequence[float] | float, rule: QuadratureRule
 ) -> list[list[float]]:
-    """poisson_via_kernel at every theta in ``thetas`` (the outer list) for
-    every f in ``fs``, from one kernel call over every (theta, node) pair."""
+    """poisson_via_kernel at every theta in ``thetas`` (the outer list), or
+    at one scalar theta, for every f in ``fs``, from one kernel call over
+    every (theta, node) pair."""
     lam = _check_rule(lam, rule)
     if not t > 0.0:
         raise ValueError(f"time must be positive, got {t}")
     r = math.exp(-t)
-    nodes, count = rule.nodes, len(thetas)
-    pairs = np.repeat(thetas, nodes.size), np.tile(nodes, count)
-    kernel_rows = poisson_kernel(lam, r, *pairs).reshape(count, nodes.size)
+    nodes = rule.nodes
+    if np.ndim(thetas) == 0:
+        # the kernel pairs a scalar theta with every node itself
+        kernel_rows = poisson_kernel(lam, r, thetas, nodes)[None]
+    else:
+        count = len(thetas)
+        pairs = np.repeat(thetas, nodes.size), np.tile(nodes, count)
+        kernel_rows = poisson_kernel(lam, r, *pairs).reshape(count, nodes.size)
     samples = [_evaluate(f, nodes) for f in fs]
     return [[r**lam * float(np.dot(rule.weights, row * f_values)) for f_values in samples] for row in kernel_rows]
 

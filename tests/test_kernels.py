@@ -503,11 +503,108 @@ class TestTabulatedKernel:
         assert scaled[1] == 3.0 * rows[7, 2]
         assert scaled[0] == 2.0 * values[1]
 
-    def test_table_cache_stays_bounded(self):
-        for lam in np.linspace(0.31, 2.4, 40):
-            kernel_partial(float(lam), 1, 1, 1.2, 0.7, config=KernelConfig(3, 3))
-        info = kernels._t_table.cache_info()
-        assert info.currsize <= info.maxsize
+    def test_table_cache_stays_bounded(self, cold_t_tables):
+        lams = [float(lam) for lam in np.linspace(0.31, 2.4, 40)]
+        for lam in lams:
+            kernel_partial(lam, 1, 1, 1.2, 0.7, config=KernelConfig(3, 3))
+            # a nearer and a farther guard hold no second table of the key
+            kernel_partial(lam, 1, 1, 1.2, 0.7, config=KernelConfig(3, 3, min_separation=0.1))
+            kernel_partial(lam, 1, 1, 1.2, 0.7, config=KernelConfig(3, 3, min_separation=1e-9))
+            assert len(cold_t_tables) <= kernels._T_TABLES
+        # the most recent are held, each at the farthest reach asked for
+        assert list(cold_t_tables) == [(lam, 1, 3) for lam in lams[-kernels._T_TABLES :]]
+        assert {table.shape[1] for table in cold_t_tables.values()} == {kernels._t_panels(1e-9)}
+
+
+@pytest.fixture
+def cold_t_tables():
+    """The held t-tables, emptied before and after the test."""
+    kernels._t_tables.clear()
+    yield kernels._t_tables
+    kernels._t_tables.clear()
+
+
+class TestReachTable:
+    """One t-table per (lambda, ell, t_level) is held, at the farthest reach
+    asked for so far; a nearer guard reads its first panels."""
+
+    @pytest.mark.parametrize("lam", [0.3, 1.3, 2.45])
+    def test_poisson_kernel_near_after_far_is_its_cold_value(self, cold_t_tables, lam):
+        thetas, phis = np.repeat(_GRID, _GRID.size), np.tile(_GRID, _GRID.size)
+        cold = poisson_kernel(lam, math.exp(-1.0), thetas, phis)
+        cold_t_tables.clear()
+        poisson_kernel(lam, math.exp(-0.1), thetas, phis)
+        (held,) = cold_t_tables.values()
+        assert np.array_equal(poisson_kernel(lam, math.exp(-1.0), thetas, phis), cold)
+        # read from the farther table, not rebuilt
+        assert list(cold_t_tables.values()) == [held] and held.shape[1] == kernels._t_panels(1.0 - math.exp(-0.1))
+
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    def test_kernel_partial_near_after_far_is_its_cold_value(self, cold_t_tables, k):
+        near, far = KernelConfig(min_separation=1e-5), KernelConfig(min_separation=1e-12)
+        theta, phis = 1.2, 1.2 + np.array([-0.3, -1e-3, -1e-5, 2e-5, 1e-2, 1.5])
+        cold = kernel_partial(1.3, k, k, theta, phis, config=near)
+        cold_t_tables.clear()
+        kernel_partial(1.3, k, k, theta, phis, config=far)
+        (held,) = cold_t_tables.values()
+        assert np.array_equal(kernel_partial(1.3, k, k, theta, phis, config=near), cold)
+        assert list(cold_t_tables.values()) == [held] and held.shape[1] == kernels._t_panels(1e-12)
+        # the nearer guard's table is the held one's first panels, a view
+        view = _t_table(1.3, k, DEFAULT_KERNEL_CONFIG.t_level, 1e-5)
+        assert np.shares_memory(view, held) and np.array_equal(view, held[:, : view.shape[1]])
+        assert view.shape[1] == kernels._t_panels(1e-5)
+
+    def test_a_farther_guard_past_the_float_range_leaves_the_held_table_serving(self, cold_t_tables):
+        phis = np.array([0.5, 1.2 + 1e-3, 2.0])
+        before = kernel_partial(1.3, 12, 12, 1.2, phis)
+        (held,) = cold_t_tables.values()
+        for guard in (1e-15, 1e-300):
+            with pytest.raises(ValueError, match="order-12 t-table past the float range") as raised:
+                kernel_partial(1.3, 12, 12, 1.2, phis, config=KernelConfig(min_separation=guard))
+            # the least guard, as a cold store names it
+            least = float(re.search(r"must be at least (\S+)$", str(raised.value))[1])
+            assert 1e-14 < least < 1e-13
+            assert list(cold_t_tables.values()) == [held]
+            assert np.array_equal(kernel_partial(1.3, 12, 12, 1.2, phis), before)
+
+    def test_concurrent_guards_get_their_cold_values(self, cold_t_tables):
+        # callers at nearer and farther guards race to build and replace one
+        # key's table: more threads than cores, switching often
+        guards = (1e-3, 1e-12, 1e-5, 1e-9)
+        phis = 1.2 + np.array([-0.3, -2e-3, 1e-2, 1.5])
+        serial = {}
+        for guard in guards:
+            cold_t_tables.clear()
+            serial[guard] = kernel_partial(1.3, 3, 3, 1.2, phis, config=KernelConfig(min_separation=guard))
+        results: dict[float, np.ndarray] = {}
+
+        def call(guard):
+            results[guard] = kernel_partial(1.3, 3, 3, 1.2, phis, config=KernelConfig(min_separation=guard))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                cold_t_tables.clear()
+                results.clear()
+                callers = [threading.Thread(target=call, args=(guard,)) for guard in guards]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=120)
+                assert not any(caller.is_alive() for caller in callers)
+                assert sorted(results) == sorted(guards)
+                for guard, values in results.items():
+                    assert np.array_equal(values, serial[guard]), guard
+                # the farthest reach is held, whichever build finished last
+                (held,) = cold_t_tables.values()
+                assert held.shape[1] == kernels._t_panels(1e-12)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+#: angles from 0.02 to pi - 0.02, paired every way by the reach tests
+_GRID = np.linspace(0.02, math.pi - 0.02, 20)
 
 
 #: riesz_kernel(1.3, k, theta, phi) per (k, theta) at _SMALL_SIGMA_PHIS,

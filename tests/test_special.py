@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -227,11 +228,14 @@ def _plain_values(n_max, lam, x):
     return np.array(list(_recurrence(n_max, lam, x, np.ones_like(x))))
 
 
-def _plain_jets(n_max, lam, theta, order):
-    """gegenbauer_theta_jets' rows from one fresh run of the recurrence."""
-    one = np.zeros(order + 1)
+def _plain_jets(n_max, lam, theta, order, width=None):
+    """gegenbauer_theta_jets' rows from one fresh run of the recurrence at
+    ``width`` derivatives, by default the order cap (or ``order`` past it),
+    cut to the first order + 1 columns."""
+    width = max(order, special.MAX_ORDER) if width is None else width
+    one = np.zeros(width + 1)
     one[0] = 1.0
-    return np.array(list(_recurrence(n_max, lam, _cos_leibniz(theta, order), one, np.matmul)))
+    return np.array(list(_recurrence(n_max, lam, _cos_leibniz(theta, width), one, np.matmul)))[:, : order + 1]
 
 
 @pytest.fixture
@@ -249,9 +253,12 @@ class TestRecurrenceMemo:
         x = np.cos(build_rule(1.3, 64).nodes)
         for n in degrees:
             assert np.array_equal(_polynomial_rows(n, 1.3, x), _plain_values(n, 1.3, x))
-            assert np.array_equal(gegenbauer_theta_jets(n, 1.3, 0.7, 5), _plain_jets(n, 1.3, 0.7, 5))
-        # the longer table is kept, one per key
+            # every order reads the one jet table of (lambda, theta)
+            for order in (5, 0, special.MAX_ORDER):
+                assert np.array_equal(gegenbauer_theta_jets(n, 1.3, 0.7, order), _plain_jets(n, 1.3, 0.7, order))
+        # the longer table is kept, one per key, the jets at the order cap
         assert [table.shape[0] for table in empty_memo.values()] == [max(degrees) + 1] * 2
+        assert list(empty_memo.values())[-1].shape[1] == special.MAX_ORDER + 1
 
     def test_a_shorter_table_never_replaces_a_longer_one(self, empty_memo):
         # as when two callers race to build one key
@@ -295,8 +302,8 @@ class TestRecurrenceMemo:
             gegenbauer_theta_jets(8, 1.0 + i, 0.7, 2)
             _polynomial_rows(3, 1.0, np.linspace(-0.5, 0.5, 7) + 1e-3 * i)
             assert len(empty_memo) <= special._MEMO_TABLES
-        # the most recent are kept
-        assert (1.0 + 3 * special._MEMO_TABLES - 1, 0.7, 2) in empty_memo
+        # the most recent are kept, the jets under (lambda, theta) at the order cap
+        assert (1.0 + 3 * special._MEMO_TABLES - 1, 0.7, special.MAX_ORDER) in empty_memo
         # tables that fit alone but not together push the oldest out; a points
         # key counts as one more row
         points = special._MEMO_ENTRIES // 8
@@ -373,6 +380,81 @@ class TestRecurrenceMemo:
                         assert np.array_equal(jets, serial[n][1])
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestJetsAtTheOrderCap:
+    """Every theta-jet table is built at the order cap, and a lower order
+    reads its first columns."""
+
+    def test_the_cap_is_the_faa_di_bruno_tables_cap(self):
+        from ultrariesz import faa_di_bruno
+
+        assert faa_di_bruno.MAX_ORDER == special.MAX_ORDER == 12
+
+    @pytest.mark.parametrize("lam, theta", [(0.3, 1e-3), (1.3, 0.7), (2.45, math.pi - 0.55), (10.0, 2.9)])
+    def test_each_order_is_the_columns_of_the_cap_call(self, empty_memo, lam, theta):
+        # each order read from the table the previous order's cold call kept,
+        # and cold itself: the bits do not depend on which order came first
+        top = special.MAX_ORDER
+        cap = gegenbauer_theta_jets(40, lam, theta, top)
+        for order in range(top + 1):
+            warm = gegenbauer_theta_jets(40, lam, theta, order)
+            special._clear_memo()
+            cold = gegenbauer_theta_jets(40, lam, theta, order)
+            assert np.array_equal(warm, cap[:, : order + 1]), order
+            assert np.array_equal(cold, cap[:, : order + 1]), order
+        assert len(empty_memo) == 1
+
+    def test_an_order_past_the_cap_is_built_at_that_order(self, empty_memo):
+        past = special.MAX_ORDER + 2
+        jets = gegenbauer_theta_jets(20, 1.3, 0.7, past)
+        assert np.array_equal(jets, _plain_jets(20, 1.3, 0.7, past, width=past))
+        # under its own key: the cap's table is unmoved by it
+        assert np.array_equal(gegenbauer_theta_jets(20, 1.3, 0.7, 3), _plain_jets(20, 1.3, 0.7, 3))
+        assert sorted(table.shape[1] for table in empty_memo.values()) == [special.MAX_ORDER + 1, past + 1]
+
+    def test_the_cap_is_no_less_accurate_than_each_order_alone(self):
+        # against the recurrence in 40-digit arithmetic, the worst error
+        # relative to its row's largest entry, over orders 0..12 and degrees
+        # 0..40: the cap's columns 1.71e-13, each order's own run (the
+        # tables before the cap) 1.71e-13, both at order 0 and theta
+        # pi - 1e-3; order by order the two differ by up to 1.3x either way
+        mpmath = pytest.importorskip("mpmath")
+        top, n_max = special.MAX_ORDER, 40
+        worst_cap = worst_alone = 0.0
+        for lam in (0.3, 1.3, 2.45, 10.0):
+            for theta in (1e-3, 0.7, 1.9, math.pi - 1e-3):
+                with mpmath.workdps(40):
+                    c = [mpmath.cos(mpmath.mpf(theta)), -mpmath.sin(mpmath.mpf(theta))]
+                    c += [-c[0], -c[1]]
+                    leibniz = mpmath.matrix(
+                        [[mpmath.binomial(m, i) * c[(m - i) % 4] if i <= m else 0 for i in range(top + 1)]
+                         for m in range(top + 1)]
+                    )
+                    one = mpmath.matrix([1] + [0] * top)
+                    exact = list(_recurrence(n_max, mpmath.mpf(lam), leibniz, one, lambda a, b: a * b))
+                    exact = np.array([[float(v) for v in row] for row in exact])
+                for order in range(top + 1):
+                    cap = gegenbauer_theta_jets(n_max, lam, theta, order)
+                    alone = _plain_jets(n_max, lam, theta, order, width=order)
+                    scale = np.max(np.abs(exact[:, : order + 1]), axis=1)[:, None]
+                    worst_cap = max(worst_cap, float(np.max(np.abs(cap - exact[:, : order + 1]) / scale)))
+                    worst_alone = max(worst_alone, float(np.max(np.abs(alone - exact[:, : order + 1]) / scale)))
+        assert worst_cap <= worst_alone < 2e-13
+
+    def test_past_the_float_range_the_columns_asked_for_run_alone(self, empty_memo):
+        # at lambda 1000 and theta 0.7 the cap's jets leave the float range
+        # from degree 218 on, the order-1 ones at 249: in between the order-1
+        # jets are their own run's, finite and unwarned, and nothing is kept
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jets = gegenbauer_theta_jets(230, 1000.0, 0.7, 1)
+        assert np.all(np.isfinite(jets))
+        assert np.array_equal(jets, _plain_jets(230, 1000.0, 0.7, 1, width=1))
+        assert not empty_memo
+        # and the order-1 overflow meets the caller's float policy
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            gegenbauer_theta_jets(260, 1000.0, 0.7, 1)
 
 
 class TestNorms:
