@@ -469,6 +469,18 @@ def _plain_double_sum(lam, k, ell, theta, phi, config):
     return lam / (math.pi * math.gamma(k)) * float(r_fac @ cells @ t_fac)
 
 
+@pytest.fixture
+def cold_t_tables():
+    """The held t-tables, emptied before and after the test."""
+    kernels._t_tables.clear()
+    yield kernels._t_tables
+    kernels._t_tables.clear()
+
+
+#: angles from 0.02 to pi - 0.02, paired every way by the reach tests
+_GRID = np.linspace(0.02, math.pi - 0.02, 20)
+
+
 class TestTabulatedKernel:
     @pytest.mark.parametrize("config", [KernelConfig(3, 3), DEFAULT_KERNEL_CONFIG], ids=["level3", "default"])
     @pytest.mark.parametrize("lam", [0.3, 1.0, 2.45])
@@ -514,14 +526,6 @@ class TestTabulatedKernel:
         # the most recent are held, each at the farthest reach asked for
         assert list(cold_t_tables) == [(lam, 1, 3) for lam in lams[-kernels._T_TABLES :]]
         assert {table.shape[1] for table in cold_t_tables.values()} == {kernels._t_panels(1e-9)}
-
-
-@pytest.fixture
-def cold_t_tables():
-    """The held t-tables, emptied before and after the test."""
-    kernels._t_tables.clear()
-    yield kernels._t_tables
-    kernels._t_tables.clear()
 
 
 class TestReachTable:
@@ -601,10 +605,6 @@ class TestReachTable:
                 assert held.shape[1] == kernels._t_panels(1e-12)
         finally:
             sys.setswitchinterval(interval)
-
-
-#: angles from 0.02 to pi - 0.02, paired every way by the reach tests
-_GRID = np.linspace(0.02, math.pi - 0.02, 20)
 
 
 #: riesz_kernel(1.3, k, theta, phi) per (k, theta) at _SMALL_SIGMA_PHIS,
