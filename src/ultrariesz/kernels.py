@@ -188,9 +188,10 @@ def poisson_kernel(
     (lam/pi) (1 - r**2) times the t-integral of (sin t)**(2 lam - 1) times
     (Delta_r + cross (1 - cos t))**-(lam + 1), cross = 2 r sin(theta) sin(phi),
     evaluated as (lam/pi) (1 - r**2) Delta_r**-1 (Delta_r + 2 cross)**-lam T(v)
-    with T the order-0 _t_table read at v = log(1 + 2 cross / Delta_r) by
-    _interpolate, as kernel_partial reads its rows.  The table reaches guard
-    1 - r, past every v of the call as Delta_r >= (1 - r)**2.
+    with T the order-0 t-table (see _reach_table) read at
+    v = log(1 + 2 cross / Delta_r) by _interpolate, as kernel_partial reads
+    its rows.  The call reads the table's panels out to guard 1 - r, past
+    every v of the call as Delta_r >= (1 - r)**2.
 
     ``phi`` may be a scalar (returns a float) or a 1-D array (returns an
     array), and ``theta`` a scalar, paired with every phi, or a 1-D array
@@ -202,10 +203,10 @@ def poisson_kernel(
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
     thetas, phis = _angles(theta, phi)
-    table = _t_table(lam, 0, DEFAULT_KERNEL_CONFIG.t_level, 1.0 - r)
+    table, panels = _reach_table(lam, 0, DEFAULT_KERNEL_CONFIG.t_level, 1.0 - r)
     delta_r = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * (thetas - phis)) ** 2
     cross = 2.0 * r * (np.sin(thetas) * np.sin(phis))
-    panel, x = _locate(np.log1p(2.0 * cross / delta_r), table.shape[1])
+    panel, x = _locate(np.log1p(2.0 * cross / delta_r), panels)
     t_sum = _interpolate(table[0].T, panel, x)
     values = lam / math.pi * (1.0 - r * r) / delta_r * np.power(delta_r + 2.0 * cross, -lam) * t_sum
     _check_finite(values, thetas, phis, f"lambda {lam}, r {r}")
@@ -516,13 +517,6 @@ def _reach_table(lam: float, ell: int, t_level: int, guard: float) -> tuple[np.n
             while len(_t_tables) > _T_TABLES:
                 _t_tables.popitem(last=False)
     return table, panels
-
-
-def _t_table(lam: float, ell: int, t_level: int, guard: float) -> np.ndarray:
-    """The t-table of (lam, ell, t_level) at ``guard``'s reach: the first
-    _t_panels(guard) panels of the held table (see _reach_table), a view."""
-    table, panels = _reach_table(lam, ell, t_level, guard)
-    return table[:, :panels]
 
 
 @_quiet_float_range

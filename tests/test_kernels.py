@@ -31,7 +31,7 @@ from ultrariesz import (
 from ultrariesz import kernels, transforms
 from ultrariesz.jets import Jet
 from ultrariesz.faa_di_bruno import _term_layout
-from ultrariesz.kernels import DEFAULT_KERNEL_CONFIG, KernelConfig, _t_table
+from ultrariesz.kernels import DEFAULT_KERNEL_CONFIG, KernelConfig, _build_t_table, _reach_table
 from ultrariesz.quadrature import _bernstein_points, _gauss_jacobi, _ts_table, gauss_legendre_segment, tanh_sinh_segment
 
 #: long-double sums of the kernel at _NODE_THETA and the first three
@@ -246,10 +246,12 @@ class TestPoissonKernel:
         # panels sit at fixed v, so a nearer guard only appends panels, and
         # the shared ones agree bit for bit: every row is summed in a full
         # chunk of the same shape (with a short last chunk, 11 entries of
-        # these tables differed, by up to 3.5e-16 relative)
-        full = _t_table(lam, 0, DEFAULT_KERNEL_CONFIG.t_level, 1e-9)
+        # these tables differed, by up to 3.5e-16 relative).  Each table is
+        # built cold: the held store would serve the nearer guards from the
+        # full table itself
+        full = _build_t_table(lam, 0, DEFAULT_KERNEL_CONFIG.t_level, 1e-9)
         for guard in (1.0, 0.5, 1.0 - math.exp(-0.1), 0.1, 0.01, 1.0 - math.exp(-1e-3)):
-            table = _t_table(lam, 0, DEFAULT_KERNEL_CONFIG.t_level, guard)
+            table = _build_t_table(lam, 0, DEFAULT_KERNEL_CONFIG.t_level, guard)
             assert table.shape[1] < full.shape[1]
             assert np.array_equal(table, full[:, : table.shape[1]]), guard
 
@@ -553,10 +555,9 @@ class TestReachTable:
         (held,) = cold_t_tables.values()
         assert np.array_equal(kernel_partial(1.3, k, k, theta, phis, config=near), cold)
         assert list(cold_t_tables.values()) == [held] and held.shape[1] == kernels._t_panels(1e-12)
-        # the nearer guard's table is the held one's first panels, a view
-        view = _t_table(1.3, k, DEFAULT_KERNEL_CONFIG.t_level, 1e-5)
-        assert np.shares_memory(view, held) and np.array_equal(view, held[:, : view.shape[1]])
-        assert view.shape[1] == kernels._t_panels(1e-5)
+        # the nearer guard reads the held table itself, to its own panels
+        table, panels = _reach_table(1.3, k, DEFAULT_KERNEL_CONFIG.t_level, 1e-5)
+        assert table is held and panels == kernels._t_panels(1e-5)
 
     def test_a_farther_guard_past_the_float_range_leaves_the_held_table_serving(self, cold_t_tables):
         phis = np.array([0.5, 1.2 + 1e-3, 2.0])
@@ -703,7 +704,7 @@ class TestAbsorbedTable:
                 values = kernel_partial(lam, 12, 12, theta, phis, config=relaxed)
             assert np.all(np.isfinite(values)), lam
             assert np.array_equal(values, [kernel_partial(lam, 12, 12, theta, float(p), config=relaxed) for p in phis])
-        assert np.all(np.isfinite(_t_table(1.3, 12, DEFAULT_KERNEL_CONFIG.t_level, 1e-12)))
+        assert np.all(np.isfinite(_reach_table(1.3, 12, DEFAULT_KERNEL_CONFIG.t_level, 1e-12)[0]))
 
     @pytest.mark.parametrize("guard", [1e-15, 1e-20, 1e-300])
     def test_a_guard_past_the_table_range_is_refused_by_its_limit(self, guard):
