@@ -118,18 +118,33 @@ def _cached_rule(lam: float, order: int) -> QuadratureRule:
         k = np.arange(1, order + 1)
         a = np.sqrt(k * (k + 2.0 * lam - 1.0) / (4.0 * (k + lam) * (k + lam - 1.0)))
         x = _nonnegative_nodes(a[:-1], order)
-        # Christoffel numbers mu_0 / S(x), S = sum_{k<n} p_k(x)**2, and p_n(x)
-        below, prev, cur, total = 0.0, np.zeros_like(x), np.ones_like(x), np.ones_like(x)
-        for above in a[:-1].tolist():
-            prev, cur = cur, (x * cur - below * prev) / above
-            total += cur * cur
+        # Christoffel numbers mu_0 / S(x), S = sum_{k<n} p_k(x)**2, and p_n(x).
+        # Row k + 1 of p holds p_k(x), row 0 p_{-1} = 0; each step writes its
+        # row in place, passing out positionally (out= costs more per call)
+        p = np.empty((order + 1, x.size))
+        p[0], p[1] = 0.0, 1.0
+        scratch = np.empty_like(x)
+        below = 0.0
+        for prev, cur, new, above in zip(p, p[1:], p[2:], a[:-1].tolist()):
+            np.multiply(x, cur, new)
+            np.multiply(below, prev, scratch)
+            np.subtract(new, scratch, new)
+            np.divide(new, above, new)
             below = above
+        prev, cur = p[order - 1], p[order]
         p_n = (x * cur - below * prev) / a[-1]
         # one Newton step on p_n, with p_n' = S / (a_n p_{n-1}) by
-        # Christoffel-Darboux.  The Gegenbauer equation gives S'/S =
-        # (2 lam + 1) x / (1 - x**2) at a node: it carries S to the corrected
-        # node, so a node's rounding moves its weight only to second order
-        step = a[-1] * p_n * cur / total
+        # Christoffel-Darboux; its numerator is taken while p still holds
+        # p_{n-1}.  The Gegenbauer equation gives S'/S = (2 lam + 1) x /
+        # (1 - x**2) at a node: it carries S to the corrected node, so a
+        # node's rounding moves its weight only to second order
+        numerator = a[-1] * p_n * cur
+        # S in the recurrence's order, 1 + p_1**2 + p_2**2 + ..., at every
+        # order, in place: a cumulative sum adds in turn, where np.sum may
+        # add pairwise
+        np.square(p[1:], p[1:])
+        total = np.cumsum(p[1:], axis=0, out=p[1:])[-1]
+        step = numerator / total
         total *= 1.0 - (2.0 * lam + 1.0) * x * step / ((1.0 - x) * (1.0 + x))
         x -= step
         theta = np.arccos(x)

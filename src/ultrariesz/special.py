@@ -188,11 +188,12 @@ def _polynomial_rows(n_max: int, lam: float, x: np.ndarray) -> np.ndarray:
     return _rows(_points_key(lam, x), n_max, lam, lambda: (x, np.ones_like(x), np.multiply))
 
 
-def _polynomial_rows_if_kept(n_max: int, lam: float, x: np.ndarray):
-    """The rows P_0(x) .. P_{n_max}(x): the memo's if it keeps them, else a
-    fresh run of the recurrence that is not kept."""
+def _polynomial_rows_if_kept(n_max: int, lam: float, x: np.ndarray) -> np.ndarray:
+    """The rows P_0(x) .. P_{n_max}(x), shape (n_max + 1, *x.shape): the
+    memo's if it keeps them, else a fresh run of the recurrence that is not
+    kept."""
     table = _kept(_points_key(lam, x), n_max)
-    return _recurrence(n_max, lam, x, np.ones_like(x)) if table is None else table
+    return np.array(list(_recurrence(n_max, lam, x, np.ones_like(x)))) if table is None else table
 
 
 def gegenbauer_eval(n: int, lam: float, x):

@@ -34,6 +34,7 @@ from .quadrature import (
 from .special import (
     _check_integer,
     _norm_sqs,
+    _points_key,
     _polynomial_rows,
     _polynomial_rows_if_kept,
     _validate_angle,
@@ -212,28 +213,52 @@ def synthesize(c: SpectralCoefficients, theta: float, derivative_order: int = 0)
 
 
 def _synthesis_sum(coeffs: np.ndarray, derivatives: np.ndarray, norms: np.ndarray) -> float:
-    """synthesize's sum, in degree order over the nonzero coefficients, and
-    band_limited's, whose ``derivatives`` are arrays over theta."""
-    total = 0.0
-    for coeff, derivative, norm in zip(coeffs, derivatives, norms):
-        if coeff == 0.0:
-            continue
-        total += coeff * derivative / norm
-    return total
+    """synthesize's sum of coeff * derivative / norm over the nonzero
+    coefficients, in degree order."""
+    nonzero = np.flatnonzero(coeffs)
+    return _term_sum(coeffs[nonzero], derivatives[nonzero], norms[nonzero])
+
+
+def _term_sum(coeffs: np.ndarray, derivatives: np.ndarray, norms: np.ndarray):
+    """0.0 plus coeff * derivative / norm for each row of ``derivatives`` in
+    turn, ``coeffs`` and ``norms`` shaped to broadcast against the rows: the
+    terms are one product, and sum() adds them left to right (np.sum would
+    add a lone theta's terms pairwise, and np.cumsum, which gives the same
+    sum, runs each theta's column alone: slower over many theta)."""
+    terms = coeffs * derivatives
+    terms /= norms
+    # 0.0 as a float, or as zeros over theta
+    return sum(terms, np.zeros(terms.shape[1:])[()])
 
 
 def band_limited(c: SpectralCoefficients) -> Callable:
     """The function synthesized from a finite coefficient vector, vectorized
-    over theta; the standard test family of the package."""
-    norms = _norms(c.lam, c.degree)
+    over theta; the standard test family of the package.  f keeps its last
+    sampling: called again at the same points, as the spectral route calls
+    it at one rule's nodes for each k or t, it hands out a copy."""
+    nonzero = np.flatnonzero(c.coeffs)
+    steps = np.diff(nonzero)
+    if nonzero.size and np.all(steps == steps[:1]):
+        # evenly spaced degrees (all of them, every other one, a single one):
+        # their rows read as a view rather than copied out
+        nonzero = slice(nonzero[0], nonzero[-1] + 1, steps[0] if steps.size else 1)
+    # columns against the rows of P_n over the points
+    coeffs, norms = c.coeffs[nonzero, None], _norms(c.lam, c.degree)[nonzero, None]
+    # (the points' key, their values), replaced whole so a reader sees one pair
+    last = (None, None)
 
     def f(theta):
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        # reads the rows analyze keeps at a rule's nodes, and keeps none: most
-        # other points, such as a truncation operator's probes, come once
-        polys = _polynomial_rows_if_kept(c.degree, c.lam, np.cos(th))
-        out = np.zeros_like(th) + _synthesis_sum(c.coeffs, polys, norms)
-        return out if np.ndim(theta) else float(out[0])
+        nonlocal last
+        th = np.asarray(theta, dtype=float).ravel()
+        key = _points_key(c.lam, th)
+        held, values = last
+        if held != key:
+            # reads the rows analyze keeps at a rule's nodes, and keeps none:
+            # most other points, such as a truncation operator's probes, come once
+            rows = _polynomial_rows_if_kept(c.degree, c.lam, np.cos(th))
+            values = _term_sum(coeffs, rows[nonzero], norms)
+            last = key, values
+        return values.copy().reshape(np.shape(theta)) if np.ndim(theta) else float(values[0])
 
     return f
 

@@ -24,6 +24,7 @@ from ultrariesz.quadrature import (
     _cached_rule,
     _gauss_jacobi,
     _map_nodes,
+    _nonnegative_nodes,
     _ts_new_points,
     _ts_table,
     gauss_legendre_segment,
@@ -90,6 +91,29 @@ class TestBuildRule:
 _RULE_LAMBDAS = [0.3, 1.0, 2.45, 7.5]
 
 
+def _reference_rule(lam, order):
+    """build_rule's nodes and weights with the Christoffel numbers summed in
+    the recurrence's own loop, one degree at a time: the reference the rule
+    must match bit for bit."""
+    with np.errstate(all="ignore"):
+        k = np.arange(1, order + 1)
+        a = np.sqrt(k * (k + 2.0 * lam - 1.0) / (4.0 * (k + lam) * (k + lam - 1.0)))
+        x = _nonnegative_nodes(a[:-1], order)
+        below, prev, cur, total = 0.0, np.zeros_like(x), np.ones_like(x), np.ones_like(x)
+        for above in a[:-1].tolist():
+            prev, cur = cur, (x * cur - below * prev) / above
+            total += cur * cur
+            below = above
+        p_n = (x * cur - below * prev) / a[-1]
+        step = a[-1] * p_n * cur / total
+        total *= 1.0 - (2.0 * lam + 1.0) * x * step / ((1.0 - x) * (1.0 + x))
+        x -= step
+        theta = np.arccos(x)
+        w = total_mass(lam) / total
+    mirror = slice(order % 2, None)
+    return np.concatenate([theta, math.pi - theta[::-1][mirror]]), np.concatenate([w, w[::-1][mirror]])
+
+
 class TestRuleConstruction:
     """build_rule's nodes and weights from half-size singular values and
     Christoffel numbers, against closed forms and a dense Golub-Welsch
@@ -113,6 +137,14 @@ class TestRuleConstruction:
         assert np.array_equal(rule.weights, rule.weights[::-1])
         if order % 2:
             assert rule.nodes[order // 2] == math.pi / 2
+
+    @pytest.mark.parametrize("lam", [0.25, 0.3, 1.0, 1.3, 2.45, 10.0])
+    @pytest.mark.parametrize("order", [2, 3, 5, 8, 64, 127, 128, 257])
+    def test_equals_the_per_degree_christoffel_loop(self, lam, order):
+        # order 2 has one nonnegative node, order 3 two, one of them 0
+        nodes, weights = _reference_rule(lam, order)
+        rule = _cached_rule.__wrapped__(lam, order)
+        assert np.array_equal(rule.nodes, nodes) and np.array_equal(rule.weights, weights)
 
     @pytest.mark.parametrize("lam", _RULE_LAMBDAS)
     @pytest.mark.parametrize("order", [2, 3, 24, 64, 129])

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -311,7 +313,8 @@ class TestRecurrenceMemo:
         # k 1..6 at one (lambda, rule, theta): the rule's points are read from
         # the one table analyze keeps, by analyze and by f, and every order's
         # jets, 0 to 6, from one table at the order cap; f keeps no table of
-        # its own
+        # its own, only its last sampling, which both t read at the order-128
+        # rule's points
         runs = []
         recurrence = special._recurrence
 
@@ -322,9 +325,99 @@ class TestRecurrenceMemo:
         monkeypatch.setattr(special, "_recurrence", counted)
         special._clear_memo()
         self._values(1.1, np.cos(np.arange(13)), 0.8)
-        # the order-64 rule's points once, the order-128 rule's at each t, and theta
-        assert runs.count(np.multiply) == 4
+        # the order-64 rule's points once, the order-128 rule's once, and theta
+        assert runs.count(np.multiply) == 3
         assert runs.count(np.matmul) == 1  # the jets of orders 0..6
+
+
+class TestLastSampling:
+    """A band_limited f keeps its last sampling, one (points, values) pair,
+    and hands out copies: every value is a fresh f's, bit for bit."""
+
+    @staticmethod
+    def _coefficients(lam=1.3):
+        coeffs = np.cos(np.arange(17) + lam)
+        coeffs[3] = 0.0
+        return SpectralCoefficients(lam, coeffs)
+
+    def test_a_repeat_call_is_the_first_and_a_fresh_fs(self):
+        c = self._coefficients()
+        nodes = build_rule(c.lam, 64).nodes
+        f = band_limited(c)
+        first = f(nodes)
+        assert np.array_equal(f(nodes), first)
+        assert np.array_equal(band_limited(c)(nodes), first)
+        assert f(0.7) == f(0.7) == band_limited(c)(0.7)
+
+    def test_calls_in_between_read_no_stale_values(self):
+        c = self._coefficients()
+        nodes = build_rule(c.lam, 64).nodes
+        other = np.linspace(0.1, 3.0, nodes.size)
+        f = band_limited(c)
+        for points in (nodes, other, nodes[5], nodes[5:6], np.array(nodes[5]), nodes.reshape(8, 8), nodes, nodes[::-1]):
+            got = f(points)
+            fresh = band_limited(c)(points)
+            assert np.shape(got) == np.shape(fresh) and type(got) is type(fresh)
+            assert np.array_equal(got, fresh)
+
+    def test_writing_into_a_returned_array_changes_no_later_call(self):
+        c = self._coefficients()
+        nodes = build_rule(c.lam, 64).nodes
+        f = band_limited(c)
+        first = f(nodes)
+        kept = first.copy()
+        first[:] = 7.0
+        assert np.array_equal(f(nodes), kept)
+        assert not np.shares_memory(f(nodes), f(nodes))
+
+    def test_the_spectral_route_samples_each_rule_once(self, monkeypatch):
+        c = self._coefficients()
+        rule, fine = build_rule(c.lam, 64), build_rule(c.lam, 128)
+        samplings = []
+        rows = transforms._polynomial_rows_if_kept
+
+        def counted(n_max, lam, x):
+            samplings.append(x.size)
+            return rows(n_max, lam, x)
+
+        monkeypatch.setattr(transforms, "_polynomial_rows_if_kept", counted)
+        f = band_limited(c)
+        values = [riesz_spectral(f, c.lam, k, 0.7, c.degree + 4, rule) for k in range(1, 7)]
+        values += [poisson_via_kernel(f, c.lam, t, 0.7, fine) for t in (0.1, 1.0)]
+        assert samplings == [64, 128]
+        fresh = [riesz_spectral(band_limited(c), c.lam, k, 0.7, c.degree + 4, rule) for k in range(1, 7)]
+        fresh += [poisson_via_kernel(band_limited(c), c.lam, t, 0.7, fine) for t in (0.1, 1.0)]
+        assert np.array_equal(values, fresh)
+
+    def test_threads_read_whole_pairs(self):
+        # one f over two point sets from more threads than cores, switching
+        # often: each call returns its own points' values, never the other set's
+        c = self._coefficients()
+        sets = [build_rule(c.lam, 64).nodes, np.linspace(0.1, 3.0, 64)]
+        expected = [band_limited(c)(points) for points in sets]
+        f = band_limited(c)
+
+        def run(offset):
+            return all(np.array_equal(f(sets[(i + offset) % 2]), expected[(i + offset) % 2]) for i in range(300))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, offset) for offset in range(8)]
+                assert all(future.result(timeout=60) for future in futures)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_terms_are_added_to_zero_in_degree_order(self):
+        # 1e16 + 1 rounds back to 1e16, so in degree order the sum is 0.0;
+        # a pairwise or compensated sum would keep the 1.0
+        coeffs = np.array([1e16, 1.0, -1e16])
+        assert transforms._synthesis_sum(coeffs, np.ones(3), np.ones(3)) == 0.0
+        assert np.array_equal(transforms._term_sum(coeffs[:, None], np.ones((3, 2)), np.ones((3, 1))), [0.0, 0.0])
+        # no nonzero coefficient: 0.0, or zeros over theta
+        assert transforms._synthesis_sum(np.zeros(3), np.ones(3), np.ones(3)) == 0.0
+        assert np.array_equal(band_limited(SpectralCoefficients(1.3, [0.0, 0.0]))(np.array([0.5, 1.0])), [0.0, 0.0])
 
 
 class TestTruncated:
@@ -1021,10 +1114,20 @@ class TestSampling:
 
     @pytest.mark.parametrize("lam", [0.3, 2.45])
     def test_band_limited_array_equals_scalar_loop(self, lam):
+        # degrees 0-30 with zero coefficients: a lone point's terms are added
+        # in degree order as an array's are (a pairwise sum would move some
+        # one-point values by an ulp from 8 terms on)
         rule = build_rule(lam, 128)
-        f = band_limited(SpectralCoefficients(lam, [0.5, 0.0, -1.0, 0.25, 0.0, 0.0, 2.0, 0.0, 0.1]))
-        loop = np.array([f(theta) for theta in rule.nodes])
-        assert np.array_equal(f(rule.nodes), loop)
+        cases = [[0.5, 0.0, -1.0, 0.25, 0.0, 0.0, 2.0, 0.0, 0.1]]
+        for degree in range(31):
+            coeffs = np.sin(np.arange(degree + 1) + lam)
+            coeffs[1::3] = 0.0
+            cases.append(coeffs)
+        for coeffs in cases:
+            f = band_limited(SpectralCoefficients(lam, coeffs))
+            loop = np.array([f(theta) for theta in rule.nodes])
+            assert np.array_equal(f(rule.nodes), loop)
+            assert np.array_equal(np.concatenate([f(rule.nodes[i : i + 1]) for i in range(rule.order)]), loop)
 
 
 def _reference_function(lam):
