@@ -207,7 +207,11 @@ def poisson_kernel(
     delta_r = (1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * (thetas - phis)) ** 2
     cross = 2.0 * r * (np.sin(thetas) * np.sin(phis))
     panel, x = _locate(np.log1p(2.0 * cross / delta_r), panels)
-    t_sum = _interpolate(table[0].T, panel, x)
+    # a pair is one node: _BLOCK_NODES pairs at a time bound the scratch
+    t_sum = np.empty(phis.size)
+    for start in range(0, phis.size, _BLOCK_NODES):
+        nodes = slice(start, start + _BLOCK_NODES)
+        _interpolate(table[0].T, panel[nodes], x[nodes], out=t_sum[nodes])
     values = lam / math.pi * (1.0 - r * r) / delta_r * np.power(delta_r + 2.0 * cross, -lam) * t_sum
     _check_finite(values, thetas, phis, f"lambda {lam}, r {r}")
     return float(values[0]) if np.ndim(phi) == 0 else values
@@ -240,13 +244,42 @@ _GRADED_POINTS = max(
     _bernstein_points(math.hypot(1.0, math.pi / math.log(_GRADING)), 1e-18),
 )
 
-#: phi whose r-nodes are summed at once: a block's arrays hold
-#: ~_PHI_BLOCK * 80 nodes, each with its barycentric weights and its table
-#: row, 13 to 22 values apiece (the r-rules, 3 values a node, are built for
-#: the whole call: one _r_rules call per block cost ~10% of a call).  One kernel call over a default operator's
-#: phi (178 at theta 1.2) at each k 1-4 peaked at 1.9 MiB of traced arrays
-#: in blocks of 32 phi and at 6.5 MiB in one block; at k 12, 3.4 and 10.7 MiB
-_PHI_BLOCK = 32
+#: r-nodes summed at once: kernel_partial takes its pairs in blocks of at
+#: most this many nodes (~75 a pair at theta 1.2, so ~110 phi; a pair is
+#: never split), and poisson_kernel its pairs, one node each, in runs of
+#: this many.  A block's weights, gathered rows and row table live in the
+#: thread's _workspace, so the budget bounds what a thread holds: over
+#: default operators' phi and the CLI's 380-pair grid, ~3.8 MiB touched
+#: (4.1 allocated) at k <= 4 and ~7.6 MiB (11.1) at k 12.  On the held
+#: scratch, one call over a default operator's phi (lambda 1.3, theta 1.2)
+#: takes 16-20% less time at k 1-4 than in blocks of 2400 nodes (~32 phi),
+#: 10% less at k 8 and 2% at k 12; one block for the whole call saves
+#: ~5% more, and holds twice as much
+_BLOCK_NODES = 8192
+
+#: each thread's scratch arrays, by name (see _scratch).  Blocks that
+#: allocated their temporaries, ~1 MiB a block, handed the freed pages back
+#: to the system and faulted them in again at the next block: a warm call
+#: over a default operator's phi (lambda 1.3, theta 1.2) took 250-590 minor
+#: page faults at k 1-12, and takes none with these held; at k 4 its traced
+#: peak fell from 1.83 to 1.01 MiB.  Each thread has its own, so concurrent
+#: callers never share a buffer
+_workspace = threading.local()
+
+
+def _scratch(name: str, *shape: int) -> np.ndarray:
+    """This thread's float buffer ``name`` as a C-contiguous array of
+    ``shape``, held across calls and grown to the power of two at or above
+    the largest size asked for: a few growths per buffer, and a page it
+    never reaches is never touched.  Its values are whatever the last user
+    left, so a caller writes before it reads, and hands out none of it."""
+    size = int(math.prod(shape))
+    held = getattr(_workspace, name, None)
+    if held is None or held.size < size:
+        held = np.empty(1 << max(size - 1, 0).bit_length())
+        setattr(_workspace, name, held)
+    return held[:size].reshape(shape)
+
 
 #: the t-table is piecewise polynomial in v = log(1 + 2 z), on panels of
 #: this width; see _panel_nodes for the nodes per panel
@@ -616,30 +649,39 @@ def _lagrange(n: int, x: np.ndarray, scale: float | np.ndarray = 1.0) -> np.ndar
     panel's n Chebyshev-point values at the local coordinates ``x`` (see
     _locate), each column divided by its sum and times its ``scale``.  An x
     exactly on a node makes that sum infinite, and such a column takes the
-    node's value alone."""
+    node's value alone.  The weights are this thread's scratch (see
+    _scratch), overwritten by its next call."""
     if x.size == 1:
         # numpy sums a lone column's n terms pairwise and a batch's in
         # order: weigh a lone x as a pair, so it gets a batch entry's rounding
         return _lagrange(n, np.repeat(x, 2), np.repeat(scale, 2))[:, :1]
     points, bary = _chebyshev(n)
-    # in place: a block's weights run to ~0.5 MiB, and a second array that
-    # size per call costs more than the arithmetic
-    lagrange = x - points
+    lagrange = np.subtract(x, points, out=_scratch("lagrange", n, x.size))
     np.divide(bary, lagrange, out=lagrange)
-    weight_sum = lagrange.sum(axis=0)
-    lagrange *= scale / weight_sum
+    weight_sum = lagrange.sum(axis=0, out=_scratch("weight_sum", x.size))
     hits = ~np.isfinite(weight_sum)
+    lagrange *= np.divide(scale, weight_sum, out=weight_sum)
     if hits.any():
         lagrange[:, hits] = (points == x[hits]) * np.broadcast_to(scale, x.shape)[hits]
     return lagrange
 
 
-def _interpolate(rows: np.ndarray, at: np.ndarray, x: np.ndarray, scale: float | np.ndarray = 1.0) -> np.ndarray:
+def _interpolate(
+    rows: np.ndarray, at: np.ndarray, x: np.ndarray, scale: float | np.ndarray = 1.0, out: np.ndarray | None = None
+) -> np.ndarray:
     """Both kernels' barycentric read (Berrut and Trefethen, SIAM Rev. 46,
     2004): column at[v] of ``rows``, a panel's n Chebyshev-point values, at
-    the local coordinate x[v] (see _locate), times scale[v].  np.einsum sums
-    an entry's n terms in order, so it is the same in any batch."""
-    return np.einsum("iv,iv->v", np.take(rows, at, axis=1), _lagrange(rows.shape[0], x, scale))
+    the local coordinate x[v] (see _locate), times scale[v], into ``out``
+    (a contiguous 1-D array) or a new array.  np.einsum sums an entry's n
+    terms in order, so it is the same in any batch.  The gathered columns
+    are this thread's scratch."""
+    n, width = rows.shape
+    # np.take raises on a bad index only by buffering a copy of its output;
+    # as unsigned, a negative index is past every width too
+    if at.size and at.view(np.uintp).max() >= width:
+        raise IndexError(f"a table read at columns {at.min()}..{at.max()} of {width}")
+    gathered = np.take(rows, at, axis=1, out=_scratch("gathered", n, at.size), mode="clip")
+    return np.einsum("iv,iv->v", gathered, _lagrange(n, x, scale), out=out)
 
 
 def _check_finite(values: np.ndarray, thetas: np.ndarray, phis: np.ndarray, context: str) -> None:
@@ -674,6 +716,19 @@ def _expansion(layout, ell: int, a0, a1, b0, b1) -> np.ndarray:
             for m in range(i + 1):
                 out[col + m : col + m + j + 1] += (coeff * a_pow[i][m : m + 1]) * b_pow[j]
     return out
+
+
+def _blocks(ends: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of pairs summed at once, in order: pair i's
+    nodes end at ends[i], the running count, and a run takes the most pairs
+    whose nodes number at most _BLOCK_NODES, one pair at least."""
+    bounds, start = [], 0
+    while start < ends.size:
+        before = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, before + _BLOCK_NODES, side="right")))
+        bounds.append((start, stop))
+        start = stop
+    return bounds
 
 
 def _powers(x: np.ndarray, count: int) -> np.ndarray:
@@ -723,16 +778,17 @@ def kernel_partial(
     folded over the columns.  A node on the first panel, where that factor
     would magnify the interpolation error, reads the plain values times its
     own p_{s,m} q**(s - s0).  Every pair's r-rule is built in one call (see
-    _r_rules); the pairs are then taken in blocks of _PHI_BLOCK, and a block
-    runs as arrays, with no loop over its pairs: the arithmetic of its
-    r-nodes (Delta_r, the panel and local coordinate of v, the r-weights
-    folded into the barycentric weights), the fold of the pairs with a node
-    past the first panel (only those, so a
-    pair near phi = 0 or pi, whose (4 sigma)**-1 may overflow, never folds),
-    every node's row and its interpolation, and each pair's sum over its
-    nodes.  Every contraction is np.einsum's, not BLAS: an entry accumulates
-    its own terms in a fixed order, whatever the shape around it, and the
-    rest is elementwise.  So a batch gives its entries bit for bit as scalar
+    _r_rules); the pairs are then taken in blocks of at most _BLOCK_NODES
+    r-nodes, whose temporaries live in the thread's held scratch (see
+    _scratch), and a block runs as arrays, with no loop over its pairs: the
+    arithmetic of its r-nodes (Delta_r, the panel and local coordinate of v,
+    the r-weights folded into the barycentric weights), the fold of the
+    pairs with a node past the first panel (only those, so a pair near
+    phi = 0 or pi, whose (4 sigma)**-1 may overflow, never folds), every
+    node's row and its interpolation, and each pair's sum over its nodes.
+    Every contraction is np.einsum's, not BLAS: an entry accumulates its own
+    terms in a fixed order, whatever the shape around it, and the rest is
+    elementwise.  So a batch gives its entries bit for bit as scalar
     calls would, whatever theta they pair with.
     """
     lam = validate_lambda(lam)
@@ -752,6 +808,8 @@ def kernel_partial(
     # each column's power of q past the lowest order s0, and the orders s0 .. ell
     exponent = np.array([s for s, _ in pairs]) - pairs[0][0]
     orders = exponent[-1] + 1
+    # the columns of order s0 + e are spans[e] .. spans[e + 1]
+    spans = np.searchsorted(exponent, np.arange(orders + 1))
     prefactor = lam / (math.pi * math.gamma(k))
     sin_theta, cos_theta, sin_p = np.sin(thetas), np.cos(thetas), np.sin(phis)
     sigma = sin_theta * sin_p
@@ -764,10 +822,10 @@ def kernel_partial(
     # every pair's r-rule in one call, its nodes concatenated pair by pair
     r_all, dist_all, fac_all, counts_all = _r_rules(lam, k, seps, config.r_level, config.min_separation)
     ends = np.cumsum(counts_all)
-    for start in range(0, phis.size, _PHI_BLOCK):
-        block = slice(start, start + _PHI_BLOCK)
+    for start, stop in _blocks(ends):
+        block = slice(start, stop)
         # the block's r-nodes and their arithmetic
-        nodes = slice(ends[start] - counts_all[start], ends[block][-1])
+        nodes = slice(ends[start] - counts_all[start], ends[stop - 1])
         r, dist, r_fac, counts = r_all[nodes], dist_all[nodes], fac_all[nodes], counts_all[block]
         owner = np.repeat(np.arange(counts.size), counts)
         delta_r = dist * dist + 2.0 * r * np.repeat(one_minus_cos_w[block], counts)
@@ -784,16 +842,28 @@ def kernel_partial(
         folds = np.bincount(owner[~near], minlength=counts.size) > 0
         reach = int(panel.max())
         # the rows the nodes read, n values each: every first-panel node's
-        # own, then one per (folding pair, panel 1 .. reach)
-        first = int(near.sum())
-        rows = np.empty((n, first + folds.sum() * reach))
-        own = coeffs[:, block][:, owner[near]] * _powers(q[near], orders)[exponent]
-        rows[:, :first] = np.einsum("cv,ci->iv", own, by_panel[:, :n])
+        # own, then one per (folding pair, panel 1 .. reach).  The gathers'
+        # indices are in range by construction
+        first, folding = int(near.sum()), int(folds.sum())
+        rows = _scratch("rows", n, first + folding * reach)
+        own = np.take(coeffs[:, block], owner[near], axis=1, out=_scratch("own", columns, first), mode="clip")
+        # times q**e on the columns of order s0 + e, q**e by repeated
+        # multiplication as in _powers
+        q_near = q[near]
+        power = q_near.copy()
+        for e in range(1, orders):
+            own[spans[e] : spans[e + 1]] *= power
+            power *= q_near
+        np.einsum("cv,ci->iv", own, by_panel[:, :n], out=rows[:, :first])
         scaled = coeffs[:, block][:, folds] * _powers(1.0 / (4.0 * sigma[block][folds]), orders)[exponent]
-        folded = np.einsum("cb,cx->bx", scaled, by_panel[:, n : (reach + 1) * n])
+        # pair-major, into a buffer of the layout einsum would allocate: an
+        # output of other strides may take another inner loop, and another
+        # rounding; the copy turns it node-major
+        folded = _scratch("folded", folding, reach * n)
+        np.einsum("cb,cx->bx", scaled, by_panel[:, n : (reach + 1) * n], out=folded)
         rows[:, first:] = folded.reshape(-1, n).T
         at = np.where(near, np.cumsum(near) - 1, first + (np.cumsum(folds) - 1)[owner] * reach + panel - 1)
-        terms = _interpolate(rows, at, x, base)
+        terms = _interpolate(rows, at, x, base, _scratch("terms", at.size))
         values[block] = prefactor * np.add.reduceat(terms, np.cumsum(counts) - counts)
     _check_finite(values, thetas, phis, f"lambda {lam}, k {k}")
     return float(values[0]) if np.ndim(phi) == 0 else values

@@ -216,7 +216,7 @@ def _synthesis_sum(coeffs: np.ndarray, derivatives: np.ndarray, norms: np.ndarra
     """synthesize's sum of coeff * derivative / norm over the nonzero
     coefficients, in degree order."""
     nonzero = np.flatnonzero(coeffs)
-    return _term_sum(coeffs[nonzero], derivatives[nonzero], norms[nonzero])
+    return float(_term_sum(coeffs[nonzero], derivatives[nonzero], norms[nonzero]))
 
 
 def _term_sum(coeffs: np.ndarray, derivatives: np.ndarray, norms: np.ndarray):

@@ -3,7 +3,9 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -361,16 +363,51 @@ class TestRieszKernel:
                 assert all(type(v) is float for v in loop)
                 assert values.shape == phis.shape
                 assert np.array_equal(values, np.array(loop)), (k, ell)
-        # the ~306 phi of each of two default operators, shuffled: many blocks
-        # of kernels._PHI_BLOCK, and every phi in a block of other phi
-        phis = np.concatenate([_phi_batch(0.8, 3, theta)[0] for theta in (1.2, 1.3)])
-        assert phis.size > 10 * kernels._PHI_BLOCK
+        # the ~180 phi of each of three default operators, shuffled: at least
+        # 4 blocks of kernels._BLOCK_NODES r-nodes, and every phi in a block
+        # of other phi
+        phis = np.concatenate([_phi_batch(0.8, 3, theta)[0] for theta in (1.2, 1.3, 2.0)])
         shuffled = np.random.default_rng(5).permutation(phis)
+        assert len(_blocks_of(0.8, 3, 1.2, shuffled)) >= 4
         values = kernel_partial(0.8, 3, 3, 1.2, shuffled)
         loop = np.array([kernel_partial(0.8, 3, 3, 1.2, float(phi)) for phi in shuffled])
         assert np.array_equal(values, loop)
         order = np.argsort(shuffled)
         assert np.array_equal(values[order], kernel_partial(0.8, 3, 3, 1.2, shuffled[order]))
+
+    def test_empty_and_lone_phi_after_the_scratch_grew(self):
+        # a lone phi's value from a thread whose scratch is still empty
+        cold = {}
+
+        def lone():
+            cold["riesz"] = riesz_kernel(1.3, 4, 1.2, 0.7)
+            cold["partial"] = kernel_partial(1.3, 4, 2, 1.2, 0.7)
+            cold["poisson"] = poisson_kernel(1.3, 0.5, 1.2, 0.7)
+
+        worker = threading.Thread(target=lone)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and len(cold) == 3
+        # a k-12 call over the CLI's 380-pair grid grows this thread's scratch
+        grid = np.linspace(0.02, math.pi - 0.02, 20)
+        thetas, phis = np.repeat(grid, grid.size), np.tile(grid, grid.size)
+        riesz_kernel(1.3, 12, thetas[thetas != phis], phis[thetas != phis])
+        empty = np.array([])
+        for theta in (1.2, empty):
+            for values in (
+                riesz_kernel(1.3, 12, theta, empty),
+                kernel_partial(1.3, 12, 3, theta, empty),
+                poisson_kernel(1.3, 0.5, theta, empty),
+            ):
+                assert isinstance(values, np.ndarray) and values.dtype == float and values.shape == (0,)
+        # a lone phi reads its weights through _lagrange's lone-x path
+        warm = {
+            "riesz": riesz_kernel(1.3, 4, 1.2, 0.7),
+            "partial": kernel_partial(1.3, 4, 2, 1.2, 0.7),
+            "poisson": poisson_kernel(1.3, 0.5, 1.2, 0.7),
+        }
+        assert all(type(value) is float for value in warm.values())
+        assert warm == cold
 
     def test_reference_values(self):
         # recorded from the term-by-term s-sum engine before it took Horner
@@ -758,6 +795,25 @@ def _phi_batch(lam, k, theta):
     return calls[0], operator._kernel_weights
 
 
+def _node_counts(lam, k, theta, phi, config=DEFAULT_KERNEL_CONFIG):
+    """The r-nodes of each (theta, phi) pair of a kernel call, as its r-rules count them."""
+    thetas, phis = kernels._angles(theta, phi)
+    seps = np.minimum(np.abs(thetas - phis), kernels._FAR_SPLIT)
+    return kernels._r_rules(lam, k, seps, config.r_level, config.min_separation)[3]
+
+
+def _blocks_of(lam, k, theta, phi, config=DEFAULT_KERNEL_CONFIG):
+    """The (start, stop) blocks of pairs kernel_partial sums at once."""
+    return kernels._blocks(np.cumsum(_node_counts(lam, k, theta, phi, config)))
+
+
+def _least_pairs_past(k, blocks):
+    """A pair count whose call spans at least ``blocks`` blocks of
+    kernels._BLOCK_NODES r-nodes at order k (r_level 3), whatever its pairs:
+    every pair takes the r-rule's lower segment and its points on (1 - w, 1)."""
+    return (blocks - 1) * kernels._BLOCK_NODES // (kernels._lower_points(k, 3) + kernels._UPPER_POINTS) + 7
+
+
 class TestKernelConfig:
     @pytest.mark.parametrize("field", ["t_level", "r_level"])
     @pytest.mark.parametrize("level", [-2, 0, 2.5, 13])
@@ -972,28 +1028,49 @@ class TestParallelKernel:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_operator_batch_independent_of_thread_count(self, operator_batch, lam, k):
         # the package runs no kernel threads; what a batch's value must not
-        # depend on is how it is split: here across a phi block
+        # depend on is how it is split: here a shuffled batch of copies of an
+        # operator's phi, cut 7 pairs into its middle block, so that the
+        # whole and each part span at least 4 blocks of kernels._BLOCK_NODES
         theta, phis = operator_batch
-        split = kernels._PHI_BLOCK + 7
-        whole = riesz_kernel(lam, k, theta, phis, config=_COARSE)
-        parts = [riesz_kernel(lam, k, theta, part, config=_COARSE) for part in (phis[:split], phis[split:])]
-        assert whole.shape == phis.shape
+        copies = 8 * kernels._BLOCK_NODES // int(_node_counts(lam, k, theta, phis, _COARSE).sum()) + 1
+        batch = np.random.default_rng(k).permutation(np.tile(phis, copies))
+        blocks = _blocks_of(lam, k, theta, batch, _COARSE)
+        split = blocks[len(blocks) // 2][0] + 7
+        halves = (batch[:split], batch[split:])
+        assert all(len(_blocks_of(lam, k, theta, part, _COARSE)) >= 4 for part in (batch, *halves))
+        whole = riesz_kernel(lam, k, theta, batch, config=_COARSE)
+        parts = [riesz_kernel(lam, k, theta, part, config=_COARSE) for part in halves]
+        assert whole.shape == batch.shape
         assert np.array_equal(whole, np.concatenate(parts))
 
     def test_concurrent_callers_get_the_serial_values(self, operator_batch):
+        # callers at three (lambda, k) over 3 phi, an operator's phi and the
+        # CLI's 380-pair grid, at (0.8, 3) on a coarse rule, and of the
+        # Poisson kernel, each thread taking
+        # the calls in its own order: every thread's held scratch serves
+        # calls of other sizes in turn, and each value is its serial value
         theta, phis = operator_batch
-        phis = phis[::4]
-        serial = riesz_kernel(0.8, 3, theta, phis, config=_COARSE)
-        results: dict[int, np.ndarray] = {}
+        grid = np.linspace(0.02, math.pi - 0.02, 20)
+        thetas, grid_phis = np.repeat(grid, grid.size), np.tile(grid, grid.size)
+        off = thetas != grid_phis
+        batches = [(theta, np.array([0.4, 1.0, 2.6])), (theta, phis), (thetas[off], grid_phis[off])]
+        calls = [partial(riesz_kernel, lam, k, t, p) for lam, k in ((0.3, 1), (1.3, 4), (2.45, 12)) for t, p in batches]
+        calls += [partial(poisson_kernel, 0.3, 0.5, thetas, grid_phis), partial(poisson_kernel, 1.3, 0.905, theta, phis)]
+        calls += [partial(poisson_kernel, 2.45, 0.5, theta, 0.7), partial(riesz_kernel, 1.3, 4, theta, 0.7)]
+        calls += [partial(riesz_kernel, 0.8, 3, theta, phis[::4], config=_COARSE)]
+        serial = [call() for call in calls]
+        results: dict[tuple[int, int], np.ndarray] = {}
 
-        def call(slot):
-            results[slot] = riesz_kernel(0.8, 3, theta, phis, config=_COARSE)
+        def run(slot):
+            order = np.roll(np.arange(len(calls)), 3 * slot)
+            for index in np.concatenate([order, order[::-1]]).tolist():
+                results[slot, index] = calls[index]()
 
-        # four callers sharing the t-table cache: more threads than cores, switching often
+        # four callers, more threads than cores, switching as often as they can
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
+        sys.setswitchinterval(1e-6)
         try:
-            callers = [threading.Thread(target=call, args=(slot,)) for slot in range(4)]
+            callers = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
             for caller in callers:
                 caller.start()
             for caller in callers:
@@ -1001,9 +1078,28 @@ class TestParallelKernel:
         finally:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
-        assert sorted(results) == [0, 1, 2, 3]
-        for values in results.values():
-            assert np.array_equal(values, serial)
+        assert sorted(results) == [(slot, index) for slot in range(4) for index in range(len(calls))]
+        for (slot, index), values in results.items():
+            assert np.array_equal(values, serial[index]), (slot, calls[index].func.__name__, calls[index].args[:2])
+
+    def test_a_warm_call_allocates_no_block_arrays(self):
+        # each block's weights, gathered rows and row table live in the
+        # thread's held scratch: a warm call over a default operator's phi
+        # reuses every buffer, and traces 1.01 MiB at its peak, where a call
+        # that allocated them per block traced 1.83 MiB (tracemalloc counts
+        # the bytes asked for, so the figure repeats)
+        phis, _ = _phi_batch(1.3, 4, 1.2)
+        riesz_kernel(1.3, 4, 1.2, phis)
+        held = dict(vars(kernels._workspace))
+        tracemalloc.start()
+        try:
+            riesz_kernel(1.3, 4, 1.2, phis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2**20, peak
+        assert held and vars(kernels._workspace).keys() == held.keys()
+        assert all(vars(kernels._workspace)[name] is buffer for name, buffer in held.items())
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         # a t-table build that fails on a worker thread raises in that
@@ -1155,15 +1251,18 @@ class TestPairedTheta:
     @pytest.mark.parametrize("lam", [0.3, 2.45])
     @pytest.mark.parametrize("k", [1, 2, 4, 12])
     def test_pairs_equal_scalar_theta_calls(self, lam, k):
-        # three blocks of kernels._PHI_BLOCK, each pair among pairs of other theta
-        thetas, phis = _paired_batch(k, 2 * kernels._PHI_BLOCK + 7)
+        # at least 4 blocks of kernels._BLOCK_NODES r-nodes, each pair among
+        # pairs of other theta
+        thetas, phis = _paired_batch(k, _least_pairs_past(k, 4))
+        assert len(_blocks_of(lam, k, thetas, phis)) >= 4
         values = riesz_kernel(lam, k, thetas, phis)
         loop = [riesz_kernel(lam, k, float(theta), float(phi)) for theta, phi in zip(thetas, phis)]
         assert values.shape == phis.shape
         assert np.array_equal(values, np.array(loop))
 
     def test_kernel_partial_pairs_at_every_derivative_order(self):
-        thetas, phis = _paired_batch(7, kernels._PHI_BLOCK + 3)
+        thetas, phis = _paired_batch(7, _least_pairs_past(3, 4))
+        assert len(_blocks_of(0.8, 3, thetas, phis)) >= 4
         for ell in (0, 1, 3):
             values = kernel_partial(0.8, 3, ell, thetas, phis)
             loop = [kernel_partial(0.8, 3, ell, float(t), float(p)) for t, p in zip(thetas, phis)]

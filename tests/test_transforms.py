@@ -297,6 +297,8 @@ class TestRecurrenceMemo:
         values += [synthesize(fractional_power(c, 0.5 * k), theta, k) for k in range(1, 7)]
         values += [poisson_spectral(c, t, theta) for t in (0.1, 1.0)]
         values += [poisson_via_kernel(f, lam, t, theta, build_rule(lam, 128)) for t in (0.1, 1.0)]
+        # Python floats, as riesz_pv's value and the kernels' scalar calls are
+        assert all(type(v) is float for v in values)
         return np.concatenate([values, f(rule.nodes), [f(theta)], analyze(f, lam, c.degree + 2, rule).coeffs])
 
     @pytest.mark.parametrize("lam, degree, theta", [(0.3, 8, 0.4), (1.3, 16, 1.9), (2.45, 24, 2.9)])
