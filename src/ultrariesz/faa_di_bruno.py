@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jets import Jet
+from .jets import Jet, _from_taylor, _taylor_sin_cos, _to_taylor
 from .special import MAX_ORDER, _check_integer, _validate_angle
 
 __all__ = [
@@ -165,25 +165,19 @@ def jet_oracle(ell: int, lam: float, point: KernelPoint) -> float:
     ell = _check_integer("derivative order", ell)
     if not lam >= 0.0:
         raise ValueError(f"exponent parameter must be nonnegative, got {lam}")
-    theta = Jet.variable(point.theta, ell)
-    a = theta.cos() * math.cos(point.phi) + theta.sin() * (
-        math.sin(point.phi) * math.cos(point.t)
-    )
+    theta = _to_taylor(Jet.variable(point.theta, ell).coeffs)
+    # the jets of sin and cos from one pass of their series recurrence
+    sin, cos = (Jet(_from_taylor(series)) for series in _taylor_sin_cos(theta))
+    a = cos * math.cos(point.phi) + sin * (math.sin(point.phi) * math.cos(point.t))
     d = 1.0 - 2.0 * point.r * a + point.r**2
     return float(d.power(-(lam + 1.0)).coeffs[ell])
 
 
 def sample_points(count: int, seed: int = 1729) -> list[KernelPoint]:
     """Deterministic pseudo-random kernel points for checks and reports."""
-    rng = np.random.default_rng(seed)
-    points = []
-    for _ in range(_check_integer("point count", count)):
-        points.append(
-            KernelPoint(
-                theta=float(rng.uniform(0.2, math.pi - 0.2)),
-                phi=float(rng.uniform(0.2, math.pi - 0.2)),
-                r=float(rng.uniform(0.05, 0.95)),
-                t=float(rng.uniform(0.0, math.pi)),
-            )
-        )
-    return points
+    count = _check_integer("point count", count)
+    # one draw of every (theta, phi, r, t) row: the same floats, in the same
+    # order, as a scalar draw per coordinate
+    low, high = [0.2, 0.2, 0.05, 0.0], [math.pi - 0.2, math.pi - 0.2, 0.95, math.pi]
+    rows = np.random.default_rng(seed).uniform(low, high, size=(count, 4))
+    return [KernelPoint(*row) for row in rows.tolist()]

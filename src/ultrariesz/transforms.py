@@ -164,24 +164,73 @@ class TruncationSchedule:
 
 def analyze(f: Callable, lam: float, n_max: int, rule: QuadratureRule) -> SpectralCoefficients:
     """Coefficients of f against the normalized eigenfunctions up to degree
-    n_max, by Gaussian quadrature."""
-    return _analyze(f, lam, n_max, rule)[0]
+    n_max, by Gaussian quadrature.  The last finite analysis is kept, read
+    from a repeat call on the same samples of f (see _analyze); the
+    coefficients handed out are a writable copy of their own."""
+    c = _analyze(f, lam, n_max, rule)[0]
+    return SpectralCoefficients(lam=c.lam, coeffs=c.coeffs.copy())
+
+
+#: the last finite analysis as (key, (coefficients, past, tail)), replaced
+#: whole so that a thread reads one pair (see _analyze)
+_last_analysis: tuple = (None, None)
+
+
+def _clear_analysis() -> None:
+    """Drop the kept analysis."""
+    global _last_analysis
+    _last_analysis = (None, None)
 
 
 def _analyze(
     f: Callable, lam: float, n_max: int, rule: QuadratureRule, extra: int = 0
-) -> tuple[SpectralCoefficients, np.ndarray]:
-    """analyze, and the ``extra`` coefficients past n_max from a product of
-    their own, so that a_0 .. a_n_max are analyze's bit for bit."""
+) -> tuple[SpectralCoefficients, np.ndarray, tuple[float, int] | None]:
+    """analyze, the ``extra`` coefficients past n_max from a product of
+    their own, so that a_0 .. a_n_max are analyze's bit for bit, and the
+    coefficient tail riesz_spectral warns on (see _tail).
+
+    The last finite analysis is kept, read-only, keyed by (lambda, n_max,
+    extra, the rule's nodes and weights, f's samples at the nodes): a call
+    with that key, such as riesz_spectral's at each k and theta on one f,
+    reads it rather than analyzing again.  The key holds the samples, not
+    f, which may be any callable; f is sampled after the rows are fetched,
+    so that a band_limited f reads the rows the memo keeps.  A non-finite
+    analysis is neither kept nor given a tail: riesz_spectral reads that
+    tail itself, and meets its errors as a fresh analysis does."""
+    global _last_analysis
     lam = _check_rule(lam, rule)
     n_max = _check_integer("degree", n_max)
     if rule.order < n_max + 1:
         raise ValueError(f"rule order {rule.order} too low for degree {n_max}")
     # norms first: they overflow (OverflowError) before the recurrence would
     norms = _norms(lam, n_max + extra)
-    basis = _polynomial_rows(n_max + extra, lam, np.cos(rule.nodes)) / norms[:, None]
-    weighted = rule.weights * _evaluate(f, rule.nodes)
-    return SpectralCoefficients(lam=lam, coeffs=basis[: n_max + 1] @ weighted), basis[n_max + 1 :] @ weighted
+    rows = _polynomial_rows(n_max + extra, lam, np.cos(rule.nodes))
+    samples = _evaluate(f, rule.nodes)
+    key = lam, n_max, extra, rule.nodes.tobytes(), rule.weights.tobytes(), samples.tobytes()
+    held, entry = _last_analysis
+    if held == key:
+        return entry
+    basis = rows / norms[:, None]
+    weighted = rule.weights * samples
+    coeffs, past = basis[: n_max + 1] @ weighted, basis[n_max + 1 :] @ weighted
+    c = SpectralCoefficients(lam=lam, coeffs=coeffs)
+    if not (np.isfinite(coeffs).all() and np.isfinite(past).all()):
+        return c, past, None
+    coeffs.flags.writeable = past.flags.writeable = False
+    entry = c, past, _tail(coeffs, past, n_max)
+    _last_analysis = key, entry
+    return entry
+
+
+def _tail(coeffs: np.ndarray, past: np.ndarray, n_max: int) -> tuple[float, int]:
+    """The largest of the tail coefficients ``past`` past a_n_max, or of
+    a_n_max where there are none, over ||a||, and its index."""
+    tail_coeffs = np.abs(past if past.size else coeffs[-1:])
+    index = n_max + int(past.size > 0) + int(np.argmax(tail_coeffs))
+    # ||a|| over its largest entry: the squares of finite coefficients may overflow
+    scale = float(np.max(np.abs(coeffs)))
+    norm = scale * float(np.linalg.norm(coeffs / scale)) if scale > 0.0 else math.inf
+    return float(np.max(tail_coeffs)) / norm, index
 
 
 def _check_rule(lam: float, rule: QuadratureRule) -> float:
@@ -319,6 +368,11 @@ def riesz_spectral(
     """Order-k Riesz transform through the spectral pipeline:
     analyze -> multiplier (n+lambda)**(-k) -> k-th derivative synthesis.
 
+    The analysis and its coefficient tail are kept (see _analyze), so calls
+    at several k or theta on the same samples of f analyze it once; the
+    jets, the multipliers, the rounding check, the tail warning and the sum
+    are each call's own.
+
     Raises FloatingPointError where float64 cannot carry the answer: past
     the float range, or where the rounding of the coefficients, ~eps times
     the rule order for an O(1) function, reaches the value past
@@ -331,13 +385,9 @@ def riesz_spectral(
         # the tail: a_{n_max+1} and a_{n_max+2} where the rule integrates them
         # (an f of exact degree n_max fills a_{n_max} with no loss), else a_{n_max}
         extra = 2 if rule.order >= n_max + 3 else 0
-        c, past = _analyze(f, lam, n_max, rule, extra)
-        tail_coeffs = np.abs(past if past.size else c.coeffs[-1:])
-        tail_index = n_max + int(past.size > 0) + int(np.argmax(tail_coeffs))
-        # ||a|| over its largest entry: the squares of finite coefficients may overflow
-        scale = float(np.max(np.abs(c.coeffs)))
-        norm = scale * float(np.linalg.norm(c.coeffs / scale)) if scale > 0.0 else math.inf
-        tail = float(np.max(tail_coeffs)) / norm
+        c, past, tail = _analyze(f, lam, n_max, rule, extra)
+        # a non-finite analysis comes without its tail
+        tail, tail_index = tail or _tail(c.coeffs, past, n_max)
         if tail > 1e-8:
             warnings.warn(
                 f"coefficient tail |a_{tail_index}|/||a|| = {tail:.2e} > 1e-8; "

@@ -422,6 +422,147 @@ class TestLastSampling:
         assert np.array_equal(band_limited(SpectralCoefficients(1.3, [0.0, 0.0]))(np.array([0.5, 1.0])), [0.0, 0.0])
 
 
+class TestKeptAnalysis:
+    """The spectral route keeps its last finite analysis, keyed by (lambda,
+    n_max, extra, the rule, f's samples), and hands out copies: every value
+    is a cold analysis's, bit for bit."""
+
+    @staticmethod
+    def _functions(lam=1.3):
+        return [
+            band_limited(SpectralCoefficients(lam, np.cos(np.arange(17) + lam))),
+            band_limited(SpectralCoefficients(lam, np.sin(np.arange(13) + lam))),
+            lambda th: np.exp(np.cos(np.asarray(th))),  # noqa: E731
+        ]
+
+    @staticmethod
+    def _cold(call):
+        transforms._clear_analysis()
+        return call()
+
+    def test_warm_equals_cold_as_f_rule_degree_and_extra_change(self, recwarn):
+        lam = 1.3
+        f, g, h = self._functions(lam)
+        rules = [build_rule(lam, 64), build_rule(lam, 32), build_rule(lam, 22)]
+        calls = []
+        # n_max 20 on the order-22 rule leaves no room for the tail: extra 0
+        for fn, rule, n_max in [(f, rules[0], 20), (g, rules[0], 20), (f, rules[1], 20), (f, rules[0], 16), (h, rules[2], 20), (f, rules[2], 20), (f, rules[0], 20)]:
+            calls += [lambda fn=fn, rule=rule, n_max=n_max, k=k, th=th: riesz_spectral(fn, lam, k, th, n_max, rule) for th in (0.7, 2.2) for k in (1, 3, 6)]
+            calls += [lambda fn=fn, rule=rule, n_max=n_max: analyze(fn, lam, n_max, rule).coeffs]
+            calls += [lambda fn=fn, rule=rule, n_max=n_max: analyze(fn, lam, n_max - 2, rule).coeffs]
+        transforms._clear_analysis()
+        warm = [call() for call in calls]
+        cold = [self._cold(call) for call in calls]
+        for w, c in zip(warm, cold):
+            assert np.array_equal(w, c) and type(w) is type(c)
+
+    def test_a_second_f_with_the_same_samples_reuses_the_entry(self, monkeypatch):
+        # the basis division runs once per (samples, rule, degree, extra):
+        # two f of the same coefficients share it at every k and theta
+        divisions = []
+
+        class Rows(np.ndarray):
+            def __truediv__(self, other):
+                divisions.append(self.shape)
+                return np.asarray(self) / other
+
+        rows = transforms._polynomial_rows
+        monkeypatch.setattr(transforms, "_polynomial_rows", lambda *args: rows(*args).view(Rows))
+        lam = 1.3
+        c = SpectralCoefficients(lam, np.cos(np.arange(17) + lam))
+        rule, coarse = build_rule(lam, 64), build_rule(lam, 32)
+        transforms._clear_analysis()
+        for f, theta in ((band_limited(c), 0.7), (band_limited(c), 2.2)):
+            for k in range(1, 7):
+                riesz_spectral(f, lam, k, theta, 20, rule)
+        assert len(divisions) == 1
+        f = band_limited(c)
+        for _ in range(2):
+            analyze(f, lam, 20, rule)  # extra 0
+        assert len(divisions) == 2
+        for _ in range(2):
+            riesz_spectral(f, lam, 2, 0.7, 20, coarse)
+        assert len(divisions) == 3
+        for _ in range(2):
+            riesz_spectral(f, lam, 2, 0.7, 18, coarse)
+        assert len(divisions) == 4
+        other = band_limited(SpectralCoefficients(lam, np.sin(np.arange(17) + lam)))
+        for _ in range(2):
+            riesz_spectral(other, lam, 2, 0.7, 18, coarse)
+        assert len(divisions) == 5
+
+    def test_writing_into_analyzes_result_changes_no_later_value(self):
+        lam = 1.3
+        f = self._functions(lam)[0]
+        rule = build_rule(lam, 64)
+        expected = self._cold(lambda: analyze(f, lam, 20, rule).coeffs)
+        spectral = self._cold(lambda: riesz_spectral(f, lam, 3, 0.7, 20, rule))
+        transforms._clear_analysis()
+        # the first call keeps the analysis, the second reads it
+        for _ in range(2):
+            c = analyze(f, lam, 20, rule)
+            assert np.array_equal(c.coeffs, expected)
+            assert not np.shares_memory(c.coeffs, transforms._last_analysis[1][0].coeffs)
+            c.coeffs[:] = 7.0
+        assert np.array_equal(analyze(f, lam, 20, rule).coeffs, expected)
+        assert riesz_spectral(f, lam, 3, 0.7, 20, rule) == spectral
+        # the kept coefficients refuse writes
+        assert not transforms._last_analysis[1][0].coeffs.flags.writeable
+
+    def test_a_non_finite_analysis_is_not_kept(self):
+        lam = 1.3
+        rule = build_rule(lam, 32)
+        assert rule.nodes.max() > 3.0
+        inf = lambda th: np.where(np.asarray(th) > 3.0, np.inf, 1.0)  # noqa: E731
+        nan = lambda th: np.where(np.asarray(th) > 3.0, np.nan, 1.0)  # noqa: E731
+        riesz_spectral(self._functions(lam)[0], lam, 1, 0.7, 20, rule)
+        held = transforms._last_analysis
+        for f in (inf, nan):
+            assert not np.all(np.isfinite(analyze(f, lam, 6, rule).coeffs))
+            assert transforms._last_analysis is held
+        # the route's error, and its value, are a cold analysis's
+        for _ in range(2):
+            with pytest.raises(FloatingPointError, match="invalid value encountered in divide"):
+                riesz_spectral(inf, lam, 1, 0.7, 6, rule)
+            assert math.isnan(riesz_spectral(nan, lam, 1, 0.7, 6, rule))
+            assert transforms._last_analysis is held
+            transforms._clear_analysis()
+            held = transforms._last_analysis
+
+    def test_the_tail_warning_fires_on_every_call(self):
+        rule = build_rule(1.0, 32)
+        spiky = lambda th: np.exp(-2.0 * (np.asarray(th) - 1.2) ** 2)  # noqa: E731
+        messages = []
+        for k in (1, 1, 2, 3):
+            with pytest.warns(UserWarning, match="coefficient tail") as caught:
+                riesz_spectral(spiky, 1.0, k, 1.0, 4, rule)
+            messages.append(str(caught[0].message))
+        assert len(set(messages)) == 1
+
+    def test_threads_read_whole_entries(self):
+        # two f over one rule from more threads than cores, switching often:
+        # each call reads its own f's analysis, never the other's
+        lam = 1.3
+        fs = self._functions(lam)[:2]
+        rule = build_rule(lam, 64)
+        expected = [[self._cold(lambda: riesz_spectral(f, lam, k, 0.7, 20, rule)) for k in range(1, 7)] for f in fs]
+
+        def run(offset):
+            return all(
+                riesz_spectral(fs[(i + offset) % 2], lam, 1 + i % 6, 0.7, 20, rule) == expected[(i + offset) % 2][i % 6]
+                for i in range(300)
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, offset) for offset in range(8)]
+                assert all(future.result(timeout=60) for future in futures)
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestTruncated:
     def test_odd_kernel_cancels_at_symmetric_point(self):
         # constant f, k=1, theta = pi/2: spectral value is 0 and gamma_1 = 0
